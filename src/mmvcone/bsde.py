@@ -9,11 +9,12 @@ kernel (the cone-constrained quadratic infimum):
   P2  : dP2 = -{2 r P2 + inf_{pi}[P2 pi'ss'pi - 2 pi'(P2 mu + s Delta2)]} dt + ...
 
 With deterministic coefficients the martingale part vanishes and each
-equation reduces to an ODE integrated backward by classical RK4.  With
-Markov-factor coefficients the pair is estimated by least-squares Monte
-Carlo: simulate the factor forward, then walk backward regressing the
-continuation value and the martingale increment on a polynomial basis,
-closing each step with an implicit Euler solve of the driver.
+equation reduces to a linear ODE, integrated backward by classical RK4 from
+one tabulation of its coefficient.  With Markov-factor coefficients the
+pair is estimated by least-squares Monte Carlo: simulate the factor
+forward, then walk backward regressing the continuation value and the
+martingale increment on a polynomial basis, closing each step with a
+trapezoidal (theta = 1/2) driver solve that is implicit in the new value.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .cones import Cone, cone_inf_quadratic_batch, project_transformed
 from .errors import (
     ConfigInvalid,
     InvalidBound,
+    NoConvergence,
     NonPositiveY,
     PositivityLost,
     RegressionIllConditioned,
@@ -124,6 +126,15 @@ def positivity_envelope(model: MarketModel, grid: np.ndarray) -> tuple[float, fl
     return math.exp(-c * horizon), math.exp(c * horizon)
 
 
+def _state_row(f, markov: bool) -> np.ndarray:
+    """One factor state as a one-row batch; factor-driven solutions require it."""
+    if f is None:
+        if markov:
+            raise ConfigInvalid("factor state required for markovian solutions", field="f")
+        return np.zeros(1)
+    return np.array([f], dtype=float)
+
+
 @dataclass
 class BsdeSolution:
     """Time-gridded backward solution, grid-valued or regression-basis-valued.
@@ -153,27 +164,6 @@ class BsdeSolution:
     transform: tuple | None = None
     seed: int | None = None
 
-    # -- raw (pre-transform) evaluation -------------------------------------
-
-    def _node_value(self, i: int, f) -> float:
-        if self.kind == "deterministic":
-            return float(self.y_values[i])
-        u = self._normalize(i, f)
-        return float(np.polynomial.polynomial.polyval(u, self.y_values[i]))
-
-    def _node_z(self, i: int, f) -> np.ndarray:
-        if self.kind == "deterministic":
-            return np.asarray(self.z_values[i], dtype=float)
-        u = self._normalize(i, f)
-        out = np.zeros(self.n)
-        out[self.driving_index] = float(np.polynomial.polynomial.polyval(u, self.z_values[i]))
-        return out
-
-    def _normalize(self, i: int, f) -> float:
-        if f is None:
-            raise ConfigInvalid("factor state required for markovian solutions", field="f")
-        return (float(f) - self.basis_loc[i]) / self.basis_scale[i]
-
     def _locate(self, t: float) -> tuple[int, int, float]:
         grid = self.grid
         if t <= grid[0]:
@@ -184,88 +174,52 @@ class BsdeSolution:
         w = (t - grid[i]) / (grid[i + 1] - grid[i])
         return i, i + 1, float(w)
 
-    def _raw_value(self, t: float, f=None) -> float:
-        i, j, w = self._locate(t)
-        if i == j or w == 0.0:
-            return self._node_value(i, f)
-        return (1.0 - w) * self._node_value(i, f) + w * self._node_value(j, f)
-
-    def _raw_z(self, t: float, f=None) -> np.ndarray:
-        i, j, w = self._locate(t)
-        if i == j or w == 0.0:
-            return self._node_z(i, f)
-        return (1.0 - w) * self._node_z(i, f) + w * self._node_z(j, f)
-
-    # -- public evaluation ----------------------------------------------------
-
-    def value(self, t: float, f=None) -> float:
-        base = self._raw_value(t, f)
-        if self.transform is None:
-            return base
-        if base <= 0:
-            raise PositivityLost(f"base solution {base} <= 0 at t={t}")
-        if self.transform[0] == "recip":
-            return 1.0 / base
-        h = self.transform[1].at(t)
-        return h * h / base
-
-    def z_at(self, t: float, f=None) -> np.ndarray:
-        zb = self._raw_z(t, f)
-        if self.transform is None:
-            return zb
-        base = self._raw_value(t, f)
-        if base <= 0:
-            raise PositivityLost(f"base solution {base} <= 0 at t={t}")
-        if self.transform[0] == "recip":
-            return -zb / (base * base)
-        h = self.transform[1].at(t)
-        return -(h * h / (base * base)) * zb
-
-    def _node_value_batch(self, i: int, fvals: np.ndarray) -> np.ndarray:
+    def _node_batch(self, i: int, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(value (N,), z (N, n)) at grid node i before any transform."""
+        rows = len(fvals)
+        if self.kind == "deterministic":
+            return (np.full(rows, self.y_values[i]),
+                    np.broadcast_to(self.z_values[i], (rows, self.n)))
         u = (np.asarray(fvals, dtype=float) - self.basis_loc[i]) / self.basis_scale[i]
-        return np.polynomial.polynomial.polyval(u, self.y_values[i])
-
-    def _node_zj_batch(self, i: int, fvals: np.ndarray) -> np.ndarray:
-        u = (np.asarray(fvals, dtype=float) - self.basis_loc[i]) / self.basis_scale[i]
-        return np.polynomial.polynomial.polyval(u, self.z_values[i])
+        z = np.zeros((rows, self.n))
+        z[:, self.driving_index] = np.polynomial.polynomial.polyval(u, self.z_values[i])
+        return np.polynomial.polynomial.polyval(u, self.y_values[i]), z
 
     def _raw_batch(self, t: float, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(value (N,), z (N, n)) before any transform."""
+        """(value (N,), z (N, n)) before any transform, linear in t between nodes."""
         i, j, w = self._locate(t)
-        base = self._node_value_batch(i, fvals)
-        zj = self._node_zj_batch(i, fvals)
+        base, z = self._node_batch(i, fvals)
         if j != i and w != 0.0:
-            base = (1.0 - w) * base + w * self._node_value_batch(j, fvals)
-            zj = (1.0 - w) * zj + w * self._node_zj_batch(j, fvals)
-        z = np.zeros((len(fvals), self.n))
-        z[:, self.driving_index] = zj
+            base_j, z_j = self._node_batch(j, fvals)
+            base = (1.0 - w) * base + w * base_j
+            z = (1.0 - w) * z + w * z_j
         return base, z
 
-    def value_batch(self, t: float, fvals: np.ndarray) -> np.ndarray:
-        if self.kind == "deterministic":
-            return np.full(len(fvals), self.value(t))
-        base, _ = self._raw_batch(t, fvals)
-        if self.transform is None:
-            return base
-        if np.min(base) <= 0:
-            raise PositivityLost(f"base solution reached {np.min(base)} at t={t}")
-        if self.transform[0] == "recip":
-            return 1.0 / base
-        h = self.transform[1].at(t)
-        return h * h / base
-
-    def z_batch(self, t: float, fvals: np.ndarray) -> np.ndarray:
-        if self.kind == "deterministic":
-            return np.broadcast_to(self.z_at(t), (len(fvals), self.n)).copy()
+    def _transformed_batch(self, t: float, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(value (N,), z (N, n)) after the pointwise transform, if any."""
         base, z = self._raw_batch(t, fvals)
         if self.transform is None:
-            return z
+            return base, z
         if np.min(base) <= 0:
             raise PositivityLost(f"base solution reached {np.min(base)} at t={t}")
         if self.transform[0] == "recip":
-            return -z / (base * base)[:, None]
+            return 1.0 / base, -z / (base * base)[:, None]
         h = self.transform[1].at(t)
-        return -(h * h / (base * base))[:, None] * z
+        return h * h / base, -(h * h / (base * base))[:, None] * z
+
+    # -- public evaluation: batch forms and their one-row views ----------------
+
+    def value_batch(self, t: float, fvals: np.ndarray) -> np.ndarray:
+        return self._transformed_batch(t, fvals)[0]
+
+    def z_batch(self, t: float, fvals: np.ndarray) -> np.ndarray:
+        return self._transformed_batch(t, fvals)[1]
+
+    def value(self, t: float, f=None) -> float:
+        return float(self.value_batch(t, _state_row(f, self.kind != "deterministic"))[0])
+
+    def z_at(self, t: float, f=None) -> np.ndarray:
+        return self.z_batch(t, _state_row(f, self.kind != "deterministic"))[0]
 
     @property
     def value0(self) -> float:
@@ -293,31 +247,34 @@ class BsdeSolution:
         return dc_replace(self, y_values=y_tab, z_values=z_tab, replicates=None)
 
     def min_value_on_grid(self) -> float:
-        if self.kind == "deterministic":
-            vals = self.y_values
-        else:
-            vals = np.array([self._node_value(i, self.basis_loc[i])
-                             for i in range(len(self.grid))])
+        # the basis is centred on basis_loc, where the value is the constant coefficient
+        vals = self.y_values if self.kind == "deterministic" else self.y_values[:, 0]
         return float(np.min(vals))
 
 
-def _deterministic_rhs(model, cone, equation, t, v, r_step):
-    """dv/dt for the Z == 0 reduction (scalar v).
+def _deterministic_rhs(model, cone, equation, times, r_steps):
+    """dv/dt per unit v for the Z == 0 reduction, one entry per (time, rate) row.
 
-    r_step is the exact average rate over the current integration step; for
-    piecewise-constant r this keeps the linear rate term exact even when a
-    step straddles a rate break.
+    With Z == 0 every driver is positively homogeneous of degree one in v
+    (the projection onto sigma' Gamma commutes with positive scaling), so
+    dv/dt = v * rhs(t).  r_steps holds the exact average rate over the
+    integration step each row belongs to; for piecewise-constant r this keeps
+    the linear rate term exact even when a step straddles a rate break.
     """
-    sig = model.coefficients.sigma(t)
-    phis = pricing_kernel_batch(model, t, np.array([0.0]))
-    f = _driver_batch(equation, cone, sig, phis[0], r_step,
-                      np.array([v]), np.zeros((1, sig.shape[1])))
-    return -float(f[0])
+    rows = np.zeros(len(times))
+    sig = model.coefficients.sigma_batch(times, rows)
+    phi = pricing_kernel_batch(model, times, rows)
+    return -_driver_batch(equation, cone, sig, phi, r_steps,
+                          np.ones(len(times)), np.zeros((len(times), model.n)))
 
 
 def solve_deterministic(model: MarketModel, cone: Cone, equation: str,
                         steps: int) -> BsdeSolution:
-    """Backward RK4 integration of the ODE obtained by setting Z identically 0."""
+    """Backward RK4 integration of the ODE obtained by setting Z identically 0.
+
+    The ODE is linear, dv/dt = v * rhs(t), so rhs is tabulated once on every
+    step's stage nodes (t_{i+1}, t_{i+1} - dt/2, t_i) and RK4 runs on scalars.
+    """
     if equation not in EQUATIONS:
         raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
     if model.coefficients.kind != "deterministic":
@@ -330,16 +287,21 @@ def solve_deterministic(model: MarketModel, cone: Cone, equation: str,
     lower, upper = positivity_envelope(model, grid)
     dt = T / steps
 
+    nodes = np.stack([grid[1:], grid[1:] - 0.5 * dt, grid[:-1]], axis=1)   # (steps, 3)
+    r_step = np.array([model.rate.integral(float(grid[i]), float(grid[i + 1])) / dt
+                       for i in range(steps)])
+    rhs = _deterministic_rhs(model, cone, equation, nodes.ravel(),
+                             np.repeat(r_step, 3)).reshape(steps, 3).tolist()
+
     vals = np.empty(steps + 1)
     vals[steps] = 1.0
     v = 1.0
     for i in range(steps - 1, -1, -1):
-        t1 = grid[i + 1]
-        r_step = model.rate.integral(float(grid[i]), float(t1)) / dt
-        k1 = _deterministic_rhs(model, cone, equation, t1, v, r_step)
-        k2 = _deterministic_rhs(model, cone, equation, t1 - 0.5 * dt, v - 0.5 * dt * k1, r_step)
-        k3 = _deterministic_rhs(model, cone, equation, t1 - 0.5 * dt, v - 0.5 * dt * k2, r_step)
-        k4 = _deterministic_rhs(model, cone, equation, grid[i], v - dt * k3, r_step)
+        g1, gm, g0 = rhs[i]
+        k1 = g1 * v
+        k2 = gm * (v - 0.5 * dt * k1)
+        k3 = gm * (v - 0.5 * dt * k2)
+        k4 = g0 * (v - dt * k3)
         v = v - dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not math.isfinite(v) or v < lower * (1.0 - 1e-9):
             raise PositivityLost(
@@ -375,9 +337,11 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper):
 
         V_i = E[V_{i+1} + (dt/2) f_{i+1} | F_i] + (dt/2) f_i(V_i, Z_i),
 
-    implicit in V_i; the terminal driver value is exact since Z_T = 0.
-    The one-sided (implicit Euler) step carries an O(dt) bias that the
-    identity checks can resolve at the default path budgets.
+    implicit in V_i and solved by fixed-point iteration (NoConvergence once
+    _FIXED_POINT_MAX iterations are spent); the terminal driver value is
+    exact since Z_T = 0.  The trapezoidal rule is used rather than a
+    one-sided (implicit Euler) step, whose O(dt) bias the identity checks
+    can resolve at the default path budgets.
     """
     paths = F.shape[0]
     steps = cfg.steps
@@ -433,6 +397,10 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper):
                 v_new = nxt
                 break
             v_new = nxt
+        else:
+            raise NoConvergence(
+                f"{equation} driver solve not converged after {_FIXED_POINT_MAX} "
+                f"fixed-point iterations at t={t:.4f}")
         below = v_new < lower
         above = v_new > upper
         clamps += int(np.count_nonzero(below) + np.count_nonzero(above))

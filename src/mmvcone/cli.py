@@ -378,10 +378,7 @@ def _trajectory_rows(batch, y_sol, model):
     theta = model.theta
     for k, t in enumerate(batch.times):
         h_t = model.discount(float(t))
-        if y_sol.kind == "deterministic":
-            y_t = np.full(batch.paths, y_sol.value(float(t)))
-        else:
-            y_t = y_sol.value_batch(float(t), batch.F_paths[:, k])
+        y_t = y_sol.value_batch(float(t), batch.factor_paths[:, k])
         x = batch.X_paths[:, k]
         lam = batch.Lambda_paths[:, k]
         r = x * h_t + (lam * y_t - 1.0) / (2.0 * theta)

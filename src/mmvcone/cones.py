@@ -156,8 +156,8 @@ class TransformedConePoint:
     dist_sq: float        # squared distance of the input to sigma' Gamma
 
 
-def project_transformed(cone: Cone, sigma: np.ndarray, a: np.ndarray) -> TransformedConePoint:
-    """Project a onto sigma' Gamma, i.e. solve min over pi in Gamma of |a - sigma' pi|^2."""
+def _one_row(cone: Cone, sigma, a):
+    """Validate one (sigma, a) pair and shape it as a one-row batch."""
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
     m, n = sigma.shape
@@ -165,36 +165,25 @@ def project_transformed(cone: Cone, sigma: np.ndarray, a: np.ndarray) -> Transfo
         raise DimensionMismatch(f"sigma has {m} rows, cone dim is {cone.dim}")
     if a.shape != (n,):
         raise DimensionMismatch(f"target has shape {a.shape}, expected ({n},)")
+    return sigma, a[None, :]
 
-    if not a.any():
-        # degenerate input: projection is the apex by convention
-        return TransformedConePoint(np.zeros(n), np.zeros(m), 0.0)
 
-    if cone.kind == FULL:
-        gram = sigma @ sigma.T
-        try:
-            gamma = np.linalg.solve(gram, sigma @ a)
-        except np.linalg.LinAlgError as exc:
-            raise SingularGram("sigma sigma' is singular") from exc
-    elif cone.kind == ORTHANT:
-        gamma = nnls(sigma.T, a, max_iter=10 * m * max(m, n))
-    else:
-        lam = nnls(sigma.T @ cone.generators, a, max_iter=10 * cone.k * m)
-        gamma = cone.generators @ lam
-    xi = sigma.T @ gamma
-    resid = a - xi
-    return TransformedConePoint(xi, gamma, float(resid @ resid))
+def project_transformed(cone: Cone, sigma: np.ndarray, a: np.ndarray) -> TransformedConePoint:
+    """Project a onto sigma' Gamma, i.e. solve min over pi in Gamma of |a - sigma' pi|^2.
+
+    The one-row view of project_transformed_batch.
+    """
+    xi, gamma, dist_sq = project_transformed_batch(cone, *_one_row(cone, sigma, a))
+    return TransformedConePoint(xi[0], gamma[0], float(dist_sq[0]))
 
 
 def cone_inf_quadratic(cone: Cone, sigma: np.ndarray, a: np.ndarray) -> float:
     """inf over pi in Gamma of [pi' sigma sigma' pi - 2 pi' sigma a].
 
     Equals dist^2(a, sigma' Gamma) - |a|^2; never positive since pi = 0 is
-    feasible.
+    feasible.  The one-row view of cone_inf_quadratic_batch.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    point = project_transformed(cone, sigma, a)
-    return min(point.dist_sq - float(a @ a), 0.0)
+    return float(cone_inf_quadratic_batch(cone, *_one_row(cone, sigma, a))[0])
 
 
 def _ray_signs(cone: Cone) -> tuple[bool, bool]:
@@ -213,7 +202,8 @@ def project_transformed_batch(cone: Cone, sigma: np.ndarray, A: np.ndarray):
     sigma is (m, n) shared or (N, m, n) per sample; A is (N, n).  Returns
     (xi (N, n), gamma (N, m), dist_sq (N,)).  Full-space cones and all
     one-asset cones have closed forms; higher-dimensional orthant/generated
-    cones fall back to the per-sample active-set solve.
+    cones fall back to the per-sample active-set solve.  A zero target
+    projects to the apex.
     """
     A = np.asarray(A, dtype=float)
     N, n = A.shape
@@ -236,27 +226,32 @@ def project_transformed_batch(cone: Cone, sigma: np.ndarray, A: np.ndarray):
         return xi, coef[:, None], np.einsum("ij,ij->i", resid, resid)
 
     if cone.kind == FULL:
-        if per_sample:
-            gram = sigma @ np.swapaxes(sigma, 1, 2)
-            gamma = np.linalg.solve(gram, (sigma @ A[..., None]))[..., 0]
-            xi = (np.swapaxes(sigma, 1, 2) @ gamma[..., None])[..., 0]
-        else:
-            gram = sigma @ sigma.T
-            gamma = np.linalg.solve(gram, sigma @ A.T).T
-            xi = gamma @ sigma
+        try:
+            if per_sample:
+                gram = sigma @ np.swapaxes(sigma, 1, 2)
+                gamma = np.linalg.solve(gram, (sigma @ A[..., None]))[..., 0]
+                xi = (np.swapaxes(sigma, 1, 2) @ gamma[..., None])[..., 0]
+            else:
+                gram = sigma @ sigma.T
+                gamma = np.linalg.solve(gram, sigma @ A.T).T
+                xi = gamma @ sigma
+        except np.linalg.LinAlgError as exc:
+            raise SingularGram("sigma sigma' is singular") from exc
         resid = A - xi
         return xi, gamma, np.einsum("ij,ij->i", resid, resid)
 
     xi = np.empty_like(A)
     gamma = np.empty((N, m))
-    dist = np.empty(N)
     for i in range(N):
         sig_i = sigma[i] if per_sample else sigma
-        point = project_transformed(cone, sig_i, A[i])
-        xi[i] = point.xi
-        gamma[i] = point.gamma_min
-        dist[i] = point.dist_sq
-    return xi, gamma, dist
+        if cone.kind == ORTHANT:
+            gamma[i] = nnls(sig_i.T, A[i], max_iter=10 * m * max(m, n))
+        else:
+            lam = nnls(sig_i.T @ cone.generators, A[i], max_iter=10 * cone.k * m)
+            gamma[i] = cone.generators @ lam
+        xi[i] = sig_i.T @ gamma[i]
+    resid = A - xi
+    return xi, gamma, np.einsum("ij,ij->i", resid, resid)
 
 
 def cone_inf_quadratic_batch(cone: Cone, sigma: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,20 +28,6 @@ from .errors import (
 #: probe lattice used for the ellipticity check: time points x factor quantiles
 PROBE_TIME_POINTS = 101
 PROBE_FACTOR_QUANTILES = 21
-
-
-def _norm_ppf(q: float) -> float:
-    """Standard normal quantile by bisection on math.erf (no scipy needed)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("quantile level must lie in (0, 1)")
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -161,53 +148,51 @@ class CoefficientField:
             nu=float(nu), driving_index=int(driving_index), f0=float(f0),
             mu_map=mu_map, sigma_map=sigma_map,
         )
-        mu0 = cf.mu(0.0, f0)
-        sig0 = cf.sigma(0.0, f0)
-        if mu0.shape != (m,):
-            raise DimensionMismatch(f"mu map returns shape {mu0.shape}, expected ({m},)")
-        if sig0.shape != (m, n):
-            raise DimensionMismatch(f"sigma map returns shape {sig0.shape}, expected ({m},{n})")
+        # maps return one row per factor state, or one value shared by all rows
+        mu0 = np.shape(mu_map(0.0, np.array([f0])))
+        sig0 = np.shape(sigma_map(0.0, np.array([f0])))
+        if mu0 not in ((m,), (1, m)):
+            raise DimensionMismatch(f"mu map returns shape {mu0}, expected (N, {m})")
+        if sig0 not in ((m, n), (1, m, n)):
+            raise DimensionMismatch(f"sigma map returns shape {sig0}, expected (N, {m}, {n})")
         return cf
 
     def _interp(self, grid, t):
+        """Grid values at time t (scalar or per-row array): linear, flat outside."""
         if grid.shape[0] == 1:
             return grid[0]
         times = self.times
-        if t <= times[0]:
-            return grid[0]
-        if t >= times[-1]:
-            return grid[-1]
-        i = int(np.searchsorted(times, t) - 1)
-        w = (t - times[i]) / (times[i + 1] - times[i])
+        tc = np.clip(t, times[0], times[-1])
+        i = np.clip(np.searchsorted(times, tc) - 1, 0, len(times) - 2)
+        w = (tc - times[i]) / (times[i + 1] - times[i])
+        w = np.reshape(w, np.shape(w) + (1,) * (grid.ndim - 1))
         return (1.0 - w) * grid[i] + w * grid[i + 1]
 
     def mu(self, t: float, f: float | None = None) -> np.ndarray:
-        if self.kind == "deterministic":
-            return np.array(self._interp(self.mu_grid, t), dtype=float)
-        return np.atleast_1d(np.asarray(self.mu_map(t, f), dtype=float))
+        """(m,) excess return at one state: the one-row view of mu_batch."""
+        return self.mu_batch(t, np.array([f], dtype=float))[0]
 
     def sigma(self, t: float, f: float | None = None) -> np.ndarray:
-        if self.kind == "deterministic":
-            return np.array(self._interp(self.sigma_grid, t), dtype=float)
-        return np.atleast_2d(np.asarray(self.sigma_map(t, f), dtype=float))
+        """(m, n) volatility at one state: the one-row view of sigma_batch."""
+        return self.sigma_batch(t, np.array([f], dtype=float))[0]
 
-    def mu_batch(self, t: float, fvals: np.ndarray) -> np.ndarray:
-        """(N,) factor states -> (N, m) excess returns."""
+    def mu_batch(self, t, fvals: np.ndarray) -> np.ndarray:
+        """(N,) factor states -> (N, m) excess returns; t is a time or one per row."""
         if self.kind == "deterministic":
-            return np.broadcast_to(self.mu(t), (fvals.shape[0], self.m)).copy()
-        out = np.asarray(self.mu_map(t, fvals), dtype=float)
-        if out.shape == (self.m,):
-            out = np.broadcast_to(out, (fvals.shape[0], self.m)).copy()
-        return out
+            out = self._interp(self.mu_grid, t)
+        else:
+            out = np.asarray(self.mu_map(t, fvals), dtype=float)
+        shape = (fvals.shape[0], self.m)
+        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
-    def sigma_batch(self, t: float, fvals: np.ndarray) -> np.ndarray:
-        """(N,) factor states -> (N, m, n) volatilities."""
+    def sigma_batch(self, t, fvals: np.ndarray) -> np.ndarray:
+        """(N,) factor states -> (N, m, n) volatilities; t is a time or one per row."""
         if self.kind == "deterministic":
-            return np.broadcast_to(self.sigma(t), (fvals.shape[0], self.m, self.n)).copy()
-        out = np.asarray(self.sigma_map(t, fvals), dtype=float)
-        if out.shape == (self.m, self.n):
-            out = np.broadcast_to(out, (fvals.shape[0], self.m, self.n)).copy()
-        return out
+            out = self._interp(self.sigma_grid, t)
+        else:
+            out = np.asarray(self.sigma_map(t, fvals), dtype=float)
+        shape = (fvals.shape[0], self.m, self.n)
+        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
     def factor_quantiles(self, t: float, levels: Sequence[float]) -> np.ndarray:
         """Marginal quantiles of the factor at time t (Gaussian OU law)."""
@@ -222,7 +207,8 @@ class CoefficientField:
         sd = math.sqrt(max(var, 0.0))
         if sd == 0.0:
             return np.full(len(levels), mean)
-        return np.array([mean + sd * _norm_ppf(q) for q in levels])
+        law = NormalDist(mean, sd)
+        return np.array([law.inv_cdf(q) for q in levels])
 
 
 def affine_factor_maps(m, n, mu0, mu1, sigma0, sigma1=None):
@@ -234,16 +220,10 @@ def affine_factor_maps(m, n, mu0, mu1, sigma0, sigma1=None):
               else np.asarray(sigma1, dtype=float).reshape(m, n))
 
     def mu_map(t, f):
-        f = np.asarray(f, dtype=float)
-        if f.ndim == 0:
-            return mu0 + mu1 * float(f)
-        return mu0[None, :] + np.outer(f, mu1)
+        return mu0 + np.asarray(f, dtype=float)[..., None] * mu1
 
     def sigma_map(t, f):
-        f = np.asarray(f, dtype=float)
-        if f.ndim == 0:
-            return sigma0 + sigma1 * float(f)
-        return sigma0[None, :, :] + f[:, None, None] * sigma1[None, :, :]
+        return sigma0 + np.asarray(f, dtype=float)[..., None, None] * sigma1
 
     return mu_map, sigma_map
 
@@ -274,18 +254,17 @@ class MarketModel:
         return self.discount(0.0)
 
     def probe_points(self, time_points=None, factor_quantiles=None):
-        """(t, f) lattice used for ellipticity and bound probes."""
+        """(t, factor states) per probe time, for ellipticity and bound probes.
+
+        Deterministic models get a single placeholder state per time.
+        """
         time_points = time_points or self.probe_time_points
         factor_quantiles = factor_quantiles or self.probe_factor_quantiles
         ts = np.linspace(0.0, self.horizon_T, time_points)
         if self.coefficients.kind == "deterministic":
-            return [(t, None) for t in ts]
+            return [(t, np.zeros(1)) for t in ts]
         levels = np.linspace(0.005, 0.995, factor_quantiles)
-        out = []
-        for t in ts:
-            for fv in self.coefficients.factor_quantiles(t, levels):
-                out.append((t, fv))
-        return out
+        return [(t, self.coefficients.factor_quantiles(t, levels)) for t in ts]
 
 
 def build_model(config: dict) -> MarketModel:
@@ -366,34 +345,31 @@ def build_model(config: dict) -> MarketModel:
 
 
 def _check_ellipticity(model: MarketModel) -> None:
-    for t, f in model.probe_points():
-        sig = model.coefficients.sigma(t, f)
-        if not np.all(np.isfinite(sig)) or not np.all(np.isfinite(model.coefficients.mu(t, f))):
-            raise ConfigInvalid(f"non-finite coefficients at (t={t}, f={f})", field="coefficients")
-        gram = sig @ sig.T
-        min_eig = float(np.linalg.eigvalsh(gram)[0])
-        if min_eig < model.delta:
+    cf = model.coefficients
+    for t, fvals in model.probe_points():
+        sig = cf.sigma_batch(t, fvals)
+        if not np.all(np.isfinite(sig)) or not np.all(np.isfinite(cf.mu_batch(t, fvals))):
+            raise ConfigInvalid(f"non-finite coefficients at t={t}", field="coefficients")
+        min_eig = np.linalg.eigvalsh(sig @ np.swapaxes(sig, 1, 2))[:, 0]
+        k = int(np.argmin(min_eig))
+        if min_eig[k] < model.delta:
             raise DegenerateVolatility(
-                f"min eigenvalue of sigma sigma' = {min_eig:.3e} < delta={model.delta} "
-                f"at (t={t:.4f}, f={f})")
+                f"min eigenvalue of sigma sigma' = {min_eig[k]:.3e} < delta={model.delta} "
+                f"at (t={t:.4f}, f={fvals[k]})")
 
 
 def pricing_kernel(model: MarketModel, t: float, f: float | None = None) -> np.ndarray:
-    """phi = sigma' (sigma sigma')^{-1} mu; the minimal-norm solution of sigma phi = mu."""
-    if not 0.0 <= t <= model.horizon_T + 1e-12:
+    """phi = sigma' (sigma sigma')^{-1} mu at one state: the one-row view of the batch."""
+    return pricing_kernel_batch(model, t, np.array([f], dtype=float))[0]
+
+
+def pricing_kernel_batch(model: MarketModel, t, fvals: np.ndarray) -> np.ndarray:
+    """phi = sigma' (sigma sigma')^{-1} mu, the minimal-norm solution of sigma phi = mu.
+
+    (N,) factor states -> (N, n); t is a time or one time per row.
+    """
+    if not (0.0 <= np.min(t) and np.max(t) <= model.horizon_T + 1e-12):
         raise TimeOutOfRange(f"t={t} outside [0, {model.horizon_T}]")
-    sig = model.coefficients.sigma(t, f)
-    mu = model.coefficients.mu(t, f)
-    gram = sig @ sig.T
-    try:
-        w = np.linalg.solve(gram, mu)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram("sigma sigma' is singular") from exc
-    return sig.T @ w
-
-
-def pricing_kernel_batch(model: MarketModel, t: float, fvals: np.ndarray) -> np.ndarray:
-    """Vectorized pricing kernel over factor states: (N,) -> (N, n)."""
     sig = model.coefficients.sigma_batch(t, fvals)         # (N, m, n)
     mu = model.coefficients.mu_batch(t, fvals)             # (N, m)
     if model.m == 1:

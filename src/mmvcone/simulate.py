@@ -29,7 +29,7 @@ from .errors import (
 )
 from .market import MarketModel, pricing_kernel_batch
 from .rng import substream
-from .strategies import FeedbackStrategy, SaddleAdversary, mmv_value
+from .strategies import FeedbackStrategy, SaddleAdversary, _eval_rows, mmv_value
 
 _DEFAULT_BLOCK = 32768
 
@@ -50,21 +50,14 @@ class Adversary:
     saddle: SaddleAdversary | None = None
     eta_fn: object = None         # custom: (t, fvals (N,)) -> (N, n)
     label: str = ""
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def eta_batch(self, model: MarketModel, t: float, fvals: np.ndarray) -> np.ndarray:
         npaths = fvals.shape[0]
         if self.kind == "zero":
             return np.zeros((npaths, model.n))
         if self.kind == "scaled_minus_phi":
-            if model.coefficients.kind == "deterministic":
-                key = float(t)
-                eta = self._cache.get(key)
-                if eta is None:
-                    eta = -self.scale * pricing_kernel_batch(model, key, np.zeros(1))[0]
-                    self._cache[key] = eta
-                return np.broadcast_to(eta, (npaths, model.n))
-            return -self.scale * pricing_kernel_batch(model, t, fvals)
+            phi = pricing_kernel_batch(model, t, _eval_rows(model, fvals))
+            return np.broadcast_to(-self.scale * phi, (npaths, model.n))
         if self.kind == "constant":
             return np.broadcast_to(self.vector, (npaths, model.n)).copy()
         if self.kind == "custom":
@@ -85,9 +78,8 @@ def zero_adversary() -> Adversary:
 
 
 def scaled_minus_phi(model: MarketModel, c: float) -> Adversary:
-    top = max(float(np.linalg.norm(pricing_kernel_batch(
-        model, t, np.array([f if f is not None else 0.0]))[0]))
-        for t, f in model.probe_points(21, 7))
+    top = max(float(np.max(np.linalg.norm(pricing_kernel_batch(model, t, fvals), axis=1)))
+              for t, fvals in model.probe_points(21, 7))
     return Adversary(kind="scaled_minus_phi", scale=c, bound=abs(c) * top * 1.5 + 1e-12,
                      label=f"{-c:g}*phi")
 
@@ -132,6 +124,13 @@ class SimBatchResult:
     @property
     def has_trajectories(self) -> bool:
         return self.X_paths is not None
+
+    @property
+    def factor_paths(self) -> np.ndarray:
+        """F_paths, or a zero view of the same shape when the model has no factor."""
+        if self.F_paths is not None:
+            return self.F_paths
+        return np.broadcast_to(0.0, self.X_paths.shape)
 
 
 def _workers_from_env() -> int:
@@ -260,10 +259,7 @@ def conservation_residual(batch: SimBatchResult, y_sol: BsdeSolution,
     worst = 0.0
     for k, t in enumerate(batch.times):
         h_t = model.discount(float(t))
-        if y_sol.kind == "deterministic":
-            y_t = np.full(batch.paths, y_sol.value(float(t)))
-        else:
-            y_t = y_sol.value_batch(float(t), batch.F_paths[:, k])
+        y_t = y_sol.value_batch(float(t), batch.factor_paths[:, k])
         resid = np.abs(theta * h_t * batch.X_paths[:, k]
                        + y_t * batch.Lambda_paths[:, k] - const)
         worst = max(worst, float(np.max(resid)))

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .bsde import BsdeSolution
-from .cones import Cone, project_transformed, project_transformed_batch
+from .bsde import BsdeSolution, _state_row
+from .cones import Cone, project_transformed_batch
 from .errors import ConfigInvalid, InvalidBound, PositivityLost
-from .market import MarketModel, pricing_kernel, pricing_kernel_batch
+from .market import MarketModel, pricing_kernel_batch
 
 _EQ_SLACK = 1e-10   # absolute slack detecting the p_{i,0} = h_0^2 boundary
 
@@ -34,9 +34,41 @@ def _require_positive(sol: BsdeSolution, label: str) -> None:
         raise PositivityLost(f"{label} solution is not uniformly positive")
 
 
+def _eval_rows(model: MarketModel, fvals) -> np.ndarray:
+    """Factor states to evaluate at: one row when nothing depends on the factor."""
+    if model.coefficients.kind == "deterministic" or fvals is None:
+        return np.zeros(1)
+    return np.asarray(fvals, dtype=float)
+
+
+def _projected_target(model: MarketModel, cone: Cone, sol: BsdeSolution, side: str,
+                      t: float, fvals: np.ndarray):
+    """Project one side's target onto sigma' Gamma at factor states fvals.
+
+    side "Y": Y phi - Z;  "P1": -(phi + Delta1/P1);  "P2": phi + Delta2/P2.
+    Returns (value (N,), z (N, n), xi (N, n), gamma (N, m)).
+    """
+    v = sol.value_batch(t, fvals)
+    z = sol.z_batch(t, fvals)
+    phi = pricing_kernel_batch(model, t, fvals)
+    if side == "Y":
+        a = phi * v[:, None] - z
+    elif side == "P1":
+        a = -phi - z / v[:, None]
+    else:
+        a = phi + z / v[:, None]
+    xi, gamma, _ = project_transformed_batch(
+        cone, model.coefficients.sigma_batch(t, fvals), a)
+    return v, z, xi, gamma
+
+
 @dataclass
 class FeedbackStrategy:
-    """State-feedback portfolio map, robust ("MMV") or mean-variance ("MV")."""
+    """State-feedback portfolio map, robust ("MMV") or mean-variance ("MV").
+
+    The batch forms are the implementation; the scalar methods are their
+    one-row views.
+    """
 
     kind: str
     model: MarketModel
@@ -48,83 +80,36 @@ class FeedbackStrategy:
     gamma_hat: float | None = None
     scale: float = 1.0
     label: str = field(default="")
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.label:
             self.label = self.kind.lower()
 
-    def _det_step(self, t: float):
-        """Per-time constants for deterministic-coefficient models (cached)."""
-        key = float(t)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        h_t = self.model.discount(key)
-        phi = pricing_kernel(self.model, key)
-        sig = self.model.coefficients.sigma(key)
-        if self.kind == "MMV":
-            y = self.y_sol.value(key)
-            z = self.y_sol.z_at(key)
-            gamma = project_transformed(self.cone, sig, y * phi - z).gamma_min
-            hit = (h_t, y, gamma)
-        else:
-            p1 = self.p1_sol.value(key)
-            d1 = self.p1_sol.z_at(key)
-            p2 = self.p2_sol.value(key)
-            d2 = self.p2_sol.z_at(key)
-            g1 = project_transformed(self.cone, sig, -phi - d1 / p1).gamma_min
-            g2 = project_transformed(self.cone, sig, phi + d2 / p2).gamma_min
-            hit = (h_t, g1, g2)
-        self._cache[key] = hit
-        return hit
+    def _row(self, f) -> np.ndarray:
+        return _state_row(f, self.model.coefficients.kind == "markov")
+
+    def _side(self, side: str, t: float, fvals: np.ndarray):
+        sol = {"Y": self.y_sol, "P1": self.p1_sol, "P2": self.p2_sol}[side]
+        return _projected_target(self.model, self.cone, sol, side, t, fvals)
 
     # -- projected directions -------------------------------------------------
 
     def xi(self, t: float, f=None) -> np.ndarray:
         """MMV direction Proj_{s'Gamma}(Y phi - Z) in R^n."""
-        y = self.y_sol.value(t, f)
-        z = self.y_sol.z_at(t, f)
-        phi = pricing_kernel(self.model, t, f)
-        sig = self.model.coefficients.sigma(t, f)
-        return project_transformed(self.cone, sig, y * phi - z).xi
+        return self._side("Y", t, self._row(f))[2][0]
 
     def xi1(self, t: float, f=None) -> np.ndarray:
         """MV short-side direction in R^m."""
-        p1 = self.p1_sol.value(t, f)
-        d1 = self.p1_sol.z_at(t, f)
-        phi = pricing_kernel(self.model, t, f)
-        sig = self.model.coefficients.sigma(t, f)
-        return project_transformed(self.cone, sig, -phi - d1 / p1).gamma_min
+        return self._side("P1", t, self._row(f))[3][0]
 
     def xi2(self, t: float, f=None) -> np.ndarray:
         """MV long-side direction in R^m."""
-        p2 = self.p2_sol.value(t, f)
-        d2 = self.p2_sol.z_at(t, f)
-        phi = pricing_kernel(self.model, t, f)
-        sig = self.model.coefficients.sigma(t, f)
-        return project_transformed(self.cone, sig, phi + d2 / p2).gamma_min
+        return self._side("P2", t, self._row(f))[3][0]
 
     # -- portfolio maps --------------------------------------------------------
 
     def portfolio(self, t: float, x: float, f=None) -> np.ndarray:
-        h_t = self.model.discount(t)
-        if self.kind == "MMV":
-            y = self.y_sol.value(t, f)
-            z = self.y_sol.z_at(t, f)
-            phi = pricing_kernel(self.model, t, f)
-            sig = self.model.coefficients.sigma(t, f)
-            gamma = project_transformed(self.cone, sig, y * phi - z).gamma_min
-            gap = self.a_const - h_t * x
-            return self.scale * (gap / (h_t * y)) * gamma
-        gap = x - self.gamma_hat / h_t
-        pos, neg = max(gap, 0.0), max(-gap, 0.0)
-        out = np.zeros(self.model.m)
-        if pos > 0.0:
-            out += pos * self.xi1(t, f)
-        if neg > 0.0:
-            out += neg * self.xi2(t, f)
-        return self.scale * out
+        return self.portfolio_batch(t, np.array([x], dtype=float), self._row(f))[0]
 
     def portfolio_one_sided(self, t: float, x: float, f=None) -> np.ndarray:
         """MV optimal form pi = -(X - gamma_hat/h) xi2 (valid on-manifold)."""
@@ -134,46 +119,25 @@ class FeedbackStrategy:
         return self.scale * (-(x - self.gamma_hat / h_t)) * self.xi2(t, f)
 
     def portfolio_batch(self, t: float, xvals: np.ndarray, fvals=None) -> np.ndarray:
-        """Vectorized feedback over many states: (N,) wealth -> (N, m)."""
+        """Vectorized feedback over many states: (N,) wealth -> (N, m).
+
+        Directions are evaluated once per factor state, or on a single row
+        and broadcast when the model has no factor (or fvals is None, which
+        means factor state 0).
+        """
         xvals = np.asarray(xvals, dtype=float)
-        npaths = xvals.shape[0]
-        if self.model.coefficients.kind == "deterministic":
-            if self.kind == "MMV":
-                h_t, y, gamma = self._det_step(t)
-                gap = self.a_const - h_t * xvals
-                return self.scale * np.outer(gap / (h_t * y), gamma)
-            h_t, g1, g2 = self._det_step(t)
-            gap = xvals - self.gamma_hat / h_t
-            out = np.outer(np.maximum(-gap, 0.0), g2)
-            out += np.outer(np.maximum(gap, 0.0), g1)
-            return self.scale * out
+        rows = _eval_rows(self.model, fvals)
         h_t = self.model.discount(t)
-        if fvals is None:
-            fvals = np.zeros(npaths)
         if self.kind == "MMV":
-            y = self.y_sol.value_batch(t, fvals)
-            z = self.y_sol.z_batch(t, fvals)
-            phi = pricing_kernel_batch(self.model, t, fvals)
-            sig = self.model.coefficients.sigma_batch(t, fvals)
-            _, gamma, _ = project_transformed_batch(
-                self.cone, sig, phi * y[:, None] - z)
+            y, _, _, gamma = self._side("Y", t, rows)
             gap = self.a_const - h_t * xvals
             return self.scale * (gap / (h_t * y))[:, None] * gamma
-        p2 = self.p2_sol.value_batch(t, fvals)
-        d2 = self.p2_sol.z_batch(t, fvals)
-        phi = pricing_kernel_batch(self.model, t, fvals)
-        sig = self.model.coefficients.sigma_batch(t, fvals)
-        _, g2, _ = project_transformed_batch(self.cone, sig, phi + d2 / p2[:, None])
+        _, _, _, g2 = self._side("P2", t, rows)
         gap = xvals - self.gamma_hat / h_t
         out = np.maximum(-gap, 0.0)[:, None] * g2
         pos = gap > 0.0
         if np.any(pos):
-            p1 = self.p1_sol.value_batch(t, fvals[pos])
-            d1 = self.p1_sol.z_batch(t, fvals[pos])
-            phi1 = phi[pos]
-            sig1 = sig[pos] if sig.ndim == 3 else sig
-            _, g1, _ = project_transformed_batch(
-                self.cone, sig1, -phi1 - d1 / p1[:, None])
+            _, _, _, g1 = self._side("P1", t, rows if len(rows) == 1 else rows[pos])
             out[pos] += gap[pos, None] * g1
         return self.scale * out
 
@@ -206,46 +170,27 @@ class SaddleAdversary:
         self.y_sol = y_sol
         self.cone = cone
         self.model = model
-        self._cache: dict = {}
         self.bound = 1.5 * max(
-            (float(np.linalg.norm(self._eta_point(t, f))) for t, f in model.probe_points(21, 7)),
+            (float(np.max(np.linalg.norm(self._loading(t, fvals), axis=1)))
+             for t, fvals in model.probe_points(21, 7)),
             default=0.0,
         ) + 1e-12
 
-    def _eta_point(self, t: float, f=None) -> np.ndarray:
-        y = self.y_sol.value(t, f)
-        z = self.y_sol.z_at(t, f)
-        phi = pricing_kernel(self.model, t, f)
-        sig = self.model.coefficients.sigma(t, f)
-        xi = project_transformed(self.cone, sig, y * phi - z).xi
-        return -(z + xi) / y
+    def _loading(self, t: float, fvals: np.ndarray) -> np.ndarray:
+        """Unclipped -(Z + xi)/Y at factor states fvals: (N,) -> (N, n)."""
+        y, z, xi, _ = _projected_target(self.model, self.cone, self.y_sol, "Y", t, fvals)
+        return -(z + xi) / y[:, None]
 
     def eta(self, t: float, f=None, lambda_state=None) -> np.ndarray:
-        out = self._eta_point(t, f)
-        nrm = float(np.linalg.norm(out))
-        if nrm > self.bound:
-            out = out * (self.bound / nrm)
-        return out
+        return self.eta_batch(t, _state_row(f, self.model.coefficients.kind == "markov"))[0]
 
     def eta_batch(self, t: float, fvals: np.ndarray) -> np.ndarray:
-        if self.model.coefficients.kind == "deterministic":
-            key = float(t)
-            eta = self._cache.get(key)
-            if eta is None:
-                eta = self.eta(key)
-                self._cache[key] = eta
-            return np.broadcast_to(eta, (fvals.shape[0], self.model.n))
-        y = self.y_sol.value_batch(t, fvals)
-        z = self.y_sol.z_batch(t, fvals)
-        phi = pricing_kernel_batch(self.model, t, fvals)
-        sig = self.model.coefficients.sigma_batch(t, fvals)
-        xi, _, _ = project_transformed_batch(self.cone, sig, phi * y[:, None] - z)
-        out = -(z + xi) / y[:, None]
+        out = self._loading(t, _eval_rows(self.model, fvals))
         nrm = np.linalg.norm(out, axis=1)
         over = nrm > self.bound
         if np.any(over):
             out[over] *= (self.bound / nrm[over])[:, None]
-        return out
+        return np.broadcast_to(out, (len(fvals), self.model.n))
 
 
 def mmv_adversary(y_sol: BsdeSolution, cone: Cone, model: MarketModel) -> SaddleAdversary:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mmvcone as mc
-from mmvcone.errors import ConfigInvalid, NonPositiveY, PositivityLost
+from mmvcone.errors import ConfigInvalid, NoConvergence, NonPositiveY, PositivityLost
 
 from conftest import INSTANCE_A, INSTANCE_C, random_full_rank_sigma
 
@@ -186,6 +186,37 @@ def test_transform_rejects_nonpositive():
                           z_values=np.zeros((2, 1)), bounds=(0.1, 2.0), n=1)
     with pytest.raises(PositivityLost):
         mc.transform_p_to_y(bad)
+
+
+def test_rk4_time_varying_mu_and_rate_break_inside_step(cone_a):
+    # mu is linear between its nodes (which fall on RK4 step nodes); the rate
+    # breaks strictly inside the step [0.400, 0.401], off its midpoint.  With
+    # the full cone, Y_0 = exp(int phi^2) and P2_0 = exp(int (2 r - phi^2)).
+    times = [0.0, 0.25, 0.6, 1.0]
+    mus = [0.06, 0.09, 0.04, 0.07]
+    cut = 0.40025
+    cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in INSTANCE_A.items()}
+    cfg["rate"] = [{"until": cut, "value": 0.02}, {"until": 1.0, "value": 0.05}]
+    cfg["coefficients"] = {"kind": "deterministic", "times": times,
+                           "mu": [[mu] for mu in mus], "sigma": [[[0.2]]] * len(times)}
+    model = mc.build_model(cfg)
+    phis = [mu / 0.2 for mu in mus]
+    # exact integral of the squared piecewise-linear phi
+    int_phi_sq = sum((b - a) * (p * p + p * q + q * q) / 3.0
+                     for a, b, p, q in zip(times, times[1:], phis, phis[1:]))
+    int_2r = 2.0 * (0.02 * cut + 0.05 * (1.0 - cut))
+    y = mc.solve_deterministic(model, cone_a, "Y", 1000)
+    p2 = mc.solve_deterministic(model, cone_a, "P2", 1000)
+    assert abs(y.value0 - math.exp(int_phi_sq)) < 1e-10
+    assert abs(p2.value0 - math.exp(int_2r - int_phi_sq)) < 1e-10
+
+
+def test_fixed_point_budget_raises(model_c, monkeypatch):
+    monkeypatch.setattr(mc.bsde, "_FIXED_POINT_MAX", 1)
+    with pytest.raises(NoConvergence):
+        mc.solve_markovian(model_c, mc.full_space(1), "Y",
+                           mc.McSolverConfig(paths=1000, basis_degree=1, seed=3,
+                                             steps=10, bootstrap=0))
 
 
 def test_grid_refinement_order(model_a, cone_a):
