@@ -15,16 +15,21 @@ pair is estimated by least-squares Monte Carlo: simulate the factor
 forward, then walk backward regressing the continuation value and the
 martingale increment on a polynomial basis, closing each step with a
 trapezoidal (theta = 1/2) driver solve that is implicit in the new value.
+Both trapezoid ends use the step's exact average rate.  Each step's driver
+is prepared once, after sigma, phi and Z are known, so the fixed-point
+iterates only evaluate it in y: a closed form on per-row columns for one
+asset, one projection per iterate for m >= 2.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .cones import Cone, cone_inf_quadratic_batch, project_transformed
+from .cones import Cone, cone_inf_quadratic_batch, project_transformed, ray_axis
 from .errors import (
     ConfigInvalid,
     InvalidBound,
@@ -82,48 +87,99 @@ def driver_f(cone: Cone, sigma, phi, y: float, z) -> float:
     return float(-(zx @ zx) / y + 2.0 * (phi @ point.xi))
 
 
-def _driver_batch(equation, cone, sigma, phi, r_t, y, z):
+def _prepare_driver(equation, cone, sigma, phi, r_t, z) -> Callable:
+    """One step's driver as a function of y alone, y (N,) -> f (N,).
+
+    Everything that does not depend on y is computed here, once.  Every
+    driver is a function of q(y) = |P u(y)|^2, the squared projection onto
+    sigma' Gamma of u(y) = sign (phi + c z / y), where c = -1 for Y and +1
+    otherwise and sign = -1 only for P1.  Two identities give this form:
+    Moreau, dist^2(a, K) - |a|^2 = -|P_K a|^2, and positive homogeneity,
+    inf_q(y u) = y^2 inf_q(u).  So f_Y = y q - |z|^2 / y, f_P = -y q and
+    f_P1 = f_P2 = 2 r y - y q.
+
+    One asset: sigma' Gamma is a ray or line along s = sigma' (cones.ray_axis),
+    and q = |s|^2 k^2 with k = clip(sign (s'phi + c s'z / y) / |s|^2) from
+    three per-row columns.  Otherwise (m >= 2) q costs one projection per
+    evaluation.
+    """
+    if equation not in EQUATIONS:
+        raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
+    z = np.asarray(z, dtype=float)
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), z.shape)
+    sigma = np.asarray(sigma, dtype=float)
+    sign = -1.0 if equation == "P1" else 1.0
+    c = -1.0 if equation == "Y" else 1.0
+
+    if cone.dim == 1:
+        s, ss, clip = ray_axis(cone, sigma, z.shape[0])
+        p = sign * np.einsum("ij,ij->i", s, phi) / ss
+        w = sign * c * np.einsum("ij,ij->i", s, z) / ss
+
+        def q(y):
+            k = clip(p + w / y)
+            return ss * k * k
+    else:
+        def q(y):
+            u = sign * (phi + c * z / y[:, None])
+            return -cone_inf_quadratic_batch(cone, sigma, u)
+
+    if equation == "Y":
+        zz = np.einsum("ij,ij->i", z, z)
+        return lambda y: y * q(y) - zz / y
+    if equation == "P":
+        return lambda y: -y * q(y)
+    return lambda y: 2.0 * r_t * y - y * q(y)
+
+
+def _driver_batch(equation, cone, sigma, phi, r_t, y, z, step=None):
     """Vectorized driver f with the convention d(value) = -f dt + Z'dW.
 
     sigma: (m, n) shared or (N, m, n); phi: (n,) or (N, n); y: (N,);
     z: (N, n).  Values y must be positive (callers clip to the envelope
-    before evaluating).
+    before evaluating).  step, when given, is _prepare_driver of the same
+    (equation, cone, sigma, phi, r_t, z): callers that evaluate one step's
+    driver at many y prepare it once and pass it here.  With step given,
+    only y is read; equation, cone, sigma, phi, r_t and z are not used, and
+    nothing checks that they match the prepared step.
     """
-    y = np.asarray(y, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim == 1:
-        phi = np.broadcast_to(phi, (y.shape[0], phi.shape[0]))
-    if equation == "Y":
-        a = phi * y[:, None] - z
-        infq = cone_inf_quadratic_batch(cone, sigma, a)
-        return -(infq + np.einsum("ij,ij->i", z, z)) / y
-    if equation == "P":
-        a = phi + z / y[:, None]
-        return y * cone_inf_quadratic_batch(cone, sigma, a)
-    if equation == "P1":
-        a = -(phi + z / y[:, None])
-        return 2.0 * r_t * y + y * cone_inf_quadratic_batch(cone, sigma, a)
-    if equation == "P2":
-        a = phi + z / y[:, None]
-        return 2.0 * r_t * y + y * cone_inf_quadratic_batch(cone, sigma, a)
-    raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
+    if step is None:
+        step = _prepare_driver(equation, cone, sigma, phi, r_t, z)
+    return step(np.asarray(y, dtype=float))
 
 
 def positivity_envelope(model: MarketModel, grid: np.ndarray) -> tuple[float, float]:
-    """(lower, upper) = exp(-/+ C T) with C = max over probes of |2r| + |phi|^2."""
-    quantile_levels = np.linspace(0.005, 0.995, 21)
-    c = 0.0
-    for t in grid:
-        t = float(t)
-        if model.coefficients.kind == "markov":
-            fvals = model.coefficients.factor_quantiles(t, quantile_levels)
-        else:
-            fvals = np.array([0.0])
-        phis = pricing_kernel_batch(model, t, fvals)
-        phi_sq = float(np.max(np.einsum("ij,ij->i", phis, phis)))
-        c = max(c, abs(2.0 * model.rate.at(t)) + phi_sq)
+    """(lower, upper) = exp(-/+ C T) with C = max over grid nodes t of
+    |2 r(t)| + max over probe states of |phi(t, f)|^2.
+
+    Deterministic models probe one state per node, factor-driven ones 21
+    factor quantiles; phi comes from one pricing-kernel call over all
+    (node, state) rows.
+    """
+    if model.coefficients.kind == "markov":
+        levels = np.linspace(0.005, 0.995, 21)
+        fvals = np.stack([model.coefficients.factor_quantiles(float(t), levels)
+                          for t in grid])
+    else:
+        fvals = np.zeros((len(grid), 1))
+    times = np.repeat(grid, fvals.shape[1])
+    phis = pricing_kernel_batch(model, times, fvals.ravel())
+    phi_sq = np.einsum("ij,ij->i", phis, phis).reshape(fvals.shape).max(axis=1)
+    rates = np.array([abs(2.0 * model.rate.at(float(t))) for t in grid])
+    c = float(np.max(rates + phi_sq))
     horizon = float(grid[-1])
     return math.exp(-c * horizon), math.exp(c * horizon)
+
+
+def _step_rates(model: MarketModel, grid: np.ndarray) -> np.ndarray:
+    """Exact average rate over each grid step: integral of r / step length.
+
+    For piecewise-constant r this keeps the linear rate term exact even when
+    a rate break falls on a grid node or inside a step.
+    """
+    dt = model.horizon_T / (len(grid) - 1)
+    return np.array([model.rate.integral(float(a), float(b)) / dt
+                     for a, b in zip(grid[:-1], grid[1:])])
 
 
 def _state_row(f, markov: bool) -> np.ndarray:
@@ -288,10 +344,8 @@ def solve_deterministic(model: MarketModel, cone: Cone, equation: str,
     dt = T / steps
 
     nodes = np.stack([grid[1:], grid[1:] - 0.5 * dt, grid[:-1]], axis=1)   # (steps, 3)
-    r_step = np.array([model.rate.integral(float(grid[i]), float(grid[i + 1])) / dt
-                       for i in range(steps)])
     rhs = _deterministic_rhs(model, cone, equation, nodes.ravel(),
-                             np.repeat(r_step, 3)).reshape(steps, 3).tolist()
+                             np.repeat(_step_rates(model, grid), 3)).reshape(steps, 3).tolist()
 
     vals = np.empty(steps + 1)
     vals[steps] = 1.0
@@ -341,7 +395,12 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper):
     _FIXED_POINT_MAX iterations are spent); the terminal driver value is
     exact since Z_T = 0.  The trapezoidal rule is used rather than a
     one-sided (implicit Euler) step, whose O(dt) bias the identity checks
-    can resolve at the default path budgets.
+    can resolve at the default path budgets.  Both trapezoid ends use the
+    step's exact average rate, so a rate break on a grid node keeps the
+    step second order; the rate term is linear in the value, so the carried
+    f_{i+1} is moved to this step's rate by adding 2 (r_i - r_{i+1}) V_{i+1}.
+    Each step's driver is prepared once (_prepare_driver) after sigma, phi
+    and Z_i are known; the fixed-point iterates and f_i reuse it.
     """
     paths = F.shape[0]
     steps = cfg.steps
@@ -349,6 +408,8 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper):
     degree = cfg.basis_degree
     width = degree + 1
     j = model.coefficients.driving_index
+    r_step = _step_rates(model, grid)
+    rate_term = equation in ("P1", "P2")
 
     y_tab = np.zeros((steps + 1, width))
     z_tab = np.zeros((steps + 1, width))
@@ -360,11 +421,13 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper):
     f_next = _driver_batch(equation, cone,
                            model.coefficients.sigma_batch(float(grid[-1]), F[:, -1]),
                            pricing_kernel_batch(model, float(grid[-1]), F[:, -1]),
-                           model.rate.at(float(grid[-1])),
-                           v, np.zeros((paths, model.n)))
+                           r_step[-1], v, np.zeros((paths, model.n)))
     clamps = 0
     for i in range(steps - 1, -1, -1):
         t = float(grid[i])
+        r_t = r_step[i]
+        if rate_term and i + 1 < steps:
+            f_next = f_next + 2.0 * (r_t - r_step[i + 1]) * v
         fv = F[:, i]
         loc[i] = float(np.mean(fv))
         sd = float(np.std(fv))
@@ -386,12 +449,12 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper):
         phi_b = pricing_kernel_batch(model, t, fv)
         z_full = np.zeros((paths, model.n))
         z_full[:, j] = zj
-        r_t = model.rate.at(t)
+        step = _prepare_driver(equation, cone, sig_b, phi_b, r_t, z_full)
 
         v_new = np.clip(cont, lower, upper)
         for _ in range(_FIXED_POINT_MAX):
             f_val = _driver_batch(equation, cone, sig_b, phi_b, r_t,
-                                  np.clip(v_new, lower, upper), z_full)
+                                  np.clip(v_new, lower, upper), z_full, step)
             nxt = cont + 0.5 * dt * f_val
             if float(np.max(np.abs(nxt - v_new))) < _FIXED_POINT_TOL:
                 v_new = nxt
@@ -405,7 +468,7 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper):
         above = v_new > upper
         clamps += int(np.count_nonzero(below) + np.count_nonzero(above))
         v = np.clip(v_new, lower, upper)
-        f_next = _driver_batch(equation, cone, sig_b, phi_b, r_t, v, z_full)
+        f_next = _driver_batch(equation, cone, sig_b, phi_b, r_t, v, z_full, step)
 
         y_tab[i] = _pad(np.linalg.solve(gram, phi.T @ v), width)
         z_tab[i] = _pad(c_z, width)

@@ -186,14 +186,30 @@ def cone_inf_quadratic(cone: Cone, sigma: np.ndarray, a: np.ndarray) -> float:
     return float(cone_inf_quadratic_batch(cone, *_one_row(cone, sigma, a))[0])
 
 
-def _ray_signs(cone: Cone) -> tuple[bool, bool]:
-    """For m = 1: which scalar signs the cone contains (positive, negative)."""
+def ray_axis(cone: Cone, sigma: np.ndarray, N: int):
+    """For m = 1, where sigma' Gamma = {k s : k admissible} is a ray or line.
+
+    sigma is (1, n) shared or (N, 1, n) per sample.  Returns (s (N, n),
+    |s|^2 (N,), clip), where clip maps an array of coefficients k to the
+    nearest admissible ones.  The projection of a is clip(s'a / |s|^2) s.
+    """
     if cone.kind == FULL:
-        return True, True
-    if cone.kind == ORTHANT:
-        return True, False
-    g = cone.generators[0]
-    return bool(np.any(g > 0)), bool(np.any(g < 0))
+        pos = neg = True
+    elif cone.kind == ORTHANT:
+        pos, neg = True, False
+    else:
+        g = cone.generators[0]
+        pos, neg = bool(np.any(g > 0)), bool(np.any(g < 0))
+
+    def clip(k):
+        if not pos:
+            k = np.minimum(k, 0.0)
+        if not neg:
+            k = np.maximum(k, 0.0)
+        return k
+
+    s = np.broadcast_to(sigma[..., 0, :], (N, sigma.shape[-1]))
+    return s, np.einsum("ij,ij->i", s, s), clip
 
 
 def project_transformed_batch(cone: Cone, sigma: np.ndarray, A: np.ndarray):
@@ -212,15 +228,8 @@ def project_transformed_batch(cone: Cone, sigma: np.ndarray, A: np.ndarray):
     m = cone.dim
 
     if m == 1:
-        # one row: sigma' Gamma is a ray or line along s = sigma'
-        pos, neg = _ray_signs(cone)
-        s = sigma[:, 0, :] if per_sample else np.broadcast_to(sigma[0], (N, n))
-        ss = np.einsum("ij,ij->i", s, s)
-        coef = np.einsum("ij,ij->i", s, A) / ss
-        if not pos:
-            coef = np.minimum(coef, 0.0)
-        if not neg:
-            coef = np.maximum(coef, 0.0)
+        s, ss, clip = ray_axis(cone, sigma, N)
+        coef = clip(np.einsum("ij,ij->i", s, A) / ss)
         xi = coef[:, None] * s
         resid = A - xi
         return xi, coef[:, None], np.einsum("ij,ij->i", resid, resid)

@@ -48,8 +48,7 @@ def _projected_target(model: MarketModel, cone: Cone, sol: BsdeSolution, side: s
     side "Y": Y phi - Z;  "P1": -(phi + Delta1/P1);  "P2": phi + Delta2/P2.
     Returns (value (N,), z (N, n), xi (N, n), gamma (N, m)).
     """
-    v = sol.value_batch(t, fvals)
-    z = sol.z_batch(t, fvals)
+    v, z = sol._transformed_batch(t, fvals)
     phi = pricing_kernel_batch(model, t, fvals)
     if side == "Y":
         a = phi * v[:, None] - z

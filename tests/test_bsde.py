@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mmvcone as mc
+from mmvcone.bsde import EQUATIONS, _driver_batch, _prepare_driver
 from mmvcone.errors import ConfigInvalid, NoConvergence, NonPositiveY, PositivityLost
 
 from conftest import INSTANCE_A, INSTANCE_C, random_full_rank_sigma
@@ -50,6 +51,57 @@ def test_driver_two_forms_agree():
         a = y * phi - z
         dist_form = (-(mc.cone_inf_quadratic(cone, sigma, a)) / y - (z @ z) / y)
         assert abs(proj_form - dist_form) < 1e-10
+
+
+def _driver_reference(equation, cone, sigma, phi, r, y, z):
+    """Per-row driver from the dist form of cone_inf_quadratic, and its infima."""
+    f = np.empty(len(y))
+    infq = np.empty(len(y))
+    for i in range(len(y)):
+        if equation == "Y":
+            infq[i] = mc.cone_inf_quadratic(cone, sigma[i], y[i] * phi[i] - z[i])
+            f[i] = -(infq[i] + z[i] @ z[i]) / y[i]
+            continue
+        sign = -1.0 if equation == "P1" else 1.0
+        infq[i] = mc.cone_inf_quadratic(cone, sigma[i], sign * (phi[i] + z[i] / y[i]))
+        f[i] = y[i] * infq[i] + (2.0 * r * y[i] if equation in ("P1", "P2") else 0.0)
+    return f, infq
+
+
+def test_prepared_driver_matches_one_row_reference():
+    # one preparation per (cone, equation), reused at several y vectors:
+    # closed form (m = 1) and per-iterate projections (m >= 2) alike
+    rng = np.random.default_rng(23)
+    rows, r = 16, 0.03
+    cones = [mc.generated(np.array([[1.0]])), mc.generated(np.array([[-2.0]]))]
+    for m in (1, 2, 3):
+        gens = np.eye(m) + 0.3 * rng.normal(size=(m, m))
+        cones += [mc.full_space(m), mc.orthant(m),
+                  mc.generated(np.hstack([gens, gens.sum(axis=1, keepdims=True)]))]
+    clip_binds = clip_free = 0
+    for cone in cones:
+        m = cone.dim
+        n = m + 1
+        for per_sample in (True, False):
+            if per_sample:
+                sigma = np.stack([random_full_rank_sigma(rng, m, n) for _ in range(rows)])
+            else:
+                sigma = random_full_rank_sigma(rng, m, n)
+            sig_rows = sigma if per_sample else np.broadcast_to(sigma, (rows, m, n))
+            phi = rng.normal(size=(rows, n))
+            z = 0.5 * rng.normal(size=(rows, n))
+            for eq in EQUATIONS:
+                step = _prepare_driver(eq, cone, sigma, phi, r, z)
+                for _ in range(3):
+                    y = rng.uniform(0.2, 3.0, size=rows)
+                    got = _driver_batch(eq, cone, sigma, phi, r, y, z, step)
+                    ref, infq = _driver_reference(eq, cone, sig_rows, phi, r, y, z)
+                    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+                    assert np.array_equal(got, _driver_batch(eq, cone, sigma, phi, r, y, z))
+                    if m == 1 and cone.kind != "full":
+                        clip_binds += int(np.count_nonzero(infq == 0.0))
+                        clip_free += int(np.count_nonzero(infq < 0.0))
+    assert clip_binds > 0 and clip_free > 0
 
 
 def test_p_driver_factorization_against_direct_qp():
@@ -107,6 +159,21 @@ def test_uniform_positivity_envelope(model_a, cone_a):
         assert lower > 0
         assert np.min(sol.y_values) >= lower
         assert np.max(sol.y_values) <= upper
+
+
+def test_positivity_envelope_matches_per_node_loop(model_a, model_c):
+    # the one-call envelope keeps the per-node pairing |2 r(t)| + max_f |phi(t, f)|^2
+    levels = np.linspace(0.005, 0.995, 21)
+    for model, steps in ((model_a, 250), (model_c, 25)):
+        grid = np.linspace(0.0, model.horizon_T, steps + 1)
+        c = 0.0
+        for t in grid:
+            fvals = (model.coefficients.factor_quantiles(float(t), levels)
+                     if model.coefficients.kind == "markov" else np.zeros(1))
+            phis = mc.pricing_kernel_batch(model, float(t), fvals)
+            c = max(c, abs(2.0 * model.rate.at(float(t)))
+                    + float(np.max(np.einsum("ij,ij->i", phis, phis))))
+        assert mc.positivity_envelope(model, grid) == (math.exp(-c), math.exp(c))
 
 
 def test_comparison_bounds_hold(model_a, cone_a, p1sol_a, p2sol_a, model_b, cone_b):
@@ -266,6 +333,29 @@ def test_markovian_frozen_factor_matches_deterministic(cone_a):
     det = mc.solve_deterministic(mc.build_model(det_cfg), mc.full_space(1), "Y", 1000)
     assert abs(sol.value0 - det.value0) < 5e-3
     assert sol.clamp_events == 0
+
+
+def test_markovian_rate_break_keeps_second_order():
+    # frozen factor, rate break on a grid node: the error against RK4 shrinks
+    # by 4 per halving of dt for every equation, the rate-driven P1/P2 included
+    cfg = _frozen_factor_config()
+    rate = [{"until": 0.5, "value": 0.02}, {"until": 1.0, "value": 0.04}]
+    cfg["rate"] = rate
+    model = mc.build_model(cfg)
+    det_cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in INSTANCE_C.items()}
+    det_cfg["rate"] = rate
+    det_cfg["coefficients"] = {"kind": "deterministic", "mu": [0.06],
+                               "sigma": [[0.2, 0.0]]}
+    det = mc.build_model(det_cfg)
+    cone = mc.full_space(1)
+    for eq in ("Y", "P1", "P2"):
+        ref = mc.solve_deterministic(det, cone, eq, 1000).value0
+        errors = [abs(mc.solve_markovian(
+            model, cone, eq, mc.McSolverConfig(paths=1000, basis_degree=0, seed=4,
+                                               steps=steps, bootstrap=0)).value0 - ref)
+            for steps in (10, 20, 40)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5, (eq, errors)
 
 
 def test_markovian_degree_zero_frozen_factor():

@@ -182,6 +182,32 @@ def test_batch_projection_matches_scalar():
             assert abs(dist_b[i] - point.dist_sq) < 1e-9
 
 
+def test_one_asset_projection_stays_on_admissible_side():
+    # m = 1: sigma' Gamma is a line or a half-line along s; the projection's
+    # coefficient must be admissible and beat both candidates k = 0 and the
+    # unconstrained k = s'a / |s|^2 when that one is admissible
+    rng = np.random.default_rng(41)
+    rows, n = 200, 3
+    cones = {(True, True): mc.full_space(1), (True, False): mc.orthant(1),
+             (False, True): mc.generated(np.array([[-2.0]]))}
+    for (pos, neg), cone in cones.items():
+        for per_sample in (True, False):
+            sigma = rng.normal(size=(rows, 1, n) if per_sample else (1, n))
+            s = np.broadcast_to(sigma[..., 0, :], (rows, n))
+            A = rng.normal(size=(rows, n))
+            xi, gamma, dist_sq = mc.cones.project_transformed_batch(cone, sigma, A)
+            k = gamma[:, 0]
+            assert (pos or np.all(k <= 0.0)) and (neg or np.all(k >= 0.0))
+            assert np.allclose(xi, k[:, None] * s, atol=1e-14)
+            free = np.einsum("ij,ij->i", s, A) / np.einsum("ij,ij->i", s, s)
+            ok = (free >= 0.0) & pos | (free <= 0.0) & neg
+            best = np.einsum("ij,ij->i", A, A)
+            d_free = np.einsum("ij,ij->i", A - free[:, None] * s, A - free[:, None] * s)
+            best = np.where(ok, np.minimum(best, d_free), best)
+            assert np.allclose(dist_sq, best, rtol=1e-12, atol=1e-14)
+            assert np.any(~ok) == (not (pos and neg))
+
+
 def test_ill_conditioned_generators_still_near_idempotent():
     rng = np.random.default_rng(99)
     for _ in range(200):

@@ -98,3 +98,23 @@ def test_saddle_scan(setup):
     assert report.passed
     expected_r0 = model.x0 * model.h0 + (y.value0 - 1.0) / (2.0 * model.theta)
     assert abs(report.r0 - expected_r0) < 1e-12
+
+
+def test_markov_full_cone_frozen_factor_matches_rk4():
+    # m = 2 full cone with a factor frozen at f0 (nu = 0): the regression
+    # solver must reproduce RK4 on the same coefficients, rate break included
+    sigma = [[0.2, 0.05, 0.03], [0.0, 0.25, 0.1]]
+    base = {"m": 2, "n": 3, "T": 1.0, "x0": 1.0, "theta": 2.0,
+            "rate": CONFIG["rate"], "delta": 1e-6}
+    markov = mc.build_model(dict(base, coefficients={
+        "kind": "markov", "kappa": 1.0, "mean": 0.06, "nu": 0.0, "f0": 0.06,
+        "mu0": [0.0, 0.0], "mu1": [1.0, -0.5], "sigma0": sigma, "driving_index": 2}))
+    det = mc.build_model(dict(base, coefficients={
+        "kind": "deterministic", "mu": [0.06, -0.03], "sigma": sigma}))
+    cone = mc.full_space(2)
+    for eq in ("Y", "P2"):
+        sol = mc.solve_markovian(markov, cone, eq,
+                                 mc.McSolverConfig(paths=1000, basis_degree=0, seed=5,
+                                                   steps=10, bootstrap=0))
+        # 10 trapezoidal steps leave an O(dt^2) error of about 2e-6
+        assert abs(sol.value0 - mc.solve_deterministic(det, cone, eq, 1000).value0) < 5e-6
