@@ -38,7 +38,12 @@ from .errors import (
     PositivityLost,
     RegressionIllConditioned,
 )
-from .market import DiscountFactor, MarketModel, pricing_kernel_batch
+from .market import (
+    DiscountFactor,
+    MarketModel,
+    pricing_kernel_batch,
+    pricing_kernel_from,
+)
 from .rng import substream
 
 EQUATIONS = ("Y", "P", "P1", "P2")
@@ -308,6 +313,12 @@ class BsdeSolution:
         return float(np.min(vals))
 
 
+def _sigma_and_kernel(model, t, fvals):
+    """sigma and phi at the rows, with sigma evaluated once for both."""
+    sig = model.coefficients.sigma_batch(t, fvals)
+    return sig, pricing_kernel_from(sig, model.coefficients.mu_batch(t, fvals))
+
+
 def _deterministic_rhs(model, cone, equation, times, r_steps):
     """dv/dt per unit v for the Z == 0 reduction, one entry per (time, rate) row.
 
@@ -317,9 +328,7 @@ def _deterministic_rhs(model, cone, equation, times, r_steps):
     integration step each row belongs to; for piecewise-constant r this keeps
     the linear rate term exact even when a step straddles a rate break.
     """
-    rows = np.zeros(len(times))
-    sig = model.coefficients.sigma_batch(times, rows)
-    phi = pricing_kernel_batch(model, times, rows)
+    sig, phi = _sigma_and_kernel(model, times, np.zeros(len(times)))
     return -_driver_batch(equation, cone, sig, phi, r_steps,
                           np.ones(len(times)), np.zeros((len(times), model.n)))
 
@@ -419,8 +428,7 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper):
 
     v = np.ones(paths)
     f_next = _driver_batch(equation, cone,
-                           model.coefficients.sigma_batch(float(grid[-1]), F[:, -1]),
-                           pricing_kernel_batch(model, float(grid[-1]), F[:, -1]),
+                           *_sigma_and_kernel(model, float(grid[-1]), F[:, -1]),
                            r_step[-1], v, np.zeros((paths, model.n)))
     clamps = 0
     for i in range(steps - 1, -1, -1):
@@ -445,8 +453,7 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper):
         c_z = np.linalg.solve(gram, phi.T @ ((v - phi @ c_y) * dWj[:, i] / dt))
         zj = phi @ c_z
 
-        sig_b = model.coefficients.sigma_batch(t, fv)
-        phi_b = pricing_kernel_batch(model, t, fv)
+        sig_b, phi_b = _sigma_and_kernel(model, t, fv)
         z_full = np.zeros((paths, model.n))
         z_full[:, j] = zj
         step = _prepare_driver(equation, cone, sig_b, phi_b, r_t, z_full)

@@ -124,9 +124,8 @@ class _Workspace:
 
 
 def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    # np.float64 subclasses float, and its repr is "np.float64(...)"
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
 

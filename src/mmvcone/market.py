@@ -370,9 +370,16 @@ def pricing_kernel_batch(model: MarketModel, t, fvals: np.ndarray) -> np.ndarray
     """
     if not (0.0 <= np.min(t) and np.max(t) <= model.horizon_T + 1e-12):
         raise TimeOutOfRange(f"t={t} outside [0, {model.horizon_T}]")
-    sig = model.coefficients.sigma_batch(t, fvals)         # (N, m, n)
-    mu = model.coefficients.mu_batch(t, fvals)             # (N, m)
-    if model.m == 1:
+    return pricing_kernel_from(model.coefficients.sigma_batch(t, fvals),
+                               model.coefficients.mu_batch(t, fvals))
+
+
+def pricing_kernel_from(sig: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """phi = sigma' (sigma sigma')^{-1} mu from (N, m, n) volatilities and (N, m) returns.
+
+    Callers that also need sigma evaluate it once and pass it here.
+    """
+    if sig.shape[1] == 1:
         s = sig[:, 0, :]
         return (mu[:, 0] / np.einsum("ij,ij->i", s, s))[:, None] * s
     gram = sig @ np.swapaxes(sig, 1, 2)                    # (N, m, m)

@@ -2,8 +2,11 @@
 
 Paths are advanced under the physical measure only.  Objectives under a
 tilted measure are estimated by density reweighting, E^{P^eta}[V] =
-E[Lambda_T V], so one path ensemble (one seed) serves every adversary in a
-family; this is also what gives the saddle scan common random numbers.
+E[Lambda_T V].  Wealth depends only on the portfolio and the density only
+on the loading, so one draw of Brownian increments serves a whole family:
+simulate advances every wealth row and every density row on that one
+draw, and each (pi, eta) cell is formed from the terminal rows.  The
+common random numbers of the saddle scan come from this shared draw.
 The riskless part of the wealth update uses the exact per-step growth
 factor, so a zero portfolio compounds exactly; the density is advanced in
 log space, which keeps it positive by construction.
@@ -104,17 +107,23 @@ def custom_adversary(eta_fn, bound: float, label: str = "custom") -> Adversary:
 
 @dataclass
 class SimBatchResult:
-    """One simulated batch with terminal samples and optional trajectories."""
+    """One simulated batch with terminal samples and optional trajectories.
+
+    A one-pair call holds (paths,) terminal arrays and float objective
+    statistics.  A family call holds one terminal row per member,
+    terminal_X (n_pi, paths) and terminal_Lambda (n_eta, paths), the
+    (n_pi, n_eta) cell statistics, and the tuple of adversary kinds.
+    """
 
     paths: int
     steps: int
     seed: int
-    adversary_kind: str
+    adversary_kind: str | tuple
     theta: float
     terminal_X: np.ndarray
     terminal_Lambda: np.ndarray
-    objective_mean: float
-    objective_stderr: float
+    objective_mean: float | np.ndarray
+    objective_stderr: float | np.ndarray
     conservation_max_residual: float | None = None
     times: np.ndarray | None = None
     X_paths: np.ndarray | None = None          # (paths, steps+1)
@@ -140,23 +149,38 @@ def _workers_from_env() -> int:
         return 1
 
 
-def simulate(model: MarketModel, strategy: FeedbackStrategy | None,
-             adversary: Adversary, paths: int, steps: int, seed: int, *,
+def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
+             adversary: Adversary | list, paths: int, steps: int, seed: int, *,
              antithetic: bool = False, store_paths: bool = False,
              block_size: int = _DEFAULT_BLOCK, workers: int | None = None) -> SimBatchResult:
-    """Euler-Maruyama batch under the physical measure.
+    """Euler-Maruyama batch under the physical measure, for one pair or a family.
 
-    X follows the wealth equation with the feedback portfolio (exact
-    riskless growth factor per step); Lambda follows the log-Euler scheme,
-    positive by construction.  The objective estimate reweights by
-    Lambda_T:  E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)].
+    strategy and adversary are each one member or a list of members (None
+    is the zero portfolio).  Each block draws its Brownian increments once
+    per step and advances every wealth row and every density row with the
+    same draw, so all (pi, eta) cells share common random numbers.  X
+    follows the wealth equation with the feedback portfolio (exact riskless
+    growth factor per step); Lambda follows the log-Euler scheme, positive
+    by construction.  Each cell estimates, by reweighting with Lambda_T,
+    E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)].  Trajectories (store_paths)
+    are kept for a one-pair call only.
     """
+    family = isinstance(strategy, (list, tuple)) or isinstance(adversary, (list, tuple))
+    strategies = list(strategy) if isinstance(strategy, (list, tuple)) else [strategy]
+    adversaries = list(adversary) if isinstance(adversary, (list, tuple)) else [adversary]
+    if not strategies or not adversaries:
+        raise ConfigInvalid("strategy and adversary families must not be empty",
+                            field="families")
+    if family and store_paths:
+        raise ConfigInvalid("trajectories are stored for one (strategy, adversary) "
+                            "pair only", field="store_paths")
     if paths < 100:
         raise ConfigInvalid("paths must be >= 100", field="paths")
     if steps < 10:
         raise ConfigInvalid("steps must be >= 10", field="steps")
     cf = model.coefficients
     markov = cf.kind == "markov"
+    trading = any(s is not None for s in strategies)
     T = model.horizon_T
     dt = T / steps
     times = np.linspace(0.0, T, steps + 1)
@@ -164,8 +188,8 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None,
     growth = np.array([math.exp(model.rate.integral(times[k], times[k + 1]))
                        for k in range(steps)])
 
-    terminal_X = np.empty(paths)
-    terminal_L = np.empty(paths)
+    terminal_X = np.empty((len(strategies), paths))
+    terminal_L = np.empty((len(adversaries), paths))
     X_paths = np.empty((paths, steps + 1)) if store_paths else None
     L_paths = np.empty((paths, steps + 1)) if store_paths else None
     F_paths = np.empty((paths, steps + 1)) if (store_paths and markov) else None
@@ -173,12 +197,14 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None,
     def run_block(block_index: int, start: int, stop: int) -> None:
         bs = stop - start
         rng = substream(seed, block_index)
-        x = np.full(bs, float(model.x0))
-        lam = np.ones(bs)
+        xs = terminal_X[:, start:stop]      # state rows, updated in place
+        lams = terminal_L[:, start:stop]
+        xs[...] = float(model.x0)
+        lams[...] = 1.0
         f = np.full(bs, cf.f0) if markov else np.zeros(bs)
         if store_paths:
-            X_paths[start:stop, 0] = x
-            L_paths[start:stop, 0] = lam
+            X_paths[start:stop, 0] = xs[0]
+            L_paths[start:stop, 0] = lams[0]
             if markov:
                 F_paths[start:stop, 0] = f
         for k in range(steps):
@@ -190,34 +216,32 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None,
             else:
                 dw = sqdt * rng.standard_normal((bs, model.n))
 
-            pi = (strategy.portfolio_batch(t, x, f if markov else None)
-                  if strategy is not None else None)
-            eta = adversary.eta_batch(model, t, f)
-
-            if pi is None:
-                x = growth[k] * x
-            else:
+            if trading:
                 mu_b = cf.mu_batch(t, f)
-                drift = np.einsum("im,im->i", pi, mu_b)
-                if markov:
-                    sig_b = cf.sigma_batch(t, f)
-                    noise = np.einsum("im,imn,in->i", pi, sig_b, dw)
-                else:
-                    noise = np.einsum("im,mn,in->i", pi, cf.sigma(t), dw)
-                x = growth[k] * x + drift * dt + noise
-            lam = lam * np.exp(np.einsum("in,in->i", eta, dw)
-                               - 0.5 * np.einsum("in,in->i", eta, eta) * dt)
+                sig = cf.sigma_batch(t, f) if markov else cf.sigma(t)
+            for strat, x in zip(strategies, xs):
+                pi = (strat.portfolio_batch(t, x, f if markov else None)
+                      if strat is not None else None)
+                np.multiply(x, growth[k], out=x)
+                if pi is not None:
+                    x += np.einsum("im,im->i", pi, mu_b) * dt
+                    if markov:
+                        x += np.einsum("im,imn,in->i", pi, sig, dw)
+                    else:
+                        x += np.einsum("im,mn,in->i", pi, sig, dw)
+            for adv, lam in zip(adversaries, lams):
+                eta = adv.eta_batch(model, t, f)
+                lam *= np.exp(np.einsum("in,in->i", eta, dw)
+                              - 0.5 * np.einsum("in,in->i", eta, eta) * dt)
             if markov:
                 f = f + cf.kappa * (cf.mean_level - f) * dt + cf.nu * dw[:, cf.driving_index]
             if store_paths:
-                X_paths[start:stop, k + 1] = x
-                L_paths[start:stop, k + 1] = lam
+                X_paths[start:stop, k + 1] = xs[0]
+                L_paths[start:stop, k + 1] = lams[0]
                 if markov:
                     F_paths[start:stop, k + 1] = f
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam))):
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(lams))):
             raise ExplodedPath(f"non-finite state in block {block_index}; refine steps")
-        terminal_X[start:stop] = x
-        terminal_L[start:stop] = lam
 
     blocks = []
     start = 0
@@ -237,13 +261,22 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None,
             run_block(*args)
 
     theta = model.theta
-    obj = terminal_L * (terminal_X + (terminal_L - 1.0) / (2.0 * theta))
-    mean = float(np.mean(obj))
-    stderr = float(np.std(obj, ddof=1) / math.sqrt(paths))
+    means = np.empty((len(strategies), len(adversaries)))
+    errs = np.empty_like(means)
+    for j, lam in enumerate(terminal_L):
+        tilt = (lam - 1.0) / (2.0 * theta)
+        for i, x in enumerate(terminal_X):
+            obj = lam * (x + tilt)
+            means[i, j] = np.mean(obj)
+            errs[i, j] = np.std(obj, ddof=1) / math.sqrt(paths)
+    kind = tuple(a.kind for a in adversaries)
+    if not family:
+        kind, terminal_X, terminal_L = kind[0], terminal_X[0], terminal_L[0]
+        means, errs = float(means[0, 0]), float(errs[0, 0])
     return SimBatchResult(
-        paths=paths, steps=steps, seed=seed, adversary_kind=adversary.kind,
+        paths=paths, steps=steps, seed=seed, adversary_kind=kind,
         theta=theta, terminal_X=terminal_X, terminal_Lambda=terminal_L,
-        objective_mean=mean, objective_stderr=stderr,
+        objective_mean=means, objective_stderr=errs,
         times=times if store_paths else None, X_paths=X_paths,
         Lambda_paths=L_paths, F_paths=F_paths,
     )
@@ -309,8 +342,9 @@ def saddle_scan(model: MarketModel, cone: Cone, y_sol: BsdeSolution,
                 block_size: int = _DEFAULT_BLOCK) -> SaddleReport:
     """Estimate the objective on every family cell and check the saddle relations.
 
-    Common random numbers: every cell reuses the same seed, hence the same
-    Brownian increments.  Raises SaddleViolated on the first failed check.
+    One family call of simulate advances every strategy and every density
+    on one draw of Brownian increments, so all cells share common random
+    numbers.  Raises SaddleViolated on the first failed check.
     """
     saddle_pi = next((i for i, s in enumerate(pi_family)
                       if s is not None and s.kind == "MMV" and s.scale == 1.0), None)
@@ -319,14 +353,9 @@ def saddle_scan(model: MarketModel, cone: Cone, y_sol: BsdeSolution,
         raise ConfigInvalid("families must include the saddle pair", field="families")
 
     n_pi, n_eta = len(pi_family), len(eta_family)
-    means = np.empty((n_pi, n_eta))
-    errs = np.empty((n_pi, n_eta))
-    for i, strat in enumerate(pi_family):
-        for j, adv in enumerate(eta_family):
-            res = simulate(model, strat, adv, paths, steps, seed,
-                           block_size=block_size)
-            means[i, j] = res.objective_mean
-            errs[i, j] = res.objective_stderr
+    res = simulate(model, pi_family, eta_family, paths, steps, seed,
+                   block_size=block_size)
+    means, errs = res.objective_mean, res.objective_stderr
 
     r0 = mmv_value(model, y_sol)
     pi_labels = [s.label if s is not None else "0" for s in pi_family]

@@ -158,3 +158,24 @@ def test_markovian_value_cli(tmp_path):
     assert cli.run(cli.load_config(cfg)) == 0
     payload = json.loads((tmp_path / "out" / "value_comparison.json").read_text())
     assert payload["abs_diff"] <= 3.0 * payload["combined_stderr"]
+
+
+def test_equivalence_lattice_cells_are_plain_numbers(tmp_path):
+    # numpy scalars must be written as numbers, not as "np.float64(...)"
+    cfg = {
+        "model": {k: (dict(v) if isinstance(v, dict) else v) for k, v in INSTANCE_C.items()},
+        "solver": {"kind": "markovian", "paths": 2000, "basis_degree": 2,
+                   "steps": 10, "bootstrap": 0},
+        "experiment": "equivalence",
+        "seed": 7,
+        "lattice": {"t_points": 3, "x_points": 3, "x_min": 0.0, "x_max": 2.0,
+                    "f_values": [0.04, 0.08]},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert cli.run(cli.load_config(cfg)) == 0
+    lattice = (tmp_path / "out" / "equivalence_lattice.csv").read_text().splitlines()
+    assert lattice[0] == "t,X,f,pi_mmv_1,pi_mv_1,abs_gap"
+    assert len(lattice) == 1 + 3 * 3 * 2
+    for line in lattice[1:]:
+        for cell in line.split(","):
+            assert math.isfinite(float(cell)), line

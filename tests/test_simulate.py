@@ -222,3 +222,64 @@ def test_markov_simulation_runs(model_c):
     assert res.F_paths is not None
     resid = mc.conservation_residual(res, sol, model_c)
     assert math.isfinite(resid)
+
+
+@pytest.fixture(scope="module")
+def markov_c(model_c):
+    cone = mc.full_space(1)
+    sol = mc.solve_markovian(model_c, cone, "Y",
+                             mc.McSolverConfig(paths=2000, basis_degree=2,
+                                               seed=47, steps=10, bootstrap=0))
+    return (mc.mmv_feedback(model_c, cone, sol),
+            mc.saddle_adversary(mc.mmv_adversary(sol, cone, model_c)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("instance", ["A", "C"])
+def test_family_cells_match_pair_simulations(instance, workers, request):
+    # one family call shares its draws across cells: every cell equals the
+    # one-pair simulation of its (pi, eta) bit for bit, over several blocks
+    if instance == "A":
+        model = request.getfixturevalue("model_a")
+        mmv = request.getfixturevalue("mmv_a")
+        saddle = request.getfixturevalue("saddle_a")
+    else:
+        model = request.getfixturevalue("model_c")
+        mmv, saddle = request.getfixturevalue("markov_c")
+    pi_family = [mmv, None, mmv.scaled(0.5), mmv.scaled(1.5)]
+    eta_family = [saddle, mc.zero_adversary(),
+                  mc.scaled_minus_phi(model, 0.5), mc.scaled_minus_phi(model, 2.0)]
+    kw = dict(paths=2500, steps=12, seed=53, block_size=1000, workers=workers)
+    fam = mc.simulate(model, pi_family, eta_family, **kw)
+    assert fam.terminal_X.shape == (4, 2500)
+    assert fam.terminal_Lambda.shape == (4, 2500)
+    assert fam.objective_mean.shape == (4, 4)
+    for i, strat in enumerate(pi_family):
+        for j, adv in enumerate(eta_family):
+            one = mc.simulate(model, strat, adv, **kw)
+            assert fam.objective_mean[i, j] == one.objective_mean
+            assert fam.objective_stderr[i, j] == one.objective_stderr
+            assert np.array_equal(fam.terminal_X[i], one.terminal_X)
+            assert np.array_equal(fam.terminal_Lambda[j], one.terminal_Lambda)
+
+
+def test_family_exploding_member_raises(model_a, mmv_a, saddle_a):
+    from mmvcone.errors import ExplodedPath
+    with pytest.raises(ExplodedPath), np.errstate(over="ignore", invalid="ignore"):
+        mc.simulate(model_a, [mmv_a, mmv_a.scaled(1e150)], [saddle_a],
+                    paths=300, steps=10, seed=3, block_size=100)
+    # a bounded loading cannot blow the density up; a broken one (NaN) can
+    broken = mc.custom_adversary(lambda t, f: np.full((len(f), 1), np.nan), bound=1.0)
+    with pytest.raises(ExplodedPath), np.errstate(invalid="ignore"):
+        mc.simulate(model_a, [mmv_a], [saddle_a, broken],
+                    paths=300, steps=10, seed=3, block_size=100)
+
+
+def test_family_rejects_store_paths_and_empty(model_a, mmv_a, saddle_a):
+    with pytest.raises(ConfigInvalid):
+        mc.simulate(model_a, [mmv_a, None], [saddle_a], paths=200, steps=10,
+                    seed=1, store_paths=True)
+    with pytest.raises(ConfigInvalid):
+        mc.simulate(model_a, [], [saddle_a], paths=200, steps=10, seed=1)
+    with pytest.raises(ConfigInvalid):
+        mc.simulate(model_a, [mmv_a], [], paths=200, steps=10, seed=1)
