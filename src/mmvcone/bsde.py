@@ -15,10 +15,13 @@ pair is estimated by least-squares Monte Carlo: simulate the factor
 forward, then walk backward regressing the continuation value and the
 martingale increment on a polynomial basis, closing each step with a
 trapezoidal (theta = 1/2) driver solve that is implicit in the new value.
-Both trapezoid ends use the step's exact average rate.  Each step's driver
-is prepared once, after sigma, phi and Z are known, so the fixed-point
-iterates only evaluate it in y: a closed form on per-row columns for one
-asset, one projection per iterate for m >= 2.
+Both trapezoid ends use the step's exact average rate.  The main sample and
+its bootstrap resamples walk back in lockstep: each step evaluates sigma,
+phi and the sigma-side driver columns once, every sample gathers them by
+its row indices and runs its own regression and fixed point.  Each
+sample's driver is prepared once per step, after its Z is known, so the
+fixed-point iterates only evaluate it in y: a closed form on per-row
+columns for one asset, one projection per iterate for m >= 2.
 """
 
 from __future__ import annotations
@@ -92,49 +95,75 @@ def driver_f(cone: Cone, sigma, phi, y: float, z) -> float:
     return float(-(zx @ zx) / y + 2.0 * (phi @ point.xi))
 
 
-def _prepare_driver(equation, cone, sigma, phi, r_t, z) -> Callable:
-    """One step's driver as a function of y alone, y (N,) -> f (N,).
+def _sigma_side(equation, cone, sigma, phi, rows) -> tuple:
+    """sigma/phi stage of one step's driver: the row-local columns that need
+    neither Z nor y.
 
-    Everything that does not depend on y is computed here, once.  Every
-    driver is a function of q(y) = |P u(y)|^2, the squared projection onto
-    sigma' Gamma of u(y) = sign (phi + c z / y), where c = -1 for Y and +1
-    otherwise and sign = -1 only for P1.  Two identities give this form:
-    Moreau, dist^2(a, K) - |a|^2 = -|P_K a|^2, and positive homogeneity,
-    inf_q(y u) = y^2 inf_q(u).  So f_Y = y q - |z|^2 / y, f_P = -y q and
-    f_P1 = f_P2 = 2 r y - y q.
-
-    One asset: sigma' Gamma is a ray or line along s = sigma' (cones.ray_axis),
-    and q = |s|^2 k^2 with k = clip(sign (s'phi + c s'z / y) / |s|^2) from
-    three per-row columns.  Otherwise (m >= 2) q costs one projection per
-    evaluation.
+    One asset: (s, |s|^2, p, clip), where sigma' Gamma is the ray or line
+    along s = sigma' (cones.ray_axis) and p = sign s'phi / |s|^2.  m >= 2:
+    (sigma, phi), phi broadcast to (rows, n).  Every entry is row-local, so
+    the side of resampled rows is these rows gathered (_rows).
     """
     if equation not in EQUATIONS:
         raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
-    z = np.asarray(z, dtype=float)
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), z.shape)
     sigma = np.asarray(sigma, dtype=float)
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), (rows, sigma.shape[-1]))
+    if cone.dim == 1:
+        s, ss, clip = ray_axis(cone, sigma, rows)
+        sign = -1.0 if equation == "P1" else 1.0
+        return s, ss, sign * np.einsum("ij,ij->i", s, phi) / ss, clip
+    return sigma, phi
+
+
+def _z_side(equation, cone, side, r_t, zcol, zz) -> Callable:
+    """Z stage: one step's driver as a function of y alone, y (N,) -> f (N,).
+
+    side is _sigma_side of the same rows.  zcol is s'z (N,) for one asset
+    and z (N, n) for m >= 2; zz = |z|^2 (N,) is read by Y only.
+
+    Every driver is a function of q(y) = |P u(y)|^2, the squared projection
+    onto sigma' Gamma of u(y) = sign (phi + c z / y), where c = -1 for Y and
+    +1 otherwise and sign = -1 only for P1.  Two identities give this form:
+    Moreau, dist^2(a, K) - |a|^2 = -|P_K a|^2, and positive homogeneity,
+    inf_q(y u) = y^2 inf_q(u).  So f_Y = y q - |z|^2 / y, f_P = -y q and
+    f_P1 = f_P2 = 2 r y - y q.  One asset: q = |s|^2 k^2 with
+    k = clip(p + sign c s'z / (|s|^2 y)) from per-row columns.  Otherwise
+    q costs one projection per evaluation.
+    """
     sign = -1.0 if equation == "P1" else 1.0
     c = -1.0 if equation == "Y" else 1.0
 
     if cone.dim == 1:
-        s, ss, clip = ray_axis(cone, sigma, z.shape[0])
-        p = sign * np.einsum("ij,ij->i", s, phi) / ss
-        w = sign * c * np.einsum("ij,ij->i", s, z) / ss
+        _, ss, p, clip = side
+        w = sign * c * zcol / ss
 
         def q(y):
             k = clip(p + w / y)
             return ss * k * k
     else:
+        sigma, phi = side
+
         def q(y):
-            u = sign * (phi + c * z / y[:, None])
+            u = sign * (phi + c * zcol / y[:, None])
             return -cone_inf_quadratic_batch(cone, sigma, u)
 
     if equation == "Y":
-        zz = np.einsum("ij,ij->i", z, z)
         return lambda y: y * q(y) - zz / y
     if equation == "P":
         return lambda y: -y * q(y)
     return lambda y: 2.0 * r_t * y - y * q(y)
+
+
+def _prepare_driver(equation, cone, sigma, phi, r_t, z) -> Callable:
+    """One step's driver as a function of y alone: _sigma_side, then _z_side.
+
+    Everything that does not depend on y is computed here, once.
+    """
+    z = np.asarray(z, dtype=float)
+    side = _sigma_side(equation, cone, sigma, phi, z.shape[0])
+    zcol = np.einsum("ij,ij->i", side[0], z) if cone.dim == 1 else z
+    zz = np.einsum("ij,ij->i", z, z) if equation == "Y" else None
+    return _z_side(equation, cone, side, r_t, zcol, zz)
 
 
 def _driver_batch(equation, cone, sigma, phi, r_t, y, z, step=None):
@@ -142,9 +171,10 @@ def _driver_batch(equation, cone, sigma, phi, r_t, y, z, step=None):
 
     sigma: (m, n) shared or (N, m, n); phi: (n,) or (N, n); y: (N,);
     z: (N, n).  Values y must be positive (callers clip to the envelope
-    before evaluating).  step, when given, is _prepare_driver of the same
-    (equation, cone, sigma, phi, r_t, z): callers that evaluate one step's
-    driver at many y prepare it once and pass it here.  With step given,
+    before evaluating).  step, when given, is the driver prepared from the
+    same (equation, cone, sigma, phi, r_t, z), by _prepare_driver or by
+    _sigma_side then _z_side: callers that evaluate one step's driver at
+    many y prepare it once and pass it here.  With step given,
     only y is read; equation, cone, sigma, phi, r_t and z are not used, and
     nothing checks that they match the prepared step.
     """
@@ -222,6 +252,7 @@ class BsdeSolution:
     clamp_events: int = 0
     path_steps: int = 0
     replicates: list | None = None
+    replicate_clamp_events: list | None = None   # one count per replicate
     transform: tuple | None = None
     seed: int | None = None
 
@@ -305,7 +336,10 @@ class BsdeSolution:
         if not self.replicates:
             raise ConfigInvalid("solution carries no bootstrap replicates", field="replicates")
         y_tab, z_tab = self.replicates[b]
-        return dc_replace(self, y_values=y_tab, z_values=z_tab, replicates=None)
+        clamps = (self.clamp_events if self.replicate_clamp_events is None
+                  else self.replicate_clamp_events[b])
+        return dc_replace(self, y_values=y_tab, z_values=z_tab, replicates=None,
+                          clamp_events=clamps, replicate_clamp_events=None)
 
     def min_value_on_grid(self) -> float:
         # the basis is centred on basis_loc, where the value is the constant coefficient
@@ -381,10 +415,16 @@ def solve_deterministic(model: MarketModel, cone: Cone, equation: str,
 
 
 def _basis_matrix(fvals, loc, scale, degree):
+    """Powers 1, u, ..., u^degree of the normalized factor as (N, degree + 1)
+    columns, each the previous times u (the same bits as np.vander)."""
     if scale < 1e-12:
         return np.ones((fvals.shape[0], 1))
     u = (fvals - loc) / scale
-    return np.vander(u, degree + 1, increasing=True)
+    basis = np.empty((u.shape[0], degree + 1))
+    basis[:, 0] = 1.0
+    for k in range(1, degree + 1):
+        np.multiply(basis[:, k - 1], u, out=basis[:, k])
+    return basis
 
 
 def _pad(coefs, width):
@@ -393,8 +433,48 @@ def _pad(coefs, width):
     return out
 
 
-def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper):
-    """One full regression backward induction over stored forward paths.
+def _rows(a, idx):
+    """Rows idx of a per-row array.  idx None means every row as stored; an
+    array shared by all rows (zero row stride) is its own gather."""
+    if idx is None or not isinstance(a, np.ndarray) or a.strides[0] == 0:
+        return a
+    return a[idx]
+
+
+@dataclass
+class _Walk:
+    """One sample's state in the lockstep backward walk, and its tables."""
+
+    idx: np.ndarray | None
+    v: np.ndarray
+    f_next: np.ndarray
+    y_tab: np.ndarray
+    z_tab: np.ndarray
+    loc: np.ndarray
+    scale: np.ndarray
+    clamps: int = 0
+
+
+def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
+                   samples=(None,)):
+    """Regression backward induction over stored forward paths, for several
+    samples of them in lockstep.
+
+    F (paths, steps + 1) and dWj (paths, steps) hold the factor paths and
+    the driving increments; views of time-major arrays keep each step's
+    column contiguous.  samples lists row-index vectors into those paths,
+    None for the rows as stored: solve_markovian passes the main sample and
+    its bootstrap resamples.  Returns one (y_tab, z_tab, loc, scale, clamps)
+    per sample.
+
+    The time loop is outside and the sample loop inside.  Each step
+    evaluates sigma, phi and the sigma-side driver columns (_sigma_side)
+    once on the stored rows; each sample gathers these row-local columns by
+    its indices, adds its own Z-side column (_z_side) and runs its own
+    regression, Gram check and fixed point on its N rows, so its tables are
+    bit for bit those of a pass over F[idx] alone.  The samples are not
+    stacked into one (B + 1) N-row fixed point, which would hold B + 1
+    times the per-step memory.
 
     Each step closes with a trapezoidal driver solve,
 
@@ -408,10 +488,11 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper):
     step's exact average rate, so a rate break on a grid node keeps the
     step second order; the rate term is linear in the value, so the carried
     f_{i+1} is moved to this step's rate by adding 2 (r_i - r_{i+1}) V_{i+1}.
-    Each step's driver is prepared once (_prepare_driver) after sigma, phi
-    and Z_i are known; the fixed-point iterates and f_i reuse it.
+    The first sample's clamp events are checked against _CLAMP_BUDGET after
+    every step (PositivityLost); the others are only counted.
     """
-    paths = F.shape[0]
+    Ft, dWt = F.T, dWj.T
+    paths = Ft.shape[1]
     steps = cfg.steps
     dt = model.horizon_T / steps
     degree = cfg.basis_degree
@@ -419,72 +500,92 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper):
     j = model.coefficients.driving_index
     r_step = _step_rates(model, grid)
     rate_term = equation in ("P1", "P2")
+    one_asset = cone.dim == 1
+    budget = _CLAMP_BUDGET * paths * steps
 
-    y_tab = np.zeros((steps + 1, width))
-    z_tab = np.zeros((steps + 1, width))
-    loc = np.zeros(steps + 1)
-    scale = np.ones(steps + 1)
-    y_tab[steps, 0] = 1.0
+    f_term = _driver_batch(equation, cone,
+                           *_sigma_and_kernel(model, float(grid[-1]), Ft[-1]),
+                           r_step[-1], np.ones(paths), np.zeros((paths, model.n)))
+    walks = []
+    for idx in samples:
+        w = _Walk(idx=idx, v=np.ones(paths), f_next=_rows(f_term, idx),
+                  y_tab=np.zeros((steps + 1, width)), z_tab=np.zeros((steps + 1, width)),
+                  loc=np.zeros(steps + 1), scale=np.ones(steps + 1))
+        w.y_tab[steps, 0] = 1.0
+        walks.append(w)
 
-    v = np.ones(paths)
-    f_next = _driver_batch(equation, cone,
-                           *_sigma_and_kernel(model, float(grid[-1]), F[:, -1]),
-                           r_step[-1], v, np.zeros((paths, model.n)))
-    clamps = 0
     for i in range(steps - 1, -1, -1):
         t = float(grid[i])
         r_t = r_step[i]
-        if rate_term and i + 1 < steps:
-            f_next = f_next + 2.0 * (r_t - r_step[i + 1]) * v
-        fv = F[:, i]
-        loc[i] = float(np.mean(fv))
-        sd = float(np.std(fv))
-        scale[i] = sd if sd >= 1e-12 else 1.0   # degenerate spread: constant basis
-        phi = _basis_matrix(fv, loc[i], sd, degree)
-        gram = phi.T @ phi
-        if phi.shape[1] > 1 and np.linalg.cond(gram) > 1e12:
-            raise RegressionIllConditioned(
-                f"basis Gram condition {np.linalg.cond(gram):.2e} at t={t:.4f}")
-        c_cont = np.linalg.solve(gram, phi.T @ (v + 0.5 * dt * f_next))
-        cont = phi @ c_cont
-        c_y = np.linalg.solve(gram, phi.T @ v)
-        # centered martingale-increment estimator: same conditional
-        # expectation as v * dW / dt, variance smaller by a factor ~ dt
-        c_z = np.linalg.solve(gram, phi.T @ ((v - phi @ c_y) * dWj[:, i] / dt))
-        zj = phi @ c_z
+        side = _sigma_side(equation, cone, *_sigma_and_kernel(model, t, Ft[i]), paths)
+        for k, w in enumerate(walks):
+            if rate_term and i + 1 < steps:
+                w.f_next = w.f_next + 2.0 * (r_t - r_step[i + 1]) * w.v
+            v = w.v
+            fv = _rows(Ft[i], w.idx)
+            w.loc[i] = float(np.mean(fv))
+            sd = float(np.std(fv))
+            w.scale[i] = sd if sd >= 1e-12 else 1.0   # degenerate spread: constant basis
+            basis = _basis_matrix(fv, w.loc[i], sd, degree)
+            gram = basis.T @ basis
+            if basis.shape[1] > 1 and np.linalg.cond(gram) > 1e12:
+                raise RegressionIllConditioned(
+                    f"basis Gram condition {np.linalg.cond(gram):.2e} at t={t:.4f}")
+            c_cont = np.linalg.solve(gram, basis.T @ (v + 0.5 * dt * w.f_next))
+            cont = basis @ c_cont
+            c_y = np.linalg.solve(gram, basis.T @ v)
+            # centered martingale-increment estimator: same conditional
+            # expectation as v * dW / dt, variance smaller by a factor ~ dt
+            dw = _rows(dWt[i], w.idx)
+            c_z = np.linalg.solve(gram, basis.T @ ((v - basis @ c_y) * dw / dt))
+            zj = basis @ c_z
 
-        sig_b, phi_b = _sigma_and_kernel(model, t, fv)
-        z_full = np.zeros((paths, model.n))
-        z_full[:, j] = zj
-        step = _prepare_driver(equation, cone, sig_b, phi_b, r_t, z_full)
+            # Z_i is zj in column j and zero elsewhere
+            side_w = tuple(_rows(a, w.idx) for a in side)
+            if one_asset:
+                zcol = side_w[0][:, j] * zj
+            else:
+                zcol = np.zeros((paths, model.n))
+                zcol[:, j] = zj
+            step = _z_side(equation, cone, side_w, r_t, zcol,
+                           zj * zj if equation == "Y" else None)
 
-        v_new = np.clip(cont, lower, upper)
-        for _ in range(_FIXED_POINT_MAX):
-            f_val = _driver_batch(equation, cone, sig_b, phi_b, r_t,
-                                  np.clip(v_new, lower, upper), z_full, step)
-            nxt = cont + 0.5 * dt * f_val
-            if float(np.max(np.abs(nxt - v_new))) < _FIXED_POINT_TOL:
+            v_new = np.clip(cont, lower, upper)
+            for _ in range(_FIXED_POINT_MAX):
+                f_val = _driver_batch(equation, cone, None, None, r_t,
+                                      np.clip(v_new, lower, upper), None, step)
+                nxt = cont + 0.5 * dt * f_val
+                if float(np.max(np.abs(nxt - v_new))) < _FIXED_POINT_TOL:
+                    v_new = nxt
+                    break
                 v_new = nxt
-                break
-            v_new = nxt
-        else:
-            raise NoConvergence(
-                f"{equation} driver solve not converged after {_FIXED_POINT_MAX} "
-                f"fixed-point iterations at t={t:.4f}")
-        below = v_new < lower
-        above = v_new > upper
-        clamps += int(np.count_nonzero(below) + np.count_nonzero(above))
-        v = np.clip(v_new, lower, upper)
-        f_next = _driver_batch(equation, cone, sig_b, phi_b, r_t, v, z_full, step)
+            else:
+                raise NoConvergence(
+                    f"{equation} driver solve not converged after {_FIXED_POINT_MAX} "
+                    f"fixed-point iterations at t={t:.4f}")
+            w.clamps += int(np.count_nonzero(v_new < lower) + np.count_nonzero(v_new > upper))
+            if k == 0 and w.clamps > budget:
+                raise PositivityLost(
+                    f"{w.clamps} clamp events exceed {_CLAMP_BUDGET:.1%} of "
+                    f"{paths * steps} path-steps")
+            w.v = v = np.clip(v_new, lower, upper)
+            w.f_next = _driver_batch(equation, cone, None, None, r_t, v, None, step)
 
-        y_tab[i] = _pad(np.linalg.solve(gram, phi.T @ v), width)
-        z_tab[i] = _pad(c_z, width)
-    return y_tab, z_tab, loc, scale, clamps
+            w.y_tab[i] = _pad(np.linalg.solve(gram, basis.T @ v), width)
+            w.z_tab[i] = _pad(c_z, width)
+    return [(w.y_tab, w.z_tab, w.loc, w.scale, w.clamps) for w in walks]
 
 
 def solve_markovian(model: MarketModel, cone: Cone, equation: str,
                     cfg: McSolverConfig) -> BsdeSolution:
-    """Least-squares Monte Carlo backward induction for factor-driven coefficients."""
+    """Least-squares Monte Carlo backward induction for factor-driven coefficients.
+
+    The factor is simulated forward once.  The bootstrap draws cfg.bootstrap
+    row-index vectors (with replacement) from a dedicated substream, and one
+    _backward_pass walks the main sample and every resample back in
+    lockstep; the replicate tables give value0_stderr.  Clamp events are
+    counted per sample; only the main sample's are held to _CLAMP_BUDGET.
+    """
     if equation not in EQUATIONS:
         raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
     cf = model.coefficients
@@ -497,42 +598,38 @@ def solve_markovian(model: MarketModel, cone: Cone, equation: str,
     grid = np.linspace(0.0, T, steps + 1)
     lower, upper = positivity_envelope(model, grid)
 
-    # forward factor simulation, block-wise substreams for reproducibility
-    F = np.empty((paths, steps + 1))
-    dWj = np.empty((paths, steps))
-    F[:, 0] = cf.f0
+    # forward factor simulation, block-wise substreams for reproducibility;
+    # time-major, so each step's column is contiguous
+    F = np.empty((steps + 1, paths))
+    dWj = np.empty((steps, paths))
+    F[0] = cf.f0
     start = 0
     block = 0
     sqdt = math.sqrt(dt)
     while start < paths:
         stop = min(start + cfg.block_size, paths)
         rng = substream(cfg.seed, block)
-        dWj[start:stop] = sqdt * rng.standard_normal((stop - start, steps))
+        dWj[:, start:stop] = (sqdt * rng.standard_normal((stop - start, steps))).T
         start = stop
         block += 1
     for i in range(steps):
-        F[:, i + 1] = F[:, i] + cf.kappa * (cf.mean_level - F[:, i]) * dt + cf.nu * dWj[:, i]
+        F[i + 1] = F[i] + cf.kappa * (cf.mean_level - F[i]) * dt + cf.nu * dWj[i]
 
-    y_tab, z_tab, loc, scale, clamps = _backward_pass(
-        model, cone, equation, cfg, grid, F, dWj, lower, upper)
-    if clamps > _CLAMP_BUDGET * paths * steps:
-        raise PositivityLost(
-            f"{clamps} clamp events exceed {_CLAMP_BUDGET:.1%} of {paths * steps} path-steps")
-
-    replicates = []
     boot_rng = substream(cfg.seed, 45803)  # dedicated bootstrap lane
-    for _ in range(cfg.bootstrap):
-        idx = boot_rng.integers(0, paths, size=paths)
-        rep = _backward_pass(model, cone, equation, cfg, grid, F[idx], dWj[idx],
-                             lower, upper)
-        replicates.append((rep[0], rep[1]))
+    samples = [None] + [boot_rng.integers(0, paths, size=paths)
+                        for _ in range(cfg.bootstrap)]
+    walks = _backward_pass(model, cone, equation, cfg, grid, F.T, dWj.T,
+                           lower, upper, samples)
+    y_tab, z_tab, loc, scale, clamps = walks[0]
 
     sol = BsdeSolution(
         equation=equation, grid=grid, y_values=y_tab, z_values=z_tab,
         bounds=(lower, upper), n=model.n, kind="markovian",
         basis_degree=cfg.basis_degree, basis_loc=loc, basis_scale=scale,
         driving_index=cf.driving_index, f0=cf.f0, clamp_events=clamps,
-        path_steps=paths * steps, replicates=replicates or None, seed=cfg.seed,
+        path_steps=paths * steps,
+        replicates=[(rep[0], rep[1]) for rep in walks[1:]] or None,
+        replicate_clamp_events=[rep[4] for rep in walks[1:]] or None, seed=cfg.seed,
     )
     _check_comparison_bound(model, sol)
     return sol

@@ -235,6 +235,7 @@ def run(cfg: dict) -> int:
             "kind": sol.kind,
             "seed": sol.seed,
             "clamp_events": sol.clamp_events,
+            "replicate_clamp_events": list(sol.replicate_clamp_events or ()),
             "bounds": list(sol.bounds),
             "max_abs_z": max_abs_z,  # reported, never asserted
         })

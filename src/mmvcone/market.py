@@ -186,13 +186,20 @@ class CoefficientField:
         return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
     def sigma_batch(self, t, fvals: np.ndarray) -> np.ndarray:
-        """(N,) factor states -> (N, m, n) volatilities; t is a time or one per row."""
+        """(N,) factor states -> (N, m, n) volatilities; t is a time or one per row.
+
+        A factor map that returns one (m, n) matrix for every state comes
+        back as a shared read-only view of it (zero row stride), not a copy.
+        """
         if self.kind == "deterministic":
             out = self._interp(self.sigma_grid, t)
         else:
             out = np.asarray(self.sigma_map(t, fvals), dtype=float)
         shape = (fvals.shape[0], self.m, self.n)
-        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+        if out.shape == shape:
+            return out
+        shared = np.broadcast_to(out, shape)
+        return shared if self.kind == "markov" else shared.copy()
 
     def factor_quantiles(self, t: float, levels: Sequence[float]) -> np.ndarray:
         """Marginal quantiles of the factor at time t (Gaussian OU law)."""
@@ -212,18 +219,26 @@ class CoefficientField:
 
 
 def affine_factor_maps(m, n, mu0, mu1, sigma0, sigma1=None):
-    """Build vectorized (t, F) -> mu / sigma maps that are affine in the factor."""
+    """Build vectorized (t, F) -> mu / sigma maps that are affine in the factor.
+
+    When sigma1 is absent or zero, sigma does not depend on the factor and
+    sigma_map returns the read-only (m, n) sigma0 itself.
+    """
     mu0 = np.asarray(mu0, dtype=float).reshape(m)
     mu1 = np.asarray(mu1, dtype=float).reshape(m)
-    sigma0 = np.asarray(sigma0, dtype=float).reshape(m, n)
-    sigma1 = (np.zeros((m, n)) if sigma1 is None
-              else np.asarray(sigma1, dtype=float).reshape(m, n))
+    sigma0 = np.array(sigma0, dtype=float).reshape(m, n)
+    sigma0.flags.writeable = False
+    sigma1 = None if sigma1 is None else np.asarray(sigma1, dtype=float).reshape(m, n)
 
     def mu_map(t, f):
         return mu0 + np.asarray(f, dtype=float)[..., None] * mu1
 
-    def sigma_map(t, f):
-        return sigma0 + np.asarray(f, dtype=float)[..., None, None] * sigma1
+    if sigma1 is None or not np.any(sigma1):
+        def sigma_map(t, f):
+            return sigma0
+    else:
+        def sigma_map(t, f):
+            return sigma0 + np.asarray(f, dtype=float)[..., None, None] * sigma1
 
     return mu_map, sigma_map
 

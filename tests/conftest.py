@@ -31,6 +31,12 @@ INSTANCE_C = {
     "cone": {"kind": "full"},
 }
 
+# Instance C with a factor-dependent volatility: sigma(f) = sigma0 + f sigma1
+INSTANCE_C_SIGMA1 = {
+    **INSTANCE_C,
+    "coefficients": {**INSTANCE_C["coefficients"], "sigma1": [[0.5, 0.3]]},
+}
+
 Y0_A = math.exp(0.09)
 P2_0_A = math.exp(-0.05)
 H0_A = math.exp(0.02)

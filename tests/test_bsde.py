@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 
 import mmvcone as mc
-from mmvcone.bsde import EQUATIONS, _driver_batch, _prepare_driver
+from mmvcone.bsde import EQUATIONS, _backward_pass, _driver_batch, _prepare_driver
 from mmvcone.errors import ConfigInvalid, NoConvergence, NonPositiveY, PositivityLost
 
-from conftest import INSTANCE_A, INSTANCE_C, random_full_rank_sigma
+from conftest import INSTANCE_A, INSTANCE_C, INSTANCE_C_SIGMA1, random_full_rank_sigma
 
 
 def projected_gradient_qp(M, c, project, iters=30000):
@@ -447,3 +448,105 @@ def test_solution_evaluation_interpolates(ysol_a):
     lo = ysol_a.value(0.123)
     hi = ysol_a.value(0.124)
     assert min(lo, hi) <= ysol_a.value(t) <= max(lo, hi)
+
+
+# Bootstrap cases: (model config, cone, equation, solver settings).  The
+# one-asset orthant has a negative mean excess return on part of the factor
+# range, so the driver's clip binds; the two-asset full cone is the
+# test_markov_full_cone_frozen_factor_matches_rk4 model with a moving factor
+# (the m >= 2 branch); the sigma1 model gathers per-row sigma-side columns.
+_ORTHANT_CLIP = {**INSTANCE_C, "coefficients": {
+    **INSTANCE_C["coefficients"], "mu0": [-0.06], "nu": 0.05}}
+_FULL_CONE_2 = {
+    "m": 2, "n": 3, "T": 1.0, "x0": 1.0, "theta": 2.0, "delta": 1e-6,
+    "rate": [{"until": 0.5, "value": 0.02}, {"until": 1.0, "value": 0.04}],
+    "coefficients": {"kind": "markov", "kappa": 1.0, "mean": 0.06, "nu": 0.1,
+                     "f0": 0.06, "mu0": [0.0, 0.0], "mu1": [1.0, -0.5],
+                     "sigma0": [[0.2, 0.05, 0.03], [0.0, 0.25, 0.1]],
+                     "driving_index": 2}}
+_BOOTSTRAP_CASES = [
+    ("C", INSTANCE_C, mc.full_space(1), "Y", (3000, 2, 12, 3)),
+    ("C", INSTANCE_C, mc.full_space(1), "P1", (3000, 2, 12, 3)),
+    ("orthant_clip", _ORTHANT_CLIP, mc.orthant(1), "Y", (3000, 2, 12, 3)),
+    ("orthant_clip", _ORTHANT_CLIP, mc.orthant(1), "P1", (3000, 2, 12, 3)),
+    ("sigma1", INSTANCE_C_SIGMA1, mc.full_space(1), "Y", (3000, 2, 12, 3)),
+    ("sigma1", INSTANCE_C_SIGMA1, mc.full_space(1), "P2", (3000, 2, 12, 3)),
+    ("full_cone_2", _FULL_CONE_2, mc.full_space(2), "Y", (1000, 1, 10, 2)),
+]
+
+
+def _solve_capturing_pass(model, cone, equation, cfg, monkeypatch):
+    """solve_markovian, plus the arguments of its one _backward_pass call."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _backward_pass(*args)
+
+    monkeypatch.setattr(mc.bsde, "_backward_pass", spy)
+    sol = mc.solve_markovian(model, cone, equation, cfg)
+    assert len(calls) == 1
+    return sol, calls[0]
+
+
+def _separate_pass(args, idx):
+    """The one-sample pass over explicitly gathered paths F[idx], dWj[idx]."""
+    F, dWj = args[5], args[6]
+    (result,) = _backward_pass(*args[:5], F[idx], dWj[idx], *args[7:9])
+    return result
+
+
+@pytest.mark.parametrize("name, config, cone, equation, sizes", _BOOTSTRAP_CASES,
+                         ids=[f"{c[0]}-{c[3]}" for c in _BOOTSTRAP_CASES])
+def test_lockstep_bootstrap_matches_separate_passes(name, config, cone, equation, sizes,
+                                                    monkeypatch):
+    paths, degree, steps, boot = sizes
+    model = mc.build_model(config)
+    cfg = mc.McSolverConfig(paths=paths, basis_degree=degree, seed=17, steps=steps,
+                            bootstrap=boot)
+    sol, args = _solve_capturing_pass(model, cone, equation, cfg, monkeypatch)
+
+    # the main sample does not see the resamples walking beside it
+    alone = mc.solve_markovian(model, cone, equation,
+                               dc_replace(cfg, bootstrap=0))
+    for field in ("y_values", "z_values", "basis_loc", "basis_scale"):
+        assert np.array_equal(getattr(sol, field), getattr(alone, field)), field
+    assert sol.clamp_events == alone.clamp_events
+    assert alone.replicates is None and alone.replicate_clamp_events is None
+
+    # each replicate is a one-sample pass over its explicitly gathered paths
+    F, samples = args[5], args[9]
+    assert F.shape == (paths, steps + 1) and samples[0] is None
+    assert len(samples) == boot + 1 and len(sol.replicate_clamp_events) == boot
+    for b, idx in enumerate(samples[1:]):
+        y_tab, z_tab, _, _, clamps = _separate_pass(args, idx)
+        assert np.array_equal(sol.replicates[b][0], y_tab)
+        assert np.array_equal(sol.replicates[b][1], z_tab)
+        assert clamps == sol.replicate_clamp_events[b]
+
+    if name == "orthant_clip":
+        mu = model.coefficients.mu_batch(0.5, F[:, steps // 2])[:, 0]
+        assert 0.2 < np.mean(mu < 0.0) < 0.8   # both sides of the clip occur
+
+
+def test_markovian_clamp_budget_checks_main_sample(model_c, monkeypatch):
+    # a negative budget is overrun by the first step's (zero) clamp count
+    monkeypatch.setattr(mc.bsde, "_CLAMP_BUDGET", -1.0)
+    with pytest.raises(PositivityLost):
+        mc.solve_markovian(model_c, mc.full_space(1), "Y",
+                           mc.McSolverConfig(paths=1000, basis_degree=1, seed=3,
+                                             steps=10, bootstrap=2))
+
+
+def test_replicate_clamp_events_counted_per_replicate(model_c, monkeypatch):
+    # an envelope capped below Y_0 makes every sample clamp; each replicate
+    # keeps the count a separate pass over its paths gives
+    monkeypatch.setattr(mc.bsde, "_CLAMP_BUDGET", 1.0)
+    monkeypatch.setattr(mc.bsde, "positivity_envelope", lambda model, grid: (0.5, 1.05))
+    cfg = mc.McSolverConfig(paths=2000, basis_degree=1, seed=23, steps=10, bootstrap=3)
+    sol, args = _solve_capturing_pass(model_c, mc.full_space(1), "Y", cfg, monkeypatch)
+    counts = sol.replicate_clamp_events
+    assert sol.clamp_events > 0 and min(counts) > 0 and len(set(counts)) > 1
+    for b, idx in enumerate(args[9][1:]):
+        assert counts[b] == _separate_pass(args, idx)[4]
+        assert sol.replicate(b).clamp_events == counts[b]

@@ -160,6 +160,21 @@ def test_markovian_value_cli(tmp_path):
     assert payload["abs_diff"] <= 3.0 * payload["combined_stderr"]
 
 
+def test_markovian_solve_meta_reports_replicate_clamps(tmp_path):
+    cfg = {
+        "model": {k: (dict(v) if isinstance(v, dict) else v) for k, v in INSTANCE_C.items()},
+        "solver": {"kind": "markovian", "paths": 2000, "basis_degree": 2,
+                   "steps": 10, "bootstrap": 3},
+        "experiment": "solve",
+        "seed": 7,
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert cli.run(cli.load_config(cfg)) == 0
+    meta = json.loads((tmp_path / "out" / "y_solution_meta.json").read_text())
+    assert meta["clamp_events"] == 0
+    assert meta["replicate_clamp_events"] == [0, 0, 0]
+
+
 def test_equivalence_lattice_cells_are_plain_numbers(tmp_path):
     # numpy scalars must be written as numbers, not as "np.float64(...)"
     cfg = {

@@ -12,7 +12,7 @@ from mmvcone.errors import (
     TimeOutOfRange,
 )
 
-from conftest import INSTANCE_A, random_full_rank_sigma
+from conftest import INSTANCE_A, INSTANCE_C_SIGMA1, random_full_rank_sigma
 
 
 def _config(**overrides):
@@ -160,6 +160,30 @@ def test_markov_batch_eval(model_c):
     phi = mc.pricing_kernel_batch(model_c, 0.1, f)
     assert phi[:, 0] == pytest.approx(f / 0.2)
     assert np.all(phi[:, 1] == 0.0)
+
+
+def test_factor_dependent_sigma_per_row():
+    cf = mc.build_model(INSTANCE_C_SIGMA1).coefficients
+    f = np.array([-0.01, 0.02, 0.06, 0.10])
+    sig = cf.sigma_batch(0.4, f)
+    assert sig.shape == (4, 1, 2)
+    expect = np.array([[0.2, 0.0]]) + f[:, None, None] * np.array([[0.5, 0.3]])
+    assert np.array_equal(sig, expect)
+    assert np.array_equal(cf.sigma(0.4, 0.02), expect[1])
+
+
+def test_factor_free_sigma_is_shared_view(model_c):
+    # sigma1 absent: one read-only sigma0 serves every row, no per-row copy
+    f = np.array([0.02, 0.06, 0.10])
+    sig = model_c.coefficients.sigma_batch(0.1, f)
+    assert sig.shape == (3, 1, 2)
+    assert sig.strides[0] == 0
+    assert not sig.flags.writeable
+    assert np.array_equal(sig, np.broadcast_to([[0.2, 0.0]], (3, 1, 2)))
+    # an explicit zero sigma1 is the same factor-free model
+    cfg = {**INSTANCE_C_SIGMA1, "coefficients": {**INSTANCE_C_SIGMA1["coefficients"],
+                                                 "sigma1": [[0.0, 0.0]]}}
+    assert mc.build_model(cfg).coefficients.sigma_batch(0.1, f).strides[0] == 0
 
 
 def test_rate_must_cover_horizon():
