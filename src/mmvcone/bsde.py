@@ -251,7 +251,7 @@ class BsdeSolution:
     f0: float | None = None
     clamp_events: int = 0
     path_steps: int = 0
-    replicates: list | None = None
+    replicates: list | None = None              # (y_tab, z_tab, loc, scale) per replicate
     replicate_clamp_events: list | None = None   # one count per replicate
     transform: tuple | None = None
     seed: int | None = None
@@ -332,13 +332,15 @@ class BsdeSolution:
                          for b in range(len(self.replicates))])
 
     def replicate(self, b: int) -> "BsdeSolution":
-        """Bootstrap replicate view (same transform, replicate tables)."""
+        """Bootstrap replicate view: same transform, the replicate's tables and
+        the basis normalization it was fitted in."""
         if not self.replicates:
             raise ConfigInvalid("solution carries no bootstrap replicates", field="replicates")
-        y_tab, z_tab = self.replicates[b]
+        y_tab, z_tab, loc, scale = self.replicates[b]
         clamps = (self.clamp_events if self.replicate_clamp_events is None
                   else self.replicate_clamp_events[b])
-        return dc_replace(self, y_values=y_tab, z_values=z_tab, replicates=None,
+        return dc_replace(self, y_values=y_tab, z_values=z_tab, basis_loc=loc,
+                          basis_scale=scale, replicates=None,
                           clamp_events=clamps, replicate_clamp_events=None)
 
     def min_value_on_grid(self) -> float:
@@ -583,7 +585,9 @@ def solve_markovian(model: MarketModel, cone: Cone, equation: str,
     The factor is simulated forward once.  The bootstrap draws cfg.bootstrap
     row-index vectors (with replacement) from a dedicated substream, and one
     _backward_pass walks the main sample and every resample back in
-    lockstep; the replicate tables give value0_stderr.  Clamp events are
+    lockstep.  Each replicate keeps its tables together with the basis
+    loc/scale its resample was fitted in; the replicates give
+    value0_stderr.  Clamp events are
     counted per sample; only the main sample's are held to _CLAMP_BUDGET.
     """
     if equation not in EQUATIONS:
@@ -628,7 +632,7 @@ def solve_markovian(model: MarketModel, cone: Cone, equation: str,
         basis_degree=cfg.basis_degree, basis_loc=loc, basis_scale=scale,
         driving_index=cf.driving_index, f0=cf.f0, clamp_events=clamps,
         path_steps=paths * steps,
-        replicates=[(rep[0], rep[1]) for rep in walks[1:]] or None,
+        replicates=[rep[:4] for rep in walks[1:]] or None,
         replicate_clamp_events=[rep[4] for rep in walks[1:]] or None, seed=cfg.seed,
     )
     _check_comparison_bound(model, sol)
@@ -663,11 +667,8 @@ def transform_p_to_y(p_sol: BsdeSolution) -> BsdeSolution:
         )
     if p_sol.min_value_on_grid() <= 0:
         raise PositivityLost("P solution is not uniformly positive")
-    reps = None
-    if p_sol.replicates:
-        reps = list(p_sol.replicates)
     return dc_replace(p_sol, equation="Y", bounds=(1.0 / up, 1.0 / lo),
-                      transform=("recip",), replicates=reps)
+                      transform=("recip",))
 
 
 def transform_p2_to_y(p2_sol: BsdeSolution, h: DiscountFactor) -> BsdeSolution:
@@ -692,8 +693,4 @@ def transform_p2_to_y(p2_sol: BsdeSolution, h: DiscountFactor) -> BsdeSolution:
         )
     if p2_sol.min_value_on_grid() <= 0:
         raise PositivityLost("P2 solution is not uniformly positive")
-    reps = None
-    if p2_sol.replicates:
-        reps = list(p2_sol.replicates)
-    return dc_replace(p2_sol, equation="Y", bounds=new_bounds,
-                      transform=("h2", h), replicates=reps)
+    return dc_replace(p2_sol, equation="Y", bounds=new_bounds, transform=("h2", h))

@@ -7,8 +7,8 @@ Every backward-equation driver in this package reduces to
 
 so the projection onto sigma' Gamma is the one kernel everything shares.
 Cones are full space, the nonnegative orthant, or finitely generated
-{G lam : lam >= 0}; projections on generated images go through an
-active-set nonnegative least squares solve.
+{G lam : lam >= 0}.  Beyond the closed forms (one asset, full space), every
+projection is one stacked nnls call, the orthant taking G = I.
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ class Cone:
             if self.generators.shape[0] != self.dim:
                 raise DimensionMismatch(
                     f"generators have {self.generators.shape[0]} rows, cone dim is {self.dim}")
-
-    @property
-    def k(self) -> int:
-        return self.generators.shape[1] if self.kind == GENERATED else self.dim
+            if not np.all(np.isfinite(self.generators)):
+                raise ConfigInvalid("generator matrix has non-finite entries", field="cone.G")
 
 
 def full_space(m: int) -> Cone:
@@ -77,49 +75,69 @@ def cone_from_config(cfg: dict, m: int) -> Cone:
     raise ConfigInvalid(f"unknown cone kind {kind!r}", field="cone.kind")
 
 
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise M[i] @ v[i] for stacks M (N, p, k) and v (N, k)."""
+    return (M @ v[..., None])[..., 0]
+
+
 def nnls(A: np.ndarray, b: np.ndarray, tol: float = _NNLS_TOL,
          max_iter: int | None = None) -> np.ndarray:
     """Lawson-Hanson active-set solve of min |A x - b| subject to x >= 0.
 
-    Ties in the passive-set selection are broken by lowest index (np.argmax).
-    Raises NoConvergence once the iteration budget is spent.
+    A is (p, k), shared, or (N, p, k); b is (p,) or (N, p); x is (k,) or
+    (N, k).  The rows advance in lockstep, each taking exactly its own
+    Lawson-Hanson steps, so a row's x does not depend on the rows beside it.
+    The entering column has the largest dual w = A'(b - A x) above tol, ties
+    to the lowest index.  The passive-set least squares is one SVD solve
+    (np.linalg.pinv) on the column-masked stack, defined for dependent or
+    duplicated columns.  A column whose coefficient comes out <= 0 right
+    after it enters is refused until x moves (Lawson & Hanson 1974, ch. 23);
+    without this, round-off can cycle it in and out at zero steps.  Every
+    other passive solve counts one iteration of its row, and NoConvergence
+    is raised once a row exceeds max_iter (default max(10 k max(p, k), 50)).
     """
-    A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    nrows, ncols = A.shape
+    B = np.atleast_2d(b)
+    (N, p), k = B.shape, np.shape(A)[-1]
+    A = np.broadcast_to(np.asarray(A, dtype=float), (N, p, k))
     if max_iter is None:
-        max_iter = max(10 * ncols * max(nrows, ncols), 50)
-
-    x = np.zeros(ncols)
-    passive = np.zeros(ncols, dtype=bool)
-    w = A.T @ b
-    it = 0
-    while True:
-        candidates = ~passive
-        if not candidates.any() or np.max(w[candidates]) <= tol:
-            return x
-        j = int(np.flatnonzero(candidates)[np.argmax(w[candidates])])
-        passive[j] = True
-        while True:
-            it += 1
-            if it > max_iter:
-                raise NoConvergence(f"nnls exceeded {max_iter} iterations")
-            idx = np.flatnonzero(passive)
-            s = np.zeros(ncols)
-            s[idx], *_ = np.linalg.lstsq(A[:, idx], b, rcond=None)
-            if np.min(s[idx]) > 0.0:
-                x = s
+        max_iter = max(10 * k * max(p, k), 50)
+    out, rows, x = np.zeros((N, k)), np.arange(N), np.zeros((N, k))
+    passive, refused = np.zeros((N, k), dtype=bool), np.zeros((N, k), dtype=bool)
+    pricing, iters = np.ones(N, dtype=bool), np.zeros(N, dtype=int)
+    while rows.size:
+        w = _matvec(A.swapaxes(1, 2), B - _matvec(A, x))
+        w[passive | refused] = -np.inf
+        enter = w.max(axis=1) > tol
+        done = pricing & ~enter
+        if done.any():   # priced with no column to enter: the row leaves the stack
+            out[rows[done]] = x[done]
+            if done.all():
                 break
-            # step back to the boundary of the feasible region
-            mask = passive & (s <= 0.0)
-            denom = x[mask] - s[mask]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(denom > 0, x[mask] / denom, np.inf)
-            alpha = float(np.min(ratios))
-            x = x + alpha * (s - x)
-            passive &= x > tol
-            x[~passive] = 0.0
-        w = A.T @ (b - A @ x)
+            keep = ~done
+            rows, A, B, x, passive, refused, pricing, iters, w, enter = (
+                a[keep] for a in (rows, A, B, x, passive, refused, pricing, iters, w, enter))
+        new = (pricing & enter)[:, None] & (np.arange(k) == w.argmax(axis=1)[:, None])
+        passive |= new
+        s = np.where(passive, _matvec(np.linalg.pinv(A * passive[:, None, :]), B), 0.0)
+        refuse = (new & (s <= 0.0)).any(axis=1)
+        passive &= ~(new & refuse[:, None])
+        refused = (refused | new) & refuse[:, None]
+        iters += ~refuse
+        if (iters > max_iter).any():
+            raise NoConvergence(f"nnls exceeded {max_iter} iterations")
+        feasible = ~refuse & ((s > 0.0) | ~passive).all(axis=1)
+        back = ~refuse & ~feasible
+        pricing = refuse | feasible
+        x = np.where(feasible[:, None], s, x)
+        # step back to the boundary of the feasible region; passive x are
+        # > tol and an entering column's s is > 0, so no ratio divides by 0
+        hit = back[:, None] & passive & (s <= 0.0)
+        alpha = np.where(hit, x / np.where(hit, x - s, 1.0), np.inf).min(axis=1)
+        x = x + np.where(back, alpha, 0.0)[:, None] * (s - x)
+        passive &= ~back[:, None] | (x > tol)
+        x[~passive] = 0.0
+    return out[0] if b.ndim == 1 else out
 
 
 def project_cone(cone: Cone, p: np.ndarray) -> np.ndarray:
@@ -131,9 +149,7 @@ def project_cone(cone: Cone, p: np.ndarray) -> np.ndarray:
         return p.copy()
     if cone.kind == ORTHANT:
         return np.maximum(p, 0.0)
-    if not p.any():
-        return np.zeros(cone.dim)
-    lam = nnls(cone.generators, p, max_iter=10 * cone.k * cone.dim)
+    lam = nnls(cone.generators, p)
     proj = cone.generators @ lam
     # points already in the cone map to themselves: absorb solver noise
     if np.linalg.norm(p - proj) <= 1e-11 * max(1.0, float(np.linalg.norm(p))):
@@ -216,49 +232,33 @@ def project_transformed_batch(cone: Cone, sigma: np.ndarray, A: np.ndarray):
     """Vectorized projection of many targets onto sigma' Gamma.
 
     sigma is (m, n) shared or (N, m, n) per sample; A is (N, n).  Returns
-    (xi (N, n), gamma (N, m), dist_sq (N,)).  Full-space cones and all
-    one-asset cones have closed forms; higher-dimensional orthant/generated
-    cones fall back to the per-sample active-set solve.  A zero target
-    projects to the apex.
+    (xi (N, n), gamma (N, m), dist_sq (N,)).  One-asset cones and the full
+    space have closed forms; every other cone is {G lam : lam >= 0}, with
+    G = I for the orthant, and all rows go through one stacked nnls solve
+    of min |sigma' G lam - a| over lam >= 0.  A zero target projects to the
+    apex.
     """
     A = np.asarray(A, dtype=float)
     N, n = A.shape
-    sigma = np.asarray(sigma, dtype=float)
-    per_sample = sigma.ndim == 3
     m = cone.dim
+    sigma = np.asarray(sigma, dtype=float)
 
     if m == 1:
         s, ss, clip = ray_axis(cone, sigma, N)
-        coef = clip(np.einsum("ij,ij->i", s, A) / ss)
-        xi = coef[:, None] * s
-        resid = A - xi
-        return xi, coef[:, None], np.einsum("ij,ij->i", resid, resid)
-
-    if cone.kind == FULL:
-        try:
-            if per_sample:
-                gram = sigma @ np.swapaxes(sigma, 1, 2)
-                gamma = np.linalg.solve(gram, (sigma @ A[..., None]))[..., 0]
-                xi = (np.swapaxes(sigma, 1, 2) @ gamma[..., None])[..., 0]
-            else:
-                gram = sigma @ sigma.T
-                gamma = np.linalg.solve(gram, sigma @ A.T).T
-                xi = gamma @ sigma
-        except np.linalg.LinAlgError as exc:
-            raise SingularGram("sigma sigma' is singular") from exc
-        resid = A - xi
-        return xi, gamma, np.einsum("ij,ij->i", resid, resid)
-
-    xi = np.empty_like(A)
-    gamma = np.empty((N, m))
-    for i in range(N):
-        sig_i = sigma[i] if per_sample else sigma
-        if cone.kind == ORTHANT:
-            gamma[i] = nnls(sig_i.T, A[i], max_iter=10 * m * max(m, n))
+        gamma = clip(np.einsum("ij,ij->i", s, A) / ss)[:, None]
+        xi = gamma * s
+    else:
+        sigma = np.broadcast_to(sigma, (N, m, n))
+        sigma_t = np.swapaxes(sigma, 1, 2)
+        if cone.kind == FULL:
+            try:
+                gamma = np.linalg.solve(sigma @ sigma_t, sigma @ A[..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise SingularGram("sigma sigma' is singular") from exc
         else:
-            lam = nnls(sig_i.T @ cone.generators, A[i], max_iter=10 * cone.k * m)
-            gamma[i] = cone.generators @ lam
-        xi[i] = sig_i.T @ gamma[i]
+            G = np.eye(m) if cone.kind == ORTHANT else cone.generators
+            gamma = nnls(sigma_t @ G, A) @ G.T
+        xi = _matvec(sigma_t, gamma)
     resid = A - xi
     return xi, gamma, np.einsum("ij,ij->i", resid, resid)
 

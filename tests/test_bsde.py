@@ -529,6 +529,21 @@ def test_lockstep_bootstrap_matches_separate_passes(name, config, cone, equation
         assert 0.2 < np.mean(mu < 0.0) < 0.8   # both sides of the clip occur
 
 
+def test_replicate_evaluates_in_its_own_basis_normalization(model_c, monkeypatch):
+    # each resample centres and scales its basis on its own rows; a replicate
+    # view evaluates its tables in that normalization, not the main sample's
+    cfg = mc.McSolverConfig(paths=3000, basis_degree=2, seed=17, steps=12, bootstrap=3)
+    sol, args = _solve_capturing_pass(model_c, mc.full_space(1), "Y", cfg, monkeypatch)
+    for b, idx in enumerate(args[9][1:]):
+        y_tab, z_tab, loc, scale, _ = _separate_pass(args, idx)
+        alone = dc_replace(sol, y_values=y_tab, z_values=z_tab, basis_loc=loc,
+                           basis_scale=scale, replicates=None, replicate_clamp_events=None)
+        rep = sol.replicate(b)
+        for t, f in ((0.25, 0.04), (0.48, 0.081), (0.9, 0.06)):
+            assert rep.value(t, f) == alone.value(t, f)
+            assert np.array_equal(rep.z_at(t, f), alone.z_at(t, f))
+
+
 def test_markovian_clamp_budget_checks_main_sample(model_c, monkeypatch):
     # a negative budget is overrun by the first step's (zero) clamp count
     monkeypatch.setattr(mc.bsde, "_CLAMP_BUDGET", -1.0)

@@ -106,6 +106,16 @@ def test_missing_field_named(tmp_path, capsys):
     assert "coefficients" in capsys.readouterr().err
 
 
+def test_non_finite_generators_exit_one(tmp_path, capsys):
+    cfg = _base_config(tmp_path, "value")
+    cfg["model"].update(m=2, n=2, cone={"kind": "generated", "G": [[1.0, math.nan], [0.0, 1.0]]},
+                        coefficients={"kind": "deterministic", "mu": [0.06, -0.03],
+                                      "sigma": [[0.2, 0.05], [0.0, 0.25]]})
+    rc = cli.main(["value", "--config", str(_write_config(tmp_path, cfg))])
+    assert rc == 1
+    assert "cone.G" in capsys.readouterr().err
+
+
 def test_seed_required_for_monte_carlo(tmp_path):
     cfg = _base_config(tmp_path, "saddle")
     del cfg["seed"]

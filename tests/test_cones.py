@@ -67,6 +67,50 @@ def test_nnls_iteration_budget():
     b = rng.normal(size=6)
     with pytest.raises(NoConvergence):
         nnls(A, b, max_iter=1)
+    # a stack spends the budget as soon as one of its rows does
+    stack = np.stack([np.zeros(6), b, -b])
+    with pytest.raises(NoConvergence):
+        nnls(A, stack, max_iter=1)
+
+
+def test_generated_projection_of_interior_point_converges():
+    # p lies inside the cone (scipy.optimize.nnls reaches residual 0); without
+    # the Lawson-Hanson entering safeguard a column re-entered at a zero step
+    # until the iteration budget was spent
+    G = np.array([[0.762, -0.71, 0.119, 0.498], [0.589, -0.308, 1.341, 0.204]])
+    p = np.array([52.088, -21.902])
+    proj = mc.project_cone(mc.generated(G), p)
+    assert np.array_equal(proj, p)
+
+
+def _nnls_stacks(rng, rows=40):
+    """Random nnls stacks: shared and per-row A, k <= p and k > p, a
+    duplicated column whenever k >= 3, zero targets and mixed scales."""
+    for p, k in ((3, 2), (1, 3), (2, 4), (4, 4), (3, 6)):
+        for shared in (True, False):
+            A = rng.normal(size=(p, k) if shared else (rows, p, k))
+            if k >= 3:
+                A[..., 2] = A[..., 0]
+            b = rng.normal(size=(rows, p)) * rng.choice([0.1, 1.0, 50.0], size=(rows, 1))
+            b[::5] = 0.0
+            yield A, b
+
+
+def test_nnls_stack_matches_scipy_and_one_row_calls():
+    oracle = pytest.importorskip("scipy.optimize").nnls
+    from mmvcone.cones import nnls
+    rng = np.random.default_rng(808)
+    for A, b in _nnls_stacks(rng):
+        x = nnls(A, b)
+        assert x.shape == (len(b), A.shape[-1]) and np.all(x >= 0.0)
+        # several support sizes advance in the same call
+        assert len(np.unique(np.count_nonzero(x, axis=1))) >= 2
+        for i in range(len(b)):
+            A_i = A if A.ndim == 2 else A[i]
+            # lockstep rows do not interact
+            assert np.array_equal(nnls(A_i, b[i]), x[i])
+            resid = np.linalg.norm(A_i @ x[i] - b[i])
+            assert abs(resid - oracle(A_i, b[i])[1]) <= 1e-12 * np.linalg.norm(b[i])
 
 
 def test_transformed_full_space_remark_formula():
@@ -220,6 +264,14 @@ def test_ill_conditioned_generators_still_near_idempotent():
         proj = mc.project_cone(cone, p)
         again = mc.project_cone(cone, proj)
         assert np.linalg.norm(again - proj) < 1e-9
+
+
+def test_non_finite_generators_rejected():
+    from mmvcone.errors import ConfigInvalid
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigInvalid) as exc:
+            mc.cone_from_config({"kind": "generated", "G": [[1.0, bad], [0.0, 1.0]]}, 2)
+        assert exc.value.field == "cone.G"
 
 
 def test_cone_from_config():
