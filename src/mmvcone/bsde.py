@@ -256,44 +256,57 @@ class BsdeSolution:
     transform: tuple | None = None
     seed: int | None = None
 
-    def _locate(self, t: float) -> tuple[int, int, float]:
+    def _locate(self, t):
+        """Node i at or before t and weight w toward node i + 1, for a time or
+        one per row: w = 0 on a node, and t is held to the grid's ends."""
         grid = self.grid
-        if t <= grid[0]:
-            return 0, 0, 0.0
-        if t >= grid[-1]:
-            return len(grid) - 1, len(grid) - 1, 0.0
-        i = int(np.searchsorted(grid, t, side="right") - 1)
-        w = (t - grid[i]) / (grid[i + 1] - grid[i])
-        return i, i + 1, float(w)
+        t = np.minimum(np.maximum(t, grid[0]), grid[-1])
+        i = np.searchsorted(grid, t, side="right") - 1
+        k = np.minimum(i, len(grid) - 2)
+        return i, (t - grid[i]) / (grid[k + 1] - grid[k])
 
-    def _node_batch(self, i: int, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(value (N,), z (N, n)) at grid node i before any transform."""
+    def _node_batch(self, i, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(value (N,), z (N, n)) at grid node i (one node, or one per row)
+        before any transform."""
         rows = len(fvals)
         if self.kind == "deterministic":
             return (np.full(rows, self.y_values[i]),
                     np.broadcast_to(self.z_values[i], (rows, self.n)))
         u = (np.asarray(fvals, dtype=float) - self.basis_loc[i]) / self.basis_scale[i]
         z = np.zeros((rows, self.n))
-        z[:, self.driving_index] = np.polynomial.polynomial.polyval(u, self.z_values[i])
-        return np.polynomial.polynomial.polyval(u, self.y_values[i]), z
+        # tensor=False: one coefficient column per row when i is one node per row
+        polyval = np.polynomial.polynomial.polyval
+        z[:, self.driving_index] = polyval(u, self.z_values[i].T, tensor=False)
+        return polyval(u, self.y_values[i].T, tensor=False), z
 
-    def _raw_batch(self, t: float, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(value (N,), z (N, n)) before any transform, linear in t between nodes."""
-        i, j, w = self._locate(t)
+    def _raw_batch(self, t, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(value (N,), z (N, n)) before any transform, linear in t between nodes;
+        t is a time or one per row."""
+        i, w = self._locate(t)
         base, z = self._node_batch(i, fvals)
-        if j != i and w != 0.0:
-            base_j, z_j = self._node_batch(j, fvals)
-            base = (1.0 - w) * base + w * base_j
-            z = (1.0 - w) * z + w * z_j
+        mid = w != 0.0
+        if mid.any():
+            base_j, z_j = self._node_batch(i + mid, fvals)
+            base = np.where(mid, (1.0 - w) * base + w * base_j, base)
+            wz = w[..., None]
+            z = np.where(mid[..., None], (1.0 - wz) * z + wz * z_j, z)
         return base, z
 
-    def _transformed_batch(self, t: float, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(value (N,), z (N, n)) after the pointwise transform, if any."""
+    def _transformed_batch(self, t, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(value (N,), z (N, n)) after the pointwise transform, if any.
+
+        t is a time or one per row.  "recip" is (1/P, -Delta/P^2); "h2" is
+        (h^2/P2, -(h^2/P2^2) Delta2) with one h per row, each one math.exp
+        (DiscountFactor.at).  PositivityLost names the time of the lowest
+        base value when it is not positive.
+        """
         base, z = self._raw_batch(t, fvals)
         if self.transform is None:
             return base, z
-        if np.min(base) <= 0:
-            raise PositivityLost(f"base solution reached {np.min(base)} at t={t}")
+        k = int(np.argmin(base))
+        if base[k] <= 0:
+            raise PositivityLost(
+                f"base solution reached {base[k]} at t={np.broadcast_to(t, base.shape)[k]}")
         if self.transform[0] == "recip":
             return 1.0 / base, -z / (base * base)[:, None]
         h = self.transform[1].at(t)
@@ -301,10 +314,12 @@ class BsdeSolution:
 
     # -- public evaluation: batch forms and their one-row views ----------------
 
-    def value_batch(self, t: float, fvals: np.ndarray) -> np.ndarray:
+    def value_batch(self, t, fvals: np.ndarray) -> np.ndarray:
+        """Values at factor states fvals (N,); t is a time or one per row."""
         return self._transformed_batch(t, fvals)[0]
 
-    def z_batch(self, t: float, fvals: np.ndarray) -> np.ndarray:
+    def z_batch(self, t, fvals: np.ndarray) -> np.ndarray:
+        """Z (N, n) at factor states fvals (N,); t is a time or one per row."""
         return self._transformed_batch(t, fvals)[1]
 
     def value(self, t: float, f=None) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
 import json
 import math
 import subprocess
@@ -46,7 +47,10 @@ from .strategies import (
 EXPERIMENTS = ("solve", "value", "simulate", "saddle", "equivalence", "dual-curve")
 
 
+@functools.cache
 def version_string() -> str:
+    """Package version plus `git describe`, once per process: the code that
+    runs is fixed when it is imported."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],
@@ -114,20 +118,26 @@ class _Workspace:
         self.artifacts.append(p.name)
         return p
 
-    def write_csv(self, name: str, rows) -> Path:
+    def write_csv(self, name: str, header, blocks) -> Path:
+        """Write a table from columns, one block of rows at a time.
+
+        header names the columns.  blocks yields the table a block of rows
+        at a time, as one column per name: a float or int array, a sequence
+        of strings, or None for a blank column.  Each cell is str of the
+        column's tolist() value, which for a float is repr(float(v)), so
+        the file does not depend on where the blocks break.
+        """
         p = self._unique(name)
         with p.open("w") as fh:
-            for row in rows:
-                fh.write(",".join(_cell(v) for v in row) + "\n")
+            fh.write(",".join(header) + "\n")
+            for cols in blocks:
+                rows = len(next(c for c in cols if c is not None))
+                cells = [[""] * rows if c is None
+                         else map(str, c.tolist() if isinstance(c, np.ndarray) else c)
+                         for c in cols]
+                fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
         self.artifacts.append(p.name)
         return p
-
-
-def _cell(v) -> str:
-    # np.float64 subclasses float, and its repr is "np.float64(...)"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
 
 
 def _solve(model, cone, equation, cfg, seed_lane=0, bootstrap=None):
@@ -145,19 +155,18 @@ def _solve(model, cone, equation, cfg, seed_lane=0, bootstrap=None):
     return solve_markovian(model, cone, equation, mc_cfg)
 
 
-def _solution_rows(sol):
+def _solution_table(sol):
+    """(header, blocks) of a solution's node table, one block."""
     if sol.kind == "deterministic":
-        yield ["t", "y"] + [f"z_{k+1}" for k in range(sol.n)]
-        for i, t in enumerate(sol.grid):
-            yield [float(t), float(sol.y_values[i])] + [float(z) for z in sol.z_values[i]]
+        header = ["t", "y"] + [f"z_{k+1}" for k in range(sol.n)]
+        cols = [sol.grid, sol.y_values] + list(sol.z_values.T)
     else:
         width = sol.y_values.shape[1]
-        yield (["t"] + [f"y_c{b}" for b in range(width)]
-               + [f"z_c{b}" for b in range(width)] + ["basis_loc", "basis_scale"])
-        for i, t in enumerate(sol.grid):
-            yield ([float(t)] + [float(c) for c in sol.y_values[i]]
-                   + [float(c) for c in sol.z_values[i]]
-                   + [float(sol.basis_loc[i]), float(sol.basis_scale[i])])
+        header = (["t"] + [f"y_c{b}" for b in range(width)]
+                  + [f"z_c{b}" for b in range(width)] + ["basis_loc", "basis_scale"])
+        cols = ([sol.grid] + list(sol.y_values.T) + list(sol.z_values.T)
+                + [sol.basis_loc, sol.basis_scale])
+    return header, [cols]
 
 
 def _adversary_from_spec(spec, model, cone, y_sol):
@@ -220,7 +229,7 @@ def run(cfg: dict) -> int:
         equation = cfg.get("equation", "Y")
         sol = _solve(model, cone, equation, cfg)
         name = f"{equation.lower()}_solution.csv"
-        ws.write_csv(name, _solution_rows(sol))
+        ws.write_csv(name, *_solution_table(sol))
         if sol.kind == "deterministic":
             max_abs_z = float(np.max(np.abs(sol.z_values)))
         else:
@@ -282,7 +291,7 @@ def run(cfg: dict) -> int:
         if store:
             residual = conservation_residual(batch, y_sol, model)
             results["conservation_max_residual"] = residual
-            ws.write_csv("trajectories.csv", _trajectory_rows(batch, y_sol, model))
+            ws.write_csv("trajectories.csv", *_trajectory_table(batch, y_sol, model))
         ws.write_json("simulation_summary.json", results)
 
     elif experiment == "saddle":
@@ -305,7 +314,7 @@ def run(cfg: dict) -> int:
         except SaddleViolated as exc:
             report = exc.report
             exit_code = 2
-        ws.write_csv("saddle_matrix.csv", report.csv_rows())
+        ws.write_csv("saddle_matrix.csv", *report.csv_table())
         results = report.summary_dict()
         ws.write_json("saddle_verdict.json", results)
 
@@ -324,7 +333,7 @@ def run(cfg: dict) -> int:
         if lat.get("f_values") is not None:
             probe = (t_values, x_values, np.asarray(lat["f_values"], dtype=float))
         report = equivalence_check(mmv, mv, probe)
-        ws.write_csv("equivalence_lattice.csv", report.csv_rows())
+        ws.write_csv("equivalence_lattice.csv", *report.csv_table())
         results = report.summary_dict()
         ws.write_json("equivalence_summary.json", results)
 
@@ -337,11 +346,10 @@ def run(cfg: dict) -> int:
         span = float(grid_cfg.get("span", max(3.0 * abs(curve.K_hat - anchor), 1.0)))
         count = int(grid_cfg.get("count", 2001))
         ks = np.linspace(anchor - span, anchor + span, count)
-        rows = [["K", "F", "gamma_hat_of_K", "objective"]]
-        for k in ks:
-            rows.append([float(k), curve.F(float(k)), curve.gamma_hat_of(float(k)),
-                         curve.objective(float(k))])
-        ws.write_csv("dual_curve.csv", rows)
+        kl = ks.tolist()
+        ws.write_csv("dual_curve.csv", ["K", "F", "gamma_hat_of_K", "objective"],
+                     [[kl, [curve.F(k) for k in kl], [curve.gamma_hat_of(k) for k in kl],
+                       [curve.objective(k) for k in kl]]])
         results = {
             "p1_0": curve.p1_0, "p2_0": curve.p2_0, "h0": curve.h0,
             "K_hat": curve.K_hat, "gamma_hat": curve.gamma_hat,
@@ -373,17 +381,20 @@ def _jsonable(obj):
     return obj
 
 
-def _trajectory_rows(batch, y_sol, model):
-    yield ["t", "path_id", "X", "Lambda", "R"]
+def _trajectory_table(batch, y_sol, model):
+    """(header, blocks) of trajectories.csv, one block of paths per time step."""
     theta = model.theta
-    for k, t in enumerate(batch.times):
-        h_t = model.discount(float(t))
-        y_t = y_sol.value_batch(float(t), batch.factor_paths[:, k])
-        x = batch.X_paths[:, k]
-        lam = batch.Lambda_paths[:, k]
-        r = x * h_t + (lam * y_t - 1.0) / (2.0 * theta)
-        for p in range(batch.paths):
-            yield [float(t), p, float(x[p]), float(lam[p]), float(r[p])]
+    ids = np.arange(batch.paths)
+
+    def blocks():
+        for k, t in enumerate(batch.times.tolist()):
+            h_t = model.discount(t)
+            y_t = y_sol.value_batch(t, batch.factor_paths[:, k])
+            x = batch.X_paths[:, k]
+            lam = batch.Lambda_paths[:, k]
+            r = x * h_t + (lam * y_t - 1.0) / (2.0 * theta)
+            yield [np.full(batch.paths, t), ids, x, lam, r]
+    return ["t", "path_id", "X", "Lambda", "R"], blocks()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -79,6 +79,17 @@ class PiecewiseRate:
         return total
 
 
+def _discount(rate: PiecewiseRate, horizon: float, t):
+    """exp(integral of r over [t, T]) at a time, or one math.exp per row when
+    t holds one time per row (np.exp may differ from it by an ulp)."""
+    if np.ndim(t):
+        return np.array([_discount(rate, horizon, s)
+                         for s in np.asarray(t, dtype=float).tolist()])
+    if not 0.0 <= t <= horizon + 1e-12:
+        raise TimeOutOfRange(f"t={t} outside [0, {horizon}]")
+    return math.exp(rate.integral(t, horizon))
+
+
 def _as_time_grid(values, shape, name):
     """Normalize a constant or per-time-node array of matrices to (K, *shape)."""
     arr = np.asarray(values, dtype=float)
@@ -258,11 +269,10 @@ class MarketModel:
     probe_time_points: int = PROBE_TIME_POINTS
     probe_factor_quantiles: int = PROBE_FACTOR_QUANTILES
 
-    def discount(self, t: float) -> float:
-        """h_t = exp(integral of r over [t, T]); exact for piecewise-constant r."""
-        if not 0.0 <= t <= self.horizon_T + 1e-12:
-            raise TimeOutOfRange(f"t={t} outside [0, {self.horizon_T}]")
-        return math.exp(self.rate.integral(t, self.horizon_T))
+    def discount(self, t):
+        """h_t = exp(integral of r over [t, T]), exact for piecewise-constant r;
+        t is a time or one per row (_discount)."""
+        return _discount(self.rate, self.horizon_T, t)
 
     @property
     def h0(self) -> float:
@@ -360,17 +370,32 @@ def build_model(config: dict) -> MarketModel:
 
 
 def _check_ellipticity(model: MarketModel) -> None:
+    """Finite coefficients and sigma sigma' >= delta I on the probe lattice.
+
+    One sigma/mu evaluation and one eigvalsh over every (t, f) probe row; the
+    first probe time that fails raises, naming its worst factor state.
+    """
     cf = model.coefficients
-    for t, fvals in model.probe_points():
-        sig = cf.sigma_batch(t, fvals)
-        if not np.all(np.isfinite(sig)) or not np.all(np.isfinite(cf.mu_batch(t, fvals))):
-            raise ConfigInvalid(f"non-finite coefficients at t={t}", field="coefficients")
-        min_eig = np.linalg.eigvalsh(sig @ np.swapaxes(sig, 1, 2))[:, 0]
-        k = int(np.argmin(min_eig))
-        if min_eig[k] < model.delta:
-            raise DegenerateVolatility(
-                f"min eigenvalue of sigma sigma' = {min_eig[k]:.3e} < delta={model.delta} "
-                f"at (t={t:.4f}, f={fvals[k]})")
+    probes = model.probe_points()
+    fvals = np.stack([f for _, f in probes])                  # (times, states)
+    t_rows = np.repeat([t for t, _ in probes], fvals.shape[1])
+    sig = cf.sigma_batch(t_rows, fvals.ravel())
+    finite = (np.isfinite(sig).all(axis=(1, 2))
+              & np.isfinite(cf.mu_batch(t_rows, fvals.ravel())).all(axis=1))
+    sig = np.where(finite[:, None, None], sig, 0.0)
+    min_eig = np.linalg.eigvalsh(sig @ np.swapaxes(sig, 1, 2))[:, 0].reshape(fvals.shape)
+    finite = finite.reshape(fvals.shape).all(axis=1)
+    bad = ~finite | np.any(min_eig < model.delta, axis=1)
+    if not np.any(bad):
+        return
+    i = int(np.argmax(bad))
+    t = probes[i][0]
+    if not finite[i]:
+        raise ConfigInvalid(f"non-finite coefficients at t={t}", field="coefficients")
+    k = int(np.argmin(min_eig[i]))
+    raise DegenerateVolatility(
+        f"min eigenvalue of sigma sigma' = {min_eig[i, k]:.3e} < delta={model.delta} "
+        f"at (t={t:.4f}, f={fvals[i, k]})")
 
 
 def pricing_kernel(model: MarketModel, t: float, f: float | None = None) -> np.ndarray:
@@ -424,7 +449,6 @@ class DiscountFactor:
         return DiscountFactor(grid=np.asarray(grid, dtype=float), values=vals,
                               rate=model.rate, horizon_T=model.horizon_T)
 
-    def at(self, t: float) -> float:
-        if not 0.0 <= t <= self.horizon_T + 1e-12:
-            raise TimeOutOfRange(f"t={t} outside [0, {self.horizon_T}]")
-        return math.exp(self.rate.integral(t, self.horizon_T))
+    def at(self, t):
+        """h at a time or at one time per row (_discount)."""
+        return _discount(self.rate, self.horizon_T, t)

@@ -59,7 +59,7 @@ class Adversary:
         if self.kind == "zero":
             return np.zeros((npaths, model.n))
         if self.kind == "scaled_minus_phi":
-            phi = pricing_kernel_batch(model, t, _eval_rows(model, fvals))
+            phi = pricing_kernel_batch(model, t, _eval_rows(model, t, fvals))
             return np.broadcast_to(-self.scale * phi, (npaths, model.n))
         if self.kind == "constant":
             return np.broadcast_to(self.vector, (npaths, model.n)).copy()
@@ -329,11 +329,14 @@ class SaddleReport:
             "eta_labels": self.eta_labels,
         }
 
-    def csv_rows(self):
-        yield ["pi\\eta"] + list(self.eta_labels)
-        for i, lab in enumerate(self.pi_labels):
-            yield [lab] + [f"{self.means[i, j]:.10g}+-{self.stderrs[i, j]:.3g}"
-                           for j in range(len(self.eta_labels))]
+    def csv_table(self):
+        """(header, blocks) of the objective matrix: one row per portfolio,
+        each cell "mean+-stderr"."""
+        cols = [self.pi_labels] + [
+            [f"{self.means[i, j]:.10g}+-{self.stderrs[i, j]:.3g}"
+             for i in range(len(self.pi_labels))]
+            for j in range(len(self.eta_labels))]
+        return ["pi\\eta"] + list(self.eta_labels), [cols]
 
 
 def saddle_scan(model: MarketModel, cone: Cone, y_sol: BsdeSolution,

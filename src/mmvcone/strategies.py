@@ -34,18 +34,21 @@ def _require_positive(sol: BsdeSolution, label: str) -> None:
         raise PositivityLost(f"{label} solution is not uniformly positive")
 
 
-def _eval_rows(model: MarketModel, fvals) -> np.ndarray:
-    """Factor states to evaluate at: one row when nothing depends on the factor."""
+def _eval_rows(model: MarketModel, t, fvals) -> np.ndarray:
+    """Factor states to evaluate at.  When nothing depends on the factor (or
+    fvals is None, factor state 0): one row per time, so one row for a
+    scalar t."""
     if model.coefficients.kind == "deterministic" or fvals is None:
-        return np.zeros(1)
+        return np.zeros(np.size(t))
     return np.asarray(fvals, dtype=float)
 
 
 def _projected_target(model: MarketModel, cone: Cone, sol: BsdeSolution, side: str,
-                      t: float, fvals: np.ndarray):
+                      t, fvals: np.ndarray):
     """Project one side's target onto sigma' Gamma at factor states fvals.
 
     side "Y": Y phi - Z;  "P1": -(phi + Delta1/P1);  "P2": phi + Delta2/P2.
+    t is a time or one per row.
     Returns (value (N,), z (N, n), xi (N, n), gamma (N, m)).
     """
     v, z = sol._transformed_batch(t, fvals)
@@ -87,7 +90,7 @@ class FeedbackStrategy:
     def _row(self, f) -> np.ndarray:
         return _state_row(f, self.model.coefficients.kind == "markov")
 
-    def _side(self, side: str, t: float, fvals: np.ndarray):
+    def _side(self, side: str, t, fvals: np.ndarray):
         sol = {"Y": self.y_sol, "P1": self.p1_sol, "P2": self.p2_sol}[side]
         return _projected_target(self.model, self.cone, sol, side, t, fvals)
 
@@ -117,27 +120,36 @@ class FeedbackStrategy:
         h_t = self.model.discount(t)
         return self.scale * (-(x - self.gamma_hat / h_t)) * self.xi2(t, f)
 
-    def portfolio_batch(self, t: float, xvals: np.ndarray, fvals=None) -> np.ndarray:
-        """Vectorized feedback over many states: (N,) wealth -> (N, m).
+    def portfolio_batch(self, t, xvals: np.ndarray, fvals=None) -> np.ndarray:
+        """Vectorized feedback: directions once per state row, broadcast over wealth.
 
-        Directions are evaluated once per factor state, or on a single row
-        and broadcast when the model has no factor (or fvals is None, which
-        means factor state 0).
+        t is a time or one per state row; fvals holds the factor state of
+        each row (None means state 0, and a model without factor evaluates
+        one row per time).  xvals (N,) is one wealth per state row, or shares
+        one row; (R, X) gives each of R state rows X wealth levels, which is
+        how equivalence_check evaluates a whole lattice in one call.
+        Returns xvals.shape + (m,).  The MV short-side (P1) direction is
+        evaluated only on state rows with some wealth above gamma_hat / h_t.
         """
         xvals = np.asarray(xvals, dtype=float)
-        rows = _eval_rows(self.model, fvals)
-        h_t = self.model.discount(t)
+        rows = _eval_rows(self.model, t, fvals)
+        shape = (-1,) + (1,) * (xvals.ndim - 1)      # state rows against wealth
+        vec = shape + (self.model.m,)
+        h_t = np.reshape(self.model.discount(t), shape)
         if self.kind == "MMV":
             y, _, _, gamma = self._side("Y", t, rows)
             gap = self.a_const - h_t * xvals
-            return self.scale * (gap / (h_t * y))[:, None] * gamma
+            return self.scale * (gap / (h_t * y.reshape(shape)))[..., None] * gamma.reshape(vec)
         _, _, _, g2 = self._side("P2", t, rows)
         gap = xvals - self.gamma_hat / h_t
-        out = np.maximum(-gap, 0.0)[:, None] * g2
+        out = np.maximum(-gap, 0.0)[..., None] * g2.reshape(vec)
         pos = gap > 0.0
-        if np.any(pos):
-            _, _, _, g1 = self._side("P1", t, rows if len(rows) == 1 else rows[pos])
-            out[pos] += gap[pos, None] * g1
+        need = np.any(pos.reshape(len(rows), -1), axis=1)
+        if np.any(need):
+            g1 = np.zeros((len(rows), self.model.m))
+            t_need = np.asarray(t)[need] if np.ndim(t) else t
+            g1[need] = self._side("P1", t_need, rows[need])[3]
+            out[pos] += gap[pos, None] * np.broadcast_to(g1.reshape(vec), out.shape)[pos]
         return self.scale * out
 
     def scaled(self, c: float, label: str | None = None) -> "FeedbackStrategy":
@@ -175,7 +187,7 @@ class SaddleAdversary:
             default=0.0,
         ) + 1e-12
 
-    def _loading(self, t: float, fvals: np.ndarray) -> np.ndarray:
+    def _loading(self, t, fvals: np.ndarray) -> np.ndarray:
         """Unclipped -(Z + xi)/Y at factor states fvals: (N,) -> (N, n)."""
         y, z, xi, _ = _projected_target(self.model, self.cone, self.y_sol, "Y", t, fvals)
         return -(z + xi) / y[:, None]
@@ -184,7 +196,7 @@ class SaddleAdversary:
         return self.eta_batch(t, _state_row(f, self.model.coefficients.kind == "markov"))[0]
 
     def eta_batch(self, t: float, fvals: np.ndarray) -> np.ndarray:
-        out = self._loading(t, _eval_rows(self.model, fvals))
+        out = self._loading(t, _eval_rows(self.model, t, fvals))
         nrm = np.linalg.norm(out, axis=1)
         over = nrm > self.bound
         if np.any(over):
@@ -313,12 +325,20 @@ def dual_curve(p1_0: float, p2_0: float, h0: float, x: float, theta: float) -> D
 
 @dataclass
 class EquivalenceReport:
-    """Lattice comparison of the robust and mean-variance feedback maps."""
+    """Lattice comparison of the robust and mean-variance feedback maps.
 
-    t_values: np.ndarray
+    A probe is one (t, f) pair of the lattice, in t-major order; probe_f is
+    None when the lattice has no factor column (deterministic model, no
+    f_values).  pim and piv hold both portfolios at every probe and wealth
+    level, (probes, X, m), and gaps their distance, (probes, X).
+    """
+
     x_values: np.ndarray
-    f_values: np.ndarray | None
-    rows: list                      # (t, X, f, pi_mmv, pi_mv, gap)
+    probe_t: np.ndarray             # (P,)
+    probe_f: np.ndarray | None      # (P,)
+    pim: np.ndarray                 # (P, X, m) robust portfolio
+    piv: np.ndarray                 # (P, X, m) mean-variance portfolio
+    gaps: np.ndarray                # (P, X) |pim - piv|
     max_gap: float
     value_mmv: float
     value_mv: float
@@ -350,61 +370,58 @@ class EquivalenceReport:
             out["value_stderr"] = self.value_stderr
         return out
 
-    def csv_rows(self):
-        m = len(self.rows[0][3])
+    def csv_table(self):
+        """(header, blocks) of the lattice table, one block of X rows per probe;
+        the f column is blank when probe_f is None."""
+        m = self.pim.shape[2]
         header = (["t", "X", "f"] + [f"pi_mmv_{k+1}" for k in range(m)]
                   + [f"pi_mv_{k+1}" for k in range(m)] + ["abs_gap"])
-        yield header
-        for t, x, f, pim, piv, gap in self.rows:
-            yield [t, x, f if f is not None else ""] + list(pim) + list(piv) + [gap]
+        nx = len(self.x_values)
+
+        def blocks():
+            for p, t in enumerate(self.probe_t):
+                f = None if self.probe_f is None else np.full(nx, self.probe_f[p])
+                yield ([np.full(nx, t), self.x_values, f] + list(self.pim[p].T)
+                       + list(self.piv[p].T) + [self.gaps[p]])
+        return header, blocks()
 
 
 def equivalence_check(mmv: FeedbackStrategy, mv: FeedbackStrategy,
                       probe_grid) -> EquivalenceReport:
-    """Evaluate both feedback maps on a (t, X) lattice and compare values.
+    """Evaluate both feedback maps on a (t, X[, f]) lattice and compare them.
 
     probe_grid is (t_values, x_values) or (t_values, x_values, f_values);
     factor values default to the mean factor path for factor-driven models.
-    With bootstrap replicates available on both sides, the report carries a
+    Each strategy is evaluated by one portfolio_batch call over every
+    (t, f) probe, its directions computed once per probe and broadcast over
+    the X axis.  With bootstrap replicates available on both sides, each
+    replicate pair is evaluated the same way, and the report carries a
     combined stderr for the worst probe and for the value gap.
     """
     model = mmv.model
-    if len(probe_grid) == 2:
-        t_values, x_values = probe_grid
-        f_values = None
+    cf = model.coefficients
+    t_values = np.asarray(probe_grid[0], dtype=float)
+    x_values = np.asarray(probe_grid[1], dtype=float)
+    f_values = probe_grid[2] if len(probe_grid) == 3 else None
+    if f_values is not None:
+        f_values = np.asarray(f_values, dtype=float)
+        probe_t = np.repeat(t_values, len(f_values))
+        probe_f = np.tile(f_values, len(t_values))
+    elif cf.kind == "markov":
+        probe_t = t_values
+        probe_f = np.array([cf.mean_level + (cf.f0 - cf.mean_level) * math.exp(-cf.kappa * t)
+                            for t in t_values.tolist()])
     else:
-        t_values, x_values, f_values = probe_grid
-    t_values = np.asarray(t_values, dtype=float)
-    x_values = np.asarray(x_values, dtype=float)
-
-    markov = model.coefficients.kind == "markov"
-
-    def f_at(t):
-        if f_values is not None:
-            return f_values
-        if markov:
-            cf = model.coefficients
-            mean = cf.mean_level + (cf.f0 - cf.mean_level) * math.exp(-cf.kappa * t)
-            return np.array([mean])
-        return np.array([None])
-
-    probes = [(float(t), fv) for t in t_values for fv in f_at(t)]
+        probe_t, probe_f = t_values, None
+    x_lattice = np.broadcast_to(x_values, (len(probe_t), len(x_values)))
 
     def lattice_eval(strategy):
-        """(n_probes, n_x, m) portfolio values over the whole lattice."""
-        out = []
-        for t, fv in probes:
-            fcol = None if fv is None else np.full(len(x_values), fv)
-            out.append(strategy.portfolio_batch(t, x_values, fcol))
-        return np.stack(out)
+        """(probes, X, m) portfolio values over the whole lattice."""
+        return strategy.portfolio_batch(probe_t, x_lattice, probe_f)
 
     pim = lattice_eval(mmv)
     piv = lattice_eval(mv)
-    gaps = np.linalg.norm(pim - piv, axis=2)          # (n_probes, n_x)
-    rows = []
-    for p, (t, fv) in enumerate(probes):
-        for k, xv in enumerate(x_values):
-            rows.append((t, float(xv), fv, pim[p, k], piv[p, k], float(gaps[p, k])))
+    gaps = np.linalg.norm(pim - piv, axis=2)          # (probes, X)
     flat = int(np.argmax(gaps))
     max_gap = float(gaps.flat[flat])
 
@@ -439,7 +456,7 @@ def equivalence_check(mmv: FeedbackStrategy, mv: FeedbackStrategy,
         val_se = math.hypot(float(np.std(vm_reps, ddof=1)), float(np.std(vv_reps, ddof=1)))
 
     return EquivalenceReport(
-        t_values=t_values, x_values=x_values, f_values=f_values, rows=rows,
+        x_values=x_values, probe_t=probe_t, probe_f=probe_f, pim=pim, piv=piv, gaps=gaps,
         max_gap=max_gap, value_mmv=value_mmv, value_mv=curve.mv_value,
         gamma_hat=mv.gamma_hat, K_hat=curve.K_hat, a_const=mmv.a_const,
         max_gap_stderr=gap_se, max_gap_ratio=gap_ratio, value_stderr=val_se,

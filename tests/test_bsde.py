@@ -565,3 +565,64 @@ def test_replicate_clamp_events_counted_per_replicate(model_c, monkeypatch):
     for b, idx in enumerate(args[9][1:]):
         assert counts[b] == _separate_pass(args, idx)[4]
         assert sol.replicate(b).clamp_events == counts[b]
+
+
+@pytest.fixture(scope="module")
+def evaluated_solutions(model_a, cone_a, ysol_a, model_c):
+    """Deterministic, Markov, "recip" and "h2" solutions, with a factor state
+    to evaluate each at (None for deterministic ones)."""
+    cone = mc.full_space(1)
+    cfg = mc.McSolverConfig(paths=2000, basis_degree=2, seed=23, steps=12, bootstrap=2)
+    y_c = mc.solve_markovian(model_c, cone, "Y", cfg)
+    p_c = mc.solve_markovian(model_c, cone, "P", cfg)
+    p2_c = mc.solve_markovian(model_c, cone, "P2", cfg)
+    h = mc.DiscountFactor.from_model(model_c, p2_c.grid)
+    p2_a = mc.solve_deterministic(model_a, cone_a, "P2", 200)
+    return {
+        "deterministic": ysol_a,
+        "deterministic_h2": mc.transform_p2_to_y(
+            p2_a, mc.DiscountFactor.from_model(model_a, p2_a.grid)),
+        "markov": y_c,
+        "markov_replicate": y_c.replicate(1),
+        "recip": mc.transform_p_to_y(p_c),
+        "h2": mc.transform_p2_to_y(p2_c, h),
+    }
+
+
+@pytest.mark.parametrize("name", ["deterministic", "deterministic_h2", "markov",
+                                  "markov_replicate", "recip", "h2"])
+def test_per_row_time_evaluation_matches_scalar_calls(evaluated_solutions, name):
+    sol = evaluated_solutions[name]
+    grid = sol.grid
+    rng = np.random.default_rng(5)
+    # t = 0, T, interior and end nodes, and times between nodes, in mixed order
+    ts = np.concatenate([[0.0, grid[-1], grid[1], grid[len(grid) // 2], grid[-2]],
+                         rng.uniform(0.0, grid[-1], size=12), [0.0, grid[-1]]])
+    rng.shuffle(ts)
+    fs = (np.zeros(len(ts)) if sol.kind == "deterministic"
+          else rng.normal(0.06, 0.03, size=len(ts)))
+    values = sol.value_batch(ts, fs)
+    zs = sol.z_batch(ts, fs)
+    for k, (t, f) in enumerate(zip(ts.tolist(), fs.tolist())):
+        assert np.array_equal(values[k], sol.value_batch(t, np.array([f]))[0]), t
+        assert np.array_equal(zs[k], sol.z_batch(t, np.array([f]))[0]), t
+    if sol.transform is None:
+        # on node k, and at basis_loc[k] for a regression table, the value
+        # is the stored table entry itself
+        nodes = np.array([0, 1, len(grid) // 2, len(grid) - 1])
+        if sol.kind == "deterministic":
+            f_nodes, expect = np.zeros(len(nodes)), sol.y_values[nodes]
+        else:
+            f_nodes, expect = sol.basis_loc[nodes], sol.y_values[nodes, 0]
+        assert np.array_equal(sol.value_batch(grid[nodes], f_nodes), expect)
+
+
+def test_per_row_positivity_check_names_the_failing_time(evaluated_solutions):
+    sol = evaluated_solutions["recip"]
+    y_tab = sol.y_values.copy()
+    y_tab[5] = [-1.0, 0.0, 0.0]      # the base value at node 5 is -1 on basis_loc
+    bad = dc_replace(sol, y_values=y_tab)
+    ts = np.array([sol.grid[1], sol.grid[5], sol.grid[9]])
+    fs = np.array([0.06, sol.basis_loc[5], 0.06])
+    with pytest.raises(PositivityLost, match=f"reached -1.0 at t={sol.grid[5]}$"):
+        bad.value_batch(ts, fs)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mmvcone import cli
@@ -204,3 +205,66 @@ def test_equivalence_lattice_cells_are_plain_numbers(tmp_path):
     for line in lattice[1:]:
         for cell in line.split(","):
             assert math.isfinite(float(cell)), line
+
+
+def test_version_string_runs_git_once_per_process(tmp_path, monkeypatch):
+    commands = []
+    real_run = cli.subprocess.run
+
+    def counting_run(cmd, *args, **kwargs):
+        commands.append(cmd)
+        return real_run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(cli.subprocess, "run", counting_run)
+    cli.version_string.cache_clear()
+    versions = []
+    for k in range(2):
+        cfg = _base_config(tmp_path, "dual-curve", output_dir=str(tmp_path / f"run{k}"),
+                           k_grid={"count": 11})
+        assert cli.run(cli.load_config(cfg)) == 0
+        manifest = json.loads((tmp_path / f"run{k}" / "manifest.json").read_text())
+        versions.append(manifest["_meta"]["version"])
+    assert [c[0] for c in commands] == ["git"]
+    assert versions[0] == versions[1]
+
+
+def test_write_csv_cells_and_block_boundaries(tmp_path):
+    vals = np.array([math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 1.0 / 3.0])
+    other = vals[::-1] * 3.0
+    ids = np.arange(len(vals))
+    header = ["t", "path_id", "f", "v"]
+    ws = cli._Workspace(tmp_path)
+    one = ws.write_csv("one.csv", header, [[vals, ids, None, other]])
+    lines = one.read_text().splitlines()
+    assert lines[0] == "t,path_id,f,v"
+    assert len(lines) == 1 + len(vals)
+    for line, v, i, w in zip(lines[1:], vals, ids, other):
+        assert line == ",".join([repr(float(v)), str(int(i)), "", repr(float(w))])
+    # any split into blocks, empty blocks included, writes the same file
+    cuts = [(0, 3), (3, 3), (3, 4), (4, 7)]
+    split = ws.write_csv("split.csv", header,
+                         ([vals[a:b], ids[a:b], None, other[a:b]] for a, b in cuts))
+    assert split.read_bytes() == one.read_bytes()
+    assert ws.artifacts == ["one.csv", "split.csv"]
+
+
+def test_trajectory_table_matches_per_path_rows(tmp_path):
+    cfg = _base_config(tmp_path, "simulate", paths=300, steps=10,
+                       strategy="mmv", adversary="zero", store_paths=True)
+    assert cli.run(cli.load_config(cfg)) == 0
+    lines = (tmp_path / "out" / "trajectories.csv").read_text().splitlines()
+    # the rows the writer replaced: one per path and time, each cell formatted alone
+    model = cli.build_model(cfg["model"])
+    cone = cli.cone_from_config(cfg["model"]["cone"], model.m)
+    y_sol = cli._solve(model, cone, "Y", cfg)
+    batch = cli.simulate(model, cli.mmv_feedback(model, cone, y_sol), cli.zero_adversary(),
+                         paths=300, steps=10, seed=cfg["seed"], store_paths=True)
+    expect = ["t,path_id,X,Lambda,R"]
+    for k, t in enumerate(batch.times):
+        h_t = model.discount(float(t))
+        y_t = y_sol.value(float(t))
+        for p in range(batch.paths):
+            x, lam = float(batch.X_paths[p, k]), float(batch.Lambda_paths[p, k])
+            r = float(np.float64(x) * h_t + (np.float64(lam) * y_t - 1.0) / (2.0 * model.theta))
+            expect.append(f"{float(t)!r},{p},{x!r},{lam!r},{r!r}")
+    assert lines == expect

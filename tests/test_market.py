@@ -197,3 +197,36 @@ def test_discount_factor_grid(model_a):
     assert h.values[-1] == 1.0
     assert np.all(np.diff(h.values) < 0)  # non-increasing for r > 0
     assert h.at(0.25) == pytest.approx(math.exp(0.02 * 0.75), abs=1e-15)
+
+
+def test_ellipticity_failure_names_late_probe_time():
+    # sigma falls linearly from 0.2 at t = 0.5 to 0.01 at T = 1; with
+    # delta = 1e-3 the first probe time whose sigma^2 drops below it is 0.95
+    cfg = _config(delta=1e-3, coefficients={
+        "kind": "deterministic", "times": [0.0, 0.5, 1.0],
+        "mu": [[0.06], [0.06], [0.06]], "sigma": [[[0.2]], [[0.2]], [[0.01]]]})
+    with pytest.raises(DegenerateVolatility) as exc:
+        mc.build_model(cfg)
+    cf = mc.CoefficientField.deterministic(
+        cfg["coefficients"]["mu"], cfg["coefficients"]["sigma"], cfg["coefficients"]["times"])
+    for t in np.linspace(0.0, 1.0, mc.market.PROBE_TIME_POINTS):
+        sig = cf.sigma(t)
+        min_eig = float(np.linalg.eigvalsh(sig @ sig.T)[0])
+        if min_eig < 1e-3:
+            break
+    assert round(float(t), 4) == 0.95
+    assert str(exc.value) == (f"min eigenvalue of sigma sigma' = {min_eig:.3e} < delta=0.001 "
+                              f"at (t=0.9500, f=0.0)")
+
+
+def test_ellipticity_first_failing_probe_time_decides_the_error():
+    # non-finite mu from t = 0.51 on, degenerate sigma only at t = 1
+    cfg = _config(coefficients={
+        "kind": "deterministic", "times": [0.0, 0.5, 1.0],
+        "mu": [[0.06], [0.06], [math.nan]], "sigma": [[[0.2]], [[0.2]], [[0.0]]]})
+    with pytest.raises(ConfigInvalid, match=r"non-finite coefficients at t=0.51$"):
+        mc.build_model(cfg)
+    # degenerate sigma at t = 0.5, non-finite mu from t = 0.51 on
+    cfg["coefficients"]["sigma"] = [[[0.2]], [[0.0]], [[0.2]]]
+    with pytest.raises(DegenerateVolatility, match=r"at \(t=0.5000, f=0.0\)$"):
+        mc.build_model(cfg)

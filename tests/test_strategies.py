@@ -6,7 +6,7 @@ import pytest
 import mmvcone as mc
 from mmvcone.errors import InvalidBound
 
-from conftest import H0_A, VALUE_A, Y0_A
+from conftest import H0_A, INSTANCE_A, INSTANCE_C, VALUE_A, Y0_A
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +260,76 @@ def test_portfolio_batch_matches_scalar(mmv_a, mv_a):
         for i, x in enumerate(xs):
             assert batch_m[i] == pytest.approx(mmv_a.portfolio(float(t), float(x)), abs=1e-12)
             assert batch_v[i] == pytest.approx(mv_a.portfolio(float(t), float(x)), abs=1e-12)
+
+
+_ORTHANT2 = {
+    "m": 2, "n": 2, "T": 1.0, "x0": 1.0, "theta": 2.0,
+    "rate": [{"until": 0.5, "value": 0.02}, {"until": 1.0, "value": 0.04}],
+    "coefficients": {"kind": "deterministic", "mu": [0.06, -0.03],
+                     "sigma": [[0.2, 0.05], [0.0, 0.25]]},
+    "delta": 1e-6,
+}
+_C_F_VALUES = [0.03, 0.06, 0.09]
+# (config, cone, f_values); wealth runs past gamma_hat / h_t, so the MV
+# short side is evaluated on some probes and not on others
+_LATTICE_CASES = {
+    "A": (INSTANCE_A, mc.full_space(1), None),
+    "orthant2": (_ORTHANT2, mc.orthant(2), None),
+    "generated": (_ORTHANT2, mc.generated([[1.0, 0.5, -0.2], [0.0, 1.0, 1.0]]), None),
+    "C_f_values": (INSTANCE_C, mc.full_space(1), _C_F_VALUES),
+    "C_mean_path": (INSTANCE_C, mc.full_space(1), None),
+}
+
+
+def _solve_three(model, cone):
+    if model.coefficients.kind == "deterministic":
+        return [mc.solve_deterministic(model, cone, eq, 100) for eq in ("Y", "P2", "P1")]
+    return [mc.solve_markovian(model, cone, eq, mc.McSolverConfig(
+        paths=2000, basis_degree=2, seed=31 + k, steps=10, bootstrap=3 if k < 2 else 0))
+        for k, eq in enumerate(("Y", "P2", "P1"))]
+
+
+def _per_probe(strategy, report):
+    """The lattice as one portfolio_batch call per (t, f) probe."""
+    xs = report.x_values
+    out = []
+    for p, t in enumerate(report.probe_t.tolist()):
+        fcol = None if report.probe_f is None else np.full(len(xs), report.probe_f[p])
+        out.append(strategy.portfolio_batch(t, xs, fcol))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("case", list(_LATTICE_CASES))
+def test_stacked_lattice_matches_per_probe_calls(case):
+    config, cone, f_values = _LATTICE_CASES[case]
+    model = mc.build_model(config)
+    y, p2, p1 = _solve_three(model, cone)
+    mmv = mc.mmv_feedback(model, cone, y)
+    mv = mc.mv_feedback(model, cone, p1, p2)
+    t_values, x_values = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 3.0, 13)
+    grid = (t_values, x_values) if f_values is None else (t_values, x_values, f_values)
+    report = mc.equivalence_check(mmv, mv, grid)
+
+    if case == "C_mean_path":
+        cf = model.coefficients
+        assert report.probe_f.tolist() == [
+            cf.mean_level + (cf.f0 - cf.mean_level) * math.exp(-cf.kappa * t)
+            for t in t_values.tolist()]
+    n_f = 1 if f_values is None else len(f_values)
+    assert report.probe_t.tolist() == np.repeat(t_values, n_f).tolist()
+    pos = x_values[None, :] > mv.gamma_hat / np.array(
+        [model.discount(t) for t in report.probe_t.tolist()])[:, None]
+    assert np.any(pos) and not np.all(pos)
+
+    assert np.array_equal(report.pim, _per_probe(mmv, report))
+    assert np.array_equal(report.piv, _per_probe(mv, report))
+    assert np.array_equal(report.gaps, np.linalg.norm(report.pim - report.piv, axis=2))
+    if y.replicates:
+        lattice = np.broadcast_to(x_values, report.gaps.shape)
+        for b in range(len(y.replicates)):
+            mmv_b = mc.mmv_feedback(model, cone, y.replicate(b))
+            mv_b = mc.mv_feedback(model, cone, p1, p2.replicate(b))
+            for strat in (mmv_b, mv_b):
+                stacked = strat.portfolio_batch(report.probe_t, lattice, report.probe_f)
+                assert np.array_equal(stacked, _per_probe(strat, report)), b
+        assert report.max_gap_ratio is not None
