@@ -42,6 +42,7 @@ from .errors import (
     RegressionIllConditioned,
 )
 from .market import (
+    PROBE_FACTOR_QUANTILES,
     DiscountFactor,
     MarketModel,
     pricing_kernel_batch,
@@ -187,19 +188,14 @@ def positivity_envelope(model: MarketModel, grid: np.ndarray) -> tuple[float, fl
     """(lower, upper) = exp(-/+ C T) with C = max over grid nodes t of
     |2 r(t)| + max over probe states of |phi(t, f)|^2.
 
-    Deterministic models probe one state per node, factor-driven ones 21
-    factor quantiles; phi comes from one pricing-kernel call over all
-    (node, state) rows.
+    The probe states are MarketModel.probe_lattice on the grid: state 0 per
+    node without a factor, PROBE_FACTOR_QUANTILES factor quantiles per node
+    with one; phi comes from one pricing-kernel call over all (node, state)
+    rows.
     """
-    if model.coefficients.kind == "markov":
-        levels = np.linspace(0.005, 0.995, 21)
-        fvals = np.stack([model.coefficients.factor_quantiles(float(t), levels)
-                          for t in grid])
-    else:
-        fvals = np.zeros((len(grid), 1))
-    times = np.repeat(grid, fvals.shape[1])
-    phis = pricing_kernel_batch(model, times, fvals.ravel())
-    phi_sq = np.einsum("ij,ij->i", phis, phis).reshape(fvals.shape).max(axis=1)
+    t_rows, f_rows = model.probe_lattice(grid, PROBE_FACTOR_QUANTILES)
+    phis = pricing_kernel_batch(model, t_rows, f_rows)
+    phi_sq = np.einsum("ij,ij->i", phis, phis).reshape(len(grid), -1).max(axis=1)
     rates = np.array([abs(2.0 * model.rate.at(float(t))) for t in grid])
     c = float(np.max(rates + phi_sq))
     horizon = float(grid[-1])
@@ -622,15 +618,11 @@ def solve_markovian(model: MarketModel, cone: Cone, equation: str,
     F = np.empty((steps + 1, paths))
     dWj = np.empty((steps, paths))
     F[0] = cf.f0
-    start = 0
-    block = 0
     sqdt = math.sqrt(dt)
-    while start < paths:
+    for block, start in enumerate(range(0, paths, cfg.block_size)):
         stop = min(start + cfg.block_size, paths)
         rng = substream(cfg.seed, block)
         dWj[:, start:stop] = (sqdt * rng.standard_normal((stop - start, steps))).T
-        start = stop
-        block += 1
     for i in range(steps):
         F[i + 1] = F[i] + cf.kappa * (cf.mean_level - F[i]) * dt + cf.nu * dWj[i]
 
@@ -700,7 +692,7 @@ def transform_p2_to_y(p2_sol: BsdeSolution, h: DiscountFactor) -> BsdeSolution:
         p = p2_sol.y_values
         if np.min(p) <= 0:
             raise PositivityLost("P2 solution is not uniformly positive")
-        h_grid = np.array([h.at(float(t)) for t in p2_sol.grid])
+        h_grid = h.at(p2_sol.grid)
         return dc_replace(
             p2_sol, equation="Y", y_values=h_grid ** 2 / p,
             z_values=-(h_grid ** 2 / (p * p))[:, None] * p2_sol.z_values,

@@ -169,21 +169,34 @@ def _solution_table(sol):
     return header, [cols]
 
 
+def _finite_entry(value, shape, field, what):
+    """value as a finite float array of the given shape, else ConfigInvalid."""
+    try:
+        arr = np.asarray(value, dtype=float)
+        if arr.shape == shape and np.all(np.isfinite(arr)):
+            return arr
+    except (TypeError, ValueError):
+        pass
+    raise ConfigInvalid(f"must be {what}, got {value!r}", field=field)
+
+
 def _adversary_from_spec(spec, model, cone, y_sol):
-    if spec in ("zero", "0"):
+    """One adversary from its config entry: {"kind": ...} plus the kind's
+    parameters, or one of the shorthands "zero", "0" and "saddle"."""
+    if spec in ("zero", "0", "saddle"):
+        spec = {"kind": "saddle" if spec == "saddle" else "zero"}
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind == "zero":
         return zero_adversary()
-    if spec == "saddle":
+    if kind == "saddle":
         return saddle_adversary(mmv_adversary(y_sol, cone, model))
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        if kind == "zero":
-            return zero_adversary()
-        if kind == "saddle":
-            return saddle_adversary(mmv_adversary(y_sol, cone, model))
-        if kind == "scaled_minus_phi":
-            return scaled_minus_phi(model, float(spec.get("c", 1.0)))
-        if kind == "constant":
-            return constant_adversary(spec.get("v"))
+    if kind == "scaled_minus_phi":
+        c = _finite_entry(spec.get("c", 1.0), (), "adversary.c", "a finite number")
+        return scaled_minus_phi(model, float(c))
+    if kind == "constant":
+        v = _finite_entry(spec.get("v"), (model.n,), "adversary.v",
+                          f"a finite vector of length n = {model.n}")
+        return constant_adversary(v)
     raise ConfigInvalid(f"unknown adversary spec {spec!r}", field="adversary")
 
 
@@ -232,11 +245,9 @@ def run(cfg: dict) -> int:
         ws.write_csv(name, *_solution_table(sol))
         if sol.kind == "deterministic":
             max_abs_z = float(np.max(np.abs(sol.z_values)))
-        else:
-            zs = [np.abs(sol.z_at(float(t), f))
-                  for t in sol.grid
-                  for f in (sol.basis_loc[0], sol.basis_loc[-1])]
-            max_abs_z = float(np.max(zs))
+        else:   # every node at both ends of its basis loc, in one call
+            f_ends = np.tile([sol.basis_loc[0], sol.basis_loc[-1]], len(sol.grid))
+            max_abs_z = float(np.max(np.abs(sol.z_batch(np.repeat(sol.grid, 2), f_ends))))
         ws.write_json(f"{equation.lower()}_solution_meta.json", {
             "equation": equation,
             "steps": len(sol.grid) - 1,

@@ -199,18 +199,16 @@ class CoefficientField:
     def sigma_batch(self, t, fvals: np.ndarray) -> np.ndarray:
         """(N,) factor states -> (N, m, n) volatilities; t is a time or one per row.
 
-        A factor map that returns one (m, n) matrix for every state comes
-        back as a shared read-only view of it (zero row stride), not a copy.
+        Whenever sigma does not vary by row (constant, time-gridded at one
+        time, or a factor map that returns one (m, n) matrix for every state)
+        the result is a shared read-only view of it (zero row stride).
         """
         if self.kind == "deterministic":
             out = self._interp(self.sigma_grid, t)
         else:
             out = np.asarray(self.sigma_map(t, fvals), dtype=float)
         shape = (fvals.shape[0], self.m, self.n)
-        if out.shape == shape:
-            return out
-        shared = np.broadcast_to(out, shape)
-        return shared if self.kind == "markov" else shared.copy()
+        return out if out.shape == shape else np.broadcast_to(out, shape)
 
     def factor_quantiles(self, t: float, levels: Sequence[float]) -> np.ndarray:
         """Marginal quantiles of the factor at time t (Gaussian OU law)."""
@@ -266,8 +264,6 @@ class MarketModel:
     rate: PiecewiseRate
     coefficients: CoefficientField
     delta: float
-    probe_time_points: int = PROBE_TIME_POINTS
-    probe_factor_quantiles: int = PROBE_FACTOR_QUANTILES
 
     def discount(self, t):
         """h_t = exp(integral of r over [t, T]), exact for piecewise-constant r;
@@ -278,18 +274,20 @@ class MarketModel:
     def h0(self) -> float:
         return self.discount(0.0)
 
-    def probe_points(self, time_points=None, factor_quantiles=None):
-        """(t, factor states) per probe time, for ellipticity and bound probes.
+    def probe_lattice(self, times, quantiles: int) -> tuple[np.ndarray, np.ndarray]:
+        """(t_rows, f_rows) probe columns in t-major order.
 
-        Deterministic models get a single placeholder state per time.
+        A model without a factor gets one row per time, at factor state 0;
+        a factor-driven one gets, per time, the factor's marginal quantiles
+        at `quantiles` levels evenly spaced in [0.005, 0.995].
         """
-        time_points = time_points or self.probe_time_points
-        factor_quantiles = factor_quantiles or self.probe_factor_quantiles
-        ts = np.linspace(0.0, self.horizon_T, time_points)
+        times = np.asarray(times, dtype=float)
         if self.coefficients.kind == "deterministic":
-            return [(t, np.zeros(1)) for t in ts]
-        levels = np.linspace(0.005, 0.995, factor_quantiles)
-        return [(t, self.coefficients.factor_quantiles(t, levels)) for t in ts]
+            return times, np.zeros(len(times))
+        levels = np.linspace(0.005, 0.995, quantiles)
+        f_rows = np.concatenate([self.coefficients.factor_quantiles(t, levels)
+                                 for t in times.tolist()])
+        return np.repeat(times, quantiles), f_rows
 
 
 def build_model(config: dict) -> MarketModel:
@@ -361,41 +359,39 @@ def build_model(config: dict) -> MarketModel:
     model = MarketModel(
         m=m, n=n, horizon_T=horizon, x0=x0, theta=theta,
         rate=rate, coefficients=coeffs, delta=delta,
-        probe_time_points=int(config.get("probe_time_points", PROBE_TIME_POINTS)),
-        probe_factor_quantiles=int(config.get("probe_factor_quantiles",
-                                              PROBE_FACTOR_QUANTILES)),
     )
     _check_ellipticity(model)
     return model
 
 
 def _check_ellipticity(model: MarketModel) -> None:
-    """Finite coefficients and sigma sigma' >= delta I on the probe lattice.
+    """Finite coefficients and sigma sigma' >= delta I on the probe lattice
+    (PROBE_TIME_POINTS times on [0, T] x PROBE_FACTOR_QUANTILES).
 
     One sigma/mu evaluation and one eigvalsh over every (t, f) probe row; the
     first probe time that fails raises, naming its worst factor state.
     """
     cf = model.coefficients
-    probes = model.probe_points()
-    fvals = np.stack([f for _, f in probes])                  # (times, states)
-    t_rows = np.repeat([t for t, _ in probes], fvals.shape[1])
-    sig = cf.sigma_batch(t_rows, fvals.ravel())
+    t_rows, f_rows = model.probe_lattice(
+        np.linspace(0.0, model.horizon_T, PROBE_TIME_POINTS), PROBE_FACTOR_QUANTILES)
+    sig = cf.sigma_batch(t_rows, f_rows)
     finite = (np.isfinite(sig).all(axis=(1, 2))
-              & np.isfinite(cf.mu_batch(t_rows, fvals.ravel())).all(axis=1))
+              & np.isfinite(cf.mu_batch(t_rows, f_rows)).all(axis=1))
     sig = np.where(finite[:, None, None], sig, 0.0)
-    min_eig = np.linalg.eigvalsh(sig @ np.swapaxes(sig, 1, 2))[:, 0].reshape(fvals.shape)
-    finite = finite.reshape(fvals.shape).all(axis=1)
+    shape = (PROBE_TIME_POINTS, -1)                           # (times, states)
+    min_eig = np.linalg.eigvalsh(sig @ np.swapaxes(sig, 1, 2))[:, 0].reshape(shape)
+    finite = finite.reshape(shape).all(axis=1)
     bad = ~finite | np.any(min_eig < model.delta, axis=1)
     if not np.any(bad):
         return
     i = int(np.argmax(bad))
-    t = probes[i][0]
+    t = t_rows.reshape(shape)[i, 0]
     if not finite[i]:
         raise ConfigInvalid(f"non-finite coefficients at t={t}", field="coefficients")
     k = int(np.argmin(min_eig[i]))
     raise DegenerateVolatility(
         f"min eigenvalue of sigma sigma' = {min_eig[i, k]:.3e} < delta={model.delta} "
-        f"at (t={t:.4f}, f={fvals[i, k]})")
+        f"at (t={t:.4f}, f={f_rows.reshape(shape)[i, k]})")
 
 
 def pricing_kernel(model: MarketModel, t: float, f: float | None = None) -> np.ndarray:
@@ -445,8 +441,8 @@ class DiscountFactor:
 
     @staticmethod
     def from_model(model: MarketModel, grid: np.ndarray) -> "DiscountFactor":
-        vals = np.array([model.discount(float(t)) for t in grid])
-        return DiscountFactor(grid=np.asarray(grid, dtype=float), values=vals,
+        grid = np.asarray(grid, dtype=float)
+        return DiscountFactor(grid=grid, values=model.discount(grid),
                               rate=model.rate, horizon_T=model.horizon_T)
 
     def at(self, t):

@@ -32,7 +32,8 @@ from .errors import (
 )
 from .market import MarketModel, pricing_kernel_batch
 from .rng import substream
-from .strategies import FeedbackStrategy, SaddleAdversary, _eval_rows, mmv_value
+from .strategies import (FeedbackStrategy, SaddleAdversary, _eval_rows,
+                         bound_lattice_max_norm, clip_to_bound, mmv_value)
 
 _DEFAULT_BLOCK = 32768
 
@@ -68,11 +69,7 @@ class Adversary:
             if out.shape != (npaths, model.n):
                 raise ConfigInvalid(f"custom eta returned shape {out.shape}, "
                                     f"expected ({npaths}, {model.n})", field="adversary")
-            nrm = np.linalg.norm(out, axis=1)
-            over = nrm > self.bound
-            if np.any(over):
-                out[over] *= (self.bound / nrm[over])[:, None]
-            return out
+            return clip_to_bound(out, self.bound)
         return self.saddle.eta_batch(t, fvals)
 
 
@@ -81,8 +78,9 @@ def zero_adversary() -> Adversary:
 
 
 def scaled_minus_phi(model: MarketModel, c: float) -> Adversary:
-    top = max(float(np.max(np.linalg.norm(pricing_kernel_batch(model, t, fvals), axis=1)))
-              for t, fvals in model.probe_points(21, 7))
+    """eta = -c phi, declaring the bound |c| 1.5 max |phi| + 1e-12, with the
+    max taken over the saddle family's bound lattice (bound_lattice_max_norm)."""
+    top = bound_lattice_max_norm(model, lambda t, f: pricing_kernel_batch(model, t, f))
     return Adversary(kind="scaled_minus_phi", scale=c, bound=abs(c) * top * 1.5 + 1e-12,
                      label=f"{-c:g}*phi")
 
@@ -162,7 +160,9 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     follows the wealth equation with the feedback portfolio (exact riskless
     growth factor per step); Lambda follows the log-Euler scheme, positive
     by construction.  Each cell estimates, by reweighting with Lambda_T,
-    E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)].  Trajectories (store_paths)
+    E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)].  Every model steps on the
+    same (t, f) rows, f starting at f0 (state 0 without a factor); only a
+    factor model advances f and stores F_paths.  Trajectories (store_paths)
     are kept for a one-pair call only.
     """
     family = isinstance(strategy, (list, tuple)) or isinstance(adversary, (list, tuple))
@@ -178,6 +178,8 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
         raise ConfigInvalid("paths must be >= 100", field="paths")
     if steps < 10:
         raise ConfigInvalid("steps must be >= 10", field="steps")
+    if block_size < 1:
+        raise ConfigInvalid("block_size must be positive", field="block_size")
     cf = model.coefficients
     markov = cf.kind == "markov"
     trading = any(s is not None for s in strategies)
@@ -201,7 +203,7 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
         lams = terminal_L[:, start:stop]
         xs[...] = float(model.x0)
         lams[...] = 1.0
-        f = np.full(bs, cf.f0) if markov else np.zeros(bs)
+        f = np.full(bs, cf.f0)
         if store_paths:
             X_paths[start:stop, 0] = xs[0]
             L_paths[start:stop, 0] = lams[0]
@@ -218,17 +220,13 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
 
             if trading:
                 mu_b = cf.mu_batch(t, f)
-                sig = cf.sigma_batch(t, f) if markov else cf.sigma(t)
+                sig = cf.sigma_batch(t, f)
             for strat, x in zip(strategies, xs):
-                pi = (strat.portfolio_batch(t, x, f if markov else None)
-                      if strat is not None else None)
+                pi = strat.portfolio_batch(t, x, f) if strat is not None else None
                 np.multiply(x, growth[k], out=x)
                 if pi is not None:
                     x += np.einsum("im,im->i", pi, mu_b) * dt
-                    if markov:
-                        x += np.einsum("im,imn,in->i", pi, sig, dw)
-                    else:
-                        x += np.einsum("im,mn,in->i", pi, sig, dw)
+                    x += np.einsum("im,imn,in->i", pi, sig, dw)
             for adv, lam in zip(adversaries, lams):
                 eta = adv.eta_batch(model, t, f)
                 lam *= np.exp(np.einsum("in,in->i", eta, dw)
@@ -243,14 +241,8 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(lams))):
             raise ExplodedPath(f"non-finite state in block {block_index}; refine steps")
 
-    blocks = []
-    start = 0
-    bi = 0
-    while start < paths:
-        stop = min(start + block_size, paths)
-        blocks.append((bi, start, stop))
-        start = stop
-        bi += 1
+    blocks = [(bi, start, min(start + block_size, paths))
+              for bi, start in enumerate(range(0, paths, block_size))]
 
     nworkers = workers if workers is not None else _workers_from_env()
     if nworkers > 1 and len(blocks) > 1:

@@ -166,12 +166,30 @@ def mmv_feedback(model: MarketModel, cone: Cone, y_sol: BsdeSolution) -> Feedbac
                             a_const=a, label="pi_hat")
 
 
+def bound_lattice_max_norm(model: MarketModel, loading) -> float:
+    """Largest row norm of loading(t_rows, f_rows) over the lattice the saddle
+    family's bounds are estimated on: 21 probe times on [0, T] x 7 factor
+    quantiles (MarketModel.probe_lattice), evaluated in one call."""
+    t_rows, f_rows = model.probe_lattice(np.linspace(0.0, model.horizon_T, 21), 7)
+    return float(np.max(np.linalg.norm(loading(t_rows, f_rows), axis=1)))
+
+
+def clip_to_bound(eta: np.ndarray, bound: float) -> np.ndarray:
+    """Scale the rows of eta (N, n) with norm above bound back to it, in place."""
+    nrm = np.linalg.norm(eta, axis=1)
+    over = nrm > bound
+    if np.any(over):
+        eta[over] *= (bound / nrm[over])[:, None]
+    return eta
+
+
 class SaddleAdversary:
     """Worst-case density loading eta_hat = -(Z + xi)/Y.
 
-    Values are clipped to the declared bound (estimated on the probe lattice
-    with a 50% margin) so the family stays inside the admissible class; the
-    clip never binds on deterministic-coefficient models.
+    Values are clipped to the declared bound, 1.5 times the largest loading
+    norm on the bound lattice (bound_lattice_max_norm) plus 1e-12, so the
+    family stays inside the admissible class; the clip never binds on
+    deterministic-coefficient models.
     """
 
     kind = "saddle"
@@ -181,14 +199,11 @@ class SaddleAdversary:
         self.y_sol = y_sol
         self.cone = cone
         self.model = model
-        self.bound = 1.5 * max(
-            (float(np.max(np.linalg.norm(self._loading(t, fvals), axis=1)))
-             for t, fvals in model.probe_points(21, 7)),
-            default=0.0,
-        ) + 1e-12
+        self.bound = 1.5 * bound_lattice_max_norm(model, self._loading) + 1e-12
 
     def _loading(self, t, fvals: np.ndarray) -> np.ndarray:
-        """Unclipped -(Z + xi)/Y at factor states fvals: (N,) -> (N, n)."""
+        """Unclipped -(Z + xi)/Y at factor states fvals: (N,) -> (N, n);
+        t is a time or one per row."""
         y, z, xi, _ = _projected_target(self.model, self.cone, self.y_sol, "Y", t, fvals)
         return -(z + xi) / y[:, None]
 
@@ -196,11 +211,7 @@ class SaddleAdversary:
         return self.eta_batch(t, _state_row(f, self.model.coefficients.kind == "markov"))[0]
 
     def eta_batch(self, t: float, fvals: np.ndarray) -> np.ndarray:
-        out = self._loading(t, _eval_rows(self.model, t, fvals))
-        nrm = np.linalg.norm(out, axis=1)
-        over = nrm > self.bound
-        if np.any(over):
-            out[over] *= (self.bound / nrm[over])[:, None]
+        out = clip_to_bound(self._loading(t, _eval_rows(self.model, t, fvals)), self.bound)
         return np.broadcast_to(out, (len(fvals), self.model.n))
 
 
@@ -247,63 +258,56 @@ class DualCurve:
         if self.theta <= 0:
             raise InvalidBound(f"theta = {self.theta} must be positive")
 
-    @property
-    def _p1_boundary(self) -> bool:
-        return self.h0 * self.h0 - self.p1_0 <= _EQ_SLACK
+    def _on_boundary(self, p0: float) -> bool:
+        """p_{i,0} = h_0^2, up to _EQ_SLACK."""
+        return self.h0 * self.h0 - p0 <= _EQ_SLACK
 
-    @property
-    def _p2_boundary(self) -> bool:
-        return self.h0 * self.h0 - self.p2_0 <= _EQ_SLACK
+    def _side_p0(self, K: float) -> float:
+        """p_{i,0} of the side K lies on: P2 above the anchor x h_0, P1 below."""
+        return self.p2_0 if K > self.x * self.h0 else self.p1_0
+
+    def _J(self, p0: float, K: float, gamma: float) -> float:
+        h0_sq = self.h0 * self.h0
+        return ((p0 / h0_sq - 1.0) * gamma * gamma
+                - 2.0 * (self.x * p0 / self.h0 - K) * gamma
+                + p0 * self.x * self.x - K * K)
 
     def J1(self, K: float, gamma: float) -> float:
-        h0_sq = self.h0 * self.h0
-        return ((self.p1_0 / h0_sq - 1.0) * gamma * gamma
-                - 2.0 * (self.x * self.p1_0 / self.h0 - K) * gamma
-                + self.p1_0 * self.x * self.x - K * K)
+        return self._J(self.p1_0, K, gamma)
 
     def J2(self, K: float, gamma: float) -> float:
-        h0_sq = self.h0 * self.h0
-        return ((self.p2_0 / h0_sq - 1.0) * gamma * gamma
-                - 2.0 * (self.x * self.p2_0 / self.h0 - K) * gamma
-                + self.p2_0 * self.x * self.x - K * K)
+        return self._J(self.p2_0, K, gamma)
 
     def F(self, K: float) -> float:
         """Minimal E[(X_T - K)^2] over portfolios with mean K; +inf if infeasible."""
         anchor = self.x * self.h0
         if K == anchor:
             return 0.0
-        h0_sq = self.h0 * self.h0
-        if K > anchor:
-            if self._p2_boundary:
-                return math.inf
-            return self.p2_0 * (K - anchor) ** 2 / (h0_sq - self.p2_0)
-        if self._p1_boundary:
+        p0 = self._side_p0(K)
+        if self._on_boundary(p0):
             return math.inf
-        return self.p1_0 * (K - anchor) ** 2 / (h0_sq - self.p1_0)
+        return p0 * (K - anchor) ** 2 / (self.h0 * self.h0 - p0)
 
     def gamma_hat_of(self, K: float) -> float:
         """Maximizing Lagrange level for F(K); +-inf on the boundary cases."""
         anchor = self.x * self.h0
         if K == anchor:
             return anchor
+        p0 = self._side_p0(K)
+        if self._on_boundary(p0):
+            return math.inf if K > anchor else -math.inf
         h0_sq = self.h0 * self.h0
-        if K > anchor:
-            if self._p2_boundary:
-                return math.inf
-            return (h0_sq * K - self.x * self.p2_0 * self.h0) / (h0_sq - self.p2_0)
-        if self._p1_boundary:
-            return -math.inf
-        return (h0_sq * K - self.x * self.p1_0 * self.h0) / (h0_sq - self.p1_0)
+        return (h0_sq * K - self.x * p0 * self.h0) / (h0_sq - p0)
 
     @property
     def K_hat(self) -> float:
-        if self._p2_boundary:
+        if self._on_boundary(self.p2_0):
             return self.x * self.h0
         return self.x * self.h0 + (self.h0 * self.h0 / self.p2_0 - 1.0) / self.theta
 
     @property
     def mv_value(self) -> float:
-        if self._p2_boundary:
+        if self._on_boundary(self.p2_0):
             return self.x * self.h0
         return self.x * self.h0 + (self.h0 * self.h0 / self.p2_0 - 1.0) / (2.0 * self.theta)
 

@@ -268,3 +268,30 @@ def test_trajectory_table_matches_per_path_rows(tmp_path):
             r = float(np.float64(x) * h_t + (np.float64(lam) * y_t - 1.0) / (2.0 * model.theta))
             expect.append(f"{float(t)!r},{p},{x!r},{lam!r},{r!r}")
     assert lines == expect
+
+
+_BAD_ADVERSARIES = {
+    "constant_without_v": {"kind": "constant"},
+    "constant_nan": {"kind": "constant", "v": [math.nan]},
+    "constant_wrong_length": {"kind": "constant", "v": [0.1, 0.2]},
+    "constant_not_numeric": {"kind": "constant", "v": ["x"]},
+    "c_not_numeric": {"kind": "scaled_minus_phi", "c": "half"},
+    "c_null": {"kind": "scaled_minus_phi", "c": None},
+    "c_vector": {"kind": "scaled_minus_phi", "c": [0.5, 1.0]},
+}
+
+
+@pytest.mark.parametrize("experiment", ["simulate", "saddle"])
+@pytest.mark.parametrize("case", list(_BAD_ADVERSARIES))
+def test_bad_adversary_spec_is_a_config_error(tmp_path, capsys, experiment, case):
+    spec = _BAD_ADVERSARIES[case]
+    if experiment == "simulate":
+        cfg = _base_config(tmp_path, "simulate", paths=200, steps=10, adversary=spec)
+    else:
+        cfg = _base_config(tmp_path, "saddle", paths=200, steps=10,
+                           eta_family=[{"kind": "saddle"}, "zero", spec])
+    rc = cli.main([experiment, "--config", str(_write_config(tmp_path, cfg))])
+    err = capsys.readouterr().err
+    assert rc == 1
+    field = "adversary.v" if spec["kind"] == "constant" else "adversary.c"
+    assert err.startswith(f"config error: {field}: must be ")

@@ -172,7 +172,7 @@ def test_factor_dependent_sigma_per_row():
     assert np.array_equal(cf.sigma(0.4, 0.02), expect[1])
 
 
-def test_factor_free_sigma_is_shared_view(model_c):
+def test_factor_free_sigma_is_shared_view(model_c, model_a):
     # sigma1 absent: one read-only sigma0 serves every row, no per-row copy
     f = np.array([0.02, 0.06, 0.10])
     sig = model_c.coefficients.sigma_batch(0.1, f)
@@ -184,6 +184,36 @@ def test_factor_free_sigma_is_shared_view(model_c):
     cfg = {**INSTANCE_C_SIGMA1, "coefficients": {**INSTANCE_C_SIGMA1["coefficients"],
                                                  "sigma1": [[0.0, 0.0]]}}
     assert mc.build_model(cfg).coefficients.sigma_batch(0.1, f).strides[0] == 0
+    # constant deterministic coefficients: the same shared view, at one time
+    # or at one time per row
+    for t in (0.1, np.array([0.0, 0.5, 1.0])):
+        sig = model_a.coefficients.sigma_batch(t, np.zeros(3))
+        assert sig.shape == (3, 1, 1)
+        assert sig.strides[0] == 0
+        assert not sig.flags.writeable
+        assert np.array_equal(sig, np.full((3, 1, 1), 0.2))
+    # a time-gridded sigma at one time per row varies by row: one matrix each
+    cf = mc.CoefficientField.deterministic(
+        [[0.06], [0.06]], [[[0.2]], [[0.3]]], [0.0, 1.0])
+    sig = cf.sigma_batch(np.array([0.0, 0.5, 1.0]), np.zeros(3))
+    assert sig.strides[0] != 0
+    assert np.array_equal(sig[:, 0, 0], [0.2, 0.25, 0.3])
+
+
+def test_probe_lattice_rows(model_a, model_c):
+    # t-major rows; state 0 without a factor, the factor's quantiles with one
+    times = np.array([0.0, 0.25, 0.5, 1.0])
+    t_rows, f_rows = model_a.probe_lattice(times, 5)
+    assert np.array_equal(t_rows, times)
+    assert np.array_equal(f_rows, np.zeros(4))
+    t_rows, f_rows = model_c.probe_lattice(times, 5)
+    assert np.array_equal(t_rows, np.repeat(times, 5))
+    levels = np.linspace(0.005, 0.995, 5)
+    for i, t in enumerate(times.tolist()):
+        assert np.array_equal(f_rows[5 * i:5 * i + 5],
+                              model_c.coefficients.factor_quantiles(t, levels))
+    assert np.all(f_rows[:5] == model_c.coefficients.f0)      # no spread at t = 0
+    assert np.all(np.diff(f_rows[5:10]) > 0)
 
 
 def test_rate_must_cover_horizon():

@@ -283,3 +283,10 @@ def test_family_rejects_store_paths_and_empty(model_a, mmv_a, saddle_a):
         mc.simulate(model_a, [], [saddle_a], paths=200, steps=10, seed=1)
     with pytest.raises(ConfigInvalid):
         mc.simulate(model_a, [mmv_a], [], paths=200, steps=10, seed=1)
+
+
+def test_simulate_rejects_nonpositive_block_size(model_a, mmv_a):
+    for block_size in (0, -5):
+        with pytest.raises(ConfigInvalid, match="block_size"):
+            mc.simulate(model_a, mmv_a, mc.zero_adversary(), paths=200, steps=10, seed=1,
+                        block_size=block_size)

@@ -333,3 +333,29 @@ def test_stacked_lattice_matches_per_probe_calls(case):
                 stacked = strat.portfolio_batch(report.probe_t, lattice, report.probe_f)
                 assert np.array_equal(stacked, _per_probe(strat, report)), b
         assert report.max_gap_ratio is not None
+
+
+def _bound_lattice_reference(model, loading):
+    """Largest loading norm over the 21 x 7 bound lattice, one probe time at a time."""
+    levels = np.linspace(0.005, 0.995, 7)
+    top = 0.0
+    for t in np.linspace(0.0, model.horizon_T, 21):
+        fvals = (model.coefficients.factor_quantiles(t, levels)
+                 if model.coefficients.kind == "markov" else np.zeros(1))
+        top = max(top, float(np.max(np.linalg.norm(loading(t, fvals), axis=1))))
+    return top
+
+
+@pytest.mark.parametrize("case", ["A", "orthant2", "C_mean_path"])
+def test_saddle_family_bounds_match_per_time_loop(case):
+    # one evaluation over the whole bound lattice declares the same bounds
+    config, cone, _ = _LATTICE_CASES[case]
+    model = mc.build_model(config)
+    y = _solve_three(model, cone)[0]
+    saddle = mc.mmv_adversary(y, cone, model)
+    top = _bound_lattice_reference(model, saddle._loading)
+    assert saddle.bound == 1.5 * top + 1e-12
+    phi_top = _bound_lattice_reference(
+        model, lambda t, f: mc.pricing_kernel_batch(model, t, f))
+    for c in (0.5, -2.0):
+        assert mc.scaled_minus_phi(model, c).bound == abs(c) * phi_top * 1.5 + 1e-12
