@@ -29,6 +29,7 @@ from .simulate import (
     conservation_residual,
     constant_adversary,
     mv_objective,
+    path_values,
     saddle_adversary,
     saddle_scan,
     scaled_minus_phi,
@@ -170,7 +171,8 @@ def _solution_table(sol):
 
 
 def _finite_entry(value, shape, field, what):
-    """value as a finite float array of the given shape, else ConfigInvalid."""
+    """value as a finite float array of the given shape, else ConfigInvalid
+    (shape None admits nothing)."""
     try:
         arr = np.asarray(value, dtype=float)
         if arr.shape == shape and np.all(np.isfinite(arr)):
@@ -300,16 +302,19 @@ def run(cfg: dict) -> int:
             results["mv_objective"] = mv_val
             results["mv_objective_stderr"] = mv_se
         if store:
-            residual = conservation_residual(batch, y_sol, model)
-            results["conservation_max_residual"] = residual
-            ws.write_csv("trajectories.csv", *_trajectory_table(batch, y_sol, model))
+            values = path_values(batch, y_sol, model)
+            results["conservation_max_residual"] = conservation_residual(
+                batch, y_sol, model, values=values)
+            ws.write_csv("trajectories.csv", *_trajectory_table(batch, model, values))
         ws.write_json("simulation_summary.json", results)
 
     elif experiment == "saddle":
         y_sol = _solve(model, cone, "Y", cfg)
         base = mmv_feedback(model, cone, y_sol)
-        pi_family = [base.scaled(c) if c != 1.0 else base
-                     for c in cfg.get("pi_scales", [1.0, 0.0, 0.5, 1.5])]
+        scales = cfg.get("pi_scales", [1.0, 0.0, 0.5, 1.5])
+        shape = (len(scales),) if isinstance(scales, list) else None
+        scales = _finite_entry(scales, shape, "pi_scales", "a list of finite numbers").tolist()
+        pi_family = [base.scaled(c) if c != 1.0 else base for c in scales]
         pi_family = [s if s.scale != 0.0 else None for s in pi_family]
         eta_specs = cfg.get("eta_family", [
             {"kind": "saddle"}, {"kind": "zero"},
@@ -392,18 +397,18 @@ def _jsonable(obj):
     return obj
 
 
-def _trajectory_table(batch, y_sol, model):
-    """(header, blocks) of trajectories.csv, one block of paths per time step."""
+def _trajectory_table(batch, model, values):
+    """(header, blocks) of trajectories.csv, one block of paths per time step;
+    values is path_values of the batch."""
     theta = model.theta
     ids = np.arange(batch.paths)
+    h, y = values
 
     def blocks():
         for k, t in enumerate(batch.times.tolist()):
-            h_t = model.discount(t)
-            y_t = y_sol.value_batch(t, batch.factor_paths[:, k])
             x = batch.X_paths[:, k]
             lam = batch.Lambda_paths[:, k]
-            r = x * h_t + (lam * y_t - 1.0) / (2.0 * theta)
+            r = x * h[k] + (lam * y[:, k] - 1.0) / (2.0 * theta)
             yield [np.full(batch.paths, t), ids, x, lam, r]
     return ["t", "path_id", "X", "Lambda", "R"], blocks()
 

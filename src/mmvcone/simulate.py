@@ -7,6 +7,10 @@ on the loading, so one draw of Brownian increments serves a whole family:
 simulate advances every wealth row and every density row on that one
 draw, and each (pi, eta) cell is formed from the terminal rows.  The
 common random numbers of the saddle scan come from this shared draw.
+Members also share each step's deterministic part (StepTargets): phi and
+each distinct projected target, such as Proj_{s'Gamma}(Y phi - Z), are
+evaluated once per block and step, so pi_hat, its scaled copies and
+eta_hat read one projection and every -c phi loading reads one phi.
 The riskless part of the wealth update uses the exact per-step growth
 factor, so a zero portfolio compounds exactly; the density is advanced in
 log space, which keeps it positive by construction.
@@ -32,7 +36,7 @@ from .errors import (
 )
 from .market import MarketModel, pricing_kernel_batch
 from .rng import substream
-from .strategies import (FeedbackStrategy, SaddleAdversary, _eval_rows,
+from .strategies import (FeedbackStrategy, SaddleAdversary, StepTargets,
                          bound_lattice_max_norm, clip_to_bound, mmv_value)
 
 _DEFAULT_BLOCK = 32768
@@ -55,13 +59,17 @@ class Adversary:
     eta_fn: object = None         # custom: (t, fvals (N,)) -> (N, n)
     label: str = ""
 
-    def eta_batch(self, model: MarketModel, t: float, fvals: np.ndarray) -> np.ndarray:
+    def eta_batch(self, model: MarketModel, t: float, fvals: np.ndarray, *,
+                  _step: StepTargets | None = None) -> np.ndarray:
+        """Loading at factor states fvals, (N,) -> (N, n).  _step (internal to
+        simulate) is the StepTargets of this (t, fvals): phi and the saddle
+        loading's target are read from it."""
         npaths = fvals.shape[0]
         if self.kind == "zero":
             return np.zeros((npaths, model.n))
         if self.kind == "scaled_minus_phi":
-            phi = pricing_kernel_batch(model, t, _eval_rows(model, t, fvals))
-            return np.broadcast_to(-self.scale * phi, (npaths, model.n))
+            step = _step if _step is not None else StepTargets(model, t, fvals)
+            return np.broadcast_to(-self.scale * step.phi, (npaths, model.n))
         if self.kind == "constant":
             return np.broadcast_to(self.vector, (npaths, model.n)).copy()
         if self.kind == "custom":
@@ -70,7 +78,7 @@ class Adversary:
                 raise ConfigInvalid(f"custom eta returned shape {out.shape}, "
                                     f"expected ({npaths}, {model.n})", field="adversary")
             return clip_to_bound(out, self.bound)
-        return self.saddle.eta_batch(t, fvals)
+        return self.saddle.eta_batch(t, fvals, _step=_step)
 
 
 def zero_adversary() -> Adversary:
@@ -156,7 +164,11 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     strategy and adversary are each one member or a list of members (None
     is the zero portfolio).  Each block draws its Brownian increments once
     per step and advances every wealth row and every density row with the
-    same draw, so all (pi, eta) cells share common random numbers.  X
+    same draw, so all (pi, eta) cells share common random numbers.  Each
+    step's phi and full-row projected targets are evaluated once for all
+    members (one StepTargets per block and step); the MV short side, on the
+    rows with wealth above its level, stays per strategy, and a zero loading
+    leaves its density at 1.  X
     follows the wealth equation with the feedback portfolio (exact riskless
     growth factor per step); Lambda follows the log-Euler scheme, positive
     by construction.  Each cell estimates, by reweighting with Lambda_T,
@@ -204,6 +216,8 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
         xs[...] = float(model.x0)
         lams[...] = 1.0
         f = np.full(bs, cf.f0)
+        # a zero loading leaves its density at 1: only the others are advanced
+        moving = [(adv, lam) for adv, lam in zip(adversaries, lams) if adv.kind != "zero"]
         if store_paths:
             X_paths[start:stop, 0] = xs[0]
             L_paths[start:stop, 0] = lams[0]
@@ -218,17 +232,18 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
             else:
                 dw = sqdt * rng.standard_normal((bs, model.n))
 
+            step = StepTargets(model, t, f)     # this step's phi and targets, shared
             if trading:
                 mu_b = cf.mu_batch(t, f)
                 sig = cf.sigma_batch(t, f)
             for strat, x in zip(strategies, xs):
-                pi = strat.portfolio_batch(t, x, f) if strat is not None else None
+                pi = strat.portfolio_batch(t, x, f, _step=step) if strat is not None else None
                 np.multiply(x, growth[k], out=x)
                 if pi is not None:
                     x += np.einsum("im,im->i", pi, mu_b) * dt
                     x += np.einsum("im,imn,in->i", pi, sig, dw)
-            for adv, lam in zip(adversaries, lams):
-                eta = adv.eta_batch(model, t, f)
+            for adv, lam in moving:
+                eta = adv.eta_batch(model, t, f, _step=step)
                 lam *= np.exp(np.einsum("in,in->i", eta, dw)
                               - 0.5 * np.einsum("in,in->i", eta, eta) * dt)
             if markov:
@@ -274,19 +289,33 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     )
 
 
-def conservation_residual(batch: SimBatchResult, y_sol: BsdeSolution,
-                          model: MarketModel) -> float:
-    """Max over paths and grid times of |theta h X + Y Lambda - (theta h0 x + Y0)|."""
+def path_values(batch: SimBatchResult, y_sol: BsdeSolution,
+                model: MarketModel) -> tuple[np.ndarray, np.ndarray]:
+    """(h (steps+1,), Y (paths, steps+1)) along stored trajectories: the
+    discount at each grid time and Y on every stored path there, each
+    evaluated once for conservation_residual and the trajectory table."""
     if not batch.has_trajectories:
         raise MissingTrajectories("simulate(..., store_paths=True) required")
+    h = model.discount(batch.times)
+    y = np.empty_like(batch.X_paths)
+    for k, t in enumerate(batch.times.tolist()):
+        y[:, k] = y_sol.value_batch(t, batch.factor_paths[:, k])
+    return h, y
+
+
+def conservation_residual(batch: SimBatchResult, y_sol: BsdeSolution,
+                          model: MarketModel, *, values=None) -> float:
+    """Max over paths and grid times of |theta h X + Y Lambda - (theta h0 x + Y0)|.
+
+    values is path_values(batch, y_sol, model) when the caller has it already.
+    """
+    h, y = path_values(batch, y_sol, model) if values is None else values
     theta = model.theta
     const = theta * model.h0 * model.x0 + y_sol.value0
     worst = 0.0
-    for k, t in enumerate(batch.times):
-        h_t = model.discount(float(t))
-        y_t = y_sol.value_batch(float(t), batch.factor_paths[:, k])
+    for k, h_t in enumerate(h.tolist()):
         resid = np.abs(theta * h_t * batch.X_paths[:, k]
-                       + y_t * batch.Lambda_paths[:, k] - const)
+                       + y[:, k] * batch.Lambda_paths[:, k] - const)
         worst = max(worst, float(np.max(resid)))
     batch.conservation_max_residual = worst
     return worst

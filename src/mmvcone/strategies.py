@@ -44,15 +44,17 @@ def _eval_rows(model: MarketModel, t, fvals) -> np.ndarray:
 
 
 def _projected_target(model: MarketModel, cone: Cone, sol: BsdeSolution, side: str,
-                      t, fvals: np.ndarray):
+                      t, fvals: np.ndarray, *, phi: np.ndarray | None = None):
     """Project one side's target onto sigma' Gamma at factor states fvals.
 
     side "Y": Y phi - Z;  "P1": -(phi + Delta1/P1);  "P2": phi + Delta2/P2.
-    t is a time or one per row.
+    t is a time or one per row; phi, when given, is pricing_kernel_batch
+    at the same (t, fvals).
     Returns (value (N,), z (N, n), xi (N, n), gamma (N, m)).
     """
     v, z = sol._transformed_batch(t, fvals)
-    phi = pricing_kernel_batch(model, t, fvals)
+    if phi is None:
+        phi = pricing_kernel_batch(model, t, fvals)
     if side == "Y":
         a = phi * v[:, None] - z
     elif side == "P1":
@@ -62,6 +64,39 @@ def _projected_target(model: MarketModel, cone: Cone, sol: BsdeSolution, side: s
     xi, gamma, _ = project_transformed_batch(
         cone, model.coefficients.sigma_batch(t, fvals), a)
     return v, z, xi, gamma
+
+
+class StepTargets:
+    """phi and the full-row projected targets at one (t, fvals).
+
+    Holds phi at the evaluation rows (_eval_rows of t and fvals) and each
+    distinct (solution, side, cone) projected target, each computed on
+    first use.  A portfolio or loading evaluation builds its own; simulate
+    builds one per path block and step and hands it to every member, so
+    they share it.  Nothing writes into its arrays.  The MV short side (P1),
+    evaluated on a subset of rows, never enters it.
+    """
+
+    def __init__(self, model: MarketModel, t, fvals):
+        self.model = model
+        self.t = t
+        self.rows = _eval_rows(model, t, fvals)
+        self._phi = None
+        self._targets = {}
+
+    @property
+    def phi(self) -> np.ndarray:
+        if self._phi is None:
+            self._phi = pricing_kernel_batch(self.model, self.t, self.rows)
+        return self._phi
+
+    def target(self, cone: Cone, sol: BsdeSolution, side: str):
+        """_projected_target of (sol, side, cone) on the step's rows."""
+        key = (id(sol), side, id(cone))
+        if key not in self._targets:
+            self._targets[key] = _projected_target(self.model, cone, sol, side, self.t,
+                                                   self.rows, phi=self.phi)
+        return self._targets[key]
 
 
 @dataclass
@@ -120,7 +155,8 @@ class FeedbackStrategy:
         h_t = self.model.discount(t)
         return self.scale * (-(x - self.gamma_hat / h_t)) * self.xi2(t, f)
 
-    def portfolio_batch(self, t, xvals: np.ndarray, fvals=None) -> np.ndarray:
+    def portfolio_batch(self, t, xvals: np.ndarray, fvals=None, *,
+                        _step: StepTargets | None = None) -> np.ndarray:
         """Vectorized feedback: directions once per state row, broadcast over wealth.
 
         t is a time or one per state row; fvals holds the factor state of
@@ -130,17 +166,20 @@ class FeedbackStrategy:
         how equivalence_check evaluates a whole lattice in one call.
         Returns xvals.shape + (m,).  The MV short-side (P1) direction is
         evaluated only on state rows with some wealth above gamma_hat / h_t.
+        The full-row (Y or P2) direction is read from _step, the
+        StepTargets of this (t, fvals) that simulate shares across a family.
         """
         xvals = np.asarray(xvals, dtype=float)
-        rows = _eval_rows(self.model, t, fvals)
+        step = _step if _step is not None else StepTargets(self.model, t, fvals)
+        rows = step.rows
         shape = (-1,) + (1,) * (xvals.ndim - 1)      # state rows against wealth
         vec = shape + (self.model.m,)
         h_t = np.reshape(self.model.discount(t), shape)
         if self.kind == "MMV":
-            y, _, _, gamma = self._side("Y", t, rows)
+            y, _, _, gamma = step.target(self.cone, self.y_sol, "Y")
             gap = self.a_const - h_t * xvals
             return self.scale * (gap / (h_t * y.reshape(shape)))[..., None] * gamma.reshape(vec)
-        _, _, _, g2 = self._side("P2", t, rows)
+        _, _, _, g2 = step.target(self.cone, self.p2_sol, "P2")
         gap = xvals - self.gamma_hat / h_t
         out = np.maximum(-gap, 0.0)[..., None] * g2.reshape(vec)
         pos = gap > 0.0
@@ -201,17 +240,22 @@ class SaddleAdversary:
         self.model = model
         self.bound = 1.5 * bound_lattice_max_norm(model, self._loading) + 1e-12
 
-    def _loading(self, t, fvals: np.ndarray) -> np.ndarray:
+    def _loading(self, t, fvals: np.ndarray, step: StepTargets | None = None) -> np.ndarray:
         """Unclipped -(Z + xi)/Y at factor states fvals: (N,) -> (N, n);
-        t is a time or one per row."""
-        y, z, xi, _ = _projected_target(self.model, self.cone, self.y_sol, "Y", t, fvals)
+        t is a time or one per row, and step, when given, is the StepTargets
+        of this (t, fvals)."""
+        step = step if step is not None else StepTargets(self.model, t, fvals)
+        y, z, xi, _ = step.target(self.cone, self.y_sol, "Y")
         return -(z + xi) / y[:, None]
 
     def eta(self, t: float, f=None, lambda_state=None) -> np.ndarray:
         return self.eta_batch(t, _state_row(f, self.model.coefficients.kind == "markov"))[0]
 
-    def eta_batch(self, t: float, fvals: np.ndarray) -> np.ndarray:
-        out = clip_to_bound(self._loading(t, _eval_rows(self.model, t, fvals)), self.bound)
+    def eta_batch(self, t: float, fvals: np.ndarray, *,
+                  _step: StepTargets | None = None) -> np.ndarray:
+        """Clipped loading at factor states fvals, (N,) -> (N, n); _step is
+        internal to simulate (see _loading)."""
+        out = clip_to_bound(self._loading(t, fvals, _step), self.bound)
         return np.broadcast_to(out, (len(fvals), self.model.n))
 
 

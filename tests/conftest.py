@@ -21,6 +21,17 @@ INSTANCE_B = {
     "cone": {"kind": "orthant"},
 }
 
+# Two assets on the orthant with the second asset's excess return negative,
+# so the constraint binds on pi_2 = 0 (tests/test_multiasset.py)
+INSTANCE_ORTHANT2 = {
+    "m": 2, "n": 2, "T": 1.0, "x0": 1.0, "theta": 2.0,
+    "rate": [{"until": 0.5, "value": 0.02}, {"until": 1.0, "value": 0.04}],
+    "coefficients": {"kind": "deterministic", "mu": [0.06, -0.03],
+                     "sigma": [[0.2, 0.05], [0.0, 0.25]]},
+    "delta": 1e-6,
+    "cone": {"kind": "orthant"},
+}
+
 # Instance C: mean-reverting factor drives the excess return, incomplete market
 INSTANCE_C = {
     "m": 1, "n": 2, "T": 1.0, "x0": 1.0, "theta": 1.0, "rate": 0.02,

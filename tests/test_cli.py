@@ -295,3 +295,14 @@ def test_bad_adversary_spec_is_a_config_error(tmp_path, capsys, experiment, case
     assert rc == 1
     field = "adversary.v" if spec["kind"] == "constant" else "adversary.c"
     assert err.startswith(f"config error: {field}: must be ")
+
+
+@pytest.mark.parametrize("scales", [["x", 1.0], [math.nan, 1.0], [math.inf],
+                                    [[1.0], [0.5]], 1.0, "1.0"],
+                         ids=["not_numeric", "nan", "inf", "nested", "number", "string"])
+def test_bad_pi_scales_is_a_config_error(tmp_path, capsys, scales):
+    cfg = _base_config(tmp_path, "saddle", paths=200, steps=10, pi_scales=scales)
+    rc = cli.main(["saddle", "--config", str(_write_config(tmp_path, cfg))])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error: pi_scales: must be a list of finite numbers")

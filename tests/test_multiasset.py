@@ -12,13 +12,7 @@ import pytest
 
 import mmvcone as mc
 
-CONFIG = {
-    "m": 2, "n": 2, "T": 1.0, "x0": 1.0, "theta": 2.0,
-    "rate": [{"until": 0.5, "value": 0.02}, {"until": 1.0, "value": 0.04}],
-    "coefficients": {"kind": "deterministic", "mu": [0.06, -0.03],
-                     "sigma": [[0.2, 0.05], [0.0, 0.25]]},
-    "delta": 1e-6,
-}
+from conftest import INSTANCE_ORTHANT2 as CONFIG
 
 # KKT by hand: gram = sigma sigma' = [[0.0425, 0.0125], [0.0125, 0.0625]];
 # the unconstrained minimizer of pi'gram pi - 2 pi'mu has pi_2 < 0, so the

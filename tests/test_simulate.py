@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from mmvcone.errors import (
     SaddleViolated,
 )
 
-from conftest import H0_A, VALUE_A
+from conftest import H0_A, INSTANCE_ORTHANT2, VALUE_A
 
 
 @pytest.fixture(scope="module")
@@ -234,8 +236,17 @@ def markov_c(model_c):
             mc.saddle_adversary(mc.mmv_adversary(sol, cone, model_c)))
 
 
+@pytest.fixture(scope="module")
+def orthant2_family():
+    model = mc.build_model(INSTANCE_ORTHANT2)
+    cone = mc.orthant(2)
+    sol = mc.solve_deterministic(model, cone, "Y", 1000)
+    return (model, mc.mmv_feedback(model, cone, sol),
+            mc.saddle_adversary(mc.mmv_adversary(sol, cone, model)))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("instance", ["A", "C"])
+@pytest.mark.parametrize("instance", ["A", "C", "orthant2"])
 def test_family_cells_match_pair_simulations(instance, workers, request):
     # one family call shares its draws across cells: every cell equals the
     # one-pair simulation of its (pi, eta) bit for bit, over several blocks
@@ -243,6 +254,8 @@ def test_family_cells_match_pair_simulations(instance, workers, request):
         model = request.getfixturevalue("model_a")
         mmv = request.getfixturevalue("mmv_a")
         saddle = request.getfixturevalue("saddle_a")
+    elif instance == "orthant2":
+        model, mmv, saddle = request.getfixturevalue("orthant2_family")
     else:
         model = request.getfixturevalue("model_c")
         mmv, saddle = request.getfixturevalue("markov_c")
@@ -254,6 +267,91 @@ def test_family_cells_match_pair_simulations(instance, workers, request):
     assert fam.terminal_X.shape == (4, 2500)
     assert fam.terminal_Lambda.shape == (4, 2500)
     assert fam.objective_mean.shape == (4, 4)
+    for i, strat in enumerate(pi_family):
+        for j, adv in enumerate(eta_family):
+            one = mc.simulate(model, strat, adv, **kw)
+            assert fam.objective_mean[i, j] == one.objective_mean
+            assert fam.objective_stderr[i, j] == one.objective_stderr
+            assert np.array_equal(fam.terminal_X[i], one.terminal_X)
+            assert np.array_equal(fam.terminal_Lambda[j], one.terminal_Lambda)
+
+
+def _spy(monkeypatch, module_name, name):
+    """Record the arguments of every call of module.name, under every mmvcone
+    module that bound it by name."""
+    original = getattr(sys.modules[module_name], name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key in [k for k in sys.modules if k == "mmvcone" or k.startswith("mmvcone.")]:
+        module = sys.modules[key]
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+def _saddle_pair(request, instance):
+    """(model, pi_hat, eta_hat) on instance A or C."""
+    if instance == "A":
+        return tuple(request.getfixturevalue(name) for name in ("model_a", "mmv_a", "saddle_a"))
+    return (request.getfixturevalue("model_c"),) + request.getfixturevalue("markov_c")
+
+
+@pytest.mark.parametrize("instance", ["A", "C"])
+def test_family_shares_each_steps_target_and_phi(instance, request, monkeypatch):
+    # pi_hat, its scaled copies and eta_hat read one projected target per
+    # step and block, and both -c phi loadings the same phi
+    model, mmv, saddle = _saddle_pair(request, instance)
+    pi_family = [mmv, None, mmv.scaled(0.5), mmv.scaled(1.5)]
+    eta_family = [saddle, mc.zero_adversary(),
+                  mc.scaled_minus_phi(model, 0.5), mc.scaled_minus_phi(model, 2.0)]
+    targets = _spy(monkeypatch, "mmvcone.strategies", "_projected_target")
+    kernels = _spy(monkeypatch, "mmvcone.market", "pricing_kernel_batch")
+    steps, blocks = 12, 3
+    mc.simulate(model, pi_family, eta_family, paths=2500, steps=steps, seed=59,
+                block_size=1000)
+    assert len(targets) == steps * blocks
+    assert len(kernels) == steps * blocks
+    assert {args[3] for args in targets} == {"Y"}
+
+
+@pytest.fixture(scope="module")
+def markov_c_mv(model_c):
+    cone = mc.full_space(1)
+    cfg = dict(paths=2000, basis_degree=2, steps=10, bootstrap=0)
+    p1 = mc.solve_markovian(model_c, cone, "P1", mc.McSolverConfig(seed=61, **cfg))
+    p2 = mc.solve_markovian(model_c, cone, "P2", mc.McSolverConfig(seed=67, **cfg))
+    return mc.mv_feedback(model_c, cone, p1, p2)
+
+
+@pytest.mark.parametrize("instance", ["A", "C"])
+def test_mixed_family_cells_match_pair_simulations(instance, request, monkeypatch):
+    # MMV and MV maps beside -c phi and zero loadings.  An MV map whose level
+    # sits below x0 h0 starts with every wealth above gamma/h_t, so its short
+    # side (P1) runs; scaled up 20 times its wealth crosses the level both
+    # ways, and on C its P1 rows are then a strict subset of a block's rows.
+    # Neither those rows nor their phi may reach another member.
+    model, mmv, saddle = _saddle_pair(request, instance)
+    if instance == "A":
+        mv = mc.mv_feedback(model, mmv.cone, request.getfixturevalue("p1sol_a"),
+                            request.getfixturevalue("p2sol_a"))
+    else:
+        mv = request.getfixturevalue("markov_c_mv")
+    split = dataclasses.replace(mv, gamma_hat=0.99 * model.x0 * model.h0, label="split")
+    pi_family = [split.scaled(20.0), split, mv, mmv, None]
+    eta_family = [mc.scaled_minus_phi(model, 0.5), saddle, mc.zero_adversary(),
+                  mc.scaled_minus_phi(model, 2.0)]
+    kw = dict(paths=2500, steps=12, seed=71, block_size=1000)
+    targets = _spy(monkeypatch, "mmvcone.strategies", "_projected_target")
+    fam = mc.simulate(model, pi_family, eta_family, **kw)
+    p1_rows = {len(args[5]) for args in targets if args[3] == "P1"}
+    assert p1_rows
+    if instance == "C":
+        assert p1_rows - {1000, 500}      # not only whole blocks
     for i, strat in enumerate(pi_family):
         for j, adv in enumerate(eta_family):
             one = mc.simulate(model, strat, adv, **kw)
