@@ -11,17 +11,12 @@ kernel (the cone-constrained quadratic infimum):
 With deterministic coefficients the martingale part vanishes and each
 equation reduces to a linear ODE, integrated backward by classical RK4 from
 one tabulation of its coefficient.  With Markov-factor coefficients the
-pair is estimated by least-squares Monte Carlo: simulate the factor
-forward, then walk backward regressing the continuation value and the
-martingale increment on a polynomial basis, closing each step with a
-trapezoidal (theta = 1/2) driver solve that is implicit in the new value.
-Both trapezoid ends use the step's exact average rate.  The main sample and
-its bootstrap resamples walk back in lockstep: each step evaluates sigma,
-phi and the sigma-side driver columns once, every sample gathers them by
-its row indices and runs its own regression and fixed point.  Each
-sample's driver is prepared once per step, after its Z is known, so the
-fixed-point iterates only evaluate it in y: a closed form on per-row
-columns for one asset, one projection per iterate for m >= 2.
+pair is estimated by least-squares Monte Carlo: the factor is simulated
+forward, then the main sample and its bootstrap resamples walk back in
+lockstep, regressing the continuation value and the martingale increment
+on a polynomial basis (one stacked Gram solve per stage for all samples)
+and closing each step with a trapezoidal driver step implicit in the new
+value: an exact quadratic root for one asset, Picard iteration for m >= 2.
 """
 
 from __future__ import annotations
@@ -97,14 +92,10 @@ def driver_f(cone: Cone, sigma, phi, y: float, z) -> float:
 
 
 def _sigma_side(equation, cone, sigma, phi, rows) -> tuple:
-    """sigma/phi stage of one step's driver: the row-local columns that need
-    neither Z nor y.
-
-    One asset: (s, |s|^2, p, clip), where sigma' Gamma is the ray or line
-    along s = sigma' (cones.ray_axis) and p = sign s'phi / |s|^2.  m >= 2:
-    (sigma, phi), phi broadcast to (rows, n).  Every entry is row-local, so
-    the side of resampled rows is these rows gathered (_rows).
-    """
+    """sigma/phi stage of one step's driver, row-local columns that need
+    neither Z nor y: (s, |s|^2, p, clip) for one asset, sigma' Gamma the ray
+    or line along s = sigma' (cones.ray_axis) and p = sign s'phi / |s|^2;
+    (sigma, phi) with phi (rows, n) for m >= 2."""
     if equation not in EQUATIONS:
         raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
     sigma = np.asarray(sigma, dtype=float)
@@ -116,31 +107,53 @@ def _sigma_side(equation, cone, sigma, phi, rows) -> tuple:
     return sigma, phi
 
 
-def _z_side(equation, cone, side, r_t, zcol, zz) -> Callable:
-    """Z stage: one step's driver as a function of y alone, y (N,) -> f (N,).
+def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
+    """Z stage: (f, root).  f maps y (N,) to the driver (N,); root(cont, h)
+    solves y = cont + h f(y) exactly for one asset, None for m >= 2.  side
+    is _sigma_side of the same rows; zcol is s'z (N,) for one asset, z (N, n)
+    otherwise; zz = |z|^2 (N,) is read by Y only.
 
-    side is _sigma_side of the same rows.  zcol is s'z (N,) for one asset
-    and z (N, n) for m >= 2; zz = |z|^2 (N,) is read by Y only.
-
-    Every driver is a function of q(y) = |P u(y)|^2, the squared projection
-    onto sigma' Gamma of u(y) = sign (phi + c z / y), where c = -1 for Y and
-    +1 otherwise and sign = -1 only for P1.  Two identities give this form:
-    Moreau, dist^2(a, K) - |a|^2 = -|P_K a|^2, and positive homogeneity,
-    inf_q(y u) = y^2 inf_q(u).  So f_Y = y q - |z|^2 / y, f_P = -y q and
-    f_P1 = f_P2 = 2 r y - y q.  One asset: q = |s|^2 k^2 with
-    k = clip(p + sign c s'z / (|s|^2 y)) from per-row columns.  Otherwise
-    q costs one projection per evaluation.
+    By Moreau's identity and positive homogeneity every driver is a function
+    of q(y) = |P u(y)|^2, P the projection onto sigma' Gamma and
+    u(y) = sign (phi + c z / y) (c = -1 for Y, else +1; sign = -1 for P1
+    only): f_Y = y q - |z|^2 / y, f_P = -y q, f_P1 = f_P2 = 2 r y - y q.
+    For m >= 2 q is one projection per evaluation.  One asset:
+    q = |s|^2 clip(p + w / y)^2, w = sign c s'z / |s|^2, so y f is
+    eps |s|^2 clip(p y + w)^2 + rho y^2 - zeta (eps = 1 for Y, else -1;
+    rho = 2 r for P1, P2; zeta = |z|^2 for Y), and the trapezoid is a
+    quadratic in y, taken with |s|^2 = 0 where the clip binds at its root.
     """
     sign = -1.0 if equation == "P1" else 1.0
     c = -1.0 if equation == "Y" else 1.0
+    root = None
 
     if cone.dim == 1:
         _, ss, p, clip = side
         w = sign * c * zcol / ss
+        eps = 1.0 if equation == "Y" else -1.0
+        rho = 2.0 * r_t if equation in ("P1", "P2") else 0.0
+        zeta = zz if equation == "Y" else 0.0
 
         def q(y):
             k = clip(p + w / y)
             return ss * k * k
+
+        def quadratic(cont, h, e):
+            # A y^2 - B y - C = 0 with A = 1 - h rho - h e p^2,
+            # B = cont + 2 h e p w and C = h (e w^2 - zeta); the root near cont
+            hep = h * e * p
+            a = (1.0 - h * rho) - hep * p
+            b = cont + 2.0 * hep * w
+            return (b + np.sqrt(b * b + 4.0 * h * a * (e * w * w - zeta))) / (2.0 * a)
+
+        def root(cont, h):
+            e = eps * ss
+            y = quadratic(cont, h, e)
+            u = p * y + w
+            clipped = clip(u) != u
+            if clipped.any():
+                y = quadratic(cont, h, np.where(clipped, 0.0, e))
+            return y
     else:
         sigma, phi = side
 
@@ -149,35 +162,28 @@ def _z_side(equation, cone, side, r_t, zcol, zz) -> Callable:
             return -cone_inf_quadratic_batch(cone, sigma, u)
 
     if equation == "Y":
-        return lambda y: y * q(y) - zz / y
+        return (lambda y: y * q(y) - zz / y), root
     if equation == "P":
-        return lambda y: -y * q(y)
-    return lambda y: 2.0 * r_t * y - y * q(y)
+        return (lambda y: -y * q(y)), root
+    return (lambda y: 2.0 * r_t * y - y * q(y)), root
 
 
 def _prepare_driver(equation, cone, sigma, phi, r_t, z) -> Callable:
-    """One step's driver as a function of y alone: _sigma_side, then _z_side.
-
-    Everything that does not depend on y is computed here, once.
-    """
+    """One step's driver as a function of y alone: _sigma_side, then _z_side."""
     z = np.asarray(z, dtype=float)
     side = _sigma_side(equation, cone, sigma, phi, z.shape[0])
     zcol = np.einsum("ij,ij->i", side[0], z) if cone.dim == 1 else z
     zz = np.einsum("ij,ij->i", z, z) if equation == "Y" else None
-    return _z_side(equation, cone, side, r_t, zcol, zz)
+    return _z_side(equation, cone, side, r_t, zcol, zz)[0]
 
 
 def _driver_batch(equation, cone, sigma, phi, r_t, y, z, step=None):
     """Vectorized driver f with the convention d(value) = -f dt + Z'dW.
 
-    sigma: (m, n) shared or (N, m, n); phi: (n,) or (N, n); y: (N,);
-    z: (N, n).  Values y must be positive (callers clip to the envelope
-    before evaluating).  step, when given, is the driver prepared from the
-    same (equation, cone, sigma, phi, r_t, z), by _prepare_driver or by
-    _sigma_side then _z_side: callers that evaluate one step's driver at
-    many y prepare it once and pass it here.  With step given,
-    only y is read; equation, cone, sigma, phi, r_t and z are not used, and
-    nothing checks that they match the prepared step.
+    sigma: (m, n) shared or (N, m, n); phi: (n,) or (N, n); y: (N,), positive;
+    z: (N, n).  step, when given, is the driver already prepared from these
+    arguments (_prepare_driver, or _sigma_side then _z_side), and only y is
+    read.
     """
     if step is None:
         step = _prepare_driver(equation, cone, sigma, phi, r_t, z)
@@ -186,13 +192,8 @@ def _driver_batch(equation, cone, sigma, phi, r_t, y, z, step=None):
 
 def positivity_envelope(model: MarketModel, grid: np.ndarray) -> tuple[float, float]:
     """(lower, upper) = exp(-/+ C T) with C = max over grid nodes t of
-    |2 r(t)| + max over probe states of |phi(t, f)|^2.
-
-    The probe states are MarketModel.probe_lattice on the grid: state 0 per
-    node without a factor, PROBE_FACTOR_QUANTILES factor quantiles per node
-    with one; phi comes from one pricing-kernel call over all (node, state)
-    rows.
-    """
+    |2 r(t)| + max over probe states of |phi(t, f)|^2, the probe states
+    those of MarketModel.probe_lattice (PROBE_FACTOR_QUANTILES per node)."""
     t_rows, f_rows = model.probe_lattice(grid, PROBE_FACTOR_QUANTILES)
     phis = pricing_kernel_batch(model, t_rows, f_rows)
     phi_sq = np.einsum("ij,ij->i", phis, phis).reshape(len(grid), -1).max(axis=1)
@@ -224,14 +225,10 @@ def _state_row(f, markov: bool) -> np.ndarray:
 
 @dataclass
 class BsdeSolution:
-    """Time-gridded backward solution, grid-valued or regression-basis-valued.
-
-    Deterministic solves store scalar values per node (z identically zero).
-    Markovian solves store, per node, polynomial coefficients in the
-    normalized factor for both the value and the driving component of Z.
-    Solutions produced by the closed-form transformations keep the base
-    tables and apply the pointwise map at evaluation time.
-    """
+    """Time-gridded backward solution: per node, a scalar value (z = 0) for
+    deterministic solves, or polynomial coefficients in the normalized
+    factor for the value and the driving component of Z.  Transformed
+    solutions keep the base tables and map them at evaluation time."""
 
     equation: str
     grid: np.ndarray
@@ -289,13 +286,10 @@ class BsdeSolution:
         return base, z
 
     def _transformed_batch(self, t, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(value (N,), z (N, n)) after the pointwise transform, if any.
-
-        t is a time or one per row.  "recip" is (1/P, -Delta/P^2); "h2" is
-        (h^2/P2, -(h^2/P2^2) Delta2) with one h per row, each one math.exp
-        (DiscountFactor.at).  PositivityLost names the time of the lowest
-        base value when it is not positive.
-        """
+        """(value (N,), z (N, n)) after the pointwise transform, if any; t is
+        a time or one per row.  "recip" is (1/P, -Delta/P^2), "h2" is
+        (h^2/P2, -(h^2/P2^2) Delta2).  PositivityLost names the time of the
+        lowest base value when it is not positive."""
         base, z = self._raw_batch(t, fvals)
         if self.transform is None:
             return base, z
@@ -369,11 +363,9 @@ def _sigma_and_kernel(model, t, fvals):
 def _deterministic_rhs(model, cone, equation, times, r_steps):
     """dv/dt per unit v for the Z == 0 reduction, one entry per (time, rate) row.
 
-    With Z == 0 every driver is positively homogeneous of degree one in v
-    (the projection onto sigma' Gamma commutes with positive scaling), so
-    dv/dt = v * rhs(t).  r_steps holds the exact average rate over the
-    integration step each row belongs to; for piecewise-constant r this keeps
-    the linear rate term exact even when a step straddles a rate break.
+    With Z == 0 every driver is positively homogeneous of degree one in v, so
+    dv/dt = v * rhs(t).  r_steps holds the exact average rate over each row's
+    integration step, exact for piecewise-constant r across a rate break.
     """
     sig, phi = _sigma_and_kernel(model, times, np.zeros(len(times)))
     return -_driver_batch(equation, cone, sig, phi, r_steps,
@@ -427,23 +419,18 @@ def solve_deterministic(model: MarketModel, cone: Cone, equation: str,
     return sol
 
 
-def _basis_matrix(fvals, loc, scale, degree):
-    """Powers 1, u, ..., u^degree of the normalized factor as (N, degree + 1)
-    columns, each the previous times u (the same bits as np.vander)."""
-    if scale < 1e-12:
-        return np.ones((fvals.shape[0], 1))
-    u = (fvals - loc) / scale
-    basis = np.empty((u.shape[0], degree + 1))
+def _basis_matrix(fvals, loc, scale, degree, out):
+    """Powers 1, u, ..., u^degree of the normalized factor, each the previous
+    column times u (the same bits as np.vander), as a C-contiguous (N, w)
+    view of the front of the contiguous buffer out; w = 1 for a spread < 1e-12."""
+    N, w = len(fvals), (1 if scale < 1e-12 else degree + 1)
+    basis = out.reshape(-1)[: N * w].reshape(N, w)
     basis[:, 0] = 1.0
-    for k in range(1, degree + 1):
-        np.multiply(basis[:, k - 1], u, out=basis[:, k])
+    if w > 1:
+        u = (fvals - loc) / scale
+        for k in range(1, w):
+            np.multiply(basis[:, k - 1], u, out=basis[:, k])
     return basis
-
-
-def _pad(coefs, width):
-    out = np.zeros(width)
-    out[: len(coefs)] = coefs
-    return out
 
 
 def _rows(a, idx):
@@ -454,18 +441,32 @@ def _rows(a, idx):
     return a[idx]
 
 
-@dataclass
-class _Walk:
-    """One sample's state in the lockstep backward walk, and its tables."""
+def _gram_groups(grams, widths, t):
+    """(w, samples, Grams (G, w, w)) per basis width w among the samples'
+    Grams (K, width, width).  RegressionIllConditioned when an eigenvalue
+    ratio exceeds 1e12 or a smallest eigenvalue is not positive."""
+    groups = []
+    for wk in sorted(set(widths)):
+        sel = [k for k, w in enumerate(widths) if w == wk]
+        sel = slice(None) if len(sel) == len(widths) else sel
+        gram = grams[sel, :wk, :wk]
+        if wk > 1:
+            ev = np.linalg.eigvalsh(gram)
+            with np.errstate(divide="ignore"):    # a non-positive smallest: inf
+                cond = float(np.max(ev[:, -1] / np.maximum(ev[:, 0], 0.0)))
+            if cond > 1e12:
+                raise RegressionIllConditioned(f"basis Gram condition {cond:.2e} at t={t:.4f}")
+        groups.append((wk, sel, gram))
+    return groups
 
-    idx: np.ndarray | None
-    v: np.ndarray
-    f_next: np.ndarray
-    y_tab: np.ndarray
-    z_tab: np.ndarray
-    loc: np.ndarray
-    scale: np.ndarray
-    clamps: int = 0
+
+def _solve_groups(groups, rhs):
+    """Coefficients (K, width) for right-hand sides rhs (K, width, 1), one
+    np.linalg.solve per basis width, zero past a sample's own width."""
+    out = np.zeros(rhs.shape[:2])
+    for wk, sel, gram in groups:
+        out[sel, :wk] = np.linalg.solve(gram, rhs[sel, :wk])[..., 0]
+    return out
 
 
 def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
@@ -473,133 +474,148 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
     """Regression backward induction over stored forward paths, for several
     samples of them in lockstep.
 
-    F (paths, steps + 1) and dWj (paths, steps) hold the factor paths and
-    the driving increments; views of time-major arrays keep each step's
-    column contiguous.  samples lists row-index vectors into those paths,
-    None for the rows as stored: solve_markovian passes the main sample and
-    its bootstrap resamples.  Returns one (y_tab, z_tab, loc, scale, clamps)
-    per sample.
+    F (paths, steps + 1) and dWj (paths, steps) are views of time-major
+    arrays; samples lists row-index vectors into them, None for the rows as
+    stored.  Returns one (y_tab, z_tab, loc, scale, clamps) per sample, bit
+    for bit those of a one-sample pass over F[idx].
 
-    The time loop is outside and the sample loop inside.  Each step
-    evaluates sigma, phi and the sigma-side driver columns (_sigma_side)
-    once on the stored rows; each sample gathers these row-local columns by
-    its indices, adds its own Z-side column (_z_side) and runs its own
-    regression, Gram check and fixed point on its N rows, so its tables are
-    bit for bit those of a pass over F[idx] alone.  The samples are not
-    stacked into one (B + 1) N-row fixed point, which would hold B + 1
-    times the per-step memory.
+    Each step evaluates sigma, phi and the sigma-side driver columns once,
+    and each sample gathers them by its indices.  The samples' bases share
+    one buffer, and each regression stage (continuation value, value fit,
+    Z, refit of the new value) is one stacked solve per basis width.  The
+    step closes with the trapezoid (_close_step), h = dt / 2,
 
-    Each step closes with a trapezoidal driver solve,
+        V_i = E[V_{i+1} + h f_{i+1} | F_i] + h f_i(V_i, Z_i),
 
-        V_i = E[V_{i+1} + (dt/2) f_{i+1} | F_i] + (dt/2) f_i(V_i, Z_i),
-
-    implicit in V_i and solved by fixed-point iteration (NoConvergence once
-    _FIXED_POINT_MAX iterations are spent); the terminal driver value is
-    exact since Z_T = 0.  The trapezoidal rule is used rather than a
-    one-sided (implicit Euler) step, whose O(dt) bias the identity checks
-    can resolve at the default path budgets.  Both trapezoid ends use the
-    step's exact average rate, so a rate break on a grid node keeps the
-    step second order; the rate term is linear in the value, so the carried
-    f_{i+1} is moved to this step's rate by adding 2 (r_i - r_{i+1}) V_{i+1}.
-    The first sample's clamp events are checked against _CLAMP_BUDGET after
-    every step (PositivityLost); the others are only counted.
+    not implicit Euler, whose O(dt) bias the identity checks resolve.  Both
+    ends use the step's exact average rate, so the carried f_{i+1} gains
+    2 (r_i - r_{i+1}) V_{i+1}.  The first sample's clamp events are held to
+    _CLAMP_BUDGET after every step (PositivityLost).
     """
     Ft, dWt = F.T, dWj.T
     paths = Ft.shape[1]
     steps = cfg.steps
     dt = model.horizon_T / steps
+    h = 0.5 * dt
     degree = cfg.basis_degree
     width = degree + 1
     j = model.coefficients.driving_index
     r_step = _step_rates(model, grid)
     rate_term = equation in ("P1", "P2")
-    one_asset = cone.dim == 1
     budget = _CLAMP_BUDGET * paths * steps
+    K = len(samples)
 
+    # Z_T = 0, so the terminal driver is exact
     f_term = _driver_batch(equation, cone,
                            *_sigma_and_kernel(model, float(grid[-1]), Ft[-1]),
                            r_step[-1], np.ones(paths), np.zeros((paths, model.n)))
-    walks = []
-    for idx in samples:
-        w = _Walk(idx=idx, v=np.ones(paths), f_next=_rows(f_term, idx),
-                  y_tab=np.zeros((steps + 1, width)), z_tab=np.zeros((steps + 1, width)),
-                  loc=np.zeros(steps + 1), scale=np.ones(steps + 1))
-        w.y_tab[steps, 0] = 1.0
-        walks.append(w)
+    V = np.ones((K, paths))
+    f_next = np.stack([_rows(f_term, idx) for idx in samples])
+    y_tab = np.zeros((K, steps + 1, width))
+    y_tab[:, steps, 0] = 1.0
+    z_tab = np.zeros((K, steps + 1, width))
+    loc = np.zeros((K, steps + 1))
+    scale = np.ones((K, steps + 1))
+    clamps = [0] * K
+    bases = np.empty((K, paths, width))
+    grams = np.zeros((K, width, width))
+    rhs = np.zeros((3, K, width, 1))
 
     for i in range(steps - 1, -1, -1):
         t = float(grid[i])
         r_t = r_step[i]
         side = _sigma_side(equation, cone, *_sigma_and_kernel(model, t, Ft[i]), paths)
-        for k, w in enumerate(walks):
-            if rate_term and i + 1 < steps:
-                w.f_next = w.f_next + 2.0 * (r_t - r_step[i + 1]) * w.v
-            v = w.v
-            fv = _rows(Ft[i], w.idx)
-            w.loc[i] = float(np.mean(fv))
+        if rate_term and i + 1 < steps:
+            f_next += 2.0 * (r_t - r_step[i + 1]) * V
+        basis = []
+        for k, idx in enumerate(samples):
+            fv = _rows(Ft[i], idx)
+            loc[k, i] = float(np.mean(fv))
             sd = float(np.std(fv))
-            w.scale[i] = sd if sd >= 1e-12 else 1.0   # degenerate spread: constant basis
-            basis = _basis_matrix(fv, w.loc[i], sd, degree)
-            gram = basis.T @ basis
-            if basis.shape[1] > 1 and np.linalg.cond(gram) > 1e12:
-                raise RegressionIllConditioned(
-                    f"basis Gram condition {np.linalg.cond(gram):.2e} at t={t:.4f}")
-            c_cont = np.linalg.solve(gram, basis.T @ (v + 0.5 * dt * w.f_next))
-            cont = basis @ c_cont
-            c_y = np.linalg.solve(gram, basis.T @ v)
+            scale[k, i] = sd if sd >= 1e-12 else 1.0
+            b = _basis_matrix(fv, loc[k, i], sd, degree, bases[k])
+            basis.append(b)
+            wk = b.shape[1]
+            grams[k, :wk, :wk] = b.T @ b
+            rhs[0, k, :wk, 0] = b.T @ (V[k] + h * f_next[k])
+            rhs[1, k, :wk, 0] = b.T @ V[k]
+        groups = _gram_groups(grams, [b.shape[1] for b in basis], t)
+        c_cont = _solve_groups(groups, rhs[0])
+        c_y = _solve_groups(groups, rhs[1])
+        for k, b in enumerate(basis):
             # centered martingale-increment estimator: same conditional
             # expectation as v * dW / dt, variance smaller by a factor ~ dt
-            dw = _rows(dWt[i], w.idx)
-            c_z = np.linalg.solve(gram, basis.T @ ((v - basis @ c_y) * dw / dt))
-            zj = basis @ c_z
+            wk, dw = b.shape[1], _rows(dWt[i], samples[k])
+            rhs[2, k, :wk, 0] = b.T @ ((V[k] - b @ c_y[k, :wk]) * dw / dt)
+        c_z = _solve_groups(groups, rhs[2])
 
+        for k, (b, idx) in enumerate(zip(basis, samples)):
+            wk = b.shape[1]
+            cont = b @ c_cont[k, :wk]
+            zj = b @ c_z[k, :wk]
             # Z_i is zj in column j and zero elsewhere
-            side_w = tuple(_rows(a, w.idx) for a in side)
-            if one_asset:
-                zcol = side_w[0][:, j] * zj
+            side_k = tuple(_rows(a, idx) for a in side)
+            if cone.dim == 1:
+                zcol = side_k[0][:, j] * zj
             else:
                 zcol = np.zeros((paths, model.n))
                 zcol[:, j] = zj
-            step = _z_side(equation, cone, side_w, r_t, zcol,
-                           zj * zj if equation == "Y" else None)
-
-            v_new = np.clip(cont, lower, upper)
-            for _ in range(_FIXED_POINT_MAX):
-                f_val = _driver_batch(equation, cone, None, None, r_t,
-                                      np.clip(v_new, lower, upper), None, step)
-                nxt = cont + 0.5 * dt * f_val
-                if float(np.max(np.abs(nxt - v_new))) < _FIXED_POINT_TOL:
-                    v_new = nxt
-                    break
-                v_new = nxt
-            else:
-                raise NoConvergence(
-                    f"{equation} driver solve not converged after {_FIXED_POINT_MAX} "
-                    f"fixed-point iterations at t={t:.4f}")
-            w.clamps += int(np.count_nonzero(v_new < lower) + np.count_nonzero(v_new > upper))
-            if k == 0 and w.clamps > budget:
+            step, root = _z_side(equation, cone, side_k, r_t, zcol,
+                                 zj * zj if equation == "Y" else None)
+            V[k], f_next[k], n_off = _close_step(equation, step, root, cont, h, lower, upper, t)
+            clamps[k] += n_off
+            if k == 0 and clamps[0] > budget:
                 raise PositivityLost(
-                    f"{w.clamps} clamp events exceed {_CLAMP_BUDGET:.1%} of "
+                    f"{clamps[0]} clamp events exceed {_CLAMP_BUDGET:.1%} of "
                     f"{paths * steps} path-steps")
-            w.v = v = np.clip(v_new, lower, upper)
-            w.f_next = _driver_batch(equation, cone, None, None, r_t, v, None, step)
+            rhs[0, k, :wk, 0] = b.T @ V[k]
+        y_tab[:, i] = _solve_groups(groups, rhs[0])
+        z_tab[:, i] = c_z
+    return [(y_tab[k], z_tab[k], loc[k], scale[k], clamps[k]) for k in range(K)]
 
-            w.y_tab[i] = _pad(np.linalg.solve(gram, basis.T @ v), width)
-            w.z_tab[i] = _pad(c_z, width)
-    return [(w.y_tab, w.z_tab, w.loc, w.scale, w.clamps) for w in walks]
+
+def _close_step(equation, step, root, cont, h, lower, upper, t):
+    """(v, f(v), clamp events) for the fixed point y of y -> cont + h f(clip(y)),
+    f = step, clip to [lower, upper], v = clip(y).
+
+    With root (one asset) y is the exact root of y = cont + h f(y) inside
+    the envelope and cont + h f(v) outside, verified by its residual;
+    without, Picard iteration from clip(cont) within _FIXED_POINT_MAX
+    evaluations.  A miss of _FIXED_POINT_TOL raises NoConvergence.
+    """
+    if root is not None:
+        y = root(cont, h)
+    else:
+        y = np.clip(cont, lower, upper)
+        for _ in range(_FIXED_POINT_MAX):
+            prev = y
+            y = cont + h * _driver_batch(equation, None, None, None, None,
+                                         np.clip(prev, lower, upper), None, step)
+            if float(np.max(np.abs(y - prev))) < _FIXED_POINT_TOL:
+                break
+        else:
+            raise NoConvergence(
+                f"{equation} driver solve not converged after {_FIXED_POINT_MAX} "
+                f"fixed-point iterations at t={t:.4f}")
+    v = np.clip(y, lower, upper)
+    f = _driver_batch(equation, None, None, None, None, v, None, step)
+    off = v != y
+    if root is not None:
+        resid = float(np.max(np.abs(np.where(off, 0.0, y - cont - h * f))))
+        if not (resid <= _FIXED_POINT_TOL and np.isfinite(y).all()):
+            raise NoConvergence(
+                f"{equation} trapezoid root residual {resid:.2e} at t={t:.4f}")
+    return v, f, int(np.count_nonzero(off))
 
 
 def solve_markovian(model: MarketModel, cone: Cone, equation: str,
                     cfg: McSolverConfig) -> BsdeSolution:
     """Least-squares Monte Carlo backward induction for factor-driven coefficients.
 
-    The factor is simulated forward once.  The bootstrap draws cfg.bootstrap
-    row-index vectors (with replacement) from a dedicated substream, and one
-    _backward_pass walks the main sample and every resample back in
-    lockstep.  Each replicate keeps its tables together with the basis
-    loc/scale its resample was fitted in; the replicates give
-    value0_stderr.  Clamp events are
-    counted per sample; only the main sample's are held to _CLAMP_BUDGET.
+    The factor is simulated forward once; cfg.bootstrap resamples of its
+    rows (with replacement, from a dedicated substream) walk back beside
+    the main sample in one _backward_pass.  Each replicate keeps its tables
+    and the basis loc/scale it was fitted in; they give value0_stderr.
     """
     if equation not in EQUATIONS:
         raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")

@@ -7,10 +7,6 @@ on the loading, so one draw of Brownian increments serves a whole family:
 simulate advances every wealth row and every density row on that one
 draw, and each (pi, eta) cell is formed from the terminal rows.  The
 common random numbers of the saddle scan come from this shared draw.
-Members also share each step's deterministic part (StepTargets): phi and
-each distinct projected target, such as Proj_{s'Gamma}(Y phi - Z), are
-evaluated once per block and step, so pi_hat, its scaled copies and
-eta_hat read one projection and every -c phi loading reads one phi.
 The riskless part of the wealth update uses the exact per-step growth
 factor, so a zero portfolio compounds exactly; the density is advanced in
 log space, which keeps it positive by construction.
@@ -163,19 +159,16 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
 
     strategy and adversary are each one member or a list of members (None
     is the zero portfolio).  Each block draws its Brownian increments once
-    per step and advances every wealth row and every density row with the
-    same draw, so all (pi, eta) cells share common random numbers.  Each
-    step's phi and full-row projected targets are evaluated once for all
-    members (one StepTargets per block and step); the MV short side, on the
-    rows with wealth above its level, stays per strategy, and a zero loading
-    leaves its density at 1.  X
-    follows the wealth equation with the feedback portfolio (exact riskless
-    growth factor per step); Lambda follows the log-Euler scheme, positive
-    by construction.  Each cell estimates, by reweighting with Lambda_T,
-    E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)].  Every model steps on the
-    same (t, f) rows, f starting at f0 (state 0 without a factor); only a
-    factor model advances f and stores F_paths.  Trajectories (store_paths)
-    are kept for a one-pair call only.
+    per step for every wealth and density row, so all (pi, eta) cells share
+    common random numbers, and evaluates each step's phi and full-row
+    projected targets once for all members (StepTargets): pi_hat, its
+    scaled copies and eta_hat read one projection, every -c phi one phi.
+    The MV short side stays per strategy; a zero loading leaves its density
+    at 1.  Each cell estimates E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)] by
+    reweighting with Lambda_T.  Every model steps on the same (t, f) rows,
+    f from f0 (state 0 without a factor); only a factor model advances f
+    and stores F_paths.  Trajectories (store_paths) are kept for a one-pair
+    call only.
     """
     family = isinstance(strategy, (list, tuple)) or isinstance(adversary, (list, tuple))
     strategies = list(strategy) if isinstance(strategy, (list, tuple)) else [strategy]

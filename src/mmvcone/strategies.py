@@ -67,15 +67,11 @@ def _projected_target(model: MarketModel, cone: Cone, sol: BsdeSolution, side: s
 
 
 class StepTargets:
-    """phi and the full-row projected targets at one (t, fvals).
-
-    Holds phi at the evaluation rows (_eval_rows of t and fvals) and each
-    distinct (solution, side, cone) projected target, each computed on
-    first use.  A portfolio or loading evaluation builds its own; simulate
-    builds one per path block and step and hands it to every member, so
-    they share it.  Nothing writes into its arrays.  The MV short side (P1),
-    evaluated on a subset of rows, never enters it.
-    """
+    """phi and each distinct (solution, side, cone) projected target at the
+    evaluation rows of one (t, fvals), each computed on first use.  simulate
+    builds one per path block and step and every family member reads it;
+    nothing writes into its arrays.  The MV short side (P1), evaluated on a
+    subset of rows, never enters it."""
 
     def __init__(self, model: MarketModel, t, fvals):
         self.model = model
@@ -135,10 +131,6 @@ class FeedbackStrategy:
         """MMV direction Proj_{s'Gamma}(Y phi - Z) in R^n."""
         return self._side("Y", t, self._row(f))[2][0]
 
-    def xi1(self, t: float, f=None) -> np.ndarray:
-        """MV short-side direction in R^m."""
-        return self._side("P1", t, self._row(f))[3][0]
-
     def xi2(self, t: float, f=None) -> np.ndarray:
         """MV long-side direction in R^m."""
         return self._side("P2", t, self._row(f))[3][0]
@@ -159,15 +151,12 @@ class FeedbackStrategy:
                         _step: StepTargets | None = None) -> np.ndarray:
         """Vectorized feedback: directions once per state row, broadcast over wealth.
 
-        t is a time or one per state row; fvals holds the factor state of
-        each row (None means state 0, and a model without factor evaluates
-        one row per time).  xvals (N,) is one wealth per state row, or shares
-        one row; (R, X) gives each of R state rows X wealth levels, which is
-        how equivalence_check evaluates a whole lattice in one call.
-        Returns xvals.shape + (m,).  The MV short-side (P1) direction is
-        evaluated only on state rows with some wealth above gamma_hat / h_t.
-        The full-row (Y or P2) direction is read from _step, the
-        StepTargets of this (t, fvals) that simulate shares across a family.
+        t is a time or one per state row; fvals the factor state per row
+        (None: state 0, one row per time).  xvals (N,) is one wealth per
+        state row, or (R, X): X wealth levels for each of R state rows.
+        Returns xvals.shape + (m,).  The Y or P2 direction is read from
+        _step (a StepTargets of this (t, fvals)); the MV short side (P1) is
+        evaluated only on rows with some wealth above gamma_hat / h_t.
         """
         xvals = np.asarray(xvals, dtype=float)
         step = _step if _step is not None else StepTargets(self.model, t, fvals)
@@ -223,13 +212,10 @@ def clip_to_bound(eta: np.ndarray, bound: float) -> np.ndarray:
 
 
 class SaddleAdversary:
-    """Worst-case density loading eta_hat = -(Z + xi)/Y.
-
-    Values are clipped to the declared bound, 1.5 times the largest loading
-    norm on the bound lattice (bound_lattice_max_norm) plus 1e-12, so the
-    family stays inside the admissible class; the clip never binds on
-    deterministic-coefficient models.
-    """
+    """Worst-case density loading eta_hat = -(Z + xi)/Y, clipped to the
+    declared bound: 1.5 times the largest loading norm on the bound lattice
+    plus 1e-12, so the family stays admissible (it never binds on
+    deterministic-coefficient models)."""
 
     kind = "saddle"
 
@@ -248,7 +234,7 @@ class SaddleAdversary:
         y, z, xi, _ = step.target(self.cone, self.y_sol, "Y")
         return -(z + xi) / y[:, None]
 
-    def eta(self, t: float, f=None, lambda_state=None) -> np.ndarray:
+    def eta(self, t: float, f=None) -> np.ndarray:
         return self.eta_batch(t, _state_row(f, self.model.coefficients.kind == "markov"))[0]
 
     def eta_batch(self, t: float, fvals: np.ndarray, *,
@@ -395,6 +381,7 @@ class EquivalenceReport:
     a_const: float
     max_gap_stderr: float | None = None   # combined stderr at the worst probe
     max_gap_ratio: float | None = None    # max over probes of gap / combined stderr
+    max_gap_ratio_interior: float | None = None   # the same over probes with t < T
     value_stderr: float | None = None
 
     @property
@@ -414,6 +401,8 @@ class EquivalenceReport:
             out["max_gap_stderr"] = self.max_gap_stderr
         if self.max_gap_ratio is not None:
             out["max_gap_ratio"] = self.max_gap_ratio
+        if self.max_gap_ratio_interior is not None:
+            out["max_gap_ratio_interior"] = self.max_gap_ratio_interior
         if self.value_stderr is not None:
             out["value_stderr"] = self.value_stderr
         return out
@@ -440,11 +429,10 @@ def equivalence_check(mmv: FeedbackStrategy, mv: FeedbackStrategy,
 
     probe_grid is (t_values, x_values) or (t_values, x_values, f_values);
     factor values default to the mean factor path for factor-driven models.
-    Each strategy is evaluated by one portfolio_batch call over every
-    (t, f) probe, its directions computed once per probe and broadcast over
-    the X axis.  With bootstrap replicates available on both sides, each
-    replicate pair is evaluated the same way, and the report carries a
-    combined stderr for the worst probe and for the value gap.
+    Each strategy is one portfolio_batch call over every (t, f) probe.  With
+    bootstrap replicates on both sides, each replicate pair is evaluated the
+    same way, and the report carries combined stderrs for the worst probe
+    and the value gap, and the worst gap ratio overall and below t = T.
     """
     model = mmv.model
     cf = model.coefficients
@@ -477,9 +465,7 @@ def equivalence_check(mmv: FeedbackStrategy, mv: FeedbackStrategy,
     curve = dual_curve(mv.p1_sol.value0, mv.p2_sol.value0, model.h0,
                        model.x0, model.theta)
 
-    gap_se = None
-    gap_ratio = None
-    val_se = None
+    gap_se = gap_ratio = gap_ratio_interior = val_se = None
     reps_y = mmv.y_sol.replicates
     reps_p2 = mv.p2_sol.replicates
     if reps_y and reps_p2:
@@ -501,11 +487,16 @@ def equivalence_check(mmv: FeedbackStrategy, mv: FeedbackStrategy,
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(gaps > 1e-12, gaps / se, 0.0)
         gap_ratio = float(np.max(ratios))
+        # before the horizon, where Y and P2 are no longer pinned to 1
+        interior = probe_t < model.horizon_T
+        if interior.any():
+            gap_ratio_interior = float(np.max(ratios[interior]))
         val_se = math.hypot(float(np.std(vm_reps, ddof=1)), float(np.std(vv_reps, ddof=1)))
 
     return EquivalenceReport(
         x_values=x_values, probe_t=probe_t, probe_f=probe_f, pim=pim, piv=piv, gaps=gaps,
         max_gap=max_gap, value_mmv=value_mmv, value_mv=curve.mv_value,
         gamma_hat=mv.gamma_hat, K_hat=curve.K_hat, a_const=mmv.a_const,
-        max_gap_stderr=gap_se, max_gap_ratio=gap_ratio, value_stderr=val_se,
+        max_gap_stderr=gap_se, max_gap_ratio=gap_ratio,
+        max_gap_ratio_interior=gap_ratio_interior, value_stderr=val_se,
     )

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import mmvcone as mc
-from mmvcone.bsde import EQUATIONS, _backward_pass, _driver_batch, _prepare_driver
-from mmvcone.errors import ConfigInvalid, NoConvergence, NonPositiveY, PositivityLost
+from mmvcone.bsde import (EQUATIONS, _backward_pass, _close_step, _driver_batch,
+                          _prepare_driver, _sigma_side, _z_side)
+from mmvcone.errors import (ConfigInvalid, NoConvergence, NonPositiveY, PositivityLost,
+                            RegressionIllConditioned)
 
 from conftest import INSTANCE_A, INSTANCE_C, INSTANCE_C_SIGMA1, random_full_rank_sigma
 
@@ -279,12 +281,77 @@ def test_rk4_time_varying_mu_and_rate_break_inside_step(cone_a):
     assert abs(p2.value0 - math.exp(int_2r - int_phi_sq)) < 1e-10
 
 
-def test_fixed_point_budget_raises(model_c, monkeypatch):
+def test_fixed_point_budget_raises(monkeypatch):
+    # m >= 2 is the path that still iterates (m = 1 closes on an exact root)
     monkeypatch.setattr(mc.bsde, "_FIXED_POINT_MAX", 1)
     with pytest.raises(NoConvergence):
+        mc.solve_markovian(mc.build_model(_FULL_CONE_2), mc.full_space(2), "Y",
+                           mc.McSolverConfig(paths=1000, basis_degree=1, seed=3,
+                                             steps=10, bootstrap=0))
+
+
+@pytest.mark.parametrize("cone", [mc.full_space(1), mc.orthant(1),
+                                  mc.generated(np.array([[-1.0]]))],
+                         ids=["full", "orthant", "negative_ray"])
+def test_closed_step_matches_picard(cone):
+    # the one-asset step closes on the root of a quadratic; a Picard loop on
+    # the clamped map, run to machine precision, is the reference
+    rng = np.random.default_rng(29)
+    rows, j, r, t = 600, 1, 0.03, 0.5
+    lower, upper = 0.7, 1.4
+    sigma = np.array([[0.2, 0.1]])
+    phi = rng.normal(0.0, 0.5, size=(rows, 2))
+    zj = rng.normal(0.0, 0.3, size=rows)
+    cont = rng.uniform(0.5, 1.6, size=rows)          # some rows leave the envelope
+    for eq in EQUATIONS:
+        side = _sigma_side(eq, cone, sigma, phi, rows)
+        s_j, _, p, clip = side
+        zcol = s_j[:, j] * zj
+        step, root = _z_side(eq, cone, side, r, zcol, zj * zj if eq == "Y" else None)
+        for dt in (0.02, 0.04, 0.1):
+            h = 0.5 * dt
+            v, f, clamps = _close_step(eq, step, root, cont, h, lower, upper, t)
+            y = np.clip(cont, lower, upper)
+            for _ in range(200):
+                y = cont + h * step(np.clip(y, lower, upper))
+            inside = (y >= lower) & (y <= upper)
+            assert 0 < clamps == np.count_nonzero(~inside) < rows
+            assert np.max(np.abs(v - np.clip(y, lower, upper))) <= 1e-13, (eq, dt)
+            assert np.max(np.abs(v - cont - h * f)[inside]) <= mc.bsde._FIXED_POINT_TOL
+            assert np.array_equal(f, step(v))
+            if cone.kind != "full":
+                # both sides of the ray clip occur at the fixed point
+                sign = -1.0 if eq == "P1" else 1.0
+                c = -1.0 if eq == "Y" else 1.0
+                u = p * v + sign * c * zcol / side[1]
+                binds = clip(u) != u
+                assert np.any(binds[inside]) and not np.all(binds[inside])
+
+
+def test_closed_step_residual_guard_raises(model_c, monkeypatch):
+    # the exact root is checked against the closing driver evaluation
+    monkeypatch.setattr(mc.bsde, "_FIXED_POINT_TOL", 0.0)
+    with pytest.raises(NoConvergence, match=r"^Y trapezoid root residual .* at t=0\.9000$"):
         mc.solve_markovian(model_c, mc.full_space(1), "Y",
                            mc.McSolverConfig(paths=1000, basis_degree=1, seed=3,
                                              steps=10, bootstrap=0))
+
+
+def test_ill_conditioned_regression_raises(model_c, monkeypatch):
+    # a duplicated basis column makes every Gram singular; the stacked
+    # eigenvalue guard rejects the first step and names its time
+    real = mc.bsde._basis_matrix
+
+    def duplicated(fvals, loc, scale, degree, out):
+        basis = real(fvals, loc, scale, degree, out)
+        basis[:, -1] = basis[:, -2]
+        return basis
+
+    monkeypatch.setattr(mc.bsde, "_basis_matrix", duplicated)
+    with pytest.raises(RegressionIllConditioned, match=r"at t=0\.9000$"):
+        mc.solve_markovian(model_c, mc.full_space(1), "Y",
+                           mc.McSolverConfig(paths=1000, basis_degree=2, seed=3,
+                                             steps=10, bootstrap=2))
 
 
 def test_grid_refinement_order(model_a, cone_a):
@@ -527,6 +594,27 @@ def test_lockstep_bootstrap_matches_separate_passes(name, config, cone, equation
     if name == "orthant_clip":
         mu = model.coefficients.mu_batch(0.5, F[:, steps // 2])[:, 0]
         assert 0.2 < np.mean(mu < 0.0) < 0.8   # both sides of the clip occur
+
+
+def test_mixed_basis_widths_stack_by_width(model_c, monkeypatch):
+    # samples whose basis falls back to the constant column solve in their
+    # own width group beside full-width ones, with the bits of a lone pass
+    real = mc.bsde._basis_matrix
+    widths = []
+
+    def some_constant(fvals, loc, scale, degree, out):
+        basis = real(fvals, loc, 0.0 if fvals[0] > fvals[1] else scale, degree, out)
+        widths.append(basis.shape[1])
+        return basis
+
+    monkeypatch.setattr(mc.bsde, "_basis_matrix", some_constant)
+    cfg = mc.McSolverConfig(paths=2000, basis_degree=2, seed=17, steps=10, bootstrap=3)
+    sol, args = _solve_capturing_pass(model_c, mc.full_space(1), "Y", cfg, monkeypatch)
+    assert any(len(set(widths[k:k + 4])) == 2 for k in range(0, 40, 4))
+    for b, idx in enumerate(args[9][1:]):
+        y_tab, z_tab, _, _, _ = _separate_pass(args, idx)
+        assert np.array_equal(sol.replicates[b][0], y_tab)
+        assert np.array_equal(sol.replicates[b][1], z_tab)
 
 
 def test_replicate_evaluates_in_its_own_basis_normalization(model_c, monkeypatch):

@@ -333,6 +333,13 @@ def test_stacked_lattice_matches_per_probe_calls(case):
                 stacked = strat.portfolio_batch(report.probe_t, lattice, report.probe_f)
                 assert np.array_equal(stacked, _per_probe(strat, report)), b
         assert report.max_gap_ratio is not None
+        # the worst ratio below t = T is reported beside the overall one
+        assert 0.0 <= report.max_gap_ratio_interior <= report.max_gap_ratio
+        assert (report.summary_dict()["max_gap_ratio_interior"]
+                == report.max_gap_ratio_interior)
+    else:
+        assert report.max_gap_ratio is None and report.max_gap_ratio_interior is None
+        assert "max_gap_ratio_interior" not in report.summary_dict()
 
 
 def _bound_lattice_reference(model, loading):
