@@ -40,8 +40,8 @@ from .market import (
     PROBE_FACTOR_QUANTILES,
     DiscountFactor,
     MarketModel,
+    coefficients_at,
     pricing_kernel_batch,
-    pricing_kernel_from,
 )
 from .rng import substream
 
@@ -354,12 +354,6 @@ class BsdeSolution:
         return float(np.min(vals))
 
 
-def _sigma_and_kernel(model, t, fvals):
-    """sigma and phi at the rows, with sigma evaluated once for both."""
-    sig = model.coefficients.sigma_batch(t, fvals)
-    return sig, pricing_kernel_from(sig, model.coefficients.mu_batch(t, fvals))
-
-
 def _deterministic_rhs(model, cone, equation, times, r_steps):
     """dv/dt per unit v for the Z == 0 reduction, one entry per (time, rate) row.
 
@@ -367,7 +361,7 @@ def _deterministic_rhs(model, cone, equation, times, r_steps):
     dv/dt = v * rhs(t).  r_steps holds the exact average rate over each row's
     integration step, exact for piecewise-constant r across a rate break.
     """
-    sig, phi = _sigma_and_kernel(model, times, np.zeros(len(times)))
+    sig, _, phi = coefficients_at(model, times, np.zeros(len(times)))
     return -_driver_batch(equation, cone, sig, phi, r_steps,
                           np.ones(len(times)), np.zeros((len(times), model.n)))
 
@@ -479,8 +473,8 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
     stored.  Returns one (y_tab, z_tab, loc, scale, clamps) per sample, bit
     for bit those of a one-sample pass over F[idx].
 
-    Each step evaluates sigma, phi and the sigma-side driver columns once,
-    and each sample gathers them by its indices.  The samples' bases share
+    Each step evaluates sigma and phi (coefficients_at) and the sigma-side
+    driver columns once, and each sample gathers them by its indices.  The samples' bases share
     one buffer, and each regression stage (continuation value, value fit,
     Z, refit of the new value) is one stacked solve per basis width.  The
     step closes with the trapezoid (_close_step), h = dt / 2,
@@ -506,9 +500,9 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
     K = len(samples)
 
     # Z_T = 0, so the terminal driver is exact
-    f_term = _driver_batch(equation, cone,
-                           *_sigma_and_kernel(model, float(grid[-1]), Ft[-1]),
-                           r_step[-1], np.ones(paths), np.zeros((paths, model.n)))
+    sig, _, phi = coefficients_at(model, float(grid[-1]), Ft[-1])
+    f_term = _driver_batch(equation, cone, sig, phi, r_step[-1],
+                           np.ones(paths), np.zeros((paths, model.n)))
     V = np.ones((K, paths))
     f_next = np.stack([_rows(f_term, idx) for idx in samples])
     y_tab = np.zeros((K, steps + 1, width))
@@ -524,7 +518,8 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
     for i in range(steps - 1, -1, -1):
         t = float(grid[i])
         r_t = r_step[i]
-        side = _sigma_side(equation, cone, *_sigma_and_kernel(model, t, Ft[i]), paths)
+        sig, _, phi = coefficients_at(model, t, Ft[i])
+        side = _sigma_side(equation, cone, sig, phi, paths)
         if rate_term and i + 1 < steps:
             f_next += 2.0 * (r_t - r_step[i + 1]) * V
         basis = []

@@ -207,7 +207,8 @@ def ray_axis(cone: Cone, sigma: np.ndarray, N: int):
 
     sigma is (1, n) shared or (N, 1, n) per sample.  Returns (s (N, n),
     |s|^2 (N,), clip), where clip maps an array of coefficients k to the
-    nearest admissible ones.  The projection of a is clip(s'a / |s|^2) s.
+    nearest admissible ones; s and |s|^2 are zero-stride views when every
+    row shares one s.  The projection of a is clip(s'a / |s|^2) s.
     """
     if cone.kind == FULL:
         pos = neg = True
@@ -225,6 +226,8 @@ def ray_axis(cone: Cone, sigma: np.ndarray, N: int):
         return k
 
     s = np.broadcast_to(sigma[..., 0, :], (N, sigma.shape[-1]))
+    if s.strides[0] == 0:       # one s for every row: |s|^2 from one row, shared
+        return s, np.broadcast_to(np.einsum("ij,ij->i", s[:1], s[:1]), (N,)), clip
     return s, np.einsum("ij,ij->i", s, s), clip
 
 

@@ -399,22 +399,27 @@ def pricing_kernel(model: MarketModel, t: float, f: float | None = None) -> np.n
     return pricing_kernel_batch(model, t, np.array([f], dtype=float))[0]
 
 
+def coefficients_at(model: MarketModel, t, fvals: np.ndarray):
+    """(sigma (N, m, n), mu (N, m), phi (N, n)) at factor states fvals (N,):
+    sigma and mu evaluated once each, phi derived from them.  t is a time or
+    one time per row; TimeOutOfRange outside [0, T]."""
+    if not (0.0 <= np.min(t) and np.max(t) <= model.horizon_T + 1e-12):
+        raise TimeOutOfRange(f"t={t} outside [0, {model.horizon_T}]")
+    sig = model.coefficients.sigma_batch(t, fvals)
+    mu = model.coefficients.mu_batch(t, fvals)
+    return sig, mu, pricing_kernel_from(sig, mu)
+
+
 def pricing_kernel_batch(model: MarketModel, t, fvals: np.ndarray) -> np.ndarray:
     """phi = sigma' (sigma sigma')^{-1} mu, the minimal-norm solution of sigma phi = mu.
 
     (N,) factor states -> (N, n); t is a time or one time per row.
     """
-    if not (0.0 <= np.min(t) and np.max(t) <= model.horizon_T + 1e-12):
-        raise TimeOutOfRange(f"t={t} outside [0, {model.horizon_T}]")
-    return pricing_kernel_from(model.coefficients.sigma_batch(t, fvals),
-                               model.coefficients.mu_batch(t, fvals))
+    return coefficients_at(model, t, fvals)[2]
 
 
 def pricing_kernel_from(sig: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """phi = sigma' (sigma sigma')^{-1} mu from (N, m, n) volatilities and (N, m) returns.
-
-    Callers that also need sigma evaluate it once and pass it here.
-    """
+    """phi = sigma' (sigma sigma')^{-1} mu from (N, m, n) volatilities and (N, m) returns."""
     if sig.shape[1] == 1:
         s = sig[:, 0, :]
         return (mu[:, 0] / np.einsum("ij,ij->i", s, s))[:, None] * s

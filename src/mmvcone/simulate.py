@@ -7,6 +7,8 @@ on the loading, so one draw of Brownian increments serves a whole family:
 simulate advances every wealth row and every density row on that one
 draw, and each (pi, eta) cell is formed from the terminal rows.  The
 common random numbers of the saddle scan come from this shared draw.
+Each path block evaluates sigma, mu and phi once per step (StepTargets),
+and the wealth update, every portfolio and every loading read them.
 The riskless part of the wealth update uses the exact per-step growth
 factor, so a zero portfolio compounds exactly; the density is advanced in
 log space, which keeps it positive by construction.
@@ -160,15 +162,16 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     strategy and adversary are each one member or a list of members (None
     is the zero portfolio).  Each block draws its Brownian increments once
     per step for every wealth and density row, so all (pi, eta) cells share
-    common random numbers, and evaluates each step's phi and full-row
-    projected targets once for all members (StepTargets): pi_hat, its
-    scaled copies and eta_hat read one projection, every -c phi one phi.
-    The MV short side stays per strategy; a zero loading leaves its density
-    at 1.  Each cell estimates E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)] by
-    reweighting with Lambda_T.  Every model steps on the same (t, f) rows,
-    f from f0 (state 0 without a factor); only a factor model advances f
-    and stores F_paths.  Trajectories (store_paths) are kept for a one-pair
-    call only.
+    common random numbers.  It evaluates sigma, mu and phi once per step
+    and projects each full-row target once (StepTargets): the wealth
+    update reads sigma and mu, pi_hat, its scaled copies and eta_hat one
+    projection, and every -c phi one phi.  Without a factor the state is one
+    row, broadcast to the block.  The MV short side is projected per
+    strategy on its own rows; a zero loading leaves its density at 1.  Each
+    cell estimates E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)] by reweighting
+    with Lambda_T.  Every model steps on (t, f) rows, f from f0 (state 0
+    without a factor); only a factor model advances f and stores F_paths.
+    Trajectories (store_paths) are kept for a one-pair call only.
     """
     family = isinstance(strategy, (list, tuple)) or isinstance(adversary, (list, tuple))
     strategies = list(strategy) if isinstance(strategy, (list, tuple)) else [strategy]
@@ -187,7 +190,6 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
         raise ConfigInvalid("block_size must be positive", field="block_size")
     cf = model.coefficients
     markov = cf.kind == "markov"
-    trading = any(s is not None for s in strategies)
     T = model.horizon_T
     dt = T / steps
     times = np.linspace(0.0, T, steps + 1)
@@ -225,10 +227,9 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
             else:
                 dw = sqdt * rng.standard_normal((bs, model.n))
 
-            step = StepTargets(model, t, f)     # this step's phi and targets, shared
-            if trading:
-                mu_b = cf.mu_batch(t, f)
-                sig = cf.sigma_batch(t, f)
+            step = StepTargets(model, t, f)     # this step's coefficients and targets
+            mu_b = np.broadcast_to(step.mu, (bs, model.m))
+            sig = np.broadcast_to(step.sigma, (bs, model.m, model.n))
             for strat, x in zip(strategies, xs):
                 pi = strat.portfolio_batch(t, x, f, _step=step) if strat is not None else None
                 np.multiply(x, growth[k], out=x)

@@ -24,7 +24,7 @@ import numpy as np
 from .bsde import BsdeSolution, _state_row
 from .cones import Cone, project_transformed_batch
 from .errors import ConfigInvalid, InvalidBound, PositivityLost
-from .market import MarketModel, pricing_kernel_batch
+from .market import MarketModel, coefficients_at
 
 _EQ_SLACK = 1e-10   # absolute slack detecting the p_{i,0} = h_0^2 boundary
 
@@ -43,55 +43,42 @@ def _eval_rows(model: MarketModel, t, fvals) -> np.ndarray:
     return np.asarray(fvals, dtype=float)
 
 
-def _projected_target(model: MarketModel, cone: Cone, sol: BsdeSolution, side: str,
-                      t, fvals: np.ndarray, *, phi: np.ndarray | None = None):
-    """Project one side's target onto sigma' Gamma at factor states fvals.
+def _projected_target(step: "StepTargets", cone: Cone, sol: BsdeSolution, side: str):
+    """Project one side's target onto sigma' Gamma on the rows of step.
 
     side "Y": Y phi - Z;  "P1": -(phi + Delta1/P1);  "P2": phi + Delta2/P2.
-    t is a time or one per row; phi, when given, is pricing_kernel_batch
-    at the same (t, fvals).
     Returns (value (N,), z (N, n), xi (N, n), gamma (N, m)).
     """
-    v, z = sol._transformed_batch(t, fvals)
-    if phi is None:
-        phi = pricing_kernel_batch(model, t, fvals)
+    v, z = sol._transformed_batch(step.t, step.rows)
+    phi = step.phi
     if side == "Y":
         a = phi * v[:, None] - z
     elif side == "P1":
         a = -phi - z / v[:, None]
     else:
         a = phi + z / v[:, None]
-    xi, gamma, _ = project_transformed_batch(
-        cone, model.coefficients.sigma_batch(t, fvals), a)
+    xi, gamma, _ = project_transformed_batch(cone, step.sigma, a)
     return v, z, xi, gamma
 
 
 class StepTargets:
-    """phi and each distinct (solution, side, cone) projected target at the
-    evaluation rows of one (t, fvals), each computed on first use.  simulate
-    builds one per path block and step and every family member reads it;
-    nothing writes into its arrays.  The MV short side (P1), evaluated on a
-    subset of rows, never enters it."""
+    """The coefficient state at the evaluation rows of one (t, fvals): sigma,
+    mu and phi from one coefficients_at call, and each distinct (solution,
+    side, cone) projected target, computed on first use.  simulate builds
+    one per path block and step, read by the wealth update and every family
+    member; nothing writes into its arrays."""
 
     def __init__(self, model: MarketModel, t, fvals):
-        self.model = model
         self.t = t
         self.rows = _eval_rows(model, t, fvals)
-        self._phi = None
+        self.sigma, self.mu, self.phi = coefficients_at(model, t, self.rows)
         self._targets = {}
-
-    @property
-    def phi(self) -> np.ndarray:
-        if self._phi is None:
-            self._phi = pricing_kernel_batch(self.model, self.t, self.rows)
-        return self._phi
 
     def target(self, cone: Cone, sol: BsdeSolution, side: str):
         """_projected_target of (sol, side, cone) on the step's rows."""
         key = (id(sol), side, id(cone))
         if key not in self._targets:
-            self._targets[key] = _projected_target(self.model, cone, sol, side, self.t,
-                                                   self.rows, phi=self.phi)
+            self._targets[key] = _projected_target(self, cone, sol, side)
         return self._targets[key]
 
 
@@ -122,20 +109,13 @@ class FeedbackStrategy:
         return _state_row(f, self.model.coefficients.kind == "markov")
 
     def _side(self, side: str, t, fvals: np.ndarray):
+        """One side's projected target on its own StepTargets of (t, fvals)."""
         sol = {"Y": self.y_sol, "P1": self.p1_sol, "P2": self.p2_sol}[side]
-        return _projected_target(self.model, self.cone, sol, side, t, fvals)
-
-    # -- projected directions -------------------------------------------------
-
-    def xi(self, t: float, f=None) -> np.ndarray:
-        """MMV direction Proj_{s'Gamma}(Y phi - Z) in R^n."""
-        return self._side("Y", t, self._row(f))[2][0]
+        return StepTargets(self.model, t, fvals).target(self.cone, sol, side)
 
     def xi2(self, t: float, f=None) -> np.ndarray:
         """MV long-side direction in R^m."""
         return self._side("P2", t, self._row(f))[3][0]
-
-    # -- portfolio maps --------------------------------------------------------
 
     def portfolio(self, t: float, x: float, f=None) -> np.ndarray:
         return self.portfolio_batch(t, np.array([x], dtype=float), self._row(f))[0]

@@ -13,7 +13,7 @@ from mmvcone.errors import (
     SaddleViolated,
 )
 
-from conftest import H0_A, INSTANCE_ORTHANT2, VALUE_A
+from conftest import H0_A, INSTANCE_C_SIGMA1, INSTANCE_ORTHANT2, VALUE_A
 
 
 @pytest.fixture(scope="module")
@@ -226,14 +226,30 @@ def test_markov_simulation_runs(model_c):
     assert math.isfinite(resid)
 
 
-@pytest.fixture(scope="module")
-def markov_c(model_c):
+def _markov_saddle(model):
+    """(pi_hat, eta_hat) from one regression Y solve on a one-asset factor model."""
     cone = mc.full_space(1)
-    sol = mc.solve_markovian(model_c, cone, "Y",
+    sol = mc.solve_markovian(model, cone, "Y",
                              mc.McSolverConfig(paths=2000, basis_degree=2,
                                                seed=47, steps=10, bootstrap=0))
-    return (mc.mmv_feedback(model_c, cone, sol),
-            mc.saddle_adversary(mc.mmv_adversary(sol, cone, model_c)))
+    return (mc.mmv_feedback(model, cone, sol),
+            mc.saddle_adversary(mc.mmv_adversary(sol, cone, model)))
+
+
+@pytest.fixture(scope="module")
+def markov_c(model_c):
+    return _markov_saddle(model_c)
+
+
+@pytest.fixture(scope="module")
+def model_c1():
+    # instance C with sigma1 != 0: sigma varies by row
+    return mc.build_model(INSTANCE_C_SIGMA1)
+
+
+@pytest.fixture(scope="module")
+def markov_c1(model_c1):
+    return _markov_saddle(model_c1)
 
 
 @pytest.fixture(scope="module")
@@ -295,52 +311,79 @@ def _spy(monkeypatch, module_name, name):
 
 
 def _saddle_pair(request, instance):
-    """(model, pi_hat, eta_hat) on instance A or C."""
+    """(model, pi_hat, eta_hat) on instance A, C or C1 (C with sigma1 != 0)."""
     if instance == "A":
         return tuple(request.getfixturevalue(name) for name in ("model_a", "mmv_a", "saddle_a"))
-    return (request.getfixturevalue("model_c"),) + request.getfixturevalue("markov_c")
+    name = instance.lower()
+    return (request.getfixturevalue(f"model_{name}"),) + request.getfixturevalue(f"markov_{name}")
 
 
-@pytest.mark.parametrize("instance", ["A", "C"])
+def _count_evaluations(monkeypatch, names):
+    """Count the calls of each CoefficientField method in names."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(mc.CoefficientField, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(mc.CoefficientField, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("instance", ["A", "C", "C1"])
 def test_family_shares_each_steps_target_and_phi(instance, request, monkeypatch):
     # pi_hat, its scaled copies and eta_hat read one projected target per
-    # step and block, and both -c phi loadings the same phi
+    # step and block; those, both -c phi loadings and the wealth update read
+    # one coefficient state, so sigma and mu are evaluated once per step and block
     model, mmv, saddle = _saddle_pair(request, instance)
     pi_family = [mmv, None, mmv.scaled(0.5), mmv.scaled(1.5)]
     eta_family = [saddle, mc.zero_adversary(),
                   mc.scaled_minus_phi(model, 0.5), mc.scaled_minus_phi(model, 2.0)]
     targets = _spy(monkeypatch, "mmvcone.strategies", "_projected_target")
-    kernels = _spy(monkeypatch, "mmvcone.market", "pricing_kernel_batch")
+    states = _spy(monkeypatch, "mmvcone.market", "coefficients_at")
+    evaluations = _count_evaluations(monkeypatch, ("sigma_batch", "mu_batch"))
     steps, blocks = 12, 3
     mc.simulate(model, pi_family, eta_family, paths=2500, steps=steps, seed=59,
                 block_size=1000)
     assert len(targets) == steps * blocks
-    assert len(kernels) == steps * blocks
+    assert len(states) == steps * blocks
+    assert evaluations == {"sigma_batch": steps * blocks, "mu_batch": steps * blocks}
     assert {args[3] for args in targets} == {"Y"}
+
+
+def _markov_mv(model):
+    cone = mc.full_space(1)
+    cfg = dict(paths=2000, basis_degree=2, steps=10, bootstrap=0)
+    p1 = mc.solve_markovian(model, cone, "P1", mc.McSolverConfig(seed=61, **cfg))
+    p2 = mc.solve_markovian(model, cone, "P2", mc.McSolverConfig(seed=67, **cfg))
+    return mc.mv_feedback(model, cone, p1, p2)
 
 
 @pytest.fixture(scope="module")
 def markov_c_mv(model_c):
-    cone = mc.full_space(1)
-    cfg = dict(paths=2000, basis_degree=2, steps=10, bootstrap=0)
-    p1 = mc.solve_markovian(model_c, cone, "P1", mc.McSolverConfig(seed=61, **cfg))
-    p2 = mc.solve_markovian(model_c, cone, "P2", mc.McSolverConfig(seed=67, **cfg))
-    return mc.mv_feedback(model_c, cone, p1, p2)
+    return _markov_mv(model_c)
 
 
-@pytest.mark.parametrize("instance", ["A", "C"])
+@pytest.fixture(scope="module")
+def markov_c1_mv(model_c1):
+    return _markov_mv(model_c1)
+
+
+@pytest.mark.parametrize("instance", ["A", "C", "C1"])
 def test_mixed_family_cells_match_pair_simulations(instance, request, monkeypatch):
     # MMV and MV maps beside -c phi and zero loadings.  An MV map whose level
     # sits below x0 h0 starts with every wealth above gamma/h_t, so its short
     # side (P1) runs; scaled up 20 times its wealth crosses the level both
-    # ways, and on C its P1 rows are then a strict subset of a block's rows.
-    # Neither those rows nor their phi may reach another member.
+    # ways, and on C and C1 its P1 rows are then a strict subset of a block's rows.
+    # Neither those rows nor their coefficients may reach another member.
     model, mmv, saddle = _saddle_pair(request, instance)
     if instance == "A":
         mv = mc.mv_feedback(model, mmv.cone, request.getfixturevalue("p1sol_a"),
                             request.getfixturevalue("p2sol_a"))
     else:
-        mv = request.getfixturevalue("markov_c_mv")
+        mv = request.getfixturevalue(f"markov_{instance.lower()}_mv")
     split = dataclasses.replace(mv, gamma_hat=0.99 * model.x0 * model.h0, label="split")
     pi_family = [split.scaled(20.0), split, mv, mmv, None]
     eta_family = [mc.scaled_minus_phi(model, 0.5), saddle, mc.zero_adversary(),
@@ -348,9 +391,9 @@ def test_mixed_family_cells_match_pair_simulations(instance, request, monkeypatc
     kw = dict(paths=2500, steps=12, seed=71, block_size=1000)
     targets = _spy(monkeypatch, "mmvcone.strategies", "_projected_target")
     fam = mc.simulate(model, pi_family, eta_family, **kw)
-    p1_rows = {len(args[5]) for args in targets if args[3] == "P1"}
+    p1_rows = {len(args[0].rows) for args in targets if args[3] == "P1"}
     assert p1_rows
-    if instance == "C":
+    if instance != "A":
         assert p1_rows - {1000, 500}      # not only whole blocks
     for i, strat in enumerate(pi_family):
         for j, adv in enumerate(eta_family):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import mmvcone as mc
-from mmvcone.errors import InvalidBound
+from mmvcone.errors import InvalidBound, TimeOutOfRange
+from mmvcone.strategies import StepTargets
 
 from conftest import H0_A, INSTANCE_A, INSTANCE_C, VALUE_A, Y0_A
 
@@ -64,10 +65,45 @@ def test_xi_field_lies_in_transformed_cone(mmv_a, model_a, cone_a,
     mmv_b = mc.mmv_feedback(model_b, cone_b, ysol_b)
     for strat, model, cone in ((mmv_a, model_a, cone_a), (mmv_b, model_b, cone_b)):
         for t in (0.0, 0.37, 0.99):
-            xi = strat.xi(t)
+            xi = StepTargets(model, t, None).target(cone, strat.y_sol, "Y")[2][0]
             sig = model.coefficients.sigma(t)
             point = mc.project_transformed(cone, sig, xi)
             assert math.sqrt(point.dist_sq) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def markov_c_maps(model_c):
+    """(pi_hat, pi_gamma_hat, eta_hat) from small regression solves on C."""
+    cone = mc.full_space(1)
+    y, p2, p1 = (mc.solve_markovian(model_c, cone, eq, mc.McSolverConfig(
+        paths=2000, basis_degree=2, seed=31 + k, steps=10, bootstrap=0))
+        for k, eq in enumerate(("Y", "P2", "P1")))
+    return (mc.mmv_feedback(model_c, cone, y), mc.mv_feedback(model_c, cone, p1, p2),
+            mc.mmv_adversary(y, cone, model_c))
+
+
+@pytest.mark.parametrize("instance", ["A", "C"])
+@pytest.mark.parametrize("offset", [-0.1, 0.1], ids=["before_0", "after_T"])
+def test_feedback_maps_reject_times_outside_horizon(instance, offset, request):
+    # every portfolio and loading evaluation passes the time check of
+    # coefficients_at, at t = -0.1 and t = T + 0.1
+    if instance == "A":
+        model, cone, y = (request.getfixturevalue(name)
+                          for name in ("model_a", "cone_a", "ysol_a"))
+        maps = (request.getfixturevalue("mmv_a"), request.getfixturevalue("mv_a"),
+                mc.mmv_adversary(y, cone, model))
+        fvals = np.zeros(3)
+    else:
+        model = request.getfixturevalue("model_c")
+        maps = request.getfixturevalue("markov_c_maps")
+        fvals = np.full(3, model.coefficients.f0)
+    t = offset if offset < 0 else model.horizon_T + offset
+    *strategies, adversary = maps
+    for strat in strategies:
+        with pytest.raises(TimeOutOfRange):
+            strat.portfolio_batch(t, np.ones(3), fvals)
+    with pytest.raises(TimeOutOfRange):
+        adversary.eta_batch(t, fvals)
 
 
 def test_adversary_instance_a(model_a, cone_a, ysol_a):
