@@ -17,11 +17,18 @@ lockstep, regressing the continuation value and the martingale increment
 on a polynomial basis (one stacked Gram solve per stage for all samples)
 and closing each step with a trapezoidal driver step implicit in the new
 value: an exact quadratic root for one asset, Picard iteration for m >= 2.
+Where os.fork exists, the samples are split into one contiguous group per
+CPU the process may run on, and each group past the first walks in a forked
+child; every sample's tables are bit for bit those of a one-process walk.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, replace as dc_replace
 
@@ -483,8 +490,10 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
 
     not implicit Euler, whose O(dt) bias the identity checks resolve.  Both
     ends use the step's exact average rate, so the carried f_{i+1} gains
-    2 (r_i - r_{i+1}) V_{i+1}.  The first sample's clamp events are held to
-    _CLAMP_BUDGET after every step (PositivityLost).
+    2 (r_i - r_{i+1}) V_{i+1}.  The clamp events of the sample None (the
+    rows as stored) are held to _CLAMP_BUDGET after every step
+    (PositivityLost).  A pass sees only the samples it is given:
+    solve_markovian may hand a group of them to a forked child (_split_walk).
     """
     Ft, dWt = F.T, dWj.T
     paths = Ft.shape[1]
@@ -559,9 +568,9 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
                                  zj * zj if equation == "Y" else None)
             V[k], f_next[k], n_off = _close_step(equation, step, root, cont, h, lower, upper, t)
             clamps[k] += n_off
-            if k == 0 and clamps[0] > budget:
+            if idx is None and clamps[k] > budget:
                 raise PositivityLost(
-                    f"{clamps[0]} clamp events exceed {_CLAMP_BUDGET:.1%} of "
+                    f"{clamps[k]} clamp events exceed {_CLAMP_BUDGET:.1%} of "
                     f"{paths * steps} path-steps")
             rhs[0, k, :wk, 0] = b.T @ V[k]
         y_tab[:, i] = _solve_groups(groups, rhs[0])
@@ -603,14 +612,105 @@ def _close_step(equation, step, root, cont, h, lower, upper, t):
     return v, f, int(np.count_nonzero(off))
 
 
+def _walk_cpus() -> int:
+    """CPUs this process may run on; 1 without os.fork or an affinity mask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_walk(args, samples):
+    """(pid, read end) of a forked child that runs _backward_pass(*args,
+    samples) and writes back ("ok", walks) or ("error", exception), pickled;
+    None when os.fork fails.  The child always ends in os._exit."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, r
+    try:
+        try:
+            reply = pickle.dumps(("ok", _backward_pass(*args, samples)))
+        except Exception as exc:
+            try:
+                reply = pickle.dumps(("error", exc))
+            except Exception:   # an error that does not pickle goes back as its text
+                reply = pickle.dumps(("error", RuntimeError(repr(exc))))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(reply)
+    finally:
+        os._exit(0)
+
+
+def _collect(pid, fd):
+    """A walk child's reply, read to its end before the child is reaped."""
+    try:
+        with os.fdopen(fd, "rb") as fh:
+            data = fh.read()
+    finally:
+        os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):
+        return "error", ChildProcessError(f"walk child {pid} ended without a reply")
+
+
+def _split_walk(args, samples):
+    """_backward_pass(*args, samples) split into one contiguous group of
+    samples per CPU.  The first group, which holds the main sample, walks
+    here; each other group walks in a forked child that inherits the paths
+    copy-on-write.  Each sample is walked once either way, so the result does
+    not depend on the split.  The walk stays here for one CPU or one sample,
+    while another thread runs (a fork copies only the calling thread), and
+    for a group whose fork fails.
+
+    Every child is reaped on every path, and killed first when this
+    process's group raises.  This process's error wins; a child's error is
+    re-raised once this process's group has succeeded.
+    """
+    parts = [p.tolist() for p in
+             np.array_split(np.arange(len(samples)), min(_walk_cpus(), len(samples)))]
+    if len(parts) == 1 or threading.active_count() > 1:
+        return _backward_pass(*args, samples)
+    local, children = parts[0], []
+    try:
+        for part in parts[1:]:
+            child = _fork_walk(args, [samples[k] for k in part])
+            if child is None:
+                local.extend(part)
+            else:
+                children.append((*child, part))
+        mine = _backward_pass(*args, [samples[k] for k in local])
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        replies = [_collect(pid, fd) for pid, fd, _ in children]
+    walks = dict(zip(local, mine))
+    for (_, _, part), (status, value) in zip(children, replies):
+        if status != "ok":
+            raise value
+        walks.update(zip(part, value))
+    return [walks[k] for k in range(len(samples))]
+
+
 def solve_markovian(model: MarketModel, cone: Cone, equation: str,
                     cfg: McSolverConfig) -> BsdeSolution:
     """Least-squares Monte Carlo backward induction for factor-driven coefficients.
 
     The factor is simulated forward once; cfg.bootstrap resamples of its
     rows (with replacement, from a dedicated substream) walk back beside
-    the main sample in one _backward_pass.  Each replicate keeps its tables
-    and the basis loc/scale it was fitted in; they give value0_stderr.
+    the main sample.  With more than one CPU the samples are split into
+    contiguous groups and all but the first walk in forked children
+    (_split_walk); the tables are the same bits as one _backward_pass over
+    every sample.  Each replicate keeps its tables and the basis loc/scale
+    it was fitted in; they give value0_stderr.
     """
     if equation not in EQUATIONS:
         raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
@@ -640,8 +740,8 @@ def solve_markovian(model: MarketModel, cone: Cone, equation: str,
     boot_rng = substream(cfg.seed, 45803)  # dedicated bootstrap lane
     samples = [None] + [boot_rng.integers(0, paths, size=paths)
                         for _ in range(cfg.bootstrap)]
-    walks = _backward_pass(model, cone, equation, cfg, grid, F.T, dWj.T,
-                           lower, upper, samples)
+    walks = _split_walk((model, cone, equation, cfg, grid, F.T, dWj.T, lower, upper),
+                        samples)
     y_tab, z_tab, loc, scale, clamps = walks[0]
 
     sol = BsdeSolution(

@@ -16,6 +16,7 @@ cases and are carried as IEEE infinities.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace as dc_replace
 
@@ -74,6 +75,18 @@ class StepTargets:
         self.sigma, self.mu, self.phi = coefficients_at(model, t, self.rows)
         self._targets = {}
 
+    def subset(self, keep: np.ndarray) -> "StepTargets":
+        """The state on the rows keep (a boolean mask), gathered from this
+        step's arrays (a zero-stride sigma stays a view), with no target yet."""
+        sub = copy.copy(self)
+        sub.t = np.asarray(self.t)[keep] if np.ndim(self.t) else self.t
+        sub.rows = self.rows[keep]
+        sub.sigma = (np.broadcast_to(self.sigma[0], (len(sub.rows),) + self.sigma.shape[1:])
+                     if self.sigma.strides[0] == 0 else self.sigma[keep])
+        sub.mu, sub.phi = self.mu[keep], self.phi[keep]
+        sub._targets = {}
+        return sub
+
     def target(self, cone: Cone, sol: BsdeSolution, side: str):
         """_projected_target of (sol, side, cone) on the step's rows."""
         key = (id(sol), side, id(cone))
@@ -108,14 +121,10 @@ class FeedbackStrategy:
     def _row(self, f) -> np.ndarray:
         return _state_row(f, self.model.coefficients.kind == "markov")
 
-    def _side(self, side: str, t, fvals: np.ndarray):
-        """One side's projected target on its own StepTargets of (t, fvals)."""
-        sol = {"Y": self.y_sol, "P1": self.p1_sol, "P2": self.p2_sol}[side]
-        return StepTargets(self.model, t, fvals).target(self.cone, sol, side)
-
     def xi2(self, t: float, f=None) -> np.ndarray:
         """MV long-side direction in R^m."""
-        return self._side("P2", t, self._row(f))[3][0]
+        step = StepTargets(self.model, t, self._row(f))
+        return step.target(self.cone, self.p2_sol, "P2")[3][0]
 
     def portfolio(self, t: float, x: float, f=None) -> np.ndarray:
         return self.portfolio_batch(t, np.array([x], dtype=float), self._row(f))[0]
@@ -136,7 +145,8 @@ class FeedbackStrategy:
         state row, or (R, X): X wealth levels for each of R state rows.
         Returns xvals.shape + (m,).  The Y or P2 direction is read from
         _step (a StepTargets of this (t, fvals)); the MV short side (P1) is
-        evaluated only on rows with some wealth above gamma_hat / h_t.
+        evaluated only on rows with some wealth above gamma_hat / h_t, on
+        the step's subset of them.
         """
         xvals = np.asarray(xvals, dtype=float)
         step = _step if _step is not None else StepTargets(self.model, t, fvals)
@@ -155,8 +165,7 @@ class FeedbackStrategy:
         need = np.any(pos.reshape(len(rows), -1), axis=1)
         if np.any(need):
             g1 = np.zeros((len(rows), self.model.m))
-            t_need = np.asarray(t)[need] if np.ndim(t) else t
-            g1[need] = self._side("P1", t_need, rows[need])[3]
+            g1[need] = step.subset(need).target(self.cone, self.p1_sol, "P1")[3]
             out[pos] += gap[pos, None] * np.broadcast_to(g1.reshape(vec), out.shape)[pos]
         return self.scale * out
 

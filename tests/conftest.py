@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -47,6 +48,20 @@ INSTANCE_C_SIGMA1 = {
     **INSTANCE_C,
     "coefficients": {**INSTANCE_C["coefficients"], "sigma1": [[0.5, 0.3]]},
 }
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child of the test process running or unreaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process ({'running' if pid == 0 else pid}) outlived the test")
+
 
 Y0_A = math.exp(0.09)
 P2_0_A = math.exp(-0.05)

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -543,13 +545,15 @@ _BOOTSTRAP_CASES = [
 
 
 def _solve_capturing_pass(model, cone, equation, cfg, monkeypatch):
-    """solve_markovian, plus the arguments of its one _backward_pass call."""
+    """solve_markovian walked in this process, plus the arguments of its one
+    _backward_pass call."""
     calls = []
 
     def spy(*args):
         calls.append(args)
         return _backward_pass(*args)
 
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
     monkeypatch.setattr(mc.bsde, "_backward_pass", spy)
     sol = mc.solve_markovian(model, cone, equation, cfg)
     assert len(calls) == 1
@@ -594,6 +598,149 @@ def test_lockstep_bootstrap_matches_separate_passes(name, config, cone, equation
     if name == "orthant_clip":
         mu = model.coefficients.mu_batch(0.5, F[:, steps // 2])[:, 0]
         assert 0.2 < np.mean(mu < 0.0) < 0.8   # both sides of the clip occur
+
+
+def _assert_same_walks(a, b):
+    """Two solutions of one solve carry the same bits in every table."""
+    for field in ("y_values", "z_values", "basis_loc", "basis_scale"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.clamp_events == b.clamp_events
+    assert a.replicate_clamp_events == b.replicate_clamp_events
+    assert len(a.replicates) == len(b.replicates)
+    for rep_a, rep_b in zip(a.replicates, b.replicates):
+        for tab_a, tab_b in zip(rep_a, rep_b):
+            assert np.array_equal(tab_a, tab_b)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _walk_sizes(monkeypatch):
+    """Sample counts of the _backward_pass calls made in this process."""
+    sizes = []
+
+    def spy(*args):
+        sizes.append(len(args[9]))
+        return _backward_pass(*args)
+
+    monkeypatch.setattr(mc.bsde, "_backward_pass", spy)
+    return sizes
+
+
+_forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@_forks
+@pytest.mark.parametrize("name, config, cone, equation, sizes", _BOOTSTRAP_CASES,
+                         ids=[f"{c[0]}-{c[3]}" for c in _BOOTSTRAP_CASES])
+def test_forked_walk_matches_one_process_walk(name, config, cone, equation, sizes,
+                                              monkeypatch):
+    # the resamples past the first group walk in a forked child; every table,
+    # clamp count and replicate is the bits of the one-process walk
+    paths, degree, steps, boot = sizes
+    model = mc.build_model(config)
+    cfg = mc.McSolverConfig(paths=paths, basis_degree=degree, seed=17, steps=steps,
+                            bootstrap=boot)
+    walked = _walk_sizes(monkeypatch)
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    split = mc.solve_markovian(model, cone, equation, cfg)
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    one = mc.solve_markovian(model, cone, equation, cfg)
+    assert walked == [(boot + 2) // 2, boot + 1]
+    _assert_same_walks(split, one)
+    _assert_no_child_left()
+
+
+@_forks
+def test_forked_walk_holds_only_the_main_sample_to_the_clamp_budget(model_c, monkeypatch):
+    # the first sample of the child's group clamps more often than a budget
+    # the main sample keeps; only the main sample is held to it
+    monkeypatch.setattr(mc.bsde, "positivity_envelope", lambda model, grid: (0.5, 1.05))
+    monkeypatch.setattr(mc.bsde, "_CLAMP_BUDGET", 1.0)
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    cfg = mc.McSolverConfig(paths=2000, basis_degree=1, seed=1, steps=10, bootstrap=3)
+    one = mc.solve_markovian(model_c, mc.full_space(1), "Y", cfg)
+    assert one.replicate_clamp_events[1] > one.clamp_events
+    monkeypatch.setattr(mc.bsde, "_CLAMP_BUDGET", (one.clamp_events + 0.5) / (2000 * 10))
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    _assert_same_walks(mc.solve_markovian(model_c, mc.full_space(1), "Y", cfg), one)
+    _assert_no_child_left()
+
+
+def _raise_in_child(monkeypatch, name, error):
+    """Make the stage name raise error in forked walk children only."""
+    parent, real = os.getpid(), getattr(mc.bsde, name)
+
+    def stage(*args):
+        if os.getpid() != parent:
+            raise error(f"{name} failed in the child")
+        return real(*args)
+
+    monkeypatch.setattr(mc.bsde, name, stage)
+
+
+@_forks
+@pytest.mark.parametrize("stage, error", [("_close_step", NoConvergence),
+                                          ("_gram_groups", RegressionIllConditioned)])
+def test_child_walk_error_reaches_caller(model_c, monkeypatch, stage, error):
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    _raise_in_child(monkeypatch, stage, error)
+    with pytest.raises(error, match=f"^{stage} failed in the child$"):
+        mc.solve_markovian(model_c, mc.full_space(1), "Y",
+                           mc.McSolverConfig(paths=1000, basis_degree=1, seed=3,
+                                             steps=10, bootstrap=3))
+    _assert_no_child_left()
+
+
+@_forks
+def test_parent_walk_error_wins_and_reaps_children(model_c, monkeypatch):
+    # the main sample overruns its clamp budget in this process while a
+    # child fails too: the parent's PositivityLost reaches the caller
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    monkeypatch.setattr(mc.bsde, "_CLAMP_BUDGET", -1.0)
+    _raise_in_child(monkeypatch, "_close_step", NoConvergence)
+    with pytest.raises(PositivityLost):
+        mc.solve_markovian(model_c, mc.full_space(1), "Y",
+                           mc.McSolverConfig(paths=1000, basis_degree=1, seed=3,
+                                             steps=10, bootstrap=3))
+    _assert_no_child_left()
+
+
+@_forks
+@pytest.mark.parametrize("fallback", ["one_cpu", "second_thread", "fork_fails"])
+def test_walk_falls_back_to_one_process(model_c, monkeypatch, fallback):
+    cfg = mc.McSolverConfig(paths=2000, basis_degree=2, seed=17, steps=10, bootstrap=3)
+    cone = mc.full_space(1)
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    one = mc.solve_markovian(model_c, cone, "P2", cfg)
+    walked = _walk_sizes(monkeypatch)
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1 if fallback == "one_cpu" else 2)
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        if fallback == "fork_fails":
+            raise OSError("no fork")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if fallback == "second_thread":
+        thread.start()
+    try:
+        sol = mc.solve_markovian(model_c, cone, "P2", cfg)
+    finally:
+        release.set()
+        if fallback == "second_thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(forks) == (1 if fallback == "fork_fails" else 0)
+    assert walked == [4]
+    _assert_same_walks(sol, one)
+    _assert_no_child_left()
 
 
 def test_mixed_basis_widths_stack_by_width(model_c, monkeypatch):

@@ -12,6 +12,7 @@ from mmvcone.errors import (
     MissingTrajectories,
     SaddleViolated,
 )
+from mmvcone.strategies import StepTargets
 
 from conftest import H0_A, INSTANCE_C_SIGMA1, INSTANCE_ORTHANT2, VALUE_A
 
@@ -390,7 +391,10 @@ def test_mixed_family_cells_match_pair_simulations(instance, request, monkeypatc
                   mc.scaled_minus_phi(model, 2.0)]
     kw = dict(paths=2500, steps=12, seed=71, block_size=1000)
     targets = _spy(monkeypatch, "mmvcone.strategies", "_projected_target")
+    evaluations = _count_evaluations(monkeypatch, ("sigma_batch",))
     fam = mc.simulate(model, pi_family, eta_family, **kw)
+    # the P1 rows are gathered from the step's state, not evaluated again
+    assert evaluations == {"sigma_batch": 12 * 3}
     p1_rows = {len(args[0].rows) for args in targets if args[3] == "P1"}
     assert p1_rows
     if instance != "A":
@@ -402,6 +406,32 @@ def test_mixed_family_cells_match_pair_simulations(instance, request, monkeypatc
             assert fam.objective_stderr[i, j] == one.objective_stderr
             assert np.array_equal(fam.terminal_X[i], one.terminal_X)
             assert np.array_equal(fam.terminal_Lambda[j], one.terminal_Lambda)
+
+
+@pytest.mark.parametrize("instance", ["A", "C", "C1"])
+def test_step_subset_matches_its_own_step(instance, request):
+    # a subset gathers sigma, mu and phi from its step; its targets carry the
+    # bits of a StepTargets built on the subset's rows, at one t or per-row t
+    model, mmv, _ = _saddle_pair(request, instance)
+    mv = (mc.mv_feedback(model, mmv.cone, request.getfixturevalue("p1sol_a"),
+                         request.getfixturevalue("p2sol_a"))
+          if instance == "A" else request.getfixturevalue(f"markov_{instance.lower()}_mv"))
+    fvals = np.linspace(0.0, 0.12, 40)
+    keep = np.arange(40) % 3 != 1
+    per_row = np.linspace(0.0, model.horizon_T, 40)
+    # a factor-free model has one row per time, so one row at a single t
+    for t in (per_row,) if instance == "A" else (0.37, per_row):
+        step = StepTargets(model, t, fvals)
+        sub = step.subset(keep)
+        alone = StepTargets(model, t[keep] if np.ndim(t) else t, fvals[keep])
+        assert np.array_equal(sub.rows, alone.rows)
+        for name in ("sigma", "mu", "phi"):
+            assert np.array_equal(getattr(sub, name), getattr(alone, name)), name
+        assert (sub.sigma.strides[0] == 0) == (step.sigma.strides[0] == 0)
+        for sol, side in ((mv.p1_sol, "P1"), (mv.p2_sol, "P2"), (mmv.y_sol, "Y")):
+            for got, want in zip(sub.target(mmv.cone, sol, side),
+                                 alone.target(mmv.cone, sol, side)):
+                assert np.array_equal(got, want), side
 
 
 def test_family_exploding_member_raises(model_a, mmv_a, saddle_a):
