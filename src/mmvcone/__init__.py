@@ -30,6 +30,7 @@ from .bsde import (
     positivity_envelope,
     solve_deterministic,
     solve_markovian,
+    solve_markovian_many,
     transform_p_to_y,
     transform_p2_to_y,
 )

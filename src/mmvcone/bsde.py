@@ -17,9 +17,10 @@ lockstep, regressing the continuation value and the martingale increment
 on a polynomial basis (one stacked Gram solve per stage for all samples)
 and closing each step with a trapezoidal driver step implicit in the new
 value: an exact quadratic root for one asset, Picard iteration for m >= 2.
-Where os.fork exists, the samples are split into one contiguous group per
-CPU the process may run on, and each group past the first walks in a forked
-child; every sample's tables are bit for bit those of a one-process walk.
+solve_markovian_many walks the samples of several solves in one go: where
+os.fork exists, their (solve, sample) items are split into one contiguous
+group per CPU the process may run on, each group past the first walks in a
+forked child, and every table is bit for bit that of a one-process walk.
 """
 
 from __future__ import annotations
@@ -136,6 +137,8 @@ def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
 
     if cone.dim == 1:
         _, ss, p, clip = side
+        if ss.strides[0] == 0:      # one |s|^2 for every row: scalar arithmetic
+            ss = float(ss[0])
         w = sign * c * zcol / ss
         eps = 1.0 if equation == "Y" else -1.0
         rho = 2.0 * r_t if equation in ("P1", "P2") else 0.0
@@ -147,11 +150,19 @@ def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
 
         def quadratic(cont, h, e):
             # A y^2 - B y - C = 0 with A = 1 - h rho - h e p^2,
-            # B = cont + 2 h e p w and C = h (e w^2 - zeta); the root near cont
-            hep = h * e * p
-            a = (1.0 - h * rho) - hep * p
-            b = cont + 2.0 * hep * w
-            return (b + np.sqrt(b * b + 4.0 * h * a * (e * w * w - zeta))) / (2.0 * a)
+            # B = cont + 2 h e p w and C = h (e w^2 - zeta); the root near cont,
+            # (B + sqrt(B^2 + 4 h A (e w^2 - zeta))) / 2A, mostly in place
+            b = h * e * p
+            a = (1.0 - h * rho) - b * p
+            b *= 2.0 * w
+            b += cont
+            g = e * w * w - zeta
+            g *= a * (4.0 * h)
+            g += b * b
+            np.sqrt(g, out=g)
+            g += b
+            g /= 2.0 * a
+            return g
 
         def root(cont, h):
             e = eps * ss
@@ -211,11 +222,8 @@ def positivity_envelope(model: MarketModel, grid: np.ndarray) -> tuple[float, fl
 
 
 def _step_rates(model: MarketModel, grid: np.ndarray) -> np.ndarray:
-    """Exact average rate over each grid step: integral of r / step length.
-
-    For piecewise-constant r this keeps the linear rate term exact even when
-    a rate break falls on a grid node or inside a step.
-    """
+    """Exact average rate over each grid step, integral of r / step length:
+    exact for piecewise-constant r wherever its breaks fall."""
     dt = model.horizon_T / (len(grid) - 1)
     return np.array([model.rate.integral(float(a), float(b)) / dt
                      for a, b in zip(grid[:-1], grid[1:])])
@@ -362,12 +370,9 @@ class BsdeSolution:
 
 
 def _deterministic_rhs(model, cone, equation, times, r_steps):
-    """dv/dt per unit v for the Z == 0 reduction, one entry per (time, rate) row.
-
-    With Z == 0 every driver is positively homogeneous of degree one in v, so
-    dv/dt = v * rhs(t).  r_steps holds the exact average rate over each row's
-    integration step, exact for piecewise-constant r across a rate break.
-    """
+    """dv/dt per unit v for the Z == 0 reduction, where every driver is
+    positively homogeneous of degree one in v, so dv/dt = v * rhs(t): one
+    entry per time, with r_steps the average rate over each row's step."""
     sig, _, phi = coefficients_at(model, times, np.zeros(len(times)))
     return -_driver_batch(equation, cone, sig, phi, r_steps,
                           np.ones(len(times)), np.zeros((len(times), model.n)))
@@ -420,15 +425,16 @@ def solve_deterministic(model: MarketModel, cone: Cone, equation: str,
     return sol
 
 
-def _basis_matrix(fvals, loc, scale, degree, out):
-    """Powers 1, u, ..., u^degree of the normalized factor, each the previous
-    column times u (the same bits as np.vander), as a C-contiguous (N, w)
-    view of the front of the contiguous buffer out; w = 1 for a spread < 1e-12."""
-    N, w = len(fvals), (1 if scale < 1e-12 else degree + 1)
+def _basis_matrix(centred, scale, degree, out):
+    """Powers 1, u, ..., u^degree of u = centred / scale (written over
+    centred), each the previous column times u (the same bits as np.vander),
+    as a C-contiguous (N, w) view of the front of the contiguous buffer out;
+    w = 1 for a spread < 1e-12."""
+    N, w = len(centred), (1 if scale < 1e-12 else degree + 1)
     basis = out.reshape(-1)[: N * w].reshape(N, w)
     basis[:, 0] = 1.0
     if w > 1:
-        u = (fvals - loc) / scale
+        u = np.divide(centred, scale, out=centred)
         for k in range(1, w):
             np.multiply(basis[:, k - 1], u, out=basis[:, k])
     return basis
@@ -481,10 +487,10 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
     for bit those of a one-sample pass over F[idx].
 
     Each step evaluates sigma and phi (coefficients_at) and the sigma-side
-    driver columns once, and each sample gathers them by its indices.  The samples' bases share
-    one buffer, and each regression stage (continuation value, value fit,
-    Z, refit of the new value) is one stacked solve per basis width.  The
-    step closes with the trapezoid (_close_step), h = dt / 2,
+    driver columns once, and each sample gathers them by its indices.  Each
+    regression stage (continuation value, value fit, Z, refit of the new
+    value) is one stacked solve per basis width.  The step closes with the
+    trapezoid (_close_step), h = dt / 2,
 
         V_i = E[V_{i+1} + h f_{i+1} | F_i] + h f_i(V_i, Z_i),
 
@@ -492,8 +498,7 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
     ends use the step's exact average rate, so the carried f_{i+1} gains
     2 (r_i - r_{i+1}) V_{i+1}.  The clamp events of the sample None (the
     rows as stored) are held to _CLAMP_BUDGET after every step
-    (PositivityLost).  A pass sees only the samples it is given:
-    solve_markovian may hand a group of them to a forked child (_split_walk).
+    (PositivityLost).
     """
     Ft, dWt = F.T, dWj.T
     paths = Ft.shape[1]
@@ -533,11 +538,13 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
             f_next += 2.0 * (r_t - r_step[i + 1]) * V
         basis = []
         for k, idx in enumerate(samples):
+            # np.mean and np.std, from one centred copy: sum / n, the same bits
             fv = _rows(Ft[i], idx)
-            loc[k, i] = float(np.mean(fv))
-            sd = float(np.std(fv))
+            loc[k, i] = np.add.reduce(fv) / paths
+            centred = fv - loc[k, i]
+            sd = math.sqrt(np.add.reduce(centred * centred) / paths)
             scale[k, i] = sd if sd >= 1e-12 else 1.0
-            b = _basis_matrix(fv, loc[k, i], sd, degree, bases[k])
+            b = _basis_matrix(centred, sd, degree, bases[k])
             basis.append(b)
             wk = b.shape[1]
             grams[k, :wk, :wk] = b.T @ b
@@ -604,12 +611,16 @@ def _close_step(equation, step, root, cont, h, lower, upper, t):
     v = np.clip(y, lower, upper)
     f = _driver_batch(equation, None, None, None, None, v, None, step)
     off = v != y
+    n_off = int(np.count_nonzero(off))
     if root is not None:
-        resid = float(np.max(np.abs(np.where(off, 0.0, y - cont - h * f))))
+        r = y - cont - h * f
+        if n_off:
+            r[off] = 0.0
+        resid = float(np.max(np.abs(r, out=r)))
         if not (resid <= _FIXED_POINT_TOL and np.isfinite(y).all()):
             raise NoConvergence(
                 f"{equation} trapezoid root residual {resid:.2e} at t={t:.4f}")
-    return v, f, int(np.count_nonzero(off))
+    return v, f, n_off
 
 
 def _walk_cpus() -> int:
@@ -619,10 +630,51 @@ def _walk_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork_walk(args, samples):
-    """(pid, read end) of a forked child that runs _backward_pass(*args,
-    samples) and writes back ("ok", walks) or ("error", exception), pickled;
-    None when os.fork fails.  The child always ends in os._exit."""
+def _forward(model, cfg, last):
+    """A job's draws from cfg.seed: factor paths F (steps + 1, paths) and
+    increments dWj (steps, paths), time-major, one substream per block of
+    paths; then samples 0..last, None for the rows as drawn and the resample
+    index vectors of the bootstrap lane in order."""
+    cf = model.coefficients
+    steps, paths = cfg.steps, cfg.paths
+    dt = model.horizon_T / steps
+    F = np.empty((steps + 1, paths))
+    dWj = np.empty((steps, paths))
+    F[0] = cf.f0
+    for block, start in enumerate(range(0, paths, cfg.block_size)):
+        stop = min(start + cfg.block_size, paths)
+        d = substream(cfg.seed, block).standard_normal((stop - start, steps))
+        d *= math.sqrt(dt)
+        dWj[:, start:stop] = d.T
+    for i in range(steps):
+        F[i + 1] = F[i] + cf.kappa * (cf.mean_level - F[i]) * dt + cf.nu * dWj[i]
+    boot_rng = substream(cfg.seed, 45803)  # dedicated bootstrap lane
+    return F, dWj, [None] + [boot_rng.integers(0, paths, size=paths) for _ in range(last)]
+
+
+def _walk_group(model, cone, jobs, group):
+    """Walk (job, sample) items job by job: the job's draws are made here
+    (_forward), walked by one _backward_pass over the group's samples of the
+    job and dropped.  Returns ({(job, sample): walk}, failure), failure the
+    (job, exception) that ended the group, else None."""
+    walks = {}
+    for j in dict.fromkeys(j for j, _ in group):
+        equation, cfg, grid, lower, upper = jobs[j]
+        ks = [k for i, k in group if i == j]
+        try:
+            F, dWj, samples = _forward(model, cfg, max(ks))
+            done = _backward_pass(model, cone, equation, cfg, grid, F.T, dWj.T,
+                                  lower, upper, [samples[k] for k in ks])
+        except Exception as exc:
+            return walks, (j, exc)
+        del F, dWj, samples
+        walks.update(zip([(j, k) for k in ks], done))
+    return walks, None
+
+
+def _fork_walk(model, cone, jobs, group):
+    """(pid, read end) of a forked child that writes back its _walk_group of
+    group, pickled; None when os.fork fails.  The child ends in os._exit."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -634,21 +686,20 @@ def _fork_walk(args, samples):
         os.close(w)
         return pid, r
     try:
+        walks, failure = _walk_group(model, cone, jobs, group)
         try:
-            reply = pickle.dumps(("ok", _backward_pass(*args, samples)))
-        except Exception as exc:
-            try:
-                reply = pickle.dumps(("error", exc))
-            except Exception:   # an error that does not pickle goes back as its text
-                reply = pickle.dumps(("error", RuntimeError(repr(exc))))
+            reply = pickle.dumps((walks, failure))
+        except Exception:   # an error that does not pickle goes back as its text
+            reply = pickle.dumps((walks, (failure[0], RuntimeError(repr(failure[1])))))
         with os.fdopen(w, "wb") as fh:
             fh.write(reply)
     finally:
         os._exit(0)
 
 
-def _collect(pid, fd):
-    """A walk child's reply, read to its end before the child is reaped."""
+def _collect(pid, fd, first_job):
+    """A walk child's reply, read to its end before the child is reaped; a
+    child that ended without one fails its first job."""
     try:
         with os.fdopen(fd, "rb") as fh:
             data = fh.read()
@@ -657,104 +708,93 @@ def _collect(pid, fd):
     try:
         return pickle.loads(data)
     except (EOFError, pickle.UnpicklingError):
-        return "error", ChildProcessError(f"walk child {pid} ended without a reply")
+        return {}, (first_job, ChildProcessError(f"walk child {pid} ended without a reply"))
 
 
-def _split_walk(args, samples):
-    """_backward_pass(*args, samples) split into one contiguous group of
-    samples per CPU.  The first group, which holds the main sample, walks
-    here; each other group walks in a forked child that inherits the paths
-    copy-on-write.  Each sample is walked once either way, so the result does
-    not depend on the split.  The walk stays here for one CPU or one sample,
-    while another thread runs (a fork copies only the calling thread), and
-    for a group whose fork fails.
-
-    Every child is reaped on every path, and killed first when this
-    process's group raises.  This process's error wins; a child's error is
-    re-raised once this process's group has succeeded.
-    """
-    parts = [p.tolist() for p in
-             np.array_split(np.arange(len(samples)), min(_walk_cpus(), len(samples)))]
-    if len(parts) == 1 or threading.active_count() > 1:
-        return _backward_pass(*args, samples)
-    local, children = parts[0], []
+def _split_walk(model, cone, jobs):
+    """({(job, sample): walk}, [(job, group, exception)]) for every item of
+    the jobs, split into one contiguous group of items per CPU.  The first
+    group, which holds job 0's main sample, walks here, each other group in
+    a forked child; a group whose fork fails walks here, and so does all for
+    one CPU, one item, or while another thread runs.  When this walk fails,
+    the children that could fail only later in (job, group) order are
+    killed; every child is reaped on every path."""
+    items = [(j, k) for j, job in enumerate(jobs) for k in range(job[1].bootstrap + 1)]
+    n = min(_walk_cpus(), len(items)) if threading.active_count() == 1 else 1
+    groups = [[items[i] for i in p] for p in np.array_split(np.arange(len(items)), max(n, 1))]
+    mine, children, failures = [0], [], []
+    rank = (-1, 0)      # until this process's walk returns, a stop kills every child
     try:
-        for part in parts[1:]:
-            child = _fork_walk(args, [samples[k] for k in part])
+        for g in range(1, len(groups)):
+            child = _fork_walk(model, cone, jobs, groups[g])
             if child is None:
-                local.extend(part)
+                mine.append(g)
             else:
-                children.append((*child, part))
-        mine = _backward_pass(*args, [samples[k] for k in local])
-    except BaseException:
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
+                children.append((*child, g))
+        walks, failure = _walk_group(model, cone, jobs, [it for g in mine for it in groups[g]])
+        if failure is None:
+            rank = (len(jobs), 0)
+        else:
+            j = failure[0]
+            rank = (j, min(g for g in mine if any(i == j for i, _ in groups[g])))
+            failures.append((*rank, failure[1]))
     finally:
-        replies = [_collect(pid, fd) for pid, fd, _ in children]
-    walks = dict(zip(local, mine))
-    for (_, _, part), (status, value) in zip(children, replies):
-        if status != "ok":
-            raise value
-        walks.update(zip(part, value))
-    return [walks[k] for k in range(len(samples))]
+        for pid, _, g in children:
+            if (groups[g][0][0], g) > rank:
+                os.kill(pid, signal.SIGKILL)
+        replies = [_collect(pid, fd, groups[g][0][0]) for pid, fd, g in children]
+    for (_, _, g), (child_walks, child_failure) in zip(children, replies):
+        walks.update(child_walks)
+        if child_failure is not None:
+            failures.append((child_failure[0], g, child_failure[1]))
+    return walks, failures
+
+
+def solve_markovian_many(model: MarketModel, cone: Cone, jobs) -> list[BsdeSolution]:
+    """Least-squares Monte Carlo backward induction for factor-driven
+    coefficients, one solution per (equation, cfg) job, in one split walk.
+
+    Each job simulates its factor forward from cfg.seed; cfg.bootstrap
+    resamples of its rows walk back beside the main sample, each with its
+    tables and basis loc/scale (value0_stderr), the bits of a one-process
+    walk.  ConfigInvalid comes before any walk; then the error raised is
+    the first of the jobs solved in order: each job's walk error (the group
+    with its main sample first), then its comparison bound."""
+    for equation, _ in jobs:
+        if equation not in EQUATIONS:
+            raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
+    cf = model.coefficients
+    if cf.kind != "markov":
+        raise ConfigInvalid("coefficients are not markov-factor", field="coefficients")
+    prepared = []
+    for equation, cfg in jobs:
+        grid = np.linspace(0.0, model.horizon_T, cfg.steps + 1)
+        prepared.append((equation, cfg, grid, *positivity_envelope(model, grid)))
+    walks, failures = _split_walk(model, cone, prepared)
+    first = min(failures, key=lambda f: f[:2], default=(len(jobs),))
+    sols = []
+    for j, (equation, cfg, grid, lower, upper) in enumerate(prepared):
+        if j == first[0]:
+            raise first[2]
+        y_tab, z_tab, loc, scale, clamps = walks[j, 0]
+        reps = [walks[j, k] for k in range(1, cfg.bootstrap + 1)]
+        sols.append(BsdeSolution(
+            equation=equation, grid=grid, y_values=y_tab, z_values=z_tab,
+            bounds=(lower, upper), n=model.n, kind="markovian",
+            basis_degree=cfg.basis_degree, basis_loc=loc, basis_scale=scale,
+            driving_index=cf.driving_index, f0=cf.f0, clamp_events=clamps,
+            path_steps=cfg.paths * cfg.steps,
+            replicates=[rep[:4] for rep in reps] or None,
+            replicate_clamp_events=[rep[4] for rep in reps] or None, seed=cfg.seed,
+        ))
+        _check_comparison_bound(model, sols[-1])
+    return sols
 
 
 def solve_markovian(model: MarketModel, cone: Cone, equation: str,
                     cfg: McSolverConfig) -> BsdeSolution:
-    """Least-squares Monte Carlo backward induction for factor-driven coefficients.
-
-    The factor is simulated forward once; cfg.bootstrap resamples of its
-    rows (with replacement, from a dedicated substream) walk back beside
-    the main sample.  With more than one CPU the samples are split into
-    contiguous groups and all but the first walk in forked children
-    (_split_walk); the tables are the same bits as one _backward_pass over
-    every sample.  Each replicate keeps its tables and the basis loc/scale
-    it was fitted in; they give value0_stderr.
-    """
-    if equation not in EQUATIONS:
-        raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
-    cf = model.coefficients
-    if cf.kind != "markov":
-        raise ConfigInvalid("coefficients are not markov-factor", field="coefficients")
-
-    steps, paths = cfg.steps, cfg.paths
-    T = model.horizon_T
-    dt = T / steps
-    grid = np.linspace(0.0, T, steps + 1)
-    lower, upper = positivity_envelope(model, grid)
-
-    # forward factor simulation, block-wise substreams for reproducibility;
-    # time-major, so each step's column is contiguous
-    F = np.empty((steps + 1, paths))
-    dWj = np.empty((steps, paths))
-    F[0] = cf.f0
-    sqdt = math.sqrt(dt)
-    for block, start in enumerate(range(0, paths, cfg.block_size)):
-        stop = min(start + cfg.block_size, paths)
-        rng = substream(cfg.seed, block)
-        dWj[:, start:stop] = (sqdt * rng.standard_normal((stop - start, steps))).T
-    for i in range(steps):
-        F[i + 1] = F[i] + cf.kappa * (cf.mean_level - F[i]) * dt + cf.nu * dWj[i]
-
-    boot_rng = substream(cfg.seed, 45803)  # dedicated bootstrap lane
-    samples = [None] + [boot_rng.integers(0, paths, size=paths)
-                        for _ in range(cfg.bootstrap)]
-    walks = _split_walk((model, cone, equation, cfg, grid, F.T, dWj.T, lower, upper),
-                        samples)
-    y_tab, z_tab, loc, scale, clamps = walks[0]
-
-    sol = BsdeSolution(
-        equation=equation, grid=grid, y_values=y_tab, z_values=z_tab,
-        bounds=(lower, upper), n=model.n, kind="markovian",
-        basis_degree=cfg.basis_degree, basis_loc=loc, basis_scale=scale,
-        driving_index=cf.driving_index, f0=cf.f0, clamp_events=clamps,
-        path_steps=paths * steps,
-        replicates=[rep[:4] for rep in walks[1:]] or None,
-        replicate_clamp_events=[rep[4] for rep in walks[1:]] or None, seed=cfg.seed,
-    )
-    _check_comparison_bound(model, sol)
-    return sol
+    """One job of solve_markovian_many."""
+    return solve_markovian_many(model, cone, [(equation, cfg)])[0]
 
 
 def _check_comparison_bound(model: MarketModel, sol: BsdeSolution) -> None:
@@ -774,17 +814,15 @@ def transform_p_to_y(p_sol: BsdeSolution) -> BsdeSolution:
     if p_sol.transform is not None:
         raise ConfigInvalid("cannot re-transform a transformed solution", field="transform")
     lo, up = p_sol.bounds
+    if p_sol.min_value_on_grid() <= 0:
+        raise PositivityLost("P solution is not uniformly positive")
     if p_sol.kind == "deterministic":
         p = p_sol.y_values
-        if np.min(p) <= 0:
-            raise PositivityLost("P solution is not uniformly positive")
         return dc_replace(
             p_sol, equation="Y", y_values=1.0 / p,
             z_values=-p_sol.z_values / (p * p)[:, None],
             bounds=(1.0 / up, 1.0 / lo),
         )
-    if p_sol.min_value_on_grid() <= 0:
-        raise PositivityLost("P solution is not uniformly positive")
     return dc_replace(p_sol, equation="Y", bounds=(1.0 / up, 1.0 / lo),
                       transform=("recip",))
 
@@ -799,16 +837,14 @@ def transform_p2_to_y(p2_sol: BsdeSolution, h: DiscountFactor) -> BsdeSolution:
     h_max = float(np.max(h.values)) if len(h.values) else 1.0
     h_min = float(np.min(h.values)) if len(h.values) else 1.0
     new_bounds = (h_min * h_min / up, h_max * h_max / lo)
+    if p2_sol.min_value_on_grid() <= 0:
+        raise PositivityLost("P2 solution is not uniformly positive")
     if p2_sol.kind == "deterministic":
         p = p2_sol.y_values
-        if np.min(p) <= 0:
-            raise PositivityLost("P2 solution is not uniformly positive")
         h_grid = h.at(p2_sol.grid)
         return dc_replace(
             p2_sol, equation="Y", y_values=h_grid ** 2 / p,
             z_values=-(h_grid ** 2 / (p * p))[:, None] * p2_sol.z_values,
             bounds=new_bounds,
         )
-    if p2_sol.min_value_on_grid() <= 0:
-        raise PositivityLost("P2 solution is not uniformly positive")
     return dc_replace(p2_sol, equation="Y", bounds=new_bounds, transform=("h2", h))

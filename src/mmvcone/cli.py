@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bsde import McSolverConfig, solve_deterministic, solve_markovian
+from .bsde import McSolverConfig, solve_deterministic, solve_markovian_many
 from .cones import cone_from_config
 from .errors import ConfigInvalid, InvalidBound, MmvConeError, SaddleViolated
 from .market import build_model
@@ -141,19 +141,26 @@ class _Workspace:
         return p
 
 
-def _solve(model, cone, equation, cfg, seed_lane=0, bootstrap=None):
+# (equation, seed lane, bootstrap override) of the MMV solve and the MV pair
+_Y = ("Y", 0, None)
+_MV_PAIR = (("P2", 1, None), ("P1", 2, 0))
+
+
+def _solve_many(model, cone, cfg, solves):
+    """One solution per (equation, seed lane, bootstrap override); the Markov
+    ones come from one solve_markovian_many call."""
     solver = cfg["solver"]
     if solver["kind"] == "deterministic":
-        return solve_deterministic(model, cone, equation, int(solver.get("steps", 1000)))
-    mc_cfg = McSolverConfig(
+        steps = int(solver.get("steps", 1000))
+        return [solve_deterministic(model, cone, eq, steps) for eq, _, _ in solves]
+    return solve_markovian_many(model, cone, [(eq, McSolverConfig(
         paths=int(solver["paths"]),
         basis_degree=int(solver.get("basis_degree", 2)),
-        seed=int(cfg["seed"]) + seed_lane,
+        seed=int(cfg["seed"]) + lane,
         steps=int(solver.get("steps", 50)),
         block_size=int(solver.get("block_size", 65536)),
-        bootstrap=int(solver.get("bootstrap", 16)) if bootstrap is None else bootstrap,
-    )
-    return solve_markovian(model, cone, equation, mc_cfg)
+        bootstrap=int(solver.get("bootstrap", 16)) if boot is None else boot,
+    )) for eq, lane, boot in solves])
 
 
 def _solution_table(sol):
@@ -207,9 +214,7 @@ def compare_values(cfg: dict, model=None, cone=None) -> dict:
     if model is None:
         model = build_model(cfg["model"])
         cone = cone_from_config(cfg["model"]["cone"], model.m)
-    y_sol = _solve(model, cone, "Y", cfg, seed_lane=0)
-    p2_sol = _solve(model, cone, "P2", cfg, seed_lane=1)
-    p1_sol = _solve(model, cone, "P1", cfg, seed_lane=2, bootstrap=0)
+    y_sol, p2_sol, p1_sol = _solve_many(model, cone, cfg, (_Y, *_MV_PAIR))
     curve = dual_curve(p1_sol.value0, p2_sol.value0, model.h0, model.x0, model.theta)
     out = {
         "mmv": mmv_value(model, y_sol),
@@ -242,7 +247,7 @@ def run(cfg: dict) -> int:
 
     if experiment == "solve":
         equation = cfg.get("equation", "Y")
-        sol = _solve(model, cone, equation, cfg)
+        (sol,) = _solve_many(model, cone, cfg, [(equation, 0, None)])
         name = f"{equation.lower()}_solution.csv"
         ws.write_csv(name, *_solution_table(sol))
         if sol.kind == "deterministic":
@@ -270,15 +275,15 @@ def run(cfg: dict) -> int:
         ws.write_json("value_comparison.json", results)
 
     elif experiment == "simulate":
-        y_sol = _solve(model, cone, "Y", cfg)
         strat_spec = cfg.get("strategy", "mmv")
+        y_sol, *mv_pair = _solve_many(model, cone, cfg,
+                                      (_Y, *_MV_PAIR) if strat_spec == "mv" else (_Y,))
         if strat_spec in (None, "none", "zero", "0"):
             strategy = None
         elif strat_spec == "mmv":
             strategy = mmv_feedback(model, cone, y_sol)
         elif strat_spec == "mv":
-            p2_sol = _solve(model, cone, "P2", cfg, seed_lane=1)
-            p1_sol = _solve(model, cone, "P1", cfg, seed_lane=2, bootstrap=0)
+            p2_sol, p1_sol = mv_pair
             strategy = mv_feedback(model, cone, p1_sol, p2_sol)
         else:
             raise ConfigInvalid(f"unknown strategy {strat_spec!r}", field="strategy")
@@ -309,7 +314,7 @@ def run(cfg: dict) -> int:
         ws.write_json("simulation_summary.json", results)
 
     elif experiment == "saddle":
-        y_sol = _solve(model, cone, "Y", cfg)
+        (y_sol,) = _solve_many(model, cone, cfg, (_Y,))
         base = mmv_feedback(model, cone, y_sol)
         scales = cfg.get("pi_scales", [1.0, 0.0, 0.5, 1.5])
         shape = (len(scales),) if isinstance(scales, list) else None
@@ -335,9 +340,7 @@ def run(cfg: dict) -> int:
         ws.write_json("saddle_verdict.json", results)
 
     elif experiment == "equivalence":
-        y_sol = _solve(model, cone, "Y", cfg, seed_lane=0)
-        p2_sol = _solve(model, cone, "P2", cfg, seed_lane=1)
-        p1_sol = _solve(model, cone, "P1", cfg, seed_lane=2, bootstrap=0)
+        y_sol, p2_sol, p1_sol = _solve_many(model, cone, cfg, (_Y, *_MV_PAIR))
         mmv = mmv_feedback(model, cone, y_sol)
         mv = mv_feedback(model, cone, p1_sol, p2_sol)
         lat = cfg.get("lattice", {})
@@ -354,8 +357,7 @@ def run(cfg: dict) -> int:
         ws.write_json("equivalence_summary.json", results)
 
     elif experiment == "dual-curve":
-        p2_sol = _solve(model, cone, "P2", cfg, seed_lane=1)
-        p1_sol = _solve(model, cone, "P1", cfg, seed_lane=2, bootstrap=0)
+        p2_sol, p1_sol = _solve_many(model, cone, cfg, _MV_PAIR)
         curve = dual_curve(p1_sol.value0, p2_sol.value0, model.h0, model.x0, model.theta)
         grid_cfg = cfg.get("k_grid", {})
         anchor = model.x0 * model.h0

@@ -422,7 +422,8 @@ def pricing_kernel_from(sig: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """phi = sigma' (sigma sigma')^{-1} mu from (N, m, n) volatilities and (N, m) returns."""
     if sig.shape[1] == 1:
         s = sig[:, 0, :]
-        return (mu[:, 0] / np.einsum("ij,ij->i", s, s))[:, None] * s
+        r = s[:1] if s.strides[0] == 0 else s   # one s for every row: |s|^2 from one row
+        return (mu[:, 0] / np.einsum("ij,ij->i", r, r))[:, None] * s
     gram = sig @ np.swapaxes(sig, 1, 2)                    # (N, m, m)
     try:
         w = np.linalg.solve(gram, mu[..., None])           # (N, m, 1)

@@ -109,15 +109,10 @@ def test_criterion_4_equivalence():
 
     # factor-driven instance: statistical equality via independent solves
     model_c = mc.build_model(INSTANCE_C)
-    y_c = mc.solve_markovian(model_c, cone, "Y",
-                             mc.McSolverConfig(paths=50000, basis_degree=2,
-                                               seed=42, steps=50, bootstrap=16))
-    p2_c = mc.solve_markovian(model_c, cone, "P2",
-                              mc.McSolverConfig(paths=50000, basis_degree=2,
-                                                seed=43, steps=50, bootstrap=16))
-    p1_c = mc.solve_markovian(model_c, cone, "P1",
-                              mc.McSolverConfig(paths=50000, basis_degree=2,
-                                                seed=44, steps=50, bootstrap=0))
+    y_c, p2_c, p1_c = mc.solve_markovian_many(model_c, cone, [
+        (eq, mc.McSolverConfig(paths=50000, basis_degree=2, seed=seed, steps=50,
+                               bootstrap=boot))
+        for eq, seed, boot in (("Y", 42, 16), ("P2", 43, 16), ("P1", 44, 0))])
     mmv_c = mc.mmv_feedback(model_c, cone, y_c)
     mv_c = mc.mv_feedback(model_c, cone, p1_c, p2_c)
     sd = INSTANCE_C["coefficients"]["nu"] / math.sqrt(2.0)

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import time
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 import mmvcone as mc
 from mmvcone.bsde import (EQUATIONS, _backward_pass, _close_step, _driver_batch,
                           _prepare_driver, _sigma_side, _z_side)
-from mmvcone.errors import (ConfigInvalid, NoConvergence, NonPositiveY, PositivityLost,
-                            RegressionIllConditioned)
+from mmvcone.errors import (ConfigInvalid, InvalidBound, NoConvergence, NonPositiveY,
+                            PositivityLost, RegressionIllConditioned)
+from mmvcone.market import pricing_kernel_from
 
 from conftest import INSTANCE_A, INSTANCE_C, INSTANCE_C_SIGMA1, random_full_rank_sigma
 
@@ -344,8 +346,8 @@ def test_ill_conditioned_regression_raises(model_c, monkeypatch):
     # eigenvalue guard rejects the first step and names its time
     real = mc.bsde._basis_matrix
 
-    def duplicated(fvals, loc, scale, degree, out):
-        basis = real(fvals, loc, scale, degree, out)
+    def duplicated(centred, scale, degree, out):
+        basis = real(centred, scale, degree, out)
         basis[:, -1] = basis[:, -2]
         return basis
 
@@ -606,8 +608,9 @@ def _assert_same_walks(a, b):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert a.clamp_events == b.clamp_events
     assert a.replicate_clamp_events == b.replicate_clamp_events
-    assert len(a.replicates) == len(b.replicates)
-    for rep_a, rep_b in zip(a.replicates, b.replicates):
+    assert (a.replicates is None) == (b.replicates is None)
+    assert len(a.replicates or ()) == len(b.replicates or ())
+    for rep_a, rep_b in zip(a.replicates or (), b.replicates or ()):
         for tab_a, tab_b in zip(rep_a, rep_b):
             assert np.array_equal(tab_a, tab_b)
 
@@ -743,14 +746,278 @@ def test_walk_falls_back_to_one_process(model_c, monkeypatch, fallback):
     _assert_no_child_left()
 
 
+# solve_markovian_many: (model config, cone, [(equation, bootstrap)]); the
+# C jobs include bootstrap-0 jobs, fewer samples than CPUs among them, and
+# the 2-asset full cone takes the m >= 2 branch
+_MANY_CASES = [
+    ("C", INSTANCE_C, mc.full_space(1), [("Y", 3), ("P2", 3), ("P1", 0)], (2000, 2, 10)),
+    ("C_two_samples", INSTANCE_C, mc.full_space(1), [("P1", 0), ("Y", 0)], (1000, 2, 10)),
+    ("full_cone_2", _FULL_CONE_2, mc.full_space(2), [("Y", 2), ("P2", 1)], (1000, 1, 10)),
+]
+
+
+def _many_jobs(jobs, sizes, seed=31):
+    paths, degree, steps = sizes
+    return [(eq, mc.McSolverConfig(paths=paths, basis_degree=degree, seed=seed + k,
+                                   steps=steps, bootstrap=boot))
+            for k, (eq, boot) in enumerate(jobs)]
+
+
+@_forks
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("name, config, cone, jobs, sizes", _MANY_CASES,
+                         ids=[c[0] for c in _MANY_CASES])
+def test_many_matches_separate_solves(name, config, cone, jobs, sizes, cpus, monkeypatch):
+    # one call walks every job's samples in one split; each solution is the
+    # bits of its own solve_markovian call, and os.fork runs once per group
+    model = mc.build_model(config)
+    jobs = _many_jobs(jobs, sizes)
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    separate = [mc.solve_markovian(model, cone, eq, cfg) for eq, cfg in jobs]
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: cpus)
+    many = mc.solve_markovian_many(model, cone, jobs)
+    items = sum(cfg.bootstrap + 1 for _, cfg in jobs)
+    assert len(forks) == min(cpus, items) - 1
+    assert [sol.equation for sol in many] == [eq for eq, _ in jobs]
+    for a, b, (_, cfg) in zip(many, separate, jobs):
+        _assert_same_walks(a, b)
+        assert a.seed == b.seed == cfg.seed and a.bounds == b.bounds
+        assert a.path_steps == b.path_steps and np.array_equal(a.grid, b.grid)
+    _assert_no_child_left()
+
+
+def test_many_of_no_jobs_is_empty(model_c):
+    assert mc.solve_markovian_many(model_c, mc.full_space(1), []) == []
+
+
+@_forks
+def test_many_draws_each_job_where_it_walks(model_c, monkeypatch):
+    # on 2 CPUs the 19 samples of Y (9), P2 (9) and P1 (1) split 10 / 9: this
+    # process walks Y's 9 samples and P2's main sample, drawing Y and P2 only
+    jobs = _many_jobs([("Y", 8), ("P2", 8), ("P1", 0)], (1000, 1, 10))
+    drawn, real = [], mc.bsde._forward
+
+    def forward(model, cfg, last):
+        drawn.append((cfg.seed, last))
+        return real(model, cfg, last)
+
+    monkeypatch.setattr(mc.bsde, "_forward", forward)
+    walked = _walk_sizes(monkeypatch)
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    mc.solve_markovian_many(model_c, mc.full_space(1), jobs)
+    assert drawn == [(31, 8), (32, 0)]
+    assert walked == [9, 1]
+
+
+def _fail_walks(monkeypatch, where, child_delay=0.0):
+    """Make _backward_pass raise NoConvergence for each (equation, in a child)
+    pair in where, naming both; a child fails only after child_delay seconds."""
+    parent = os.getpid()
+
+    def walk(*args):
+        place = "child" if os.getpid() != parent else "parent"
+        if (args[2], place == "child") in where:
+            if place == "child":
+                time.sleep(child_delay)
+            raise NoConvergence(f"{args[2]} failed in the {place}")
+        return _backward_pass(*args)
+
+    monkeypatch.setattr(mc.bsde, "_backward_pass", walk)
+
+
+@_forks
+@pytest.mark.parametrize("jobs, cpus, where, expect", [
+    # job 0 fails in this process: the children are killed and reaped
+    ([("Y", 3), ("P2", 3)], 2, {("Y", False), ("P2", True)}, "Y failed in the parent"),
+    # job 0 walks here and job 1 in one child, job 2 in another: both children
+    # fail, and job 1's error comes first whatever the order of the replies
+    ([("Y", 1), ("P2", 1), ("P1", 1)], 3, {("P2", True), ("P1", True)},
+     "P2 failed in the child"),
+    # job 1 starts here and fails in a child too: the group with its main
+    # sample wins
+    ([("Y", 2), ("P2", 3)], 2, {("P2", False), ("P2", True)}, "P2 failed in the parent"),
+], ids=["parent_job_0", "earlier_child_job", "main_sample_group"])
+def test_many_raises_the_first_sequential_error(model_c, monkeypatch, jobs, cpus, where,
+                                                expect):
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: cpus)
+    _fail_walks(monkeypatch, where)
+    with pytest.raises(NoConvergence, match=f"^{expect}$"):
+        mc.solve_markovian_many(model_c, mc.full_space(1), _many_jobs(jobs, (1000, 1, 10)))
+    _assert_no_child_left()
+
+
+@_forks
+@pytest.mark.parametrize("jobs, where, expect", [
+    # this process walks job 0's first group and job 1's (the third), a child
+    # job 0's second group: job 0's error in the child is raised, not job 1's
+    # here, and that child, still walking, is not killed before it replies
+    ([("Y", 3), ("P2", 1)], {("Y", True), ("P2", False)}, "Y failed in the child"),
+    # job 0 fills all three groups and fails here and in the child: this
+    # process holds its main sample, so its error wins
+    ([("Y", 5)], {("Y", True), ("Y", False)}, "Y failed in the parent"),
+], ids=["child_job_0_beats_parent_job_1", "main_sample_group_walks_here"])
+def test_many_with_a_failed_fork_raises_the_first_sequential_error(model_c, monkeypatch,
+                                                                   jobs, where, expect):
+    # on 3 CPUs the second fork fails, and its group walks in this process
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 3)
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise OSError("no fork")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    _fail_walks(monkeypatch, where, child_delay=0.5)
+    with pytest.raises(NoConvergence, match=f"^{expect}$"):
+        mc.solve_markovian_many(model_c, mc.full_space(1), _many_jobs(jobs, (1000, 1, 10)))
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@_forks
+def test_many_checks_each_bound_before_a_later_walk_error(model_c, monkeypatch):
+    # job 0 (P2, walked here) breaks its comparison bound, job 1 (Y) fails in
+    # the child: solved in order, the bound is raised first
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    monkeypatch.setattr(mc.bsde, "_BOUND_SLACK", -10.0)
+    _fail_walks(monkeypatch, {("Y", True)})
+    with pytest.raises(InvalidBound, match="^P2 initial value"):
+        mc.solve_markovian_many(model_c, mc.full_space(1),
+                                _many_jobs([("P2", 1), ("Y", 1)], (1000, 1, 10)))
+    _assert_no_child_left()
+
+
+@_forks
+@pytest.mark.parametrize("fallback", ["second_thread", "fork_fails"])
+def test_many_falls_back_to_one_process(model_c, monkeypatch, fallback):
+    jobs = _many_jobs([("Y", 2), ("P1", 0)], (2000, 2, 10))
+    cone = mc.full_space(1)
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    one = mc.solve_markovian_many(model_c, cone, jobs)
+    walked = _walk_sizes(monkeypatch)
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        if fallback == "fork_fails":
+            raise OSError("no fork")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if fallback == "second_thread":
+        thread.start()
+    try:
+        many = mc.solve_markovian_many(model_c, cone, jobs)
+    finally:
+        release.set()
+        if fallback == "second_thread":
+            thread.join(timeout=10)
+    assert len(forks) == (1 if fallback == "fork_fails" else 0)
+    assert walked == [3, 1]
+    for a, b in zip(many, one):
+        _assert_same_walks(a, b)
+    _assert_no_child_left()
+
+
+def test_sample_step_keeps_the_bits_of_numpy_reference_forms(model_c, monkeypatch):
+    # each sample's loc and scale are np.mean and np.std of its factor column,
+    # and its basis the Vandermonde matrix of the normalized column
+    cfg = mc.McSolverConfig(paths=3000, basis_degree=3, seed=17, steps=12, bootstrap=2)
+    sol, args = _solve_capturing_pass(model_c, mc.full_space(1), "Y", cfg, monkeypatch)
+    Ft = args[5].T        # time-major, each step's column contiguous
+
+    def scale(fv):        # at t = 0 every row sits at f0: no spread, scale 1
+        sd = np.std(fv)
+        return sd if sd >= 1e-12 else 1.0
+
+    for i in range(cfg.steps):
+        assert sol.basis_loc[i] == np.mean(Ft[i])
+        assert sol.basis_scale[i] == scale(Ft[i])
+        for b, idx in enumerate(args[9][1:]):
+            assert sol.replicates[b][2][i] == np.mean(Ft[i][idx])
+            assert sol.replicates[b][3][i] == scale(Ft[i][idx])
+    assert sol.basis_scale[0] == 1.0
+    fv = Ft[5]
+    loc, sd = np.mean(fv), np.std(fv)
+    basis = mc.bsde._basis_matrix(fv - loc, sd, 3, np.empty((len(fv), 4)))
+    assert np.array_equal(basis, np.vander((fv - loc) / sd, 4, increasing=True))
+
+
+@pytest.mark.parametrize("cone", [mc.full_space(1), mc.orthant(1)], ids=["full", "orthant"])
+def test_one_asset_step_keeps_the_bits_of_its_reference_form(cone):
+    # a shared |s|^2 is one float and the root is taken in place; driver and
+    # root are the bits of the per-row |s|^2 and of the quadratic formula
+    rng = np.random.default_rng(7)
+    rows, r_t, h = 800, 0.03, 0.02
+    sigma = np.array([[0.2, 0.1]])
+    phi = rng.normal(0.0, 0.5, size=(rows, 2))
+    zj = rng.normal(0.0, 0.3, size=rows)
+    cont = rng.uniform(0.6, 1.5, size=rows)
+    y = rng.uniform(0.7, 1.4, size=rows)
+    for eq in EQUATIONS:
+        shared = _sigma_side(eq, cone, sigma, phi, rows)
+        assert shared[1].strides[0] == 0
+        per_row = (shared[0], np.array(shared[1]), *shared[2:])
+        zcol = shared[0][:, 1] * zj
+        zz = zj * zj if eq == "Y" else None
+        f_s, root_s = _z_side(eq, cone, shared, r_t, zcol, zz)
+        f_r, root_r = _z_side(eq, cone, per_row, r_t, zcol, zz)
+        assert np.array_equal(f_s(y), f_r(y))
+        assert np.array_equal(root_s(cont, h), root_r(cont, h))
+
+        # the quadratic formula as written out, with per-row |s|^2
+        _, ss, p, clip = per_row
+        sign = -1.0 if eq == "P1" else 1.0
+        c = -1.0 if eq == "Y" else 1.0
+        w = sign * c * zcol / ss
+        rho = 2.0 * r_t if eq in ("P1", "P2") else 0.0
+        zeta = zz if eq == "Y" else 0.0
+
+        def quadratic(e):
+            hep = h * e * p
+            a = (1.0 - h * rho) - hep * p
+            b = cont + 2.0 * hep * w
+            return (b + np.sqrt(b * b + 4.0 * h * a * (e * w * w - zeta))) / (2.0 * a)
+
+        e = (1.0 if eq == "Y" else -1.0) * ss
+        ref = quadratic(e)
+        u = p * ref + w
+        if cone.kind != "full":
+            assert np.any(clip(u) != u)
+        ref = quadratic(np.where(clip(u) != u, 0.0, e))
+        assert np.array_equal(root_s(cont, h), ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_pricing_kernel_of_a_shared_sigma_keeps_its_bits(n):
+    # a zero-stride sigma takes |s|^2 from one row: the bits of every row's
+    rng = np.random.default_rng(n)
+    sig = np.broadcast_to(rng.normal(size=(1, 1, n)), (500, 1, n))
+    mu = rng.normal(size=(500, 1))
+    assert np.array_equal(pricing_kernel_from(sig, mu),
+                          pricing_kernel_from(np.ascontiguousarray(sig), mu))
+
+
 def test_mixed_basis_widths_stack_by_width(model_c, monkeypatch):
     # samples whose basis falls back to the constant column solve in their
     # own width group beside full-width ones, with the bits of a lone pass
     real = mc.bsde._basis_matrix
     widths = []
 
-    def some_constant(fvals, loc, scale, degree, out):
-        basis = real(fvals, loc, 0.0 if fvals[0] > fvals[1] else scale, degree, out)
+    def some_constant(centred, scale, degree, out):
+        basis = real(centred, 0.0 if centred[0] > centred[1] else scale, degree, out)
         widths.append(basis.shape[1])
         return basis
 

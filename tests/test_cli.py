@@ -256,7 +256,7 @@ def test_trajectory_table_matches_per_path_rows(tmp_path):
     # the rows the writer replaced: one per path and time, each cell formatted alone
     model = cli.build_model(cfg["model"])
     cone = cli.cone_from_config(cfg["model"]["cone"], model.m)
-    y_sol = cli._solve(model, cone, "Y", cfg)
+    (y_sol,) = cli._solve_many(model, cone, cfg, [cli._Y])
     batch = cli.simulate(model, cli.mmv_feedback(model, cone, y_sol), cli.zero_adversary(),
                          paths=300, steps=10, seed=cfg["seed"], store_paths=True)
     expect = ["t,path_id,X,Lambda,R"]

@@ -75,9 +75,9 @@ def test_xi_field_lies_in_transformed_cone(mmv_a, model_a, cone_a,
 def markov_c_maps(model_c):
     """(pi_hat, pi_gamma_hat, eta_hat) from small regression solves on C."""
     cone = mc.full_space(1)
-    y, p2, p1 = (mc.solve_markovian(model_c, cone, eq, mc.McSolverConfig(
+    y, p2, p1 = mc.solve_markovian_many(model_c, cone, [(eq, mc.McSolverConfig(
         paths=2000, basis_degree=2, seed=31 + k, steps=10, bootstrap=0))
-        for k, eq in enumerate(("Y", "P2", "P1")))
+        for k, eq in enumerate(("Y", "P2", "P1"))])
     return (mc.mmv_feedback(model_c, cone, y), mc.mv_feedback(model_c, cone, p1, p2),
             mc.mmv_adversary(y, cone, model_c))
 
@@ -320,9 +320,9 @@ _LATTICE_CASES = {
 def _solve_three(model, cone):
     if model.coefficients.kind == "deterministic":
         return [mc.solve_deterministic(model, cone, eq, 100) for eq in ("Y", "P2", "P1")]
-    return [mc.solve_markovian(model, cone, eq, mc.McSolverConfig(
+    return mc.solve_markovian_many(model, cone, [(eq, mc.McSolverConfig(
         paths=2000, basis_degree=2, seed=31 + k, steps=10, bootstrap=3 if k < 2 else 0))
-        for k, eq in enumerate(("Y", "P2", "P1"))]
+        for k, eq in enumerate(("Y", "P2", "P1"))])
 
 
 def _per_probe(strategy, report):
