@@ -59,17 +59,17 @@ _CLAMP_BUDGET = 1e-3          # fraction of path-steps allowed to hit the envelo
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX = 60
 _BOUND_SLACK = 1e-10          # slack for the P_{i,0} <= h_0^2 comparison
+_DRAW_BLOCK = 65536           # paths per substream of the forward draw
 
 
 @dataclass(frozen=True)
 class McSolverConfig:
-    """Regression Monte Carlo settings."""
+    """Regression Monte Carlo settings of one solve."""
 
     paths: int
     basis_degree: int
     seed: int
     steps: int
-    block_size: int = 65536
     bootstrap: int = 16       # replicate solves used for the stderr estimate
 
     def __post_init__(self):
@@ -79,8 +79,6 @@ class McSolverConfig:
             raise ConfigInvalid("basis_degree must lie in [0, 6]", field="solver.basis_degree")
         if self.steps < 10:
             raise ConfigInvalid("steps must be >= 10", field="solver.steps")
-        if self.block_size < 1:
-            raise ConfigInvalid("block_size must be positive", field="solver.block_size")
         if self.bootstrap < 0:
             raise ConfigInvalid("bootstrap must be >= 0", field="solver.bootstrap")
 
@@ -632,7 +630,7 @@ def _walk_cpus() -> int:
 
 def _forward(model, cfg, last):
     """A job's draws from cfg.seed: factor paths F (steps + 1, paths) and
-    increments dWj (steps, paths), time-major, one substream per block of
+    increments dWj (steps, paths), time-major, one substream per _DRAW_BLOCK
     paths; then samples 0..last, None for the rows as drawn and the resample
     index vectors of the bootstrap lane in order."""
     cf = model.coefficients
@@ -641,8 +639,8 @@ def _forward(model, cfg, last):
     F = np.empty((steps + 1, paths))
     dWj = np.empty((steps, paths))
     F[0] = cf.f0
-    for block, start in enumerate(range(0, paths, cfg.block_size)):
-        stop = min(start + cfg.block_size, paths)
+    for block, start in enumerate(range(0, paths, _DRAW_BLOCK)):
+        stop = min(start + _DRAW_BLOCK, paths)
         d = substream(cfg.seed, block).standard_normal((stop - start, steps))
         d *= math.sqrt(dt)
         dWj[:, start:stop] = d.T
@@ -766,10 +764,11 @@ def solve_markovian_many(model: MarketModel, cone: Cone, jobs) -> list[BsdeSolut
     cf = model.coefficients
     if cf.kind != "markov":
         raise ConfigInvalid("coefficients are not markov-factor", field="coefficients")
-    prepared = []
-    for equation, cfg in jobs:
-        grid = np.linspace(0.0, model.horizon_T, cfg.steps + 1)
-        prepared.append((equation, cfg, grid, *positivity_envelope(model, grid)))
+    grids = {}      # steps -> (grid, lower, upper), one envelope per grid
+    for steps in dict.fromkeys(cfg.steps for _, cfg in jobs):
+        grid = np.linspace(0.0, model.horizon_T, steps + 1)
+        grids[steps] = (grid, *positivity_envelope(model, grid))
+    prepared = [(equation, cfg, *grids[cfg.steps]) for equation, cfg in jobs]
     walks, failures = _split_walk(model, cone, prepared)
     first = min(failures, key=lambda f: f[:2], default=(len(jobs),))
     sols = []

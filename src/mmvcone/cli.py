@@ -91,6 +91,9 @@ def load_config(source) -> dict:
                   or exp in ("simulate", "saddle"))
     if needs_seed and cfg.get("seed") is None:
         raise ConfigInvalid("seed required whenever Monte Carlo runs", field="seed")
+    if "block_size" in solver:
+        raise ConfigInvalid("not a setting: the forward draw uses fixed blocks of "
+                            "65536 paths", field="solver.block_size")
     cfg.setdefault("output_dir", "out")
     return cfg
 
@@ -158,7 +161,6 @@ def _solve_many(model, cone, cfg, solves):
         basis_degree=int(solver.get("basis_degree", 2)),
         seed=int(cfg["seed"]) + lane,
         steps=int(solver.get("steps", 50)),
-        block_size=int(solver.get("block_size", 65536)),
         bootstrap=int(solver.get("bootstrap", 16)) if boot is None else boot,
     )) for eq, lane, boot in solves])
 
@@ -209,11 +211,8 @@ def _adversary_from_spec(spec, model, cone, y_sol):
     raise ConfigInvalid(f"unknown adversary spec {spec!r}", field="adversary")
 
 
-def compare_values(cfg: dict, model=None, cone=None) -> dict:
+def compare_values(cfg: dict, model, cone) -> dict:
     """Independent solves of both routes; {mmv, mv, abs_diff} (+stderrs)."""
-    if model is None:
-        model = build_model(cfg["model"])
-        cone = cone_from_config(cfg["model"]["cone"], model.m)
     y_sol, p2_sol, p1_sol = _solve_many(model, cone, cfg, (_Y, *_MV_PAIR))
     curve = dual_curve(p1_sol.value0, p2_sol.value0, model.h0, model.x0, model.theta)
     out = {

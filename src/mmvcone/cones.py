@@ -80,14 +80,13 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (M @ v[..., None])[..., 0]
 
 
-def nnls(A: np.ndarray, b: np.ndarray, tol: float = _NNLS_TOL,
-         max_iter: int | None = None) -> np.ndarray:
+def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
     """Lawson-Hanson active-set solve of min |A x - b| subject to x >= 0.
 
     A is (p, k), shared, or (N, p, k); b is (p,) or (N, p); x is (k,) or
     (N, k).  The rows advance in lockstep, each taking exactly its own
     Lawson-Hanson steps, so a row's x does not depend on the rows beside it.
-    The entering column has the largest dual w = A'(b - A x) above tol, ties
+    The entering column has the largest dual w = A'(b - A x) above 1e-12, ties
     to the lowest index.  The passive-set least squares is one SVD solve
     (np.linalg.pinv) on the column-masked stack, defined for dependent or
     duplicated columns.  A column whose coefficient comes out <= 0 right
@@ -108,7 +107,7 @@ def nnls(A: np.ndarray, b: np.ndarray, tol: float = _NNLS_TOL,
     while rows.size:
         w = _matvec(A.swapaxes(1, 2), B - _matvec(A, x))
         w[passive | refused] = -np.inf
-        enter = w.max(axis=1) > tol
+        enter = w.max(axis=1) > _NNLS_TOL
         done = pricing & ~enter
         if done.any():   # priced with no column to enter: the row leaves the stack
             out[rows[done]] = x[done]
@@ -131,11 +130,11 @@ def nnls(A: np.ndarray, b: np.ndarray, tol: float = _NNLS_TOL,
         pricing = refuse | feasible
         x = np.where(feasible[:, None], s, x)
         # step back to the boundary of the feasible region; passive x are
-        # > tol and an entering column's s is > 0, so no ratio divides by 0
+        # > _NNLS_TOL and an entering column's s is > 0, so no ratio divides by 0
         hit = back[:, None] & passive & (s <= 0.0)
         alpha = np.where(hit, x / np.where(hit, x - s, 1.0), np.inf).min(axis=1)
         x = x + np.where(back, alpha, 0.0)[:, None] * (s - x)
-        passive &= ~back[:, None] | (x > tol)
+        passive &= ~back[:, None] | (x > _NNLS_TOL)
         x[~passive] = 0.0
     return out[0] if b.ndim == 1 else out
 

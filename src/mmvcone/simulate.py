@@ -17,8 +17,6 @@ log space, which keeps it positive by construction.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +36,7 @@ from .strategies import (FeedbackStrategy, SaddleAdversary, StepTargets,
                          bound_lattice_max_norm, clip_to_bound, mmv_value)
 
 _DEFAULT_BLOCK = 32768
+_SADDLE_TOL = 3.0           # stderrs allowed by each saddle relation
 
 
 @dataclass
@@ -146,32 +145,23 @@ class SimBatchResult:
         return np.broadcast_to(0.0, self.X_paths.shape)
 
 
-def _workers_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("MMVCONE_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
              adversary: Adversary | list, paths: int, steps: int, seed: int, *,
              antithetic: bool = False, store_paths: bool = False,
-             block_size: int = _DEFAULT_BLOCK, workers: int | None = None) -> SimBatchResult:
+             block_size: int = _DEFAULT_BLOCK) -> SimBatchResult:
     """Euler-Maruyama batch under the physical measure, for one pair or a family.
 
     strategy and adversary are each one member or a list of members (None
-    is the zero portfolio).  Each block draws its Brownian increments once
-    per step for every wealth and density row, so all (pi, eta) cells share
-    common random numbers.  It evaluates sigma, mu and phi once per step
-    and projects each full-row target once (StepTargets): the wealth
-    update reads sigma and mu, pi_hat, its scaled copies and eta_hat one
-    projection, and every -c phi one phi.  Without a factor the state is one
-    row, broadcast to the block.  The MV short side is projected per
-    strategy on its own rows; a zero loading leaves its density at 1.  Each
-    cell estimates E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)] by reweighting
-    with Lambda_T.  Every model steps on (t, f) rows, f from f0 (state 0
-    without a factor); only a factor model advances f and stores F_paths.
-    Trajectories (store_paths) are kept for a one-pair call only.
+    is the zero portfolio).  The paths are walked in blocks of block_size,
+    block b drawing from substream(seed, b) once per step for every wealth
+    and density row, so all (pi, eta) cells share common random numbers.
+    Each step evaluates sigma, mu and phi once and projects each full-row
+    target once (StepTargets), read by the wealth update, every portfolio
+    and every loading; the MV short side is projected per strategy on its
+    own rows, and a zero loading leaves its density at 1.  Each cell
+    estimates E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)] by reweighting with
+    Lambda_T.  Only a factor model advances f (from f0) and stores F_paths;
+    trajectories (store_paths) are kept for a one-pair call only.
     """
     family = isinstance(strategy, (list, tuple)) or isinstance(adversary, (list, tuple))
     strategies = list(strategy) if isinstance(strategy, (list, tuple)) else [strategy]
@@ -203,7 +193,8 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     L_paths = np.empty((paths, steps + 1)) if store_paths else None
     F_paths = np.empty((paths, steps + 1)) if (store_paths and markov) else None
 
-    def run_block(block_index: int, start: int, stop: int) -> None:
+    for block_index, start in enumerate(range(0, paths, block_size)):
+        stop = min(start + block_size, paths)
         bs = stop - start
         rng = substream(seed, block_index)
         xs = terminal_X[:, start:stop]      # state rows, updated in place
@@ -249,17 +240,6 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
                     F_paths[start:stop, k + 1] = f
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(lams))):
             raise ExplodedPath(f"non-finite state in block {block_index}; refine steps")
-
-    blocks = [(bi, start, min(start + block_size, paths))
-              for bi, start in enumerate(range(0, paths, block_size))]
-
-    nworkers = workers if workers is not None else _workers_from_env()
-    if nworkers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(lambda args: run_block(*args), blocks))
-    else:
-        for args in blocks:
-            run_block(*args)
 
     theta = model.theta
     means = np.empty((len(strategies), len(adversaries)))
@@ -326,7 +306,6 @@ class SaddleReport:
     r0: float
     saddle_pi: int
     saddle_eta: int
-    tol_stderr: float
     violations: list = field(default_factory=list)
 
     @property
@@ -356,13 +335,12 @@ class SaddleReport:
 
 def saddle_scan(model: MarketModel, cone: Cone, y_sol: BsdeSolution,
                 pi_family: list, eta_family: list, paths: int, steps: int,
-                seed: int, *, tol_stderr: float = 3.0,
-                block_size: int = _DEFAULT_BLOCK) -> SaddleReport:
+                seed: int) -> SaddleReport:
     """Estimate the objective on every family cell and check the saddle relations.
 
-    One family call of simulate advances every strategy and every density
-    on one draw of Brownian increments, so all cells share common random
-    numbers.  Raises SaddleViolated on the first failed check.
+    One family call of simulate gives every cell common random numbers.
+    Each relation holds to 3 stderrs of its cell; SaddleViolated is raised
+    on the first that fails.
     """
     saddle_pi = next((i for i, s in enumerate(pi_family)
                       if s is not None and s.kind == "MMV" and s.scale == 1.0), None)
@@ -371,16 +349,14 @@ def saddle_scan(model: MarketModel, cone: Cone, y_sol: BsdeSolution,
         raise ConfigInvalid("families must include the saddle pair", field="families")
 
     n_pi, n_eta = len(pi_family), len(eta_family)
-    res = simulate(model, pi_family, eta_family, paths, steps, seed,
-                   block_size=block_size)
+    res = simulate(model, pi_family, eta_family, paths, steps, seed)
     means, errs = res.objective_mean, res.objective_stderr
 
     r0 = mmv_value(model, y_sol)
     pi_labels = [s.label if s is not None else "0" for s in pi_family]
     eta_labels = [a.label for a in eta_family]
     report = SaddleReport(pi_labels=pi_labels, eta_labels=eta_labels, means=means,
-                          stderrs=errs, r0=r0, saddle_pi=saddle_pi,
-                          saddle_eta=saddle_eta, tol_stderr=tol_stderr)
+                          stderrs=errs, r0=r0, saddle_pi=saddle_pi, saddle_eta=saddle_eta)
 
     def fail(cell, kind, mean_, err_, message):
         report.violations.append({"cell": cell, "kind": kind,
@@ -390,23 +366,23 @@ def saddle_scan(model: MarketModel, cone: Cone, y_sol: BsdeSolution,
         raise exc
 
     for i in range(n_pi):
-        if means[i, saddle_eta] > r0 + tol_stderr * errs[i, saddle_eta]:
+        if means[i, saddle_eta] > r0 + _SADDLE_TOL * errs[i, saddle_eta]:
             fail((pi_labels[i], eta_labels[saddle_eta]), "sup_bound",
                  means[i, saddle_eta], errs[i, saddle_eta],
                  f"objective {means[i, saddle_eta]:.8f} beats R0 {r0:.8f} "
-                 f"beyond {tol_stderr} stderr")
+                 f"beyond {_SADDLE_TOL} stderr")
     for j in range(n_eta):
-        if means[saddle_pi, j] < r0 - tol_stderr * errs[saddle_pi, j]:
+        if means[saddle_pi, j] < r0 - _SADDLE_TOL * errs[saddle_pi, j]:
             fail((pi_labels[saddle_pi], eta_labels[j]), "inf_bound",
                  means[saddle_pi, j], errs[saddle_pi, j],
                  f"objective {means[saddle_pi, j]:.8f} dips below R0 {r0:.8f} "
-                 f"beyond {tol_stderr} stderr")
+                 f"beyond {_SADDLE_TOL} stderr")
     gap = abs(means[saddle_pi, saddle_eta] - r0)
-    if gap > tol_stderr * errs[saddle_pi, saddle_eta]:
+    if gap > _SADDLE_TOL * errs[saddle_pi, saddle_eta]:
         fail((pi_labels[saddle_pi], eta_labels[saddle_eta]), "saddle_value",
              means[saddle_pi, saddle_eta], errs[saddle_pi, saddle_eta],
              f"saddle cell {means[saddle_pi, saddle_eta]:.8f} misses R0 {r0:.8f} "
-             f"by more than {tol_stderr} stderr")
+             f"by more than {_SADDLE_TOL} stderr")
     return report
 
 

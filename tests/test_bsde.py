@@ -13,6 +13,7 @@ from mmvcone.bsde import (EQUATIONS, _backward_pass, _close_step, _driver_batch,
 from mmvcone.errors import (ConfigInvalid, InvalidBound, NoConvergence, NonPositiveY,
                             PositivityLost, RegressionIllConditioned)
 from mmvcone.market import pricing_kernel_from
+from mmvcone.rng import substream
 
 from conftest import INSTANCE_A, INSTANCE_C, INSTANCE_C_SIGMA1, random_full_rank_sigma
 
@@ -795,6 +796,49 @@ def test_many_matches_separate_solves(name, config, cone, jobs, sizes, cpus, mon
 
 def test_many_of_no_jobs_is_empty(model_c):
     assert mc.solve_markovian_many(model_c, mc.full_space(1), []) == []
+
+
+@pytest.mark.parametrize("steps", [(10, 10, 10), (10, 12, 10)], ids=["one_grid", "two_grids"])
+def test_many_evaluates_one_envelope_per_grid(model_c, monkeypatch, steps):
+    # the positivity envelope is evaluated once per step count, and each
+    # solution is the bits of its own solve_markovian call
+    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    jobs = _many_jobs([("Y", 2), ("P2", 2), ("P1", 0)], (1000, 1, 10))
+    jobs = [(eq, dc_replace(cfg, steps=n)) for (eq, cfg), n in zip(jobs, steps)]
+    separate = [mc.solve_markovian(model_c, mc.full_space(1), eq, cfg) for eq, cfg in jobs]
+    grids, real = [], mc.bsde.positivity_envelope
+
+    def envelope(model, grid):
+        grids.append(len(grid) - 1)
+        return real(model, grid)
+
+    monkeypatch.setattr(mc.bsde, "positivity_envelope", envelope)
+    many = mc.solve_markovian_many(model_c, mc.full_space(1), jobs)
+    assert grids == list(dict.fromkeys(steps))
+    for a, b in zip(many, separate):
+        _assert_same_walks(a, b)
+        assert a.bounds == b.bounds and np.array_equal(a.grid, b.grid)
+
+
+def test_forward_draws_each_block_from_its_substream(model_c, monkeypatch):
+    # 2000 paths in blocks of 700: block b's increments are substream(seed, b)
+    # normals times sqrt(dt), and F follows the Euler recursion on them
+    monkeypatch.setattr(mc.bsde, "_DRAW_BLOCK", 700)
+    cfg = mc.McSolverConfig(paths=2000, basis_degree=1, seed=5, steps=10, bootstrap=0)
+    F, dWj, samples = mc.bsde._forward(model_c, cfg, 0)
+    assert samples == [None] and F.shape == (11, 2000) and dWj.shape == (10, 2000)
+    dt = model_c.horizon_T / cfg.steps
+    for b, (start, stop) in enumerate([(0, 700), (700, 1400), (1400, 2000)]):
+        d = substream(cfg.seed, b).standard_normal((stop - start, cfg.steps)) * math.sqrt(dt)
+        assert np.array_equal(dWj[:, start:stop], d.T)
+    one = substream(cfg.seed, 0).standard_normal((2000, cfg.steps)) * math.sqrt(dt)
+    assert not np.array_equal(dWj[:, 700:], one[700:].T)
+    cf = model_c.coefficients
+    f = np.full(2000, cf.f0)
+    assert np.array_equal(F[0], f)
+    for i in range(cfg.steps):
+        f = f + cf.kappa * (cf.mean_level - f) * dt + cf.nu * dWj[i]
+        assert np.array_equal(F[i + 1], f)
 
 
 @_forks

@@ -117,6 +117,18 @@ def test_non_finite_generators_exit_one(tmp_path, capsys):
     assert "cone.G" in capsys.readouterr().err
 
 
+def test_solver_block_size_is_a_config_error(tmp_path, capsys):
+    # the regression draw's block is fixed: an old config that sets it fails
+    # rather than run with a block it did not ask for
+    cfg = _base_config(tmp_path, "value", seed=7)
+    cfg["model"] = {k: (dict(v) if isinstance(v, dict) else v) for k, v in INSTANCE_C.items()}
+    cfg["solver"] = {"kind": "markovian", "paths": 2000, "steps": 10, "block_size": 1000}
+    rc = cli.main(["value", "--config", str(_write_config(tmp_path, cfg))])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error: solver.block_size: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_required_for_monte_carlo(tmp_path):
     cfg = _base_config(tmp_path, "saddle")
     del cfg["seed"]

@@ -74,15 +74,6 @@ def test_simulation_reproducible(model_a, mmv_a, saddle_a):
     assert a.objective_mean == b.objective_mean
 
 
-def test_reproducible_across_worker_counts(model_a, mmv_a, saddle_a):
-    a = mc.simulate(model_a, mmv_a, saddle_a, paths=4000, steps=20, seed=13,
-                    block_size=1000, workers=1)
-    b = mc.simulate(model_a, mmv_a, saddle_a, paths=4000, steps=20, seed=13,
-                    block_size=1000, workers=4)
-    assert np.array_equal(a.terminal_X, b.terminal_X)
-    assert np.array_equal(a.terminal_Lambda, b.terminal_Lambda)
-
-
 def test_antithetic_keeps_mean(model_a, mmv_a, saddle_a):
     plain = mc.simulate(model_a, mmv_a, saddle_a, paths=40000, steps=50, seed=17)
     anti = mc.simulate(model_a, mmv_a, saddle_a, paths=40000, steps=50, seed=17,
@@ -262,9 +253,8 @@ def orthant2_family():
             mc.saddle_adversary(mc.mmv_adversary(sol, cone, model)))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("instance", ["A", "C", "orthant2"])
-def test_family_cells_match_pair_simulations(instance, workers, request):
+def test_family_cells_match_pair_simulations(instance, request):
     # one family call shares its draws across cells: every cell equals the
     # one-pair simulation of its (pi, eta) bit for bit, over several blocks
     if instance == "A":
@@ -279,7 +269,7 @@ def test_family_cells_match_pair_simulations(instance, workers, request):
     pi_family = [mmv, None, mmv.scaled(0.5), mmv.scaled(1.5)]
     eta_family = [saddle, mc.zero_adversary(),
                   mc.scaled_minus_phi(model, 0.5), mc.scaled_minus_phi(model, 2.0)]
-    kw = dict(paths=2500, steps=12, seed=53, block_size=1000, workers=workers)
+    kw = dict(paths=2500, steps=12, seed=53, block_size=1000)
     fam = mc.simulate(model, pi_family, eta_family, **kw)
     assert fam.terminal_X.shape == (4, 2500)
     assert fam.terminal_Lambda.shape == (4, 2500)
