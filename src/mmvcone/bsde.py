@@ -1,40 +1,31 @@
 """Backward-equation engine.
 
-Four scalar backward SDEs are solved on a time grid, all sharing one driver
-kernel (the cone-constrained quadratic infimum):
+Four scalar backward SDEs share one driver kernel (the cone-constrained
+quadratic infimum):
 
   Y   : dY = [ (1/Y) inf_{pi}(pi'ss'pi - 2 pi's(phi Y - Z)) + |Z|^2/Y ] dt + Z'dW,  Y_T = 1
   P   : dP = -inf_{pi}[P pi'ss'pi - 2 pi'(P mu + s Delta)] dt + Delta'dW,           P_T = 1
   P1  : dP1 = -{2 r P1 + inf_{pi}[P1 pi'ss'pi + 2 pi'(P1 mu + s Delta1)]} dt + ...
   P2  : dP2 = -{2 r P2 + inf_{pi}[P2 pi'ss'pi - 2 pi'(P2 mu + s Delta2)]} dt + ...
 
-With deterministic coefficients the martingale part vanishes and each
-equation reduces to a linear ODE, integrated backward by classical RK4 from
-one tabulation of its coefficient.  With Markov-factor coefficients the
-pair is estimated by least-squares Monte Carlo: the factor is simulated
-forward, then the main sample and its bootstrap resamples walk back in
-lockstep, regressing the continuation value and the martingale increment
-on a polynomial basis (one stacked Gram solve per stage for all samples)
-and closing each step with a trapezoidal driver step implicit in the new
-value: an exact quadratic root for one asset, Picard iteration for m >= 2.
-solve_markovian_many walks the samples of several solves in one go: where
-os.fork exists, their (solve, sample) items are split into one contiguous
-group per CPU the process may run on, each group past the first walks in a
-forked child, and every table is bit for bit that of a one-process walk.
+Deterministic coefficients reduce each equation to a linear ODE,
+integrated backward by RK4.  Markov-factor coefficients are solved by
+least-squares Monte Carlo: the main sample and its bootstrap resamples walk
+back in lockstep, one stacked Gram solve per regression stage, and each
+step closes on an implicit trapezoid (a quadratic root for one asset,
+Picard iteration for m >= 2).  solve_markovian_many splits the (solve,
+sample) items of its solves over the CPUs (forksplit.run).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from . import forksplit
 from .cones import Cone, cone_inf_quadratic_batch, project_transformed, ray_axis
 from .errors import (
     ConfigInvalid,
@@ -621,13 +612,6 @@ def _close_step(equation, step, root, cont, h, lower, upper, t):
     return v, f, n_off
 
 
-def _walk_cpus() -> int:
-    """CPUs this process may run on; 1 without os.fork or an affinity mask."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _forward(model, cfg, last):
     """A job's draws from cfg.seed: factor paths F (steps + 1, paths) and
     increments dWj (steps, paths), time-major, one substream per _DRAW_BLOCK
@@ -654,7 +638,7 @@ def _walk_group(model, cone, jobs, group):
     """Walk (job, sample) items job by job: the job's draws are made here
     (_forward), walked by one _backward_pass over the group's samples of the
     job and dropped.  Returns ({(job, sample): walk}, failure), failure the
-    (job, exception) that ended the group, else None."""
+    ((job, first sample), exception) that ended the group, else None."""
     walks = {}
     for j in dict.fromkeys(j for j, _ in group):
         equation, cfg, grid, lower, upper = jobs[j]
@@ -664,88 +648,25 @@ def _walk_group(model, cone, jobs, group):
             done = _backward_pass(model, cone, equation, cfg, grid, F.T, dWj.T,
                                   lower, upper, [samples[k] for k in ks])
         except Exception as exc:
-            return walks, (j, exc)
+            return walks, ((j, ks[0]), exc)
         del F, dWj, samples
         walks.update(zip([(j, k) for k in ks], done))
     return walks, None
 
 
-def _fork_walk(model, cone, jobs, group):
-    """(pid, read end) of a forked child that writes back its _walk_group of
-    group, pickled; None when os.fork fails.  The child ends in os._exit."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid:
-        os.close(w)
-        return pid, r
-    try:
-        walks, failure = _walk_group(model, cone, jobs, group)
-        try:
-            reply = pickle.dumps((walks, failure))
-        except Exception:   # an error that does not pickle goes back as its text
-            reply = pickle.dumps((walks, (failure[0], RuntimeError(repr(failure[1])))))
-        with os.fdopen(w, "wb") as fh:
-            fh.write(reply)
-    finally:
-        os._exit(0)
-
-
-def _collect(pid, fd, first_job):
-    """A walk child's reply, read to its end before the child is reaped; a
-    child that ended without one fails its first job."""
-    try:
-        with os.fdopen(fd, "rb") as fh:
-            data = fh.read()
-    finally:
-        os.waitpid(pid, 0)
-    try:
-        return pickle.loads(data)
-    except (EOFError, pickle.UnpicklingError):
-        return {}, (first_job, ChildProcessError(f"walk child {pid} ended without a reply"))
-
-
 def _split_walk(model, cone, jobs):
-    """({(job, sample): walk}, [(job, group, exception)]) for every item of
-    the jobs, split into one contiguous group of items per CPU.  The first
-    group, which holds job 0's main sample, walks here, each other group in
-    a forked child; a group whose fork fails walks here, and so does all for
-    one CPU, one item, or while another thread runs.  When this walk fails,
-    the children that could fail only later in (job, group) order are
-    killed; every child is reaped on every path."""
+    """({(job, sample): walk}, failure) for every item of the jobs, split into
+    one contiguous group of items per CPU by forksplit.run; failure is the
+    ((job, first sample), exception) a one-process walk meets first, else None."""
     items = [(j, k) for j, job in enumerate(jobs) for k in range(job[1].bootstrap + 1)]
-    n = min(_walk_cpus(), len(items)) if threading.active_count() == 1 else 1
-    groups = [[items[i] for i in p] for p in np.array_split(np.arange(len(items)), max(n, 1))]
-    mine, children, failures = [0], [], []
-    rank = (-1, 0)      # until this process's walk returns, a stop kills every child
-    try:
-        for g in range(1, len(groups)):
-            child = _fork_walk(model, cone, jobs, groups[g])
-            if child is None:
-                mine.append(g)
-            else:
-                children.append((*child, g))
-        walks, failure = _walk_group(model, cone, jobs, [it for g in mine for it in groups[g]])
-        if failure is None:
-            rank = (len(jobs), 0)
-        else:
-            j = failure[0]
-            rank = (j, min(g for g in mine if any(i == j for i, _ in groups[g])))
-            failures.append((*rank, failure[1]))
-    finally:
-        for pid, _, g in children:
-            if (groups[g][0][0], g) > rank:
-                os.kill(pid, signal.SIGKILL)
-        replies = [_collect(pid, fd, groups[g][0][0]) for pid, fd, g in children]
-    for (_, _, g), (child_walks, child_failure) in zip(children, replies):
-        walks.update(child_walks)
-        if child_failure is not None:
-            failures.append((child_failure[0], g, child_failure[1]))
-    return walks, failures
+    n = max(min(forksplit.cpus(), len(items)), 1)
+    groups = [[items[i] for i in p] for p in np.array_split(np.arange(len(items)), n)]
+    results, failure = forksplit.run(lambda group: _walk_group(model, cone, jobs, group),
+                                     groups, lambda group: group[0])
+    walks = {}
+    for done in results:
+        walks.update(done or {})
+    return walks, failure
 
 
 def solve_markovian_many(model: MarketModel, cone: Cone, jobs) -> list[BsdeSolution]:
@@ -769,12 +690,12 @@ def solve_markovian_many(model: MarketModel, cone: Cone, jobs) -> list[BsdeSolut
         grid = np.linspace(0.0, model.horizon_T, steps + 1)
         grids[steps] = (grid, *positivity_envelope(model, grid))
     prepared = [(equation, cfg, *grids[cfg.steps]) for equation, cfg in jobs]
-    walks, failures = _split_walk(model, cone, prepared)
-    first = min(failures, key=lambda f: f[:2], default=(len(jobs),))
+    walks, failure = _split_walk(model, cone, prepared)
+    failed = failure[0][0] if failure else len(jobs)
     sols = []
     for j, (equation, cfg, grid, lower, upper) in enumerate(prepared):
-        if j == first[0]:
-            raise first[2]
+        if j == failed:
+            raise failure[1]
         y_tab, z_tab, loc, scale, clamps = walks[j, 0]
         reps = [walks[j, k] for k in range(1, cfg.bootstrap + 1)]
         sols.append(BsdeSolution(

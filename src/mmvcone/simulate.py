@@ -1,17 +1,10 @@
 """Forward simulation of wealth and adversarial densities; saddle verification.
 
-Paths are advanced under the physical measure only.  Objectives under a
-tilted measure are estimated by density reweighting, E^{P^eta}[V] =
-E[Lambda_T V].  Wealth depends only on the portfolio and the density only
-on the loading, so one draw of Brownian increments serves a whole family:
-simulate advances every wealth row and every density row on that one
-draw, and each (pi, eta) cell is formed from the terminal rows.  The
-common random numbers of the saddle scan come from this shared draw.
-Each path block evaluates sigma, mu and phi once per step (StepTargets),
-and the wealth update, every portfolio and every loading read them.
-The riskless part of the wealth update uses the exact per-step growth
-factor, so a zero portfolio compounds exactly; the density is advanced in
-log space, which keeps it positive by construction.
+Paths are advanced under the physical measure; an objective under a tilted
+measure is estimated by reweighting, E^{P^eta}[V] = E[Lambda_T V].  One
+draw per block and step serves a whole family, so every (pi, eta) cell has
+common random numbers.  Wealth compounds by the exact per-step growth
+factor, and the density is advanced in log space.
 """
 
 from __future__ import annotations
@@ -21,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import forksplit
 from .bsde import BsdeSolution
 from .cones import Cone
 from .errors import (
@@ -152,16 +146,13 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     """Euler-Maruyama batch under the physical measure, for one pair or a family.
 
     strategy and adversary are each one member or a list of members (None
-    is the zero portfolio).  The paths are walked in blocks of block_size,
-    block b drawing from substream(seed, b) once per step for every wealth
-    and density row, so all (pi, eta) cells share common random numbers.
-    Each step evaluates sigma, mu and phi once and projects each full-row
-    target once (StepTargets), read by the wealth update, every portfolio
-    and every loading; the MV short side is projected per strategy on its
-    own rows, and a zero loading leaves its density at 1.  Each cell
-    estimates E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)] by reweighting with
-    Lambda_T.  Only a factor model advances f (from f0) and stores F_paths;
-    trajectories (store_paths) are kept for a one-pair call only.
+    is the zero portfolio).  Block b of block_size paths draws from
+    substream(seed, b); each step evaluates one StepTargets, read by the
+    wealth update, every portfolio and every loading.  The members are split
+    over the CPUs in groups of equal cost (forksplit.run); each process
+    draws every block and advances its own members, so each row has the
+    bits of a one-process run.  A cell estimates E^{P^eta}[X_T + (Lambda_T
+    - 1)/(2 theta)].  store_paths keeps the trajectories of a one-pair call.
     """
     family = isinstance(strategy, (list, tuple)) or isinstance(adversary, (list, tuple))
     strategies = list(strategy) if isinstance(strategy, (list, tuple)) else [strategy]
@@ -187,59 +178,93 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     growth = np.array([math.exp(model.rate.integral(times[k], times[k + 1]))
                        for k in range(steps)])
 
-    terminal_X = np.empty((len(strategies), paths))
-    terminal_L = np.empty((len(adversaries), paths))
+    n_pi = len(strategies)
+    terminal = np.empty((n_pi + len(adversaries), paths))   # strategy rows, then adversary rows
+    terminal[:n_pi] = float(model.x0)
+    terminal[n_pi:] = 1.0
     X_paths = np.empty((paths, steps + 1)) if store_paths else None
     L_paths = np.empty((paths, steps + 1)) if store_paths else None
     F_paths = np.empty((paths, steps + 1)) if (store_paths and markov) else None
 
-    for block_index, start in enumerate(range(0, paths, block_size)):
-        stop = min(start + block_size, paths)
-        bs = stop - start
-        rng = substream(seed, block_index)
-        xs = terminal_X[:, start:stop]      # state rows, updated in place
-        lams = terminal_L[:, start:stop]
-        xs[...] = float(model.x0)
-        lams[...] = 1.0
-        f = np.full(bs, cf.f0)
+    def walk(own):
+        """({member: terminal row}, failure) of the members in own, advanced on
+        every block's draw; failure is ((block, step, member), exception)."""
+        wealth = [(i, strategies[i], terminal[i]) for i in sorted(own) if i < n_pi]
         # a zero loading leaves its density at 1: only the others are advanced
-        moving = [(adv, lam) for adv, lam in zip(adversaries, lams) if adv.kind != "zero"]
-        if store_paths:
-            X_paths[start:stop, 0] = xs[0]
-            L_paths[start:stop, 0] = lams[0]
-            if markov:
-                F_paths[start:stop, 0] = f
-        for k in range(steps):
-            t = times[k]
-            if antithetic:
-                half = (bs + 1) // 2
-                d = rng.standard_normal((half, model.n))
-                dw = sqdt * np.concatenate([d, -d[: bs - half]], axis=0)
-            else:
-                dw = sqdt * rng.standard_normal((bs, model.n))
+        moving = [(i, adversaries[i - n_pi], terminal[i]) for i in sorted(own)
+                  if i >= n_pi and adversaries[i - n_pi].kind != "zero"]
+        at = (0, -1, -1)
+        try:
+            for block_index, start in enumerate(range(0, paths, block_size)):
+                stop = min(start + block_size, paths)
+                bs = stop - start
+                rng = substream(seed, block_index)
+                f = np.full(bs, cf.f0)
+                if store_paths:
+                    X_paths[start:stop, 0] = terminal[0, start:stop]
+                    L_paths[start:stop, 0] = terminal[n_pi, start:stop]
+                    if markov:
+                        F_paths[start:stop, 0] = f
+                for k in range(steps):
+                    at = (block_index, k, -1)
+                    t = times[k]
+                    if antithetic:
+                        half = (bs + 1) // 2
+                        d = rng.standard_normal((half, model.n))
+                        dw = sqdt * np.concatenate([d, -d[: bs - half]], axis=0)
+                    else:
+                        dw = sqdt * rng.standard_normal((bs, model.n))
 
-            step = StepTargets(model, t, f)     # this step's coefficients and targets
-            mu_b = np.broadcast_to(step.mu, (bs, model.m))
-            sig = np.broadcast_to(step.sigma, (bs, model.m, model.n))
-            for strat, x in zip(strategies, xs):
-                pi = strat.portfolio_batch(t, x, f, _step=step) if strat is not None else None
-                np.multiply(x, growth[k], out=x)
-                if pi is not None:
-                    x += np.einsum("im,im->i", pi, mu_b) * dt
-                    x += np.einsum("im,imn,in->i", pi, sig, dw)
-            for adv, lam in moving:
-                eta = adv.eta_batch(model, t, f, _step=step)
-                lam *= np.exp(np.einsum("in,in->i", eta, dw)
-                              - 0.5 * np.einsum("in,in->i", eta, eta) * dt)
-            if markov:
-                f = f + cf.kappa * (cf.mean_level - f) * dt + cf.nu * dw[:, cf.driving_index]
-            if store_paths:
-                X_paths[start:stop, k + 1] = xs[0]
-                L_paths[start:stop, k + 1] = lams[0]
-                if markov:
-                    F_paths[start:stop, k + 1] = f
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(lams))):
-            raise ExplodedPath(f"non-finite state in block {block_index}; refine steps")
+                    step = StepTargets(model, t, f)     # this step's coefficients and targets
+                    mu_b = np.broadcast_to(step.mu, (bs, model.m))
+                    sig = np.broadcast_to(step.sigma, (bs, model.m, model.n))
+                    for at_i, strat, row in wealth:
+                        at = (block_index, k, at_i)
+                        x = row[start:stop]
+                        pi = (strat.portfolio_batch(t, x, f, _step=step)
+                              if strat is not None else None)
+                        np.multiply(x, growth[k], out=x)
+                        if pi is not None:
+                            x += np.einsum("im,im->i", pi, mu_b) * dt
+                            x += np.einsum("im,imn,in->i", pi, sig, dw)
+                    for at_i, adv, row in moving:
+                        at = (block_index, k, at_i)
+                        eta = adv.eta_batch(model, t, f, _step=step)
+                        row[start:stop] *= np.exp(np.einsum("in,in->i", eta, dw)
+                                                  - 0.5 * np.einsum("in,in->i", eta, eta) * dt)
+                    if markov:
+                        f = (f + cf.kappa * (cf.mean_level - f) * dt
+                             + cf.nu * dw[:, cf.driving_index])
+                    if store_paths:
+                        X_paths[start:stop, k + 1] = terminal[0, start:stop]
+                        L_paths[start:stop, k + 1] = terminal[n_pi, start:stop]
+                        if markov:
+                            F_paths[start:stop, k + 1] = f
+                at = (block_index, steps, -1)
+                if not np.all(np.isfinite(terminal[:, start:stop])):
+                    raise ExplodedPath(f"non-finite state in block {block_index}; refine steps")
+        except Exception as exc:
+            return None, (at, exc)
+        return {i: terminal[i] for i in own}, None
+
+    # the calling process walks the first strategy and adversary; the rest is
+    # cut into contiguous groups of equal cost, a None or zero member costing 0
+    order = [0, n_pi, *range(1, n_pi), *range(n_pi + 1, len(terminal))]
+    cost = [s is not None for s in strategies] + [a.kind != "zero" for a in adversaries]
+    total = sum(cost)
+    n, before = min(forksplit.cpus(), total) or 1, 0
+    groups = [[] for _ in range(n)]
+    for p, i in enumerate(order):
+        groups[before * n // max(total, 1) if p > 1 else 0].append(i)
+        before += cost[i]
+    results, failure = forksplit.run(walk, [g for g in groups if g],
+                                     lambda group: (0, 0, min(group)))
+    if failure is not None:
+        raise failure[1]
+    for rows in results[1:]:        # the children's rows; this process's are in place
+        for i, row in rows.items():
+            terminal[i] = row
+    terminal_X, terminal_L = terminal[:n_pi], terminal[n_pi:]
 
     theta = model.theta
     means = np.empty((len(strategies), len(adversaries)))

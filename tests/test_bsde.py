@@ -556,7 +556,7 @@ def _solve_capturing_pass(model, cone, equation, cfg, monkeypatch):
         calls.append(args)
         return _backward_pass(*args)
 
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
     monkeypatch.setattr(mc.bsde, "_backward_pass", spy)
     sol = mc.solve_markovian(model, cone, equation, cfg)
     assert len(calls) == 1
@@ -648,9 +648,9 @@ def test_forked_walk_matches_one_process_walk(name, config, cone, equation, size
     cfg = mc.McSolverConfig(paths=paths, basis_degree=degree, seed=17, steps=steps,
                             bootstrap=boot)
     walked = _walk_sizes(monkeypatch)
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
     split = mc.solve_markovian(model, cone, equation, cfg)
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
     one = mc.solve_markovian(model, cone, equation, cfg)
     assert walked == [(boot + 2) // 2, boot + 1]
     _assert_same_walks(split, one)
@@ -663,12 +663,12 @@ def test_forked_walk_holds_only_the_main_sample_to_the_clamp_budget(model_c, mon
     # the main sample keeps; only the main sample is held to it
     monkeypatch.setattr(mc.bsde, "positivity_envelope", lambda model, grid: (0.5, 1.05))
     monkeypatch.setattr(mc.bsde, "_CLAMP_BUDGET", 1.0)
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
     cfg = mc.McSolverConfig(paths=2000, basis_degree=1, seed=1, steps=10, bootstrap=3)
     one = mc.solve_markovian(model_c, mc.full_space(1), "Y", cfg)
     assert one.replicate_clamp_events[1] > one.clamp_events
     monkeypatch.setattr(mc.bsde, "_CLAMP_BUDGET", (one.clamp_events + 0.5) / (2000 * 10))
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
     _assert_same_walks(mc.solve_markovian(model_c, mc.full_space(1), "Y", cfg), one)
     _assert_no_child_left()
 
@@ -689,7 +689,7 @@ def _raise_in_child(monkeypatch, name, error):
 @pytest.mark.parametrize("stage, error", [("_close_step", NoConvergence),
                                           ("_gram_groups", RegressionIllConditioned)])
 def test_child_walk_error_reaches_caller(model_c, monkeypatch, stage, error):
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
     _raise_in_child(monkeypatch, stage, error)
     with pytest.raises(error, match=f"^{stage} failed in the child$"):
         mc.solve_markovian(model_c, mc.full_space(1), "Y",
@@ -702,7 +702,7 @@ def test_child_walk_error_reaches_caller(model_c, monkeypatch, stage, error):
 def test_parent_walk_error_wins_and_reaps_children(model_c, monkeypatch):
     # the main sample overruns its clamp budget in this process while a
     # child fails too: the parent's PositivityLost reaches the caller
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
     monkeypatch.setattr(mc.bsde, "_CLAMP_BUDGET", -1.0)
     _raise_in_child(monkeypatch, "_close_step", NoConvergence)
     with pytest.raises(PositivityLost):
@@ -717,10 +717,10 @@ def test_parent_walk_error_wins_and_reaps_children(model_c, monkeypatch):
 def test_walk_falls_back_to_one_process(model_c, monkeypatch, fallback):
     cfg = mc.McSolverConfig(paths=2000, basis_degree=2, seed=17, steps=10, bootstrap=3)
     cone = mc.full_space(1)
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
     one = mc.solve_markovian(model_c, cone, "P2", cfg)
     walked = _walk_sizes(monkeypatch)
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1 if fallback == "one_cpu" else 2)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1 if fallback == "one_cpu" else 2)
     forks, real_fork = [], os.fork
 
     def fork():
@@ -773,7 +773,7 @@ def test_many_matches_separate_solves(name, config, cone, jobs, sizes, cpus, mon
     # bits of its own solve_markovian call, and os.fork runs once per group
     model = mc.build_model(config)
     jobs = _many_jobs(jobs, sizes)
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
     separate = [mc.solve_markovian(model, cone, eq, cfg) for eq, cfg in jobs]
     forks, real_fork = [], os.fork
 
@@ -782,7 +782,7 @@ def test_many_matches_separate_solves(name, config, cone, jobs, sizes, cpus, mon
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: cpus)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: cpus)
     many = mc.solve_markovian_many(model, cone, jobs)
     items = sum(cfg.bootstrap + 1 for _, cfg in jobs)
     assert len(forks) == min(cpus, items) - 1
@@ -802,7 +802,7 @@ def test_many_of_no_jobs_is_empty(model_c):
 def test_many_evaluates_one_envelope_per_grid(model_c, monkeypatch, steps):
     # the positivity envelope is evaluated once per step count, and each
     # solution is the bits of its own solve_markovian call
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
     jobs = _many_jobs([("Y", 2), ("P2", 2), ("P1", 0)], (1000, 1, 10))
     jobs = [(eq, dc_replace(cfg, steps=n)) for (eq, cfg), n in zip(jobs, steps)]
     separate = [mc.solve_markovian(model_c, mc.full_space(1), eq, cfg) for eq, cfg in jobs]
@@ -854,7 +854,7 @@ def test_many_draws_each_job_where_it_walks(model_c, monkeypatch):
 
     monkeypatch.setattr(mc.bsde, "_forward", forward)
     walked = _walk_sizes(monkeypatch)
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
     mc.solve_markovian_many(model_c, mc.full_space(1), jobs)
     assert drawn == [(31, 8), (32, 0)]
     assert walked == [9, 1]
@@ -890,7 +890,7 @@ def _fail_walks(monkeypatch, where, child_delay=0.0):
 ], ids=["parent_job_0", "earlier_child_job", "main_sample_group"])
 def test_many_raises_the_first_sequential_error(model_c, monkeypatch, jobs, cpus, where,
                                                 expect):
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: cpus)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: cpus)
     _fail_walks(monkeypatch, where)
     with pytest.raises(NoConvergence, match=f"^{expect}$"):
         mc.solve_markovian_many(model_c, mc.full_space(1), _many_jobs(jobs, (1000, 1, 10)))
@@ -910,7 +910,7 @@ def test_many_raises_the_first_sequential_error(model_c, monkeypatch, jobs, cpus
 def test_many_with_a_failed_fork_raises_the_first_sequential_error(model_c, monkeypatch,
                                                                    jobs, where, expect):
     # on 3 CPUs the second fork fails, and its group walks in this process
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 3)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 3)
     forks, real_fork = [], os.fork
 
     def fork():
@@ -931,7 +931,7 @@ def test_many_with_a_failed_fork_raises_the_first_sequential_error(model_c, monk
 def test_many_checks_each_bound_before_a_later_walk_error(model_c, monkeypatch):
     # job 0 (P2, walked here) breaks its comparison bound, job 1 (Y) fails in
     # the child: solved in order, the bound is raised first
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
     monkeypatch.setattr(mc.bsde, "_BOUND_SLACK", -10.0)
     _fail_walks(monkeypatch, {("Y", True)})
     with pytest.raises(InvalidBound, match="^P2 initial value"):
@@ -945,10 +945,10 @@ def test_many_checks_each_bound_before_a_later_walk_error(model_c, monkeypatch):
 def test_many_falls_back_to_one_process(model_c, monkeypatch, fallback):
     jobs = _many_jobs([("Y", 2), ("P1", 0)], (2000, 2, 10))
     cone = mc.full_space(1)
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 1)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
     one = mc.solve_markovian_many(model_c, cone, jobs)
     walked = _walk_sizes(monkeypatch)
-    monkeypatch.setattr(mc.bsde, "_walk_cpus", lambda: 2)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
     forks, real_fork = [], os.fork
 
     def fork():

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ import mmvcone as mc
 from mmvcone.errors import (
     AdversaryNotZero,
     ConfigInvalid,
+    ExplodedPath,
     MissingTrajectories,
+    NoConvergence,
     SaddleViolated,
 )
 from mmvcone.strategies import StepTargets
@@ -332,6 +336,7 @@ def test_family_shares_each_steps_target_and_phi(instance, request, monkeypatch)
     pi_family = [mmv, None, mmv.scaled(0.5), mmv.scaled(1.5)]
     eta_family = [saddle, mc.zero_adversary(),
                   mc.scaled_minus_phi(model, 0.5), mc.scaled_minus_phi(model, 2.0)]
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)   # spies see this process only
     targets = _spy(monkeypatch, "mmvcone.strategies", "_projected_target")
     states = _spy(monkeypatch, "mmvcone.market", "coefficients_at")
     evaluations = _count_evaluations(monkeypatch, ("sigma_batch", "mu_batch"))
@@ -380,6 +385,7 @@ def test_mixed_family_cells_match_pair_simulations(instance, request, monkeypatc
     eta_family = [mc.scaled_minus_phi(model, 0.5), saddle, mc.zero_adversary(),
                   mc.scaled_minus_phi(model, 2.0)]
     kw = dict(paths=2500, steps=12, seed=71, block_size=1000)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)   # spies see this process only
     targets = _spy(monkeypatch, "mmvcone.strategies", "_projected_target")
     evaluations = _count_evaluations(monkeypatch, ("sigma_batch",))
     fam = mc.simulate(model, pi_family, eta_family, **kw)
@@ -451,3 +457,174 @@ def test_simulate_rejects_nonpositive_block_size(model_a, mmv_a):
         with pytest.raises(ConfigInvalid, match="block_size"):
             mc.simulate(model_a, mmv_a, mc.zero_adversary(), paths=200, steps=10, seed=1,
                         block_size=block_size)
+
+
+_forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def _count_forks(monkeypatch, fails=False):
+    """Count the os.fork calls; each raises OSError when fails."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        if fails:
+            raise OSError("no fork")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _saddle_family(model, mmv, saddle):
+    return ([mmv, None, mmv.scaled(0.5), mmv.scaled(1.5)],
+            [saddle, mc.zero_adversary(), mc.scaled_minus_phi(model, 0.5),
+             mc.scaled_minus_phi(model, 2.0)])
+
+
+def _split_family(request, name):
+    """(model, pi_family, eta_family): the saddle family on A, C, C1 or
+    orthant2, or the mixed MMV/MV family on C1 whose 20x split MV member runs
+    its short side (P1) on strict subsets of a block's rows."""
+    if name == "orthant2":
+        model, mmv, saddle = request.getfixturevalue("orthant2_family")
+    else:
+        model, mmv, saddle = _saddle_pair(request, "C1" if name == "mixed" else name)
+    if name == "mixed":
+        mv = request.getfixturevalue("markov_c1_mv")
+        split = dataclasses.replace(mv, gamma_hat=0.99 * model.x0 * model.h0, label="split")
+        return (model, [split.scaled(20.0), split, mv, mmv, None],
+                [mc.scaled_minus_phi(model, 0.5), saddle, mc.zero_adversary(),
+                 mc.scaled_minus_phi(model, 2.0)])
+    return (model, *_saddle_family(model, mmv, saddle))
+
+
+def _assert_same_batch(a, b):
+    for name in ("terminal_X", "terminal_Lambda", "X_paths", "Lambda_paths", "F_paths"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        assert x is None or np.array_equal(x, y), name
+    assert np.all(np.asarray(a.objective_mean) == np.asarray(b.objective_mean))
+    assert np.all(np.asarray(a.objective_stderr) == np.asarray(b.objective_stderr))
+
+
+@_forks
+@pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+@pytest.mark.parametrize("name", ["A", "C", "C1", "orthant2", "mixed"])
+def test_split_family_matches_one_process(name, antithetic, request, monkeypatch):
+    # on 2 CPUs the members past the first group advance in a forked child,
+    # over three blocks; every terminal row and cell is the one-process bits
+    model, pi_family, eta_family = _split_family(request, name)
+    kw = dict(paths=2500, steps=12, seed=73, block_size=1000, antithetic=antithetic)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
+    one = mc.simulate(model, pi_family, eta_family, **kw)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
+    split = mc.simulate(model, pi_family, eta_family, **kw)
+    assert len(forks) == 1
+    _assert_same_batch(split, one)
+
+
+@pytest.mark.parametrize("instance", ["A", "C"])
+def test_stored_pair_matches_one_process(instance, request, monkeypatch):
+    # a pair is the calling process's group: trajectories are the one-process bits
+    model, mmv, saddle = _saddle_pair(request, instance)
+    kw = dict(paths=2500, steps=12, seed=79, block_size=1000, store_paths=True)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
+    one = mc.simulate(model, mmv, saddle, **kw)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
+    split = mc.simulate(model, mmv, saddle, **kw)
+    assert forks == [] and (split.F_paths is not None) == (instance == "C")
+    _assert_same_batch(split, one)
+
+
+def test_split_groups_balance_member_cost(model_a, mmv_a, saddle_a, monkeypatch):
+    # pi_hat and eta_hat stay here; a None portfolio and a zero loading cost
+    # nothing, so 0.5 pi_hat joins them and the other three members cost three
+    pi_family, eta_family = _saddle_family(model_a, mmv_a, saddle_a)
+    calls, real = [], mc.forksplit.run
+
+    def run(work, groups, floor):
+        calls.append(groups)
+        return real(work, groups, floor)
+
+    monkeypatch.setattr(mc.forksplit, "run", run)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
+    mc.simulate(model_a, pi_family, eta_family, paths=200, steps=10, seed=1)
+    assert calls == [[[0, 4, 1, 2], [3, 5, 6, 7]]]
+
+
+def _loading(label, fails_at=None, steps=10, shape=None, nan=False):
+    """A custom loading that returns NaN, a wrong shape, or raises
+    NoConvergence on its call at (block, step) of fails_at; the count of its
+    calls stays in the process that advances it."""
+    calls = []
+
+    def eta(t, f):
+        calls.append(t)
+        if fails_at is not None and len(calls) == fails_at[0] * steps + fails_at[1] + 1:
+            raise NoConvergence(f"{label} failed at {fails_at}")
+        return np.full(shape or (len(f), 1), np.nan if nan else 0.1)
+
+    return mc.custom_adversary(eta, bound=1.0, label=label)
+
+
+@_forks
+@pytest.mark.parametrize("here, there, error, match", [
+    # an error raised in the child only reaches the caller with its type
+    (None, dict(nan=True), ExplodedPath, "^non-finite state in block 0; refine steps$"),
+    (None, dict(shape=(3, 1)), ConfigInvalid, "^adversary: custom eta returned shape"),
+    # both fail: the error met first in (block, step, member) order is raised
+    (dict(fails_at=(0, 5)), dict(fails_at=(0, 3)), NoConvergence, "^there failed"),
+    (dict(fails_at=(0, 3)), dict(fails_at=(0, 3)), NoConvergence, "^here failed"),
+    (dict(fails_at=(1, 2)), dict(fails_at=(0, 7)), NoConvergence, "^there failed"),
+    # ExplodedPath comes at the end of its block
+    (dict(fails_at=(1, 0)), dict(nan=True), ExplodedPath, "^non-finite state in block 0"),
+    (dict(fails_at=(0, 9)), dict(nan=True), NoConvergence, "^here failed"),
+    (dict(nan=True), dict(fails_at=(0, 9)), NoConvergence, "^there failed"),
+    (dict(nan=True), dict(fails_at=(1, 0)), ExplodedPath, "^non-finite state in block 0"),
+], ids=["child_nan", "child_shape", "child_step_first", "same_step_member_order",
+        "child_block_first", "child_exploded_before_next_block", "parent_step_before_block_end",
+        "child_step_before_block_end", "parent_exploded_before_next_block"])
+def test_split_raises_the_first_one_process_error(model_a, mmv_a, monkeypatch, here, there,
+                                                  error, match):
+    # [pi_hat] x [here, there]: here walks in this process, there in the child
+    raised = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(mc.forksplit, "cpus", lambda: cpus)
+        forks = _count_forks(monkeypatch)
+        family = [_loading("here", **(here or {})), _loading("there", **there)]
+        with pytest.raises(error, match=match) as info, np.errstate(invalid="ignore"):
+            mc.simulate(model_a, [mmv_a], family, paths=300, steps=10, seed=3,
+                        block_size=100)
+        assert len(forks) == cpus - 1
+        raised.append(str(info.value))
+        monkeypatch.undo()
+    assert raised[0] == raised[1]
+    if error is ConfigInvalid:
+        assert info.value.field == "adversary"
+
+
+@_forks
+@pytest.mark.parametrize("fallback", ["one_cpu", "second_thread", "fork_fails"])
+def test_simulate_falls_back_to_one_process(model_a, mmv_a, saddle_a, monkeypatch, fallback):
+    pi_family, eta_family = _saddle_family(model_a, mmv_a, saddle_a)
+    kw = dict(paths=2500, steps=12, seed=83, block_size=1000)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
+    one = mc.simulate(model_a, pi_family, eta_family, **kw)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1 if fallback == "one_cpu" else 2)
+    forks = _count_forks(monkeypatch, fails=fallback == "fork_fails")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if fallback == "second_thread":
+        thread.start()
+    try:
+        batch = mc.simulate(model_a, pi_family, eta_family, **kw)
+    finally:
+        release.set()
+        if fallback == "second_thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(forks) == (1 if fallback == "fork_fails" else 0)
+    _assert_same_batch(batch, one)
