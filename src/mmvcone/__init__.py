@@ -2,12 +2,10 @@
 
 from .market import (
     CoefficientField,
-    DiscountFactor,
     MarketModel,
     PiecewiseRate,
     affine_factor_maps,
     build_model,
-    discount_h,
     pricing_kernel,
     pricing_kernel_batch,
 )

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .market import (
     PROBE_FACTOR_QUANTILES,
-    DiscountFactor,
     MarketModel,
     coefficients_at,
     pricing_kernel_batch,
@@ -70,8 +69,8 @@ class McSolverConfig:
             raise ConfigInvalid("basis_degree must lie in [0, 6]", field="solver.basis_degree")
         if self.steps < 10:
             raise ConfigInvalid("steps must be >= 10", field="solver.steps")
-        if self.bootstrap < 0:
-            raise ConfigInvalid("bootstrap must be >= 0", field="solver.bootstrap")
+        if self.bootstrap < 0 or self.bootstrap == 1:
+            raise ConfigInvalid("bootstrap must be 0 or >= 2", field="solver.bootstrap")
 
 
 def driver_f(cone: Cone, sigma, phi, y: float, z) -> float:
@@ -93,8 +92,6 @@ def _sigma_side(equation, cone, sigma, phi, rows) -> tuple:
     neither Z nor y: (s, |s|^2, p, clip) for one asset, sigma' Gamma the ray
     or line along s = sigma' (cones.ray_axis) and p = sign s'phi / |s|^2;
     (sigma, phi) with phi (rows, n) for m >= 2."""
-    if equation not in EQUATIONS:
-        raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
     sigma = np.asarray(sigma, dtype=float)
     phi = np.broadcast_to(np.asarray(phi, dtype=float), (rows, sigma.shape[-1]))
     if cone.dim == 1:
@@ -211,11 +208,8 @@ def positivity_envelope(model: MarketModel, grid: np.ndarray) -> tuple[float, fl
 
 
 def _step_rates(model: MarketModel, grid: np.ndarray) -> np.ndarray:
-    """Exact average rate over each grid step, integral of r / step length:
-    exact for piecewise-constant r wherever its breaks fall."""
-    dt = model.horizon_T / (len(grid) - 1)
-    return np.array([model.rate.integral(float(a), float(b)) / dt
-                     for a, b in zip(grid[:-1], grid[1:])])
+    """Exact average rate over each step of the uniform grid."""
+    return model.rate.step_integrals(grid) / (model.horizon_T / (len(grid) - 1))
 
 
 def _state_row(f, markov: bool) -> np.ndarray:
@@ -303,7 +297,7 @@ class BsdeSolution:
                 f"base solution reached {base[k]} at t={np.broadcast_to(t, base.shape)[k]}")
         if self.transform[0] == "recip":
             return 1.0 / base, -z / (base * base)[:, None]
-        h = self.transform[1].at(t)
+        h = self.transform[1].discount(t)
         return h * h / base, -(h * h / (base * base))[:, None] * z
 
     # -- public evaluation: batch forms and their one-row views ----------------
@@ -717,6 +711,11 @@ def solve_markovian(model: MarketModel, cone: Cone, equation: str,
     return solve_markovian_many(model, cone, [(equation, cfg)])[0]
 
 
+def _require_positive(sol: BsdeSolution, label: str) -> None:
+    if sol.min_value_on_grid() <= 0:
+        raise PositivityLost(f"{label} solution is not uniformly positive")
+
+
 def _check_comparison_bound(model: MarketModel, sol: BsdeSolution) -> None:
     if sol.equation not in ("P1", "P2"):
         return
@@ -734,8 +733,7 @@ def transform_p_to_y(p_sol: BsdeSolution) -> BsdeSolution:
     if p_sol.transform is not None:
         raise ConfigInvalid("cannot re-transform a transformed solution", field="transform")
     lo, up = p_sol.bounds
-    if p_sol.min_value_on_grid() <= 0:
-        raise PositivityLost("P solution is not uniformly positive")
+    _require_positive(p_sol, "P")
     if p_sol.kind == "deterministic":
         p = p_sol.y_values
         return dc_replace(
@@ -747,24 +745,22 @@ def transform_p_to_y(p_sol: BsdeSolution) -> BsdeSolution:
                       transform=("recip",))
 
 
-def transform_p2_to_y(p2_sol: BsdeSolution, h: DiscountFactor) -> BsdeSolution:
-    """(Y, Z) = (h^2/P2, -(h^2/P2^2) Delta2)."""
+def transform_p2_to_y(p2_sol: BsdeSolution, model: MarketModel) -> BsdeSolution:
+    """(Y, Z) = (h^2/P2, -(h^2/P2^2) Delta2), h = model.discount."""
     if p2_sol.equation != "P2":
         raise ConfigInvalid(f"expected a P2 solution, got {p2_sol.equation}", field="equation")
     if p2_sol.transform is not None:
         raise ConfigInvalid("cannot re-transform a transformed solution", field="transform")
     lo, up = p2_sol.bounds
-    h_max = float(np.max(h.values)) if len(h.values) else 1.0
-    h_min = float(np.min(h.values)) if len(h.values) else 1.0
+    h = model.discount(p2_sol.grid)
+    h_min, h_max = float(np.min(h)), float(np.max(h))
     new_bounds = (h_min * h_min / up, h_max * h_max / lo)
-    if p2_sol.min_value_on_grid() <= 0:
-        raise PositivityLost("P2 solution is not uniformly positive")
+    _require_positive(p2_sol, "P2")
     if p2_sol.kind == "deterministic":
         p = p2_sol.y_values
-        h_grid = h.at(p2_sol.grid)
         return dc_replace(
-            p2_sol, equation="Y", y_values=h_grid ** 2 / p,
-            z_values=-(h_grid ** 2 / (p * p))[:, None] * p2_sol.z_values,
+            p2_sol, equation="Y", y_values=h ** 2 / p,
+            z_values=-(h ** 2 / (p * p))[:, None] * p2_sol.z_values,
             bounds=new_bounds,
         )
-    return dc_replace(p2_sol, equation="Y", bounds=new_bounds, transform=("h2", h))
+    return dc_replace(p2_sol, equation="Y", bounds=new_bounds, transform=("h2", model))

@@ -94,6 +94,10 @@ def load_config(source) -> dict:
     if "block_size" in solver:
         raise ConfigInvalid("not a setting: the forward draw uses fixed blocks of "
                             "65536 paths", field="solver.block_size")
+    for key in ("paths", "steps"):
+        if key in cfg and exp not in ("simulate", "saddle"):
+            raise ConfigInvalid(f"read by simulate and saddle only; {exp} reads "
+                                f"solver.{key}", field=key)
     cfg.setdefault("output_dir", "out")
     return cfg
 
@@ -177,6 +181,14 @@ def _solution_table(sol):
         cols = ([sol.grid] + list(sol.y_values.T) + list(sol.z_values.T)
                 + [sol.basis_loc, sol.basis_scale])
     return header, [cols]
+
+
+def _count(block, key, default, field):
+    """block[key] (default when absent) as an integer >= 1, else ConfigInvalid."""
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigInvalid(f"must be an integer >= 1, got {value!r}", field=field)
+    return value
 
 
 def _finite_entry(value, shape, field, what):
@@ -343,10 +355,11 @@ def run(cfg: dict) -> int:
         mmv = mmv_feedback(model, cone, y_sol)
         mv = mv_feedback(model, cone, p1_sol, p2_sol)
         lat = cfg.get("lattice", {})
-        t_values = np.linspace(0.0, model.horizon_T, int(lat.get("t_points", 101)))
+        t_values = np.linspace(0.0, model.horizon_T,
+                               _count(lat, "t_points", 101, "lattice.t_points"))
         x_values = np.linspace(float(lat.get("x_min", 0.0)),
                                float(lat.get("x_max", 2.0)),
-                               int(lat.get("x_points", 101)))
+                               _count(lat, "x_points", 101, "lattice.x_points"))
         probe = (t_values, x_values)
         if lat.get("f_values") is not None:
             probe = (t_values, x_values, np.asarray(lat["f_values"], dtype=float))
@@ -361,8 +374,8 @@ def run(cfg: dict) -> int:
         grid_cfg = cfg.get("k_grid", {})
         anchor = model.x0 * model.h0
         span = float(grid_cfg.get("span", max(3.0 * abs(curve.K_hat - anchor), 1.0)))
-        count = int(grid_cfg.get("count", 2001))
-        ks = np.linspace(anchor - span, anchor + span, count)
+        ks = np.linspace(anchor - span, anchor + span,
+                         _count(grid_cfg, "count", 2001, "k_grid.count"))
         kl = ks.tolist()
         ws.write_csv("dual_curve.csv", ["K", "F", "gamma_hat_of_K", "objective"],
                      [[kl, [curve.F(k) for k in kl], [curve.gamma_hat_of(k) for k in kl],

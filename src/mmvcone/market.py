@@ -78,16 +78,10 @@ class PiecewiseRate:
             total += self.values[-1] * (t1 - max(t0, self.breaks[-1]))
         return total
 
-
-def _discount(rate: PiecewiseRate, horizon: float, t):
-    """exp(integral of r over [t, T]) at a time, or one math.exp per row when
-    t holds one time per row (np.exp may differ from it by an ulp)."""
-    if np.ndim(t):
-        return np.array([_discount(rate, horizon, s)
-                         for s in np.asarray(t, dtype=float).tolist()])
-    if not 0.0 <= t <= horizon + 1e-12:
-        raise TimeOutOfRange(f"t={t} outside [0, {horizon}]")
-    return math.exp(rate.integral(t, horizon))
+    def step_integrals(self, grid) -> np.ndarray:
+        """integral(grid[k], grid[k + 1]) for each step k of the grid."""
+        g = np.asarray(grid, dtype=float).tolist()
+        return np.array([self.integral(a, b) for a, b in zip(g[:-1], g[1:])])
 
 
 def _as_time_grid(values, shape, name):
@@ -266,9 +260,13 @@ class MarketModel:
     delta: float
 
     def discount(self, t):
-        """h_t = exp(integral of r over [t, T]), exact for piecewise-constant r;
-        t is a time or one per row (_discount)."""
-        return _discount(self.rate, self.horizon_T, t)
+        """h_t = exp(integral of r over [t, T]) at a time, or one math.exp per
+        row when t holds one time per row (np.exp may differ by an ulp)."""
+        if np.ndim(t):
+            return np.array([self.discount(s) for s in np.asarray(t, dtype=float).tolist()])
+        if not 0.0 <= t <= self.horizon_T + 1e-12:
+            raise TimeOutOfRange(f"t={t} outside [0, {self.horizon_T}]")
+        return math.exp(self.rate.integral(t, self.horizon_T))
 
     @property
     def h0(self) -> float:
@@ -430,27 +428,3 @@ def pricing_kernel_from(sig: np.ndarray, mu: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularGram("sigma sigma' is singular") from exc
     return (np.swapaxes(sig, 1, 2) @ w)[..., 0]            # (N, n)
-
-
-def discount_h(model: MarketModel, t: float) -> float:
-    return model.discount(t)
-
-
-@dataclass(frozen=True)
-class DiscountFactor:
-    """h on a time grid plus the exact evaluator backing it."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    rate: PiecewiseRate
-    horizon_T: float
-
-    @staticmethod
-    def from_model(model: MarketModel, grid: np.ndarray) -> "DiscountFactor":
-        grid = np.asarray(grid, dtype=float)
-        return DiscountFactor(grid=grid, values=model.discount(grid),
-                              rate=model.rate, horizon_T=model.horizon_T)
-
-    def at(self, t):
-        """h at a time or at one time per row (_discount)."""
-        return _discount(self.rate, self.horizon_T, t)

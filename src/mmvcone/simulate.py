@@ -29,7 +29,7 @@ from .rng import substream
 from .strategies import (FeedbackStrategy, SaddleAdversary, StepTargets,
                          bound_lattice_max_norm, clip_to_bound, mmv_value)
 
-_DEFAULT_BLOCK = 32768
+_BLOCK = 32768              # paths per substream block
 _SADDLE_TOL = 3.0           # stderrs allowed by each saddle relation
 
 
@@ -141,12 +141,11 @@ class SimBatchResult:
 
 def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
              adversary: Adversary | list, paths: int, steps: int, seed: int, *,
-             antithetic: bool = False, store_paths: bool = False,
-             block_size: int = _DEFAULT_BLOCK) -> SimBatchResult:
+             antithetic: bool = False, store_paths: bool = False) -> SimBatchResult:
     """Euler-Maruyama batch under the physical measure, for one pair or a family.
 
     strategy and adversary are each one member or a list of members (None
-    is the zero portfolio).  Block b of block_size paths draws from
+    is the zero portfolio).  Block b of _BLOCK paths draws from
     substream(seed, b); each step evaluates one StepTargets, read by the
     wealth update, every portfolio and every loading.  The members are split
     over the CPUs in groups of equal cost (forksplit.run); each process
@@ -167,16 +166,13 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
         raise ConfigInvalid("paths must be >= 100", field="paths")
     if steps < 10:
         raise ConfigInvalid("steps must be >= 10", field="steps")
-    if block_size < 1:
-        raise ConfigInvalid("block_size must be positive", field="block_size")
     cf = model.coefficients
     markov = cf.kind == "markov"
     T = model.horizon_T
     dt = T / steps
     times = np.linspace(0.0, T, steps + 1)
     sqdt = math.sqrt(dt)
-    growth = np.array([math.exp(model.rate.integral(times[k], times[k + 1]))
-                       for k in range(steps)])
+    growth = [math.exp(v) for v in model.rate.step_integrals(times).tolist()]
 
     n_pi = len(strategies)
     terminal = np.empty((n_pi + len(adversaries), paths))   # strategy rows, then adversary rows
@@ -195,8 +191,8 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
                   if i >= n_pi and adversaries[i - n_pi].kind != "zero"]
         at = (0, -1, -1)
         try:
-            for block_index, start in enumerate(range(0, paths, block_size)):
-                stop = min(start + block_size, paths)
+            for block_index, start in enumerate(range(0, paths, _BLOCK)):
+                stop = min(start + _BLOCK, paths)
                 bs = stop - start
                 rng = substream(seed, block_index)
                 f = np.full(bs, cf.f0)

@@ -22,17 +22,12 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .bsde import BsdeSolution, _state_row
+from .bsde import BsdeSolution, _require_positive, _state_row
 from .cones import Cone, project_transformed_batch
-from .errors import ConfigInvalid, InvalidBound, PositivityLost
+from .errors import ConfigInvalid, InvalidBound
 from .market import MarketModel, coefficients_at
 
 _EQ_SLACK = 1e-10   # absolute slack detecting the p_{i,0} = h_0^2 boundary
-
-
-def _require_positive(sol: BsdeSolution, label: str) -> None:
-    if sol.min_value_on_grid() <= 0:
-        raise PositivityLost(f"{label} solution is not uniformly positive")
 
 
 def _eval_rows(model: MarketModel, t, fvals) -> np.ndarray:
@@ -240,17 +235,13 @@ def mmv_adversary(y_sol: BsdeSolution, cone: Cone, model: MarketModel) -> Saddle
 
 def mv_feedback(model: MarketModel, cone: Cone, p1_sol: BsdeSolution,
                 p2_sol: BsdeSolution) -> FeedbackStrategy:
-    """Mean-variance feedback with the optimal Lagrange level gamma_hat."""
+    """Mean-variance feedback with the Lagrange level DualCurve.gamma_hat."""
     _require_positive(p1_sol, "P1")
     _require_positive(p2_sol, "P2")
-    h0 = model.h0
-    p2_0 = p2_sol.value0
-    if p2_0 > h0 * h0 + _EQ_SLACK:
-        raise InvalidBound(f"P2_0 = {p2_0} exceeds h0^2 = {h0 * h0}")
-    gamma_hat = model.x0 * h0 + h0 * h0 / (model.theta * p2_0)
+    curve = dual_curve(p1_sol.value0, p2_sol.value0, model.h0, model.x0, model.theta)
     return FeedbackStrategy(kind="MV", model=model, cone=cone,
                             p1_sol=p1_sol, p2_sol=p2_sol,
-                            gamma_hat=gamma_hat, label="pi_gamma_hat")
+                            gamma_hat=curve.gamma_hat, label="pi_gamma_hat")
 
 
 def mmv_value(model: MarketModel, y_sol: BsdeSolution) -> float:
@@ -459,6 +450,7 @@ def equivalence_check(mmv: FeedbackStrategy, mv: FeedbackStrategy,
     reps_p2 = mv.p2_sol.replicates
     if reps_y and reps_p2:
         pim_reps, piv_reps, vm_reps, vv_reps = [], [], [], []
+        p1_0 = mv.p1_sol.value0
         for b in range(min(len(reps_y), len(reps_p2))):
             mmv_b = mmv_feedback(model, mmv.cone, mmv.y_sol.replicate(b))
             p2_b = mv.p2_sol.replicate(b)
@@ -466,8 +458,8 @@ def equivalence_check(mmv: FeedbackStrategy, mv: FeedbackStrategy,
             pim_reps.append(lattice_eval(mmv_b))
             piv_reps.append(lattice_eval(mv_b))
             vm_reps.append(mmv_value(model, mmv_b.y_sol))
-            vv_reps.append(model.x0 * model.h0
-                           + (model.h0 ** 2 / p2_b.value0 - 1.0) / (2.0 * model.theta))
+            vv_reps.append(dual_curve(p1_0, p2_b.value0, model.h0, model.x0,
+                                      model.theta).mv_value)
         # per-probe combined stderr of the two (independent) solves
         var_m = np.var(np.stack(pim_reps), axis=0, ddof=1).sum(axis=2)
         var_v = np.var(np.stack(piv_reps), axis=0, ddof=1).sum(axis=2)

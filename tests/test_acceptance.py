@@ -74,8 +74,7 @@ def test_criterion_3_cross_bsde_identity():
     cone = mc.orthant(1)
     y_sol = mc.solve_deterministic(model, cone, "Y", 1000)
     p2_sol = mc.solve_deterministic(model, cone, "P2", 1000)
-    h = mc.DiscountFactor.from_model(model, p2_sol.grid)
-    y_from_p2 = mc.transform_p2_to_y(p2_sol, h)
+    y_from_p2 = mc.transform_p2_to_y(p2_sol, model)
     rng = np.random.default_rng(314)
     checks = [0.0] + [float(y_sol.grid[i])
                       for i in rng.integers(0, len(y_sol.grid), size=10)]

@@ -223,8 +223,7 @@ def test_transform_p_to_y_closed_form_r0(cone_a):
 
 
 def test_transform_p2_closed_form(model_a, cone_a, ysol_a, p2sol_a):
-    h = mc.DiscountFactor.from_model(model_a, p2sol_a.grid)
-    y_from_p2 = mc.transform_p2_to_y(p2sol_a, h)
+    y_from_p2 = mc.transform_p2_to_y(p2sol_a, model_a)
     assert abs(y_from_p2.value0 - math.exp(0.09)) < 1e-8
     rng = np.random.default_rng(3)
     for i in rng.integers(0, len(ysol_a.grid), size=10):
@@ -237,16 +236,14 @@ def test_transform_p2_reduces_to_recip_when_r_zero(cone_a):
     cfg["rate"] = 0.0
     model = mc.build_model(cfg)
     p2 = mc.solve_deterministic(model, cone_a, "P2", 400)
-    h = mc.DiscountFactor.from_model(model, p2.grid)
-    via_h = mc.transform_p2_to_y(p2, h)
+    via_h = mc.transform_p2_to_y(p2, model)
     via_recip = 1.0 / p2.y_values
     assert np.max(np.abs(via_h.y_values - via_recip)) < 1e-14
 
 
 def test_transform_instance_b_gives_unit_y(model_b, cone_b):
     p2 = mc.solve_deterministic(model_b, cone_b, "P2", 500)
-    h = mc.DiscountFactor.from_model(model_b, p2.grid)
-    y = mc.transform_p2_to_y(p2, h)
+    y = mc.transform_p2_to_y(p2, model_b)
     assert np.max(np.abs(y.y_values - 1.0)) < 1e-10
 
 
@@ -387,6 +384,12 @@ def test_mc_config_validation():
         mc.McSolverConfig(paths=2000, basis_degree=9, seed=1, steps=20)
     with pytest.raises(ConfigInvalid):
         mc.McSolverConfig(paths=2000, basis_degree=2, seed=1, steps=5)
+    for bootstrap in (-1, 1):
+        with pytest.raises(ConfigInvalid, match="^solver.bootstrap: "):
+            mc.McSolverConfig(paths=2000, basis_degree=2, seed=1, steps=20, bootstrap=bootstrap)
+    for bootstrap in (0, 2):
+        assert mc.McSolverConfig(paths=2000, basis_degree=2, seed=1, steps=20,
+                                 bootstrap=bootstrap).bootstrap == bootstrap
 
 
 def _frozen_factor_config():
@@ -476,8 +479,7 @@ def test_markovian_cross_identity_within_stderr(model_c):
     p2 = mc.solve_markovian(model_c, cone, "P2",
                             mc.McSolverConfig(paths=20000, basis_degree=2,
                                               seed=72, steps=25, bootstrap=8))
-    h = mc.DiscountFactor.from_model(model_c, p2.grid)
-    y_from_p2 = mc.transform_p2_to_y(p2, h)
+    y_from_p2 = mc.transform_p2_to_y(p2, model_c)
     rng = np.random.default_rng(2)
     probes = [(0.0, model_c.coefficients.f0)] + [
         (float(y.grid[i]), float(rng.normal(0.06, 0.02)))
@@ -494,13 +496,12 @@ def test_markovian_transforms_pointwise(model_c):
     cone = mc.full_space(1)
     cfg = mc.McSolverConfig(paths=4000, basis_degree=2, seed=15, steps=15, bootstrap=3)
     p2 = mc.solve_markovian(model_c, cone, "P2", cfg)
-    h = mc.DiscountFactor.from_model(model_c, p2.grid)
-    y = mc.transform_p2_to_y(p2, h)
+    y = mc.transform_p2_to_y(p2, model_c)
     rng = np.random.default_rng(1)
     for _ in range(20):
         t = float(rng.uniform(0.0, 1.0))
         f = float(rng.normal(0.06, 0.03))
-        h_t = h.at(t)
+        h_t = model_c.discount(t)
         assert y.value(t, f) == pytest.approx(h_t ** 2 / p2.value(t, f), rel=1e-12)
         expect_z = -(h_t ** 2 / p2.value(t, f) ** 2) * p2.z_at(t, f)
         assert y.z_at(t, f) == pytest.approx(expect_z, rel=1e-12)
@@ -508,7 +509,7 @@ def test_markovian_transforms_pointwise(model_c):
     assert y.value0_stderr is not None and y.value0_stderr > 0
     rep = y.replicate(0)
     assert rep.value(0.3, 0.06) == pytest.approx(
-        h.at(0.3) ** 2 / p2.replicate(0).value(0.3, 0.06), rel=1e-12)
+        model_c.discount(0.3) ** 2 / p2.replicate(0).value(0.3, 0.06), rel=1e-12)
 
 
 def test_deterministic_z_identically_zero(ysol_a):
@@ -753,7 +754,7 @@ def test_walk_falls_back_to_one_process(model_c, monkeypatch, fallback):
 _MANY_CASES = [
     ("C", INSTANCE_C, mc.full_space(1), [("Y", 3), ("P2", 3), ("P1", 0)], (2000, 2, 10)),
     ("C_two_samples", INSTANCE_C, mc.full_space(1), [("P1", 0), ("Y", 0)], (1000, 2, 10)),
-    ("full_cone_2", _FULL_CONE_2, mc.full_space(2), [("Y", 2), ("P2", 1)], (1000, 1, 10)),
+    ("full_cone_2", _FULL_CONE_2, mc.full_space(2), [("Y", 2), ("P2", 2)], (1000, 1, 10)),
 ]
 
 
@@ -882,7 +883,7 @@ def _fail_walks(monkeypatch, where, child_delay=0.0):
     ([("Y", 3), ("P2", 3)], 2, {("Y", False), ("P2", True)}, "Y failed in the parent"),
     # job 0 walks here and job 1 in one child, job 2 in another: both children
     # fail, and job 1's error comes first whatever the order of the replies
-    ([("Y", 1), ("P2", 1), ("P1", 1)], 3, {("P2", True), ("P1", True)},
+    ([("Y", 2), ("P2", 2), ("P1", 2)], 3, {("P2", True), ("P1", True)},
      "P2 failed in the child"),
     # job 1 starts here and fails in a child too: the group with its main
     # sample wins
@@ -902,7 +903,7 @@ def test_many_raises_the_first_sequential_error(model_c, monkeypatch, jobs, cpus
     # this process walks job 0's first group and job 1's (the third), a child
     # job 0's second group: job 0's error in the child is raised, not job 1's
     # here, and that child, still walking, is not killed before it replies
-    ([("Y", 3), ("P2", 1)], {("Y", True), ("P2", False)}, "Y failed in the child"),
+    ([("Y", 5), ("P2", 2)], {("Y", True), ("P2", False)}, "Y failed in the child"),
     # job 0 fills all three groups and fails here and in the child: this
     # process holds its main sample, so its error wins
     ([("Y", 5)], {("Y", True), ("Y", False)}, "Y failed in the parent"),
@@ -936,7 +937,7 @@ def test_many_checks_each_bound_before_a_later_walk_error(model_c, monkeypatch):
     _fail_walks(monkeypatch, {("Y", True)})
     with pytest.raises(InvalidBound, match="^P2 initial value"):
         mc.solve_markovian_many(model_c, mc.full_space(1),
-                                _many_jobs([("P2", 1), ("Y", 1)], (1000, 1, 10)))
+                                _many_jobs([("P2", 2), ("Y", 2)], (1000, 1, 10)))
     _assert_no_child_left()
 
 
@@ -1122,16 +1123,14 @@ def evaluated_solutions(model_a, cone_a, ysol_a, model_c):
     y_c = mc.solve_markovian(model_c, cone, "Y", cfg)
     p_c = mc.solve_markovian(model_c, cone, "P", cfg)
     p2_c = mc.solve_markovian(model_c, cone, "P2", cfg)
-    h = mc.DiscountFactor.from_model(model_c, p2_c.grid)
     p2_a = mc.solve_deterministic(model_a, cone_a, "P2", 200)
     return {
         "deterministic": ysol_a,
-        "deterministic_h2": mc.transform_p2_to_y(
-            p2_a, mc.DiscountFactor.from_model(model_a, p2_a.grid)),
+        "deterministic_h2": mc.transform_p2_to_y(p2_a, model_a),
         "markov": y_c,
         "markov_replicate": y_c.replicate(1),
         "recip": mc.transform_p_to_y(p_c),
-        "h2": mc.transform_p2_to_y(p2_c, h),
+        "h2": mc.transform_p2_to_y(p2_c, model_c),
     }
 
 

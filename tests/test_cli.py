@@ -129,6 +129,45 @@ def test_solver_block_size_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_one_bootstrap_replicate_is_a_config_error(tmp_path, capsys):
+    # one replicate has no stderr: the run must not write NaN into its JSON
+    cfg = _base_config(tmp_path, "equivalence", seed=7,
+                       lattice={"t_points": 3, "x_points": 3, "x_min": 0.0, "x_max": 2.0})
+    cfg["model"] = {k: (dict(v) if isinstance(v, dict) else v) for k, v in INSTANCE_C.items()}
+    cfg["solver"] = {"kind": "markovian", "paths": 1000, "steps": 10, "bootstrap": 1}
+    rc = cli.main(["equivalence", "--config", str(_write_config(tmp_path, cfg))])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error: solver.bootstrap: ")
+    assert list((tmp_path / "out").glob("*")) == []
+
+
+@pytest.mark.parametrize("experiment, extra, field", [
+    ("equivalence", {"lattice": {"t_points": 0}}, "lattice.t_points"),
+    ("equivalence", {"lattice": {"x_points": 0}}, "lattice.x_points"),
+    ("dual-curve", {"k_grid": {"count": -1}}, "k_grid.count"),
+], ids=["t_points", "x_points", "k_count"])
+def test_lattice_and_curve_counts_below_one_are_config_errors(tmp_path, capsys, experiment,
+                                                              extra, field):
+    cfg = _base_config(tmp_path, experiment, **extra)
+    rc = cli.main([experiment, "--config", str(_write_config(tmp_path, cfg))])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+@pytest.mark.parametrize("experiment, flag", [
+    ("solve", "--paths"), ("value", "--steps"), ("equivalence", "--paths"),
+    ("dual-curve", "--steps"),
+])
+def test_paths_and_steps_outside_simulate_and_saddle_are_config_errors(tmp_path, capsys,
+                                                                       experiment, flag):
+    # only simulate and saddle read them; the solver reads solver.steps
+    path = _write_config(tmp_path, _base_config(tmp_path, experiment))
+    rc = cli.main([experiment, "--config", str(path), flag, "20"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"config error: {flag[2:]}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_required_for_monte_carlo(tmp_path):
     cfg = _base_config(tmp_path, "saddle")
     del cfg["seed"]

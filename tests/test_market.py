@@ -105,19 +105,19 @@ def test_sigma_phi_equals_mu_randomized():
 def test_discount_zero_rate():
     model = mc.build_model(_config(rate=0.0))
     for t in (0.0, 0.3, 1.0):
-        assert mc.discount_h(model, t) == 1.0
+        assert model.discount(t) == 1.0
 
 
 def test_discount_instance_a(model_a):
-    assert mc.discount_h(model_a, 0.0) == pytest.approx(math.exp(0.02), abs=1e-14)
-    assert mc.discount_h(model_a, 1.0) == 1.0
+    assert model_a.discount(0.0) == pytest.approx(math.exp(0.02), abs=1e-14)
+    assert model_a.discount(1.0) == 1.0
 
 
 def test_discount_piecewise_rate():
     model = mc.build_model(_config(rate=[{"until": 0.5, "value": 0.02},
                                          {"until": 1.0, "value": 0.04}]))
-    assert mc.discount_h(model, 0.0) == pytest.approx(math.exp(0.03), abs=1e-15)
-    assert mc.discount_h(model, 0.5) == pytest.approx(math.exp(0.02), abs=1e-15)
+    assert model.discount(0.0) == pytest.approx(math.exp(0.03), abs=1e-15)
+    assert model.discount(0.5) == pytest.approx(math.exp(0.02), abs=1e-15)
 
 
 def test_discount_semigroup():
@@ -132,9 +132,17 @@ def test_discount_semigroup():
         assert abs(lhs - rhs) < 1e-14
 
 
+def test_step_integrals_match_integral_bit_for_bit():
+    # breaks at 0.25 (a node of the grid) and at 0.6 (inside the step 0.5-0.625)
+    rate = mc.PiecewiseRate((0.25, 0.6, 1.0), (0.01, 0.05, 0.02))
+    grid = np.linspace(0.0, 1.0, 9)
+    want = [rate.integral(float(a), float(b)) for a, b in zip(grid[:-1], grid[1:])]
+    assert rate.step_integrals(grid).tolist() == want
+
+
 def test_time_out_of_range(model_a):
     with pytest.raises(TimeOutOfRange):
-        mc.discount_h(model_a, 1.5)
+        model_a.discount(1.5)
     with pytest.raises(TimeOutOfRange):
         mc.pricing_kernel(model_a, -0.1)
 
@@ -223,10 +231,10 @@ def test_rate_must_cover_horizon():
 
 def test_discount_factor_grid(model_a):
     grid = np.linspace(0.0, 1.0, 11)
-    h = mc.DiscountFactor.from_model(model_a, grid)
-    assert h.values[-1] == 1.0
-    assert np.all(np.diff(h.values) < 0)  # non-increasing for r > 0
-    assert h.at(0.25) == pytest.approx(math.exp(0.02 * 0.75), abs=1e-15)
+    h = model_a.discount(grid)
+    assert h[-1] == 1.0
+    assert np.all(np.diff(h) < 0)  # non-increasing for r > 0
+    assert model_a.discount(0.25) == pytest.approx(math.exp(0.02 * 0.75), abs=1e-15)
 
 
 def test_ellipticity_failure_names_late_probe_time():

@@ -62,8 +62,7 @@ def test_cross_identity_and_bounds(setup):
     h0_sq = model.h0 ** 2
     assert p1.value0 <= h0_sq + 1e-10
     assert p2.value0 <= h0_sq + 1e-10
-    h = mc.DiscountFactor.from_model(model, p2.grid)
-    y_from_p2 = mc.transform_p2_to_y(p2, h)
+    y_from_p2 = mc.transform_p2_to_y(p2, model)
     for t in y.grid[::97]:
         assert abs(y.value(float(t)) - y_from_p2.value(float(t))) < 1e-8
 

@@ -258,7 +258,7 @@ def orthant2_family():
 
 
 @pytest.mark.parametrize("instance", ["A", "C", "orthant2"])
-def test_family_cells_match_pair_simulations(instance, request):
+def test_family_cells_match_pair_simulations(instance, request, monkeypatch):
     # one family call shares its draws across cells: every cell equals the
     # one-pair simulation of its (pi, eta) bit for bit, over several blocks
     if instance == "A":
@@ -273,7 +273,8 @@ def test_family_cells_match_pair_simulations(instance, request):
     pi_family = [mmv, None, mmv.scaled(0.5), mmv.scaled(1.5)]
     eta_family = [saddle, mc.zero_adversary(),
                   mc.scaled_minus_phi(model, 0.5), mc.scaled_minus_phi(model, 2.0)]
-    kw = dict(paths=2500, steps=12, seed=53, block_size=1000)
+    kw = dict(paths=2500, steps=12, seed=53)
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
     fam = mc.simulate(model, pi_family, eta_family, **kw)
     assert fam.terminal_X.shape == (4, 2500)
     assert fam.terminal_Lambda.shape == (4, 2500)
@@ -341,8 +342,8 @@ def test_family_shares_each_steps_target_and_phi(instance, request, monkeypatch)
     states = _spy(monkeypatch, "mmvcone.market", "coefficients_at")
     evaluations = _count_evaluations(monkeypatch, ("sigma_batch", "mu_batch"))
     steps, blocks = 12, 3
-    mc.simulate(model, pi_family, eta_family, paths=2500, steps=steps, seed=59,
-                block_size=1000)
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
+    mc.simulate(model, pi_family, eta_family, paths=2500, steps=steps, seed=59)
     assert len(targets) == steps * blocks
     assert len(states) == steps * blocks
     assert evaluations == {"sigma_batch": steps * blocks, "mu_batch": steps * blocks}
@@ -384,7 +385,8 @@ def test_mixed_family_cells_match_pair_simulations(instance, request, monkeypatc
     pi_family = [split.scaled(20.0), split, mv, mmv, None]
     eta_family = [mc.scaled_minus_phi(model, 0.5), saddle, mc.zero_adversary(),
                   mc.scaled_minus_phi(model, 2.0)]
-    kw = dict(paths=2500, steps=12, seed=71, block_size=1000)
+    kw = dict(paths=2500, steps=12, seed=71)
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
     monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)   # spies see this process only
     targets = _spy(monkeypatch, "mmvcone.strategies", "_projected_target")
     evaluations = _count_evaluations(monkeypatch, ("sigma_batch",))
@@ -430,16 +432,17 @@ def test_step_subset_matches_its_own_step(instance, request):
                 assert np.array_equal(got, want), side
 
 
-def test_family_exploding_member_raises(model_a, mmv_a, saddle_a):
+def test_family_exploding_member_raises(model_a, mmv_a, saddle_a, monkeypatch):
     from mmvcone.errors import ExplodedPath
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 100)
     with pytest.raises(ExplodedPath), np.errstate(over="ignore", invalid="ignore"):
         mc.simulate(model_a, [mmv_a, mmv_a.scaled(1e150)], [saddle_a],
-                    paths=300, steps=10, seed=3, block_size=100)
+                    paths=300, steps=10, seed=3)
     # a bounded loading cannot blow the density up; a broken one (NaN) can
     broken = mc.custom_adversary(lambda t, f: np.full((len(f), 1), np.nan), bound=1.0)
     with pytest.raises(ExplodedPath), np.errstate(invalid="ignore"):
         mc.simulate(model_a, [mmv_a], [saddle_a, broken],
-                    paths=300, steps=10, seed=3, block_size=100)
+                    paths=300, steps=10, seed=3)
 
 
 def test_family_rejects_store_paths_and_empty(model_a, mmv_a, saddle_a):
@@ -450,13 +453,6 @@ def test_family_rejects_store_paths_and_empty(model_a, mmv_a, saddle_a):
         mc.simulate(model_a, [], [saddle_a], paths=200, steps=10, seed=1)
     with pytest.raises(ConfigInvalid):
         mc.simulate(model_a, [mmv_a], [], paths=200, steps=10, seed=1)
-
-
-def test_simulate_rejects_nonpositive_block_size(model_a, mmv_a):
-    for block_size in (0, -5):
-        with pytest.raises(ConfigInvalid, match="block_size"):
-            mc.simulate(model_a, mmv_a, mc.zero_adversary(), paths=200, steps=10, seed=1,
-                        block_size=block_size)
 
 
 _forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -515,7 +511,8 @@ def test_split_family_matches_one_process(name, antithetic, request, monkeypatch
     # on 2 CPUs the members past the first group advance in a forked child,
     # over three blocks; every terminal row and cell is the one-process bits
     model, pi_family, eta_family = _split_family(request, name)
-    kw = dict(paths=2500, steps=12, seed=73, block_size=1000, antithetic=antithetic)
+    kw = dict(paths=2500, steps=12, seed=73, antithetic=antithetic)
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
     monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
     one = mc.simulate(model, pi_family, eta_family, **kw)
     forks = _count_forks(monkeypatch)
@@ -529,7 +526,8 @@ def test_split_family_matches_one_process(name, antithetic, request, monkeypatch
 def test_stored_pair_matches_one_process(instance, request, monkeypatch):
     # a pair is the calling process's group: trajectories are the one-process bits
     model, mmv, saddle = _saddle_pair(request, instance)
-    kw = dict(paths=2500, steps=12, seed=79, block_size=1000, store_paths=True)
+    kw = dict(paths=2500, steps=12, seed=79, store_paths=True)
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
     monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
     one = mc.simulate(model, mmv, saddle, **kw)
     forks = _count_forks(monkeypatch)
@@ -593,11 +591,11 @@ def test_split_raises_the_first_one_process_error(model_a, mmv_a, monkeypatch, h
     raised = []
     for cpus in (1, 2):
         monkeypatch.setattr(mc.forksplit, "cpus", lambda: cpus)
+        monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 100)
         forks = _count_forks(monkeypatch)
         family = [_loading("here", **(here or {})), _loading("there", **there)]
         with pytest.raises(error, match=match) as info, np.errstate(invalid="ignore"):
-            mc.simulate(model_a, [mmv_a], family, paths=300, steps=10, seed=3,
-                        block_size=100)
+            mc.simulate(model_a, [mmv_a], family, paths=300, steps=10, seed=3)
         assert len(forks) == cpus - 1
         raised.append(str(info.value))
         monkeypatch.undo()
@@ -610,7 +608,8 @@ def test_split_raises_the_first_one_process_error(model_a, mmv_a, monkeypatch, h
 @pytest.mark.parametrize("fallback", ["one_cpu", "second_thread", "fork_fails"])
 def test_simulate_falls_back_to_one_process(model_a, mmv_a, saddle_a, monkeypatch, fallback):
     pi_family, eta_family = _saddle_family(model_a, mmv_a, saddle_a)
-    kw = dict(paths=2500, steps=12, seed=83, block_size=1000)
+    kw = dict(paths=2500, steps=12, seed=83)
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
     monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
     one = mc.simulate(model_a, pi_family, eta_family, **kw)
     monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1 if fallback == "one_cpu" else 2)
