@@ -11,10 +11,11 @@ quadratic infimum):
 Deterministic coefficients reduce each equation to a linear ODE,
 integrated backward by RK4.  Markov-factor coefficients are solved by
 least-squares Monte Carlo: the main sample and its bootstrap resamples walk
-back in lockstep, one stacked Gram solve per regression stage, and each
-step closes on an implicit trapezoid (a quadratic root for one asset,
-Picard iteration for m >= 2).  solve_markovian_many splits the (solve,
-sample) items of its solves over the CPUs (forksplit.run).
+back in lockstep on row-major power bases with Hankel Grams, one stacked
+solve per regression stage, and each step closes on an implicit trapezoid
+(a quadratic root for one asset, Picard iteration for m >= 2), clipped to
+the positivity envelope only when it leaves it.  solve_markovian_many
+splits the (solve, sample) items of its solves over the CPUs.
 """
 
 from __future__ import annotations
@@ -88,10 +89,9 @@ def driver_f(cone: Cone, sigma, phi, y: float, z) -> float:
 
 
 def _sigma_side(equation, cone, sigma, phi, rows) -> tuple:
-    """sigma/phi stage of one step's driver, row-local columns that need
-    neither Z nor y: (s, |s|^2, p, clip) for one asset, sigma' Gamma the ray
-    or line along s = sigma' (cones.ray_axis) and p = sign s'phi / |s|^2;
-    (sigma, phi) with phi (rows, n) for m >= 2."""
+    """The driver's columns that need neither Z nor y: (s, |s|^2, p, clip)
+    for one asset, s = sigma' spanning sigma' Gamma (cones.ray_axis) and
+    p = sign s'phi / |s|^2; (sigma, phi (rows, n)) for m >= 2."""
     sigma = np.asarray(sigma, dtype=float)
     phi = np.broadcast_to(np.asarray(phi, dtype=float), (rows, sigma.shape[-1]))
     if cone.dim == 1:
@@ -102,10 +102,9 @@ def _sigma_side(equation, cone, sigma, phi, rows) -> tuple:
 
 
 def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
-    """Z stage: (f, root).  f maps y (N,) to the driver (N,); root(cont, h)
-    solves y = cont + h f(y) exactly for one asset, None for m >= 2.  side
-    is _sigma_side of the same rows; zcol is s'z (N,) for one asset, z (N, n)
-    otherwise; zz = |z|^2 (N,) is read by Y only.
+    """(f, root): f maps y (N,) to the driver (N,); root(cont, h) solves
+    y = cont + h f(y) for one asset, None for m >= 2.  side is _sigma_side of
+    the rows, zcol s'z (N,) for one asset and z (N, n) otherwise, zz = |z|^2.
 
     By Moreau's identity and positive homogeneity every driver is a function
     of q(y) = |P u(y)|^2, P the projection onto sigma' Gamma and
@@ -182,22 +181,17 @@ def _prepare_driver(equation, cone, sigma, phi, r_t, z) -> Callable:
 
 
 def _driver_batch(equation, cone, sigma, phi, r_t, y, z, step=None):
-    """Vectorized driver f with the convention d(value) = -f dt + Z'dW.
-
-    sigma: (m, n) shared or (N, m, n); phi: (n,) or (N, n); y: (N,), positive;
-    z: (N, n).  step, when given, is the driver already prepared from these
-    arguments (_prepare_driver, or _sigma_side then _z_side), and only y is
-    read.
-    """
+    """Driver f (N,), d(value) = -f dt + Z'dW, at sigma (m, n) or (N, m, n),
+    phi (n,) or (N, n), y (N,) > 0 and z (N, n); step, when given, is the
+    driver prepared from them (_prepare_driver), and only y is read."""
     if step is None:
         step = _prepare_driver(equation, cone, sigma, phi, r_t, z)
     return step(np.asarray(y, dtype=float))
 
 
 def positivity_envelope(model: MarketModel, grid: np.ndarray) -> tuple[float, float]:
-    """(lower, upper) = exp(-/+ C T) with C = max over grid nodes t of
-    |2 r(t)| + max over probe states of |phi(t, f)|^2, the probe states
-    those of MarketModel.probe_lattice (PROBE_FACTOR_QUANTILES per node)."""
+    """(lower, upper) = exp(-/+ C T), C the max over grid nodes t of |2 r(t)|
+    + max |phi(t, f)|^2 over the nodes' MarketModel.probe_lattice states."""
     t_rows, f_rows = model.probe_lattice(grid, PROBE_FACTOR_QUANTILES)
     phis = pricing_kernel_batch(model, t_rows, f_rows)
     phi_sq = np.einsum("ij,ij->i", phis, phis).reshape(len(grid), -1).max(axis=1)
@@ -284,10 +278,9 @@ class BsdeSolution:
         return base, z
 
     def _transformed_batch(self, t, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(value (N,), z (N, n)) after the pointwise transform, if any; t is
-        a time or one per row.  "recip" is (1/P, -Delta/P^2), "h2" is
-        (h^2/P2, -(h^2/P2^2) Delta2).  PositivityLost names the time of the
-        lowest base value when it is not positive."""
+        """(value (N,), z (N, n)) after the transform "recip" (1/P, -Delta/P^2)
+        or "h2" (h^2/P2, -(h^2/P2^2) Delta2), if any; t is a time or one per row.
+        PositivityLost names the time of a lowest base value that is not > 0."""
         base, z = self._raw_batch(t, fvals)
         if self.transform is None:
             return base, z
@@ -353,9 +346,8 @@ class BsdeSolution:
 
 
 def _deterministic_rhs(model, cone, equation, times, r_steps):
-    """dv/dt per unit v for the Z == 0 reduction, where every driver is
-    positively homogeneous of degree one in v, so dv/dt = v * rhs(t): one
-    entry per time, with r_steps the average rate over each row's step."""
+    """rhs(t) of dv/dt = v rhs(t), the Z = 0 reduction (every driver is
+    1-homogeneous in v), per time; r_steps is the average rate of its step."""
     sig, _, phi = coefficients_at(model, times, np.zeros(len(times)))
     return -_driver_batch(equation, cone, sig, phi, r_steps,
                           np.ones(len(times)), np.zeros((len(times), model.n)))
@@ -363,11 +355,8 @@ def _deterministic_rhs(model, cone, equation, times, r_steps):
 
 def solve_deterministic(model: MarketModel, cone: Cone, equation: str,
                         steps: int) -> BsdeSolution:
-    """Backward RK4 integration of the ODE obtained by setting Z identically 0.
-
-    The ODE is linear, dv/dt = v * rhs(t), so rhs is tabulated once on every
-    step's stage nodes (t_{i+1}, t_{i+1} - dt/2, t_i) and RK4 runs on scalars.
-    """
+    """Backward RK4 on the Z = 0 reduction dv/dt = v rhs(t), with rhs tabulated
+    once on every step's stages (t_{i+1}, t_{i+1} - dt/2, t_i)."""
     if equation not in EQUATIONS:
         raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
     if model.coefficients.kind != "deterministic":
@@ -408,19 +397,29 @@ def solve_deterministic(model: MarketModel, cone: Cone, equation: str,
     return sol
 
 
-def _basis_matrix(centred, scale, degree, out):
-    """Powers 1, u, ..., u^degree of u = centred / scale (written over
-    centred), each the previous column times u (the same bits as np.vander),
-    as a C-contiguous (N, w) view of the front of the contiguous buffer out;
-    w = 1 for a spread < 1e-12."""
-    N, w = len(centred), (1 if scale < 1e-12 else degree + 1)
-    basis = out.reshape(-1)[: N * w].reshape(N, w)
-    basis[:, 0] = 1.0
+def _basis_rows(centred, scale, degree, out):
+    """Rows 1, u, ..., u^degree of u = centred / scale, each row the one
+    before times u (the bits of np.vander(u, increasing=True).T), as the
+    front rows of out (degree + 1, N), whose row 0 the caller holds at 1;
+    row 0 alone for a spread < 1e-12."""
+    w = 1 if scale < 1e-12 else degree + 1
     if w > 1:
-        u = np.divide(centred, scale, out=centred)
-        for k in range(1, w):
-            np.multiply(basis[:, k - 1], u, out=basis[:, k])
-    return basis
+        u = np.divide(centred, scale, out=out[1])
+        for k in range(2, w):
+            np.multiply(out[k - 1], u, out=out[k])
+    return out[:w]
+
+
+def _hankel_gram(basis):
+    """basis @ basis.T of power rows basis (w, N) as the Hankel matrix
+    G[a, b] = s_(a+b) of the power sums s_k = sum u^k: s_0 = N, s_1 to
+    s_(w-2) the row sums and the rest basis @ u^(w-1)."""
+    w, n = basis.shape
+    s = np.empty(2 * w - 1)
+    s[0] = n
+    np.add.reduce(basis[1:w - 1], axis=1, out=s[1:w - 1])
+    s[w - 1:] = basis @ basis[-1]
+    return s[np.add.outer(np.arange(w), np.arange(w))]
 
 
 def _rows(a, idx):
@@ -451,37 +450,32 @@ def _gram_groups(grams, widths, t):
 
 
 def _solve_groups(groups, rhs):
-    """Coefficients (K, width) for right-hand sides rhs (K, width, 1), one
+    """Coefficients (K, width, r) for right-hand sides rhs (K, width, r), one
     np.linalg.solve per basis width, zero past a sample's own width."""
-    out = np.zeros(rhs.shape[:2])
+    out = np.zeros(rhs.shape)
     for wk, sel, gram in groups:
-        out[sel, :wk] = np.linalg.solve(gram, rhs[sel, :wk])[..., 0]
+        out[sel, :wk] = np.linalg.solve(gram, rhs[sel, :wk])
     return out
 
 
 def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
                    samples=(None,)):
-    """Regression backward induction over stored forward paths, for several
-    samples of them in lockstep.
+    """Regression backward induction over the paths F (paths, steps + 1) and
+    dWj (paths, steps), views of time-major arrays, for samples of their rows
+    in lockstep (index vectors, None for the rows as stored).  Returns one
+    (y_tab, z_tab, loc, scale, clamps) per sample, the bits of a one-sample
+    pass over F[idx].
 
-    F (paths, steps + 1) and dWj (paths, steps) are views of time-major
-    arrays; samples lists row-index vectors into them, None for the rows as
-    stored.  Returns one (y_tab, z_tab, loc, scale, clamps) per sample, bit
-    for bit those of a one-sample pass over F[idx].
-
-    Each step evaluates sigma and phi (coefficients_at) and the sigma-side
-    driver columns once, and each sample gathers them by its indices.  Each
-    regression stage (continuation value, value fit, Z, refit of the new
-    value) is one stacked solve per basis width.  The step closes with the
-    trapezoid (_close_step), h = dt / 2,
+    A sample's basis is the rows 1, u, ..., u^degree (_basis_rows) and its
+    Gram the Hankel matrix of their power sums (_hankel_gram).  Each stage
+    (continuation with value fit, Z, refit) is one stacked solve per basis
+    width, and the step closes on the trapezoid (_close_step), h = dt / 2,
 
         V_i = E[V_{i+1} + h f_{i+1} | F_i] + h f_i(V_i, Z_i),
 
-    not implicit Euler, whose O(dt) bias the identity checks resolve.  Both
-    ends use the step's exact average rate, so the carried f_{i+1} gains
-    2 (r_i - r_{i+1}) V_{i+1}.  The clamp events of the sample None (the
-    rows as stored) are held to _CLAMP_BUDGET after every step
-    (PositivityLost).
+    not implicit Euler, whose O(dt) bias the identity checks resolve; both
+    ends at the step's average rate: f_{i+1} gains 2 (r_i - r_{i+1}) V_{i+1}.
+    The sample None is held to _CLAMP_BUDGET after every step (PositivityLost).
     """
     Ft, dWt = F.T, dWj.T
     paths = Ft.shape[1]
@@ -500,6 +494,8 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
     sig, _, phi = coefficients_at(model, float(grid[-1]), Ft[-1])
     f_term = _driver_batch(equation, cone, sig, phi, r_step[-1],
                            np.ones(paths), np.zeros((paths, model.n)))
+    bases = np.zeros((K, width, paths))
+    bases[:, 0] = 1.0
     V = np.ones((K, paths))
     f_next = np.stack([_rows(f_term, idx) for idx in samples])
     y_tab = np.zeros((K, steps + 1, width))
@@ -508,9 +504,10 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
     loc = np.zeros((K, steps + 1))
     scale = np.ones((K, steps + 1))
     clamps = [0] * K
-    bases = np.empty((K, paths, width))
     grams = np.zeros((K, width, width))
-    rhs = np.zeros((3, K, width, 1))
+    rhs = np.zeros((K, width, 2))       # continuation value, value fit
+    col = np.zeros((K, width, 1))       # Z, then the refit
+    work = np.empty((2, paths))
 
     for i in range(steps - 1, -1, -1):
         t = float(grid[i])
@@ -521,32 +518,34 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
             f_next += 2.0 * (r_t - r_step[i + 1]) * V
         basis = []
         for k, idx in enumerate(samples):
-            # np.mean and np.std, from one centred copy: sum / n, the same bits
+            # np.mean and np.std: sum / n, the same bits
             fv = _rows(Ft[i], idx)
             loc[k, i] = np.add.reduce(fv) / paths
-            centred = fv - loc[k, i]
-            sd = math.sqrt(np.add.reduce(centred * centred) / paths)
+            centred = np.subtract(fv, loc[k, i], out=work[0])
+            sd = math.sqrt(np.add.reduce(np.multiply(centred, centred, out=work[1])) / paths)
             scale[k, i] = sd if sd >= 1e-12 else 1.0
-            b = _basis_matrix(centred, sd, degree, bases[k])
+            b = _basis_rows(centred, sd, degree, bases[k])
             basis.append(b)
-            wk = b.shape[1]
-            grams[k, :wk, :wk] = b.T @ b
-            rhs[0, k, :wk, 0] = b.T @ (V[k] + h * f_next[k])
-            rhs[1, k, :wk, 0] = b.T @ V[k]
-        groups = _gram_groups(grams, [b.shape[1] for b in basis], t)
-        c_cont = _solve_groups(groups, rhs[0])
-        c_y = _solve_groups(groups, rhs[1])
+            wk = len(b)
+            grams[k, :wk, :wk] = _hankel_gram(b)
+            rhs[k, :wk, 1] = b @ V[k]
+            rhs[k, :wk, 0] = rhs[k, :wk, 1] + h * (b @ f_next[k])
+        groups = _gram_groups(grams, [len(b) for b in basis], t)
+        c_rhs = _solve_groups(groups, rhs)
         for k, b in enumerate(basis):
             # centered martingale-increment estimator: same conditional
             # expectation as v * dW / dt, variance smaller by a factor ~ dt
-            wk, dw = b.shape[1], _rows(dWt[i], samples[k])
-            rhs[2, k, :wk, 0] = b.T @ ((V[k] - b @ c_y[k, :wk]) * dw / dt)
-        c_z = _solve_groups(groups, rhs[2])
+            wk = len(b)
+            resid = np.matmul(c_rhs[k, :wk, 1], b, out=work[0])
+            np.subtract(V[k], resid, out=resid)
+            resid *= _rows(dWt[i], samples[k])
+            np.matmul(b, resid, out=col[k, :wk, 0])
+        c_z = _solve_groups(groups, col / dt)[..., 0]
 
+        pair = np.stack((c_rhs[..., 0], c_z), axis=1)
         for k, (b, idx) in enumerate(zip(basis, samples)):
-            wk = b.shape[1]
-            cont = b @ c_cont[k, :wk]
-            zj = b @ c_z[k, :wk]
+            wk = len(b)
+            cont, zj = np.matmul(pair[k, :, :wk], b, out=work)
             # Z_i is zj in column j and zero elsewhere
             side_k = tuple(_rows(a, idx) for a in side)
             if cone.dim == 1:
@@ -562,21 +561,19 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
                 raise PositivityLost(
                     f"{clamps[k]} clamp events exceed {_CLAMP_BUDGET:.1%} of "
                     f"{paths * steps} path-steps")
-            rhs[0, k, :wk, 0] = b.T @ V[k]
-        y_tab[:, i] = _solve_groups(groups, rhs[0])
+            np.matmul(b, V[k], out=col[k, :wk, 0])
+        y_tab[:, i] = _solve_groups(groups, col)[..., 0]
         z_tab[:, i] = c_z
     return [(y_tab[k], z_tab[k], loc[k], scale[k], clamps[k]) for k in range(K)]
 
 
 def _close_step(equation, step, root, cont, h, lower, upper, t):
     """(v, f(v), clamp events) for the fixed point y of y -> cont + h f(clip(y)),
-    f = step, clip to [lower, upper], v = clip(y).
-
-    With root (one asset) y is the exact root of y = cont + h f(y) inside
-    the envelope and cont + h f(v) outside, verified by its residual;
-    without, Picard iteration from clip(cont) within _FIXED_POINT_MAX
-    evaluations.  A miss of _FIXED_POINT_TOL raises NoConvergence.
-    """
+    f = step, clip to [lower, upper], v = clip(y): the root (one asset),
+    checked by its residual where y lies inside, or Picard iteration from
+    clip(cont); a miss of _FIXED_POINT_TOL raises NoConvergence.  When min y
+    and max y lie inside, v is y; otherwise (NaN and inf rows too) y is
+    clipped, and a root checked for finiteness."""
     if root is not None:
         y = root(cont, h)
     else:
@@ -591,16 +588,19 @@ def _close_step(equation, step, root, cont, h, lower, upper, t):
             raise NoConvergence(
                 f"{equation} driver solve not converged after {_FIXED_POINT_MAX} "
                 f"fixed-point iterations at t={t:.4f}")
-    v = np.clip(y, lower, upper)
+    inside = lower <= float(np.min(y)) and float(np.max(y)) <= upper
+    v, n_off = y, 0
+    if not inside:
+        v = np.clip(y, lower, upper)
+        off = v != y
+        n_off = int(np.count_nonzero(off))
     f = _driver_batch(equation, None, None, None, None, v, None, step)
-    off = v != y
-    n_off = int(np.count_nonzero(off))
     if root is not None:
         r = y - cont - h * f
         if n_off:
             r[off] = 0.0
         resid = float(np.max(np.abs(r, out=r)))
-        if not (resid <= _FIXED_POINT_TOL and np.isfinite(y).all()):
+        if not (resid <= _FIXED_POINT_TOL and (inside or np.isfinite(y).all())):
             raise NoConvergence(
                 f"{equation} trapezoid root residual {resid:.2e} at t={t:.4f}")
     return v, f, n_off
@@ -629,10 +629,9 @@ def _forward(model, cfg, last):
 
 
 def _walk_group(model, cone, jobs, group):
-    """Walk (job, sample) items job by job: the job's draws are made here
-    (_forward), walked by one _backward_pass over the group's samples of the
-    job and dropped.  Returns ({(job, sample): walk}, failure), failure the
-    ((job, first sample), exception) that ended the group, else None."""
+    """({(job, sample): walk}, failure) of a group's items, job by job: one
+    _forward draw and one _backward_pass over the job's samples; failure is
+    the ((job, first sample), exception) that ended the group, else None."""
     walks = {}
     for j in dict.fromkeys(j for j, _ in group):
         equation, cfg, grid, lower, upper = jobs[j]
@@ -664,15 +663,11 @@ def _split_walk(model, cone, jobs):
 
 
 def solve_markovian_many(model: MarketModel, cone: Cone, jobs) -> list[BsdeSolution]:
-    """Least-squares Monte Carlo backward induction for factor-driven
-    coefficients, one solution per (equation, cfg) job, in one split walk.
-
-    Each job simulates its factor forward from cfg.seed; cfg.bootstrap
-    resamples of its rows walk back beside the main sample, each with its
-    tables and basis loc/scale (value0_stderr), the bits of a one-process
-    walk.  ConfigInvalid comes before any walk; then the error raised is
-    the first of the jobs solved in order: each job's walk error (the group
-    with its main sample first), then its comparison bound."""
+    """Least-squares Monte Carlo solutions of factor-driven coefficients, one
+    per (equation, cfg) job, in one split walk: each job's factor paths from
+    cfg.seed and cfg.bootstrap resamples of them (value0_stderr), the bits of
+    a one-process walk.  ConfigInvalid comes before any walk; then the error
+    raised is the first of the jobs in order: its walk error, then its bound."""
     for equation, _ in jobs:
         if equation not in EQUATIONS:
             raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
@@ -719,7 +714,7 @@ def _require_positive(sol: BsdeSolution, label: str) -> None:
 def _check_comparison_bound(model: MarketModel, sol: BsdeSolution) -> None:
     if sol.equation not in ("P1", "P2"):
         return
-    h0_sq = model.h0 ** 2
+    h0_sq = model.h0 * model.h0     # the form DualCurve compares with
     v0 = sol.value(0.0, sol.f0)
     if v0 > h0_sq + _BOUND_SLACK:
         raise InvalidBound(
@@ -759,8 +754,8 @@ def transform_p2_to_y(p2_sol: BsdeSolution, model: MarketModel) -> BsdeSolution:
     if p2_sol.kind == "deterministic":
         p = p2_sol.y_values
         return dc_replace(
-            p2_sol, equation="Y", y_values=h ** 2 / p,
-            z_values=-(h ** 2 / (p * p))[:, None] * p2_sol.z_values,
+            p2_sol, equation="Y", y_values=h * h / p,
+            z_values=-(h * h / (p * p))[:, None] * p2_sol.z_values,
             bounds=new_bounds,
         )
     return dc_replace(p2_sol, equation="Y", bounds=new_bounds, transform=("h2", model))

@@ -103,14 +103,15 @@ def load_config(source) -> dict:
 
 
 class _Workspace:
-    """Output directory with collision-free artifact writing."""
+    """Output directory with collision-free artifact writing, made when the
+    first artifact is written: a run refused before that leaves none."""
 
     def __init__(self, root):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.artifacts = []
 
     def _unique(self, name: str) -> Path:
+        self.root.mkdir(parents=True, exist_ok=True)
         p = self.root / name
         if not p.exists():
             return p
@@ -238,8 +239,8 @@ def compare_values(cfg: dict, model, cone) -> dict:
     se_y = y_sol.value0_stderr
     se_p2 = p2_sol.value0_stderr
     if se_y is not None and se_p2 is not None:
-        theta, h0 = model.theta, model.h0
-        se_mv = (h0 * h0 / p2_sol.value0 ** 2) * se_p2 / (2 * theta)
+        theta, h0, p2_0 = model.theta, model.h0, out["p2_0"]
+        se_mv = (h0 * h0 / (p2_0 * p2_0)) * se_p2 / (2 * theta)
         out["stderr_mmv"] = se_y / (2 * theta)
         out["stderr_mv"] = se_mv
         out["combined_stderr"] = math.hypot(out["stderr_mmv"], se_mv)
@@ -351,9 +352,6 @@ def run(cfg: dict) -> int:
         ws.write_json("saddle_verdict.json", results)
 
     elif experiment == "equivalence":
-        y_sol, p2_sol, p1_sol = _solve_many(model, cone, cfg, (_Y, *_MV_PAIR))
-        mmv = mmv_feedback(model, cone, y_sol)
-        mv = mv_feedback(model, cone, p1_sol, p2_sol)
         lat = cfg.get("lattice", {})
         t_values = np.linspace(0.0, model.horizon_T,
                                _count(lat, "t_points", 101, "lattice.t_points"))
@@ -363,19 +361,22 @@ def run(cfg: dict) -> int:
         probe = (t_values, x_values)
         if lat.get("f_values") is not None:
             probe = (t_values, x_values, np.asarray(lat["f_values"], dtype=float))
+        y_sol, p2_sol, p1_sol = _solve_many(model, cone, cfg, (_Y, *_MV_PAIR))
+        mmv = mmv_feedback(model, cone, y_sol)
+        mv = mv_feedback(model, cone, p1_sol, p2_sol)
         report = equivalence_check(mmv, mv, probe)
         ws.write_csv("equivalence_lattice.csv", *report.csv_table())
         results = report.summary_dict()
         ws.write_json("equivalence_summary.json", results)
 
     elif experiment == "dual-curve":
+        grid_cfg = cfg.get("k_grid", {})
+        count = _count(grid_cfg, "count", 2001, "k_grid.count")
         p2_sol, p1_sol = _solve_many(model, cone, cfg, _MV_PAIR)
         curve = dual_curve(p1_sol.value0, p2_sol.value0, model.h0, model.x0, model.theta)
-        grid_cfg = cfg.get("k_grid", {})
         anchor = model.x0 * model.h0
         span = float(grid_cfg.get("span", max(3.0 * abs(curve.K_hat - anchor), 1.0)))
-        ks = np.linspace(anchor - span, anchor + span,
-                         _count(grid_cfg, "count", 2001, "k_grid.count"))
+        ks = np.linspace(anchor - span, anchor + span, count)
         kl = ks.tolist()
         ws.write_csv("dual_curve.csv", ["K", "F", "gamma_hat_of_K", "objective"],
                      [[kl, [curve.F(k) for k in kl], [curve.gamma_hat_of(k) for k in kl],

@@ -192,6 +192,29 @@ def test_comparison_bounds_hold(model_a, cone_a, p1sol_a, p2sol_a, model_b, cone
     assert p2b.value0 <= model_b.h0 ** 2 + 1e-10
 
 
+@pytest.mark.parametrize("rate", [0.01744, 0.0206])
+def test_comparison_bound_and_dual_curve_agree_at_h0_squared(rate):
+    # at these rates h0 ** 2 and h0 * h0 differ in the last bit; the solver's
+    # bound check and DualCurve both accept p_0 = h0 h0 + slack and both
+    # refuse the next float
+    model = mc.build_model({**INSTANCE_A, "rate": rate})
+    h0 = model.h0
+    assert h0 ** 2 != h0 * h0 and mc.bsde._BOUND_SLACK == mc.strategies._EQ_SLACK
+    edge = h0 * h0 + mc.bsde._BOUND_SLACK
+    for p0 in (edge, float(np.nextafter(edge, np.inf))):
+        sol = mc.BsdeSolution(equation="P2", grid=np.linspace(0.0, 1.0, 3),
+                              y_values=np.array([p0, p0, 1.0]), z_values=np.zeros((3, 1)),
+                              bounds=(0.5, 2.0), n=1)
+        if p0 == edge:
+            mc.bsde._check_comparison_bound(model, sol)
+            mc.dual_curve(p0, p0, h0, model.x0, model.theta)
+            continue
+        with pytest.raises(InvalidBound, match="exceeds h0"):
+            mc.bsde._check_comparison_bound(model, sol)
+        with pytest.raises(InvalidBound, match="outside"):
+            mc.dual_curve(p0, p0, h0, model.x0, model.theta)
+
+
 def test_transform_p_identity_point():
     grid = np.linspace(0.0, 1.0, 3)
     p_sol = mc.BsdeSolution(equation="P", grid=grid, y_values=np.ones(3),
@@ -330,6 +353,70 @@ def test_closed_step_matches_picard(cone):
                 assert np.any(binds[inside]) and not np.all(binds[inside])
 
 
+def _clipped_close(equation, step, root, cont, h, lower, upper):
+    """_close_step's clip path taken for every y: (v, f(v), clamp events)."""
+    if root is not None:
+        y = root(cont, h)
+    else:
+        y = np.clip(cont, lower, upper)
+        for _ in range(mc.bsde._FIXED_POINT_MAX):
+            prev = y
+            y = cont + h * step(np.clip(prev, lower, upper))
+            if float(np.max(np.abs(y - prev))) < mc.bsde._FIXED_POINT_TOL:
+                break
+    v = np.clip(y, lower, upper)
+    return v, step(v), int(np.count_nonzero(v != y))
+
+
+def _one_step(eq, cone, rows, seed):
+    """(step, root, cont) of one regression step on random rows; the driving
+    column is the last."""
+    rng = np.random.default_rng(seed)
+    sigma = (np.array([[0.2, 0.1]]) if cone.dim == 1
+             else np.array([[0.2, 0.05, 0.03], [0.0, 0.25, 0.1]]))
+    n = sigma.shape[1]
+    phi = rng.normal(0.0, 0.5, size=(rows, n))
+    zj = rng.normal(0.0, 0.3, size=rows)
+    side = _sigma_side(eq, cone, sigma, phi, rows)
+    if cone.dim == 1:
+        zcol = side[0][:, n - 1] * zj
+    else:
+        zcol = np.zeros((rows, n))
+        zcol[:, n - 1] = zj
+    step, root = _z_side(eq, cone, side, 0.03, zcol, zj * zj if eq == "Y" else None)
+    return step, root, rng.uniform(0.8, 1.2, size=rows)
+
+
+@pytest.mark.parametrize("cone", [mc.full_space(1), mc.orthant(1), mc.full_space(2)],
+                         ids=["full", "orthant", "full_2"])
+def test_close_step_envelope_shortcut_keeps_the_bits_of_the_clip_path(cone):
+    # inside a wide envelope v is y itself; rows that leave a tighter one,
+    # on either side or both, clip.  Both return the bits of clipping every row
+    h, t = 0.02, 0.5
+    for eq in EQUATIONS:
+        step, root, cont = _one_step(eq, cone, 500, 41)
+        assert (root is None) == (cone.dim > 1)
+        for lower, upper, clipped in ((0.5, 2.0, False), (0.9, 1.1, True),
+                                      (0.5, 1.1, True), (0.9, 2.0, True)):
+            v, f, n_off = _close_step(eq, step, root, cont, h, lower, upper, t)
+            v_ref, f_ref, n_ref = _clipped_close(eq, step, root, cont, h, lower, upper)
+            assert np.array_equal(v, v_ref) and np.array_equal(f, f_ref), (eq, lower)
+            assert n_off == n_ref and (n_off > 0) == clipped, (eq, lower)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("cone", [mc.full_space(1), mc.orthant(1)], ids=["full", "orthant"])
+def test_close_step_non_finite_row_raises(cone, bad):
+    # a NaN or inf root fails the one envelope check, and the clip path's
+    # finiteness check rejects it even where its residual is set to 0
+    for eq in EQUATIONS:
+        step, root, cont = _one_step(eq, cone, 200, 43)
+        cont[17] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NoConvergence, match=rf"^{eq} trapezoid root residual .* at t=0\.5000$"):
+            _close_step(eq, step, root, cont, 0.02, 0.5, 2.0, 0.5)
+
+
 def test_closed_step_residual_guard_raises(model_c, monkeypatch):
     # the exact root is checked against the closing driver evaluation
     monkeypatch.setattr(mc.bsde, "_FIXED_POINT_TOL", 0.0)
@@ -340,16 +427,19 @@ def test_closed_step_residual_guard_raises(model_c, monkeypatch):
 
 
 def test_ill_conditioned_regression_raises(model_c, monkeypatch):
-    # a duplicated basis column makes every Gram singular; the stacked
-    # eigenvalue guard rejects the first step and names its time
-    real = mc.bsde._basis_matrix
+    # a duplicated basis row makes every Gram singular; the stacked
+    # eigenvalue guard rejects the first step and names its time.  The rows
+    # stay powers of one u (an indicator, u^2 = u), so the Hankel Gram of
+    # their power sums is their Gram
+    real = mc.bsde._basis_rows
 
     def duplicated(centred, scale, degree, out):
         basis = real(centred, scale, degree, out)
-        basis[:, -1] = basis[:, -2]
+        basis[1:] = basis[1] > 0.0
+        assert np.array_equal(basis[-1], basis[-2])
         return basis
 
-    monkeypatch.setattr(mc.bsde, "_basis_matrix", duplicated)
+    monkeypatch.setattr(mc.bsde, "_basis_rows", duplicated)
     with pytest.raises(RegressionIllConditioned, match=r"at t=0\.9000$"):
         mc.solve_markovian(model_c, mc.full_space(1), "Y",
                            mc.McSolverConfig(paths=1000, basis_degree=2, seed=3,
@@ -750,10 +840,13 @@ def test_walk_falls_back_to_one_process(model_c, monkeypatch, fallback):
 
 # solve_markovian_many: (model config, cone, [(equation, bootstrap)]); the
 # C jobs include bootstrap-0 jobs, fewer samples than CPUs among them, and
-# the 2-asset full cone takes the m >= 2 branch
+# the solves of the equivalence experiment (Y, P2, P1 with B = 8, 0); the
+# 2-asset full cone takes the m >= 2 branch
 _MANY_CASES = [
     ("C", INSTANCE_C, mc.full_space(1), [("Y", 3), ("P2", 3), ("P1", 0)], (2000, 2, 10)),
     ("C_two_samples", INSTANCE_C, mc.full_space(1), [("P1", 0), ("Y", 0)], (1000, 2, 10)),
+    ("C_workload", INSTANCE_C, mc.full_space(1), [("Y", 8), ("P2", 8), ("P1", 0)],
+     (2000, 2, 25)),
     ("full_cone_2", _FULL_CONE_2, mc.full_space(2), [("Y", 2), ("P2", 2)], (1000, 1, 10)),
 ]
 
@@ -996,8 +1089,25 @@ def test_sample_step_keeps_the_bits_of_numpy_reference_forms(model_c, monkeypatc
     assert sol.basis_scale[0] == 1.0
     fv = Ft[5]
     loc, sd = np.mean(fv), np.std(fv)
-    basis = mc.bsde._basis_matrix(fv - loc, sd, 3, np.empty((len(fv), 4)))
-    assert np.array_equal(basis, np.vander((fv - loc) / sd, 4, increasing=True))
+    basis = mc.bsde._basis_rows(fv - loc, sd, 3, np.ones((4, len(fv))))
+    assert np.array_equal(basis, np.vander((fv - loc) / sd, 4, increasing=True).T)
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_hankel_gram_matches_the_basis_product(degree):
+    # the Gram from 2 degree + 1 power sums is b.T @ b of the old (paths, w)
+    # basis up to summation order; a spread below 1e-12 leaves [[paths]]
+    rng = np.random.default_rng(degree)
+    for fv in (rng.normal(0.06, 0.03, size=5000), np.full(5000, 0.06)):
+        sd = np.std(fv)
+        rows = mc.bsde._basis_rows(fv - np.mean(fv), sd, degree,
+                                   np.ones((degree + 1, len(fv))))
+        assert len(rows) == (degree + 1 if sd >= 1e-12 else 1)
+        b = rows.T
+        ref = b.T @ b
+        gram = mc.bsde._hankel_gram(rows)
+        assert gram.shape == ref.shape
+        assert np.max(np.abs(gram - ref)) <= 1e-12 * np.max(np.abs(ref)), degree
 
 
 @pytest.mark.parametrize("cone", [mc.full_space(1), mc.orthant(1)], ids=["full", "orthant"])
@@ -1058,15 +1168,15 @@ def test_pricing_kernel_of_a_shared_sigma_keeps_its_bits(n):
 def test_mixed_basis_widths_stack_by_width(model_c, monkeypatch):
     # samples whose basis falls back to the constant column solve in their
     # own width group beside full-width ones, with the bits of a lone pass
-    real = mc.bsde._basis_matrix
+    real = mc.bsde._basis_rows
     widths = []
 
     def some_constant(centred, scale, degree, out):
         basis = real(centred, 0.0 if centred[0] > centred[1] else scale, degree, out)
-        widths.append(basis.shape[1])
+        widths.append(len(basis))
         return basis
 
-    monkeypatch.setattr(mc.bsde, "_basis_matrix", some_constant)
+    monkeypatch.setattr(mc.bsde, "_basis_rows", some_constant)
     cfg = mc.McSolverConfig(paths=2000, basis_degree=2, seed=17, steps=10, bootstrap=3)
     sol, args = _solve_capturing_pass(model_c, mc.full_space(1), "Y", cfg, monkeypatch)
     assert any(len(set(widths[k:k + 4])) == 2 for k in range(0, 40, 4))

@@ -138,7 +138,7 @@ def test_one_bootstrap_replicate_is_a_config_error(tmp_path, capsys):
     rc = cli.main(["equivalence", "--config", str(_write_config(tmp_path, cfg))])
     assert rc == 1
     assert capsys.readouterr().err.startswith("config error: solver.bootstrap: ")
-    assert list((tmp_path / "out").glob("*")) == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("experiment, extra, field", [
@@ -146,12 +146,18 @@ def test_one_bootstrap_replicate_is_a_config_error(tmp_path, capsys):
     ("equivalence", {"lattice": {"x_points": 0}}, "lattice.x_points"),
     ("dual-curve", {"k_grid": {"count": -1}}, "k_grid.count"),
 ], ids=["t_points", "x_points", "k_count"])
-def test_lattice_and_curve_counts_below_one_are_config_errors(tmp_path, capsys, experiment,
-                                                              extra, field):
+def test_lattice_and_curve_counts_below_one_are_config_errors(tmp_path, capsys, monkeypatch,
+                                                              experiment, extra, field):
+    # the counts are refused before any solve runs or any directory is made
+    def no_solve(*args):
+        raise AssertionError("solved before the counts were checked")
+
+    monkeypatch.setattr(cli, "_solve_many", no_solve)
     cfg = _base_config(tmp_path, experiment, **extra)
     rc = cli.main([experiment, "--config", str(_write_config(tmp_path, cfg))])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("experiment, flag", [
