@@ -39,6 +39,7 @@ from .errors import (
 from .market import (
     PROBE_FACTOR_QUANTILES,
     MarketModel,
+    _state_rows,
     coefficients_at,
     pricing_kernel_batch,
 )
@@ -206,21 +207,14 @@ def _step_rates(model: MarketModel, grid: np.ndarray) -> np.ndarray:
     return model.rate.step_integrals(grid) / (model.horizon_T / (len(grid) - 1))
 
 
-def _state_row(f, markov: bool) -> np.ndarray:
-    """One factor state as a one-row batch; factor-driven solutions require it."""
-    if f is None:
-        if markov:
-            raise ConfigInvalid("factor state required for markovian solutions", field="f")
-        return np.zeros(1)
-    return np.array([f], dtype=float)
-
-
 @dataclass
 class BsdeSolution:
     """Time-gridded backward solution: per node, a scalar value (z = 0) for
     deterministic solves, or polynomial coefficients in the normalized
-    factor for the value and the driving component of Z.  Transformed
-    solutions keep the base tables and map them at evaluation time."""
+    factor for the value and the driving component of Z.  A transformed
+    solution keeps its base tables and maps them at evaluation time.  The
+    factor states f / fvals are read by markovian solutions only, which
+    require them."""
 
     equation: str
     grid: np.ndarray
@@ -304,10 +298,10 @@ class BsdeSolution:
         return self._transformed_batch(t, fvals)[1]
 
     def value(self, t: float, f=None) -> float:
-        return float(self.value_batch(t, _state_row(f, self.kind != "deterministic"))[0])
+        return float(self.value_batch(t, _state_rows(self.kind != "deterministic", f, t))[0])
 
     def z_at(self, t: float, f=None) -> np.ndarray:
-        return self.z_batch(t, _state_row(f, self.kind != "deterministic"))[0]
+        return self.z_batch(t, _state_rows(self.kind != "deterministic", f, t))[0]
 
     @property
     def value0(self) -> float:
@@ -340,7 +334,8 @@ class BsdeSolution:
                           clamp_events=clamps, replicate_clamp_events=None)
 
     def min_value_on_grid(self) -> float:
-        # the basis is centred on basis_loc, where the value is the constant coefficient
+        # of the base table; the basis is centred on basis_loc, where the
+        # value is the constant coefficient
         vals = self.y_values if self.kind == "deterministic" else self.y_values[:, 0]
         return float(np.min(vals))
 
@@ -721,41 +716,27 @@ def _check_comparison_bound(model: MarketModel, sol: BsdeSolution) -> None:
             f"{sol.equation} initial value {v0} exceeds h0^2 = {h0_sq}")
 
 
+def _as_y(sol: BsdeSolution, equation: str, transform: tuple) -> BsdeSolution:
+    """sol, an untransformed, uniformly positive `equation` solution, read as
+    Y through transform; bounds h_min^2 / up, h_max^2 / lo (h = 1: "recip")."""
+    if sol.equation != equation:
+        raise ConfigInvalid(f"expected a {equation} solution, got {sol.equation}",
+                            field="equation")
+    if sol.transform is not None:
+        raise ConfigInvalid("cannot re-transform a transformed solution", field="transform")
+    lo, up = sol.bounds
+    h = transform[1].discount(sol.grid) if transform[0] == "h2" else np.ones(1)
+    h_min, h_max = float(np.min(h)), float(np.max(h))
+    _require_positive(sol, equation)
+    return dc_replace(sol, equation="Y", bounds=(h_min * h_min / up, h_max * h_max / lo),
+                      transform=transform)
+
+
 def transform_p_to_y(p_sol: BsdeSolution) -> BsdeSolution:
     """(Y, Z) = (1/P, -Delta/P^2), valid whenever P stays uniformly positive."""
-    if p_sol.equation != "P":
-        raise ConfigInvalid(f"expected a P solution, got {p_sol.equation}", field="equation")
-    if p_sol.transform is not None:
-        raise ConfigInvalid("cannot re-transform a transformed solution", field="transform")
-    lo, up = p_sol.bounds
-    _require_positive(p_sol, "P")
-    if p_sol.kind == "deterministic":
-        p = p_sol.y_values
-        return dc_replace(
-            p_sol, equation="Y", y_values=1.0 / p,
-            z_values=-p_sol.z_values / (p * p)[:, None],
-            bounds=(1.0 / up, 1.0 / lo),
-        )
-    return dc_replace(p_sol, equation="Y", bounds=(1.0 / up, 1.0 / lo),
-                      transform=("recip",))
+    return _as_y(p_sol, "P", ("recip",))
 
 
 def transform_p2_to_y(p2_sol: BsdeSolution, model: MarketModel) -> BsdeSolution:
     """(Y, Z) = (h^2/P2, -(h^2/P2^2) Delta2), h = model.discount."""
-    if p2_sol.equation != "P2":
-        raise ConfigInvalid(f"expected a P2 solution, got {p2_sol.equation}", field="equation")
-    if p2_sol.transform is not None:
-        raise ConfigInvalid("cannot re-transform a transformed solution", field="transform")
-    lo, up = p2_sol.bounds
-    h = model.discount(p2_sol.grid)
-    h_min, h_max = float(np.min(h)), float(np.max(h))
-    new_bounds = (h_min * h_min / up, h_max * h_max / lo)
-    _require_positive(p2_sol, "P2")
-    if p2_sol.kind == "deterministic":
-        p = p2_sol.y_values
-        return dc_replace(
-            p2_sol, equation="Y", y_values=h * h / p,
-            z_values=-(h * h / (p * p))[:, None] * p2_sol.z_values,
-            bounds=new_bounds,
-        )
-    return dc_replace(p2_sol, equation="Y", bounds=new_bounds, transform=("h2", model))
+    return _as_y(p2_sol, "P2", ("h2", model))

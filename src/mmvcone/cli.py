@@ -98,6 +98,7 @@ def load_config(source) -> dict:
         if key in cfg and exp not in ("simulate", "saddle"):
             raise ConfigInvalid(f"read by simulate and saddle only; {exp} reads "
                                 f"solver.{key}", field=key)
+    _solver_sizes(cfg)
     cfg.setdefault("output_dir", "out")
     return cfg
 
@@ -154,19 +155,28 @@ _Y = ("Y", 0, None)
 _MV_PAIR = (("P2", 1, None), ("P1", 2, 0))
 
 
+def _solver_sizes(cfg) -> dict:
+    """The solver's integer entries with their defaults (_count: >= 0 for
+    basis_degree and bootstrap, else >= 1); the solvers check the ranges."""
+    solver = cfg["solver"]
+    if solver["kind"] == "deterministic":
+        return {"steps": _count(solver, "steps", 1000, "solver.steps")}
+    return {"paths": _count(solver, "paths", None, "solver.paths"),
+            "basis_degree": _count(solver, "basis_degree", 2, "solver.basis_degree", 0),
+            "steps": _count(solver, "steps", 50, "solver.steps"),
+            "bootstrap": _count(solver, "bootstrap", 16, "solver.bootstrap", 0)}
+
+
 def _solve_many(model, cone, cfg, solves):
     """One solution per (equation, seed lane, bootstrap override); the Markov
     ones come from one solve_markovian_many call."""
-    solver = cfg["solver"]
-    if solver["kind"] == "deterministic":
-        steps = int(solver.get("steps", 1000))
-        return [solve_deterministic(model, cone, eq, steps) for eq, _, _ in solves]
+    sizes = _solver_sizes(cfg)
+    if cfg["solver"]["kind"] == "deterministic":
+        return [solve_deterministic(model, cone, eq, sizes["steps"]) for eq, _, _ in solves]
     return solve_markovian_many(model, cone, [(eq, McSolverConfig(
-        paths=int(solver["paths"]),
-        basis_degree=int(solver.get("basis_degree", 2)),
-        seed=int(cfg["seed"]) + lane,
-        steps=int(solver.get("steps", 50)),
-        bootstrap=int(solver.get("bootstrap", 16)) if boot is None else boot,
+        paths=sizes["paths"], basis_degree=sizes["basis_degree"],
+        seed=int(cfg["seed"]) + lane, steps=sizes["steps"],
+        bootstrap=sizes["bootstrap"] if boot is None else boot,
     )) for eq, lane, boot in solves])
 
 
@@ -184,12 +194,25 @@ def _solution_table(sol):
     return header, [cols]
 
 
-def _count(block, key, default, field):
-    """block[key] (default when absent) as an integer >= 1, else ConfigInvalid."""
+def _count(block, key, default, field, least=1):
+    """block[key] (default when absent) as an integer >= least, else ConfigInvalid."""
     value = block.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigInvalid(f"must be an integer >= 1, got {value!r}", field=field)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigInvalid(f"must be an integer >= {least}, got {value!r}", field=field)
     return value
+
+
+def _flag(cfg, key):
+    """cfg[key] (false when absent) as a JSON boolean, else ConfigInvalid."""
+    value = cfg.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigInvalid(f"must be true or false, got {value!r}", field=key)
+    return value
+
+
+def _number(block, key, default, field):
+    """block[key] (default when absent) as a finite float, else ConfigInvalid."""
+    return float(_finite_entry(block.get(key, default), (), field, "a finite number"))
 
 
 def _finite_entry(value, shape, field, what):
@@ -215,8 +238,7 @@ def _adversary_from_spec(spec, model, cone, y_sol):
     if kind == "saddle":
         return saddle_adversary(mmv_adversary(y_sol, cone, model))
     if kind == "scaled_minus_phi":
-        c = _finite_entry(spec.get("c", 1.0), (), "adversary.c", "a finite number")
-        return scaled_minus_phi(model, float(c))
+        return scaled_minus_phi(model, _number(spec, "c", 1.0, "adversary.c"))
     if kind == "constant":
         v = _finite_entry(spec.get("v"), (model.n,), "adversary.v",
                           f"a finite vector of length n = {model.n}")
@@ -287,6 +309,8 @@ def run(cfg: dict) -> int:
         ws.write_json("value_comparison.json", results)
 
     elif experiment == "simulate":
+        paths, steps = _count(cfg, "paths", 10000, "paths"), _count(cfg, "steps", 200, "steps")
+        store, antithetic = _flag(cfg, "store_paths"), _flag(cfg, "antithetic")
         strat_spec = cfg.get("strategy", "mmv")
         y_sol, *mv_pair = _solve_many(model, cone, cfg,
                                       (_Y, *_MV_PAIR) if strat_spec == "mv" else (_Y,))
@@ -300,12 +324,8 @@ def run(cfg: dict) -> int:
         else:
             raise ConfigInvalid(f"unknown strategy {strat_spec!r}", field="strategy")
         adversary = _adversary_from_spec(cfg.get("adversary", "zero"), model, cone, y_sol)
-        store = bool(cfg.get("store_paths", False))
-        batch = simulate(model, strategy, adversary,
-                         paths=int(cfg.get("paths", 10000)),
-                         steps=int(cfg.get("steps", 200)),
-                         seed=int(cfg["seed"]), store_paths=store,
-                         antithetic=bool(cfg.get("antithetic", False)))
+        batch = simulate(model, strategy, adversary, paths=paths, steps=steps,
+                         seed=int(cfg["seed"]), store_paths=store, antithetic=antithetic)
         results = {
             "objective_mean": batch.objective_mean,
             "objective_stderr": batch.objective_stderr,
@@ -326,6 +346,7 @@ def run(cfg: dict) -> int:
         ws.write_json("simulation_summary.json", results)
 
     elif experiment == "saddle":
+        paths, steps = _count(cfg, "paths", 100000, "paths"), _count(cfg, "steps", 200, "steps")
         (y_sol,) = _solve_many(model, cone, cfg, (_Y,))
         base = mmv_feedback(model, cone, y_sol)
         scales = cfg.get("pi_scales", [1.0, 0.0, 0.5, 1.5])
@@ -341,9 +362,7 @@ def run(cfg: dict) -> int:
         eta_family = [_adversary_from_spec(s, model, cone, y_sol) for s in eta_specs]
         try:
             report = saddle_scan(model, cone, y_sol, pi_family, eta_family,
-                                 paths=int(cfg.get("paths", 100000)),
-                                 steps=int(cfg.get("steps", 200)),
-                                 seed=int(cfg["seed"]))
+                                 paths=paths, steps=steps, seed=int(cfg["seed"]))
         except SaddleViolated as exc:
             report = exc.report
             exit_code = 2
@@ -355,12 +374,15 @@ def run(cfg: dict) -> int:
         lat = cfg.get("lattice", {})
         t_values = np.linspace(0.0, model.horizon_T,
                                _count(lat, "t_points", 101, "lattice.t_points"))
-        x_values = np.linspace(float(lat.get("x_min", 0.0)),
-                               float(lat.get("x_max", 2.0)),
+        x_values = np.linspace(_number(lat, "x_min", 0.0, "lattice.x_min"),
+                               _number(lat, "x_max", 2.0, "lattice.x_max"),
                                _count(lat, "x_points", 101, "lattice.x_points"))
         probe = (t_values, x_values)
-        if lat.get("f_values") is not None:
-            probe = (t_values, x_values, np.asarray(lat["f_values"], dtype=float))
+        f_values = lat.get("f_values")
+        if f_values is not None:
+            shape = (len(f_values),) if isinstance(f_values, list) else None
+            probe = (t_values, x_values, _finite_entry(f_values, shape, "lattice.f_values",
+                                                       "a list of finite numbers"))
         y_sol, p2_sol, p1_sol = _solve_many(model, cone, cfg, (_Y, *_MV_PAIR))
         mmv = mmv_feedback(model, cone, y_sol)
         mv = mv_feedback(model, cone, p1_sol, p2_sol)
@@ -372,10 +394,13 @@ def run(cfg: dict) -> int:
     elif experiment == "dual-curve":
         grid_cfg = cfg.get("k_grid", {})
         count = _count(grid_cfg, "count", 2001, "k_grid.count")
+        span = (_number(grid_cfg, "span", None, "k_grid.span")
+                if "span" in grid_cfg else None)
         p2_sol, p1_sol = _solve_many(model, cone, cfg, _MV_PAIR)
         curve = dual_curve(p1_sol.value0, p2_sol.value0, model.h0, model.x0, model.theta)
         anchor = model.x0 * model.h0
-        span = float(grid_cfg.get("span", max(3.0 * abs(curve.K_hat - anchor), 1.0)))
+        if span is None:
+            span = max(3.0 * abs(curve.K_hat - anchor), 1.0)
         ks = np.linspace(anchor - span, anchor + span, count)
         kl = ks.tolist()
         ws.write_csv("dual_curve.csv", ["K", "F", "gamma_hat_of_K", "objective"],

@@ -1,10 +1,10 @@
 """Market model: coefficients, pricing kernel and discount factor.
 
-The market has a deterministic piecewise-constant interest rate and either
-deterministic (time-interpolated) or Markov-factor-driven excess returns and
-volatilities.  The factor, when present, is a one-dimensional mean-reverting
-diffusion driven by one component of the Brownian motion, which keeps every
-backward equation solvable by regression Monte Carlo.
+The interest rate is piecewise constant.  Excess returns and volatilities
+are (t, f) maps: constant or linear between time nodes without a factor, or
+driven by a one-dimensional mean-reverting factor on one component of the
+Brownian motion, which keeps every backward equation solvable by regression
+Monte Carlo.
 """
 
 from __future__ import annotations
@@ -94,18 +94,39 @@ def _as_time_grid(values, shape, name):
     raise ConfigInvalid(f"expected shape {shape} or (K,)+{shape}, got {arr.shape}", field=name)
 
 
+def _interp_map(times, grid):
+    """(t, f) -> grid values at t (a time or one per row), linear between the
+    nodes of times and flat outside them; f is not read."""
+    def at(t, f):
+        if grid.shape[0] == 1:
+            return grid[0]
+        tc = np.clip(t, times[0], times[-1])
+        i = np.clip(np.searchsorted(times, tc) - 1, 0, len(times) - 2)
+        w = (tc - times[i]) / (times[i + 1] - times[i])
+        w = np.reshape(w, np.shape(w) + (1,) * (grid.ndim - 1))
+        return (1.0 - w) * grid[i] + w * grid[i + 1]
+    return at
+
+
+def _state_rows(markov: bool, fvals, t) -> np.ndarray:
+    """Factor states to evaluate at: without a factor, state 0 with one row
+    per time; a factor-driven model requires fvals (ConfigInvalid)."""
+    if not markov:
+        return np.zeros(np.size(t))
+    if fvals is None:
+        raise ConfigInvalid("factor state required for markovian solutions", field="f")
+    return np.atleast_1d(np.asarray(fvals, dtype=float))
+
+
 @dataclass(frozen=True)
 class CoefficientField:
-    """Excess-return and volatility coefficients, deterministic or factor-driven."""
+    """Excess-return and volatility coefficients as (t, f) maps: without a
+    factor ("deterministic", f not read) or driven by the factor
+    dF = kappa (mean_level - F) dt + nu dW_j ("markov")."""
 
     kind: str  # "deterministic" | "markov"
     m: int
     n: int
-    # deterministic branch: values on a time grid, linearly interpolated
-    times: np.ndarray | None = None
-    mu_grid: np.ndarray | None = None          # (K, m)
-    sigma_grid: np.ndarray | None = None       # (K, m, n)
-    # markov branch: dF = kappa (mean_level - F) dt + nu dW_j
     kappa: float = 0.0
     mean_level: float = 0.0
     nu: float = 0.0
@@ -116,29 +137,25 @@ class CoefficientField:
 
     @staticmethod
     def deterministic(mu, sigma, times=None) -> "CoefficientField":
-        mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
+        """Constant coefficients, or values on the time grid times."""
         if times is None:
-            if mu_arr.ndim != 1:
+            mu_g = np.atleast_1d(np.asarray(mu, dtype=float))
+            if mu_g.ndim != 1:
                 raise ConfigInvalid("constant mu must be a vector", field="coefficients.mu")
-            m = mu_arr.shape[0]
-            sig = np.atleast_2d(np.asarray(sigma, dtype=float))
-            if sig.shape[0] != m:
-                raise DimensionMismatch(f"sigma rows {sig.shape[0]} != m {m}")
-            return CoefficientField(
-                kind="deterministic", m=m, n=sig.shape[1],
-                times=np.array([0.0]), mu_grid=mu_arr[None, :], sigma_grid=sig[None, :, :],
-            )
-        times = np.asarray(times, dtype=float)
-        mu_g = _as_time_grid(mu, (np.asarray(mu, dtype=float).shape[-1],), "coefficients.mu")
-        m = mu_g.shape[1]
-        sig_g = _as_time_grid(sigma, np.asarray(sigma, dtype=float).shape[-2:], "coefficients.sigma")
-        if sig_g.shape[1] != m:
-            raise DimensionMismatch(f"sigma rows {sig_g.shape[1]} != m {m}")
+            times, mu_g = np.array([0.0]), mu_g[None, :]
+            sig_g = np.atleast_2d(np.asarray(sigma, dtype=float))[None, :, :]
+        else:
+            times = np.asarray(times, dtype=float)
+            mu_g = _as_time_grid(mu, (np.asarray(mu, dtype=float).shape[-1],), "coefficients.mu")
+            sig_g = _as_time_grid(sigma, np.asarray(sigma, dtype=float).shape[-2:],
+                                  "coefficients.sigma")
+        if sig_g.shape[1] != mu_g.shape[1]:
+            raise DimensionMismatch(f"sigma rows {sig_g.shape[1]} != m {mu_g.shape[1]}")
         if mu_g.shape[0] != times.shape[0] or sig_g.shape[0] != times.shape[0]:
             raise ConfigInvalid("coefficient grids must match the time grid", field="coefficients")
         return CoefficientField(
-            kind="deterministic", m=m, n=sig_g.shape[2],
-            times=times, mu_grid=mu_g, sigma_grid=sig_g,
+            kind="deterministic", m=mu_g.shape[1], n=sig_g.shape[2],
+            mu_map=_interp_map(times, mu_g), sigma_map=_interp_map(times, sig_g),
         )
 
     @staticmethod
@@ -162,17 +179,6 @@ class CoefficientField:
             raise DimensionMismatch(f"sigma map returns shape {sig0}, expected (N, {m}, {n})")
         return cf
 
-    def _interp(self, grid, t):
-        """Grid values at time t (scalar or per-row array): linear, flat outside."""
-        if grid.shape[0] == 1:
-            return grid[0]
-        times = self.times
-        tc = np.clip(t, times[0], times[-1])
-        i = np.clip(np.searchsorted(times, tc) - 1, 0, len(times) - 2)
-        w = (tc - times[i]) / (times[i + 1] - times[i])
-        w = np.reshape(w, np.shape(w) + (1,) * (grid.ndim - 1))
-        return (1.0 - w) * grid[i] + w * grid[i + 1]
-
     def mu(self, t: float, f: float | None = None) -> np.ndarray:
         """(m,) excess return at one state: the one-row view of mu_batch."""
         return self.mu_batch(t, np.array([f], dtype=float))[0]
@@ -183,33 +189,26 @@ class CoefficientField:
 
     def mu_batch(self, t, fvals: np.ndarray) -> np.ndarray:
         """(N,) factor states -> (N, m) excess returns; t is a time or one per row."""
-        if self.kind == "deterministic":
-            out = self._interp(self.mu_grid, t)
-        else:
-            out = np.asarray(self.mu_map(t, fvals), dtype=float)
+        out = np.asarray(self.mu_map(t, fvals), dtype=float)
         shape = (fvals.shape[0], self.m)
         return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
     def sigma_batch(self, t, fvals: np.ndarray) -> np.ndarray:
         """(N,) factor states -> (N, m, n) volatilities; t is a time or one per row.
-
-        Whenever sigma does not vary by row (constant, time-gridded at one
-        time, or a factor map that returns one (m, n) matrix for every state)
-        the result is a shared read-only view of it (zero row stride).
-        """
-        if self.kind == "deterministic":
-            out = self._interp(self.sigma_grid, t)
-        else:
-            out = np.asarray(self.sigma_map(t, fvals), dtype=float)
+        Where sigma does not vary by row, a shared read-only view (zero row stride)."""
+        out = np.asarray(self.sigma_map(t, fvals), dtype=float)
         shape = (fvals.shape[0], self.m, self.n)
         return out if out.shape == shape else np.broadcast_to(out, shape)
+
+    def factor_mean(self, t: float) -> float:
+        """E[F_t] = mean_level + (f0 - mean_level) exp(-kappa t)."""
+        return self.mean_level + (self.f0 - self.mean_level) * math.exp(-self.kappa * t)
 
     def factor_quantiles(self, t: float, levels: Sequence[float]) -> np.ndarray:
         """Marginal quantiles of the factor at time t (Gaussian OU law)."""
         if self.kind != "markov":
             raise ValueError("factor quantiles only defined for markov coefficients")
-        ekt = math.exp(-self.kappa * t)
-        mean = self.mean_level + (self.f0 - self.mean_level) * ekt
+        mean = self.factor_mean(t)
         if self.kappa > 0:
             var = self.nu ** 2 * (1.0 - math.exp(-2.0 * self.kappa * t)) / (2.0 * self.kappa)
         else:

@@ -22,21 +22,12 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .bsde import BsdeSolution, _require_positive, _state_row
+from .bsde import BsdeSolution, _require_positive
 from .cones import Cone, project_transformed_batch
 from .errors import ConfigInvalid, InvalidBound
-from .market import MarketModel, coefficients_at
+from .market import MarketModel, _state_rows, coefficients_at
 
 _EQ_SLACK = 1e-10   # absolute slack detecting the p_{i,0} = h_0^2 boundary
-
-
-def _eval_rows(model: MarketModel, t, fvals) -> np.ndarray:
-    """Factor states to evaluate at.  When nothing depends on the factor (or
-    fvals is None, factor state 0): one row per time, so one row for a
-    scalar t."""
-    if model.coefficients.kind == "deterministic" or fvals is None:
-        return np.zeros(np.size(t))
-    return np.asarray(fvals, dtype=float)
 
 
 def _projected_target(step: "StepTargets", cone: Cone, sol: BsdeSolution, side: str):
@@ -58,15 +49,15 @@ def _projected_target(step: "StepTargets", cone: Cone, sol: BsdeSolution, side: 
 
 
 class StepTargets:
-    """The coefficient state at the evaluation rows of one (t, fvals): sigma,
-    mu and phi from one coefficients_at call, and each distinct (solution,
-    side, cone) projected target, computed on first use.  simulate builds
-    one per path block and step, read by the wealth update and every family
-    member; nothing writes into its arrays."""
+    """The coefficient state at the rows market._state_rows gives one
+    (t, fvals): sigma, mu and phi from one coefficients_at call, and each
+    distinct (solution, side, cone) projected target, computed on first use.
+    simulate builds one per path block and step, read by the wealth update
+    and every family member; nothing writes into its arrays."""
 
     def __init__(self, model: MarketModel, t, fvals):
         self.t = t
-        self.rows = _eval_rows(model, t, fvals)
+        self.rows = _state_rows(model.coefficients.kind == "markov", fvals, t)
         self.sigma, self.mu, self.phi = coefficients_at(model, t, self.rows)
         self._targets = {}
 
@@ -92,11 +83,8 @@ class StepTargets:
 
 @dataclass
 class FeedbackStrategy:
-    """State-feedback portfolio map, robust ("MMV") or mean-variance ("MV").
-
-    The batch forms are the implementation; the scalar methods are their
-    one-row views.
-    """
+    """State-feedback portfolio map, robust ("MMV") or mean-variance ("MV");
+    the scalar methods are one-row views of the batch forms."""
 
     kind: str
     model: MarketModel
@@ -113,16 +101,13 @@ class FeedbackStrategy:
         if not self.label:
             self.label = self.kind.lower()
 
-    def _row(self, f) -> np.ndarray:
-        return _state_row(f, self.model.coefficients.kind == "markov")
-
     def xi2(self, t: float, f=None) -> np.ndarray:
         """MV long-side direction in R^m."""
-        step = StepTargets(self.model, t, self._row(f))
+        step = StepTargets(self.model, t, f)
         return step.target(self.cone, self.p2_sol, "P2")[3][0]
 
     def portfolio(self, t: float, x: float, f=None) -> np.ndarray:
-        return self.portfolio_batch(t, np.array([x], dtype=float), self._row(f))[0]
+        return self.portfolio_batch(t, np.array([x], dtype=float), f)[0]
 
     def portfolio_one_sided(self, t: float, x: float, f=None) -> np.ndarray:
         """MV optimal form pi = -(X - gamma_hat/h) xi2 (valid on-manifold)."""
@@ -135,9 +120,10 @@ class FeedbackStrategy:
                         _step: StepTargets | None = None) -> np.ndarray:
         """Vectorized feedback: directions once per state row, broadcast over wealth.
 
-        t is a time or one per state row; fvals the factor state per row
-        (None: state 0, one row per time).  xvals (N,) is one wealth per
-        state row, or (R, X): X wealth levels for each of R state rows.
+        t is a time or one per state row; fvals the factor state per row,
+        required for a factor-driven model and not read without a factor
+        (one row per time).  xvals (N,) is one wealth per state row, or
+        (R, X): X wealth levels for each of R state rows.
         Returns xvals.shape + (m,).  The Y or P2 direction is read from
         _step (a StepTargets of this (t, fvals)); the MV short side (P1) is
         evaluated only on rows with some wealth above gamma_hat / h_t, on
@@ -219,7 +205,7 @@ class SaddleAdversary:
         return -(z + xi) / y[:, None]
 
     def eta(self, t: float, f=None) -> np.ndarray:
-        return self.eta_batch(t, _state_row(f, self.model.coefficients.kind == "markov"))[0]
+        return self.eta_batch(t, _state_rows(self.model.coefficients.kind == "markov", f, t))[0]
 
     def eta_batch(self, t: float, fvals: np.ndarray, *,
                   _step: StepTargets | None = None) -> np.ndarray:
@@ -425,8 +411,7 @@ def equivalence_check(mmv: FeedbackStrategy, mv: FeedbackStrategy,
         probe_f = np.tile(f_values, len(t_values))
     elif cf.kind == "markov":
         probe_t = t_values
-        probe_f = np.array([cf.mean_level + (cf.f0 - cf.mean_level) * math.exp(-cf.kappa * t)
-                            for t in t_values.tolist()])
+        probe_f = np.array([cf.factor_mean(t) for t in t_values.tolist()])
     else:
         probe_t, probe_f = t_values, None
     x_lattice = np.broadcast_to(x_values, (len(probe_t), len(x_values)))

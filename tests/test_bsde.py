@@ -220,8 +220,8 @@ def test_transform_p_identity_point():
     p_sol = mc.BsdeSolution(equation="P", grid=grid, y_values=np.ones(3),
                             z_values=np.zeros((3, 1)), bounds=(0.5, 2.0), n=1)
     y_sol = mc.transform_p_to_y(p_sol)
-    assert np.all(y_sol.y_values == 1.0)
-    assert np.all(y_sol.z_values == 0.0)
+    assert np.all(y_sol.value_batch(grid, np.zeros(3)) == 1.0)
+    assert np.all(y_sol.z_batch(grid, np.zeros(3)) == 0.0)
     assert y_sol.equation == "Y"
 
 
@@ -230,8 +230,8 @@ def test_transform_p_grid_arithmetic():
     p_sol = mc.BsdeSolution(equation="P", grid=grid, y_values=np.array([2.0, 1.0]),
                             z_values=np.array([[0.5], [0.0]]), bounds=(0.5, 3.0), n=1)
     y_sol = mc.transform_p_to_y(p_sol)
-    assert y_sol.y_values == pytest.approx([0.5, 1.0])
-    assert y_sol.z_values[:, 0] == pytest.approx([-0.125, 0.0])
+    assert y_sol.value_batch(grid, np.zeros(2)) == pytest.approx([0.5, 1.0])
+    assert y_sol.z_batch(grid, np.zeros(2))[:, 0] == pytest.approx([-0.125, 0.0])
 
 
 def test_transform_p_to_y_closed_form_r0(cone_a):
@@ -261,13 +261,35 @@ def test_transform_p2_reduces_to_recip_when_r_zero(cone_a):
     p2 = mc.solve_deterministic(model, cone_a, "P2", 400)
     via_h = mc.transform_p2_to_y(p2, model)
     via_recip = 1.0 / p2.y_values
-    assert np.max(np.abs(via_h.y_values - via_recip)) < 1e-14
+    on_grid = via_h.value_batch(p2.grid, np.zeros(len(p2.grid)))
+    assert np.max(np.abs(on_grid - via_recip)) < 1e-14
 
 
 def test_transform_instance_b_gives_unit_y(model_b, cone_b):
     p2 = mc.solve_deterministic(model_b, cone_b, "P2", 500)
     y = mc.transform_p2_to_y(p2, model_b)
-    assert np.max(np.abs(y.y_values - 1.0)) < 1e-10
+    assert np.max(np.abs(y.value_batch(p2.grid, np.zeros(len(p2.grid))) - 1.0)) < 1e-10
+
+
+def test_transformed_deterministic_view_keeps_node_bits(model_a, cone_a, p2sol_a):
+    # a transformed solution maps its base table at evaluation time; on the
+    # nodes that is h * h / p and 1 / p (and their Z), bit for bit
+    grid, p, zeros = p2sol_a.grid, p2sol_a.y_values, np.zeros(len(p2sol_a.grid))
+    h = model_a.discount(grid)
+    via_h = mc.transform_p2_to_y(p2sol_a, model_a)
+    assert np.array_equal(via_h.y_values, p)
+    assert np.array_equal(via_h.value_batch(grid, zeros), h * h / p)
+    assert np.array_equal(via_h.z_batch(grid, zeros),
+                          -(h * h / (p * p))[:, None] * p2sol_a.z_values)
+    assert [via_h.value(float(t)) for t in grid[::50]] == (h * h / p)[::50].tolist()
+    p_sol = mc.solve_deterministic(model_a, cone_a, "P", 200)
+    q = p_sol.y_values
+    recip = mc.transform_p_to_y(p_sol)
+    assert np.array_equal(recip.value_batch(p_sol.grid, np.zeros(len(q))), 1.0 / q)
+    assert np.array_equal(recip.z_batch(p_sol.grid, np.zeros(len(q))),
+                          -p_sol.z_values / (q * q)[:, None])
+    lo, up = p_sol.bounds
+    assert recip.bounds == (1.0 / up, 1.0 / lo)
 
 
 def test_transform_rejects_wrong_equation(ysol_a):

@@ -141,14 +141,32 @@ def test_one_bootstrap_replicate_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_MARKOV_SOLVER = {"kind": "markovian", "paths": 1000, "steps": 10}
+
+
 @pytest.mark.parametrize("experiment, extra, field", [
     ("equivalence", {"lattice": {"t_points": 0}}, "lattice.t_points"),
     ("equivalence", {"lattice": {"x_points": 0}}, "lattice.x_points"),
     ("dual-curve", {"k_grid": {"count": -1}}, "k_grid.count"),
-], ids=["t_points", "x_points", "k_count"])
+    ("dual-curve", {"k_grid": {"span": "wide"}}, "k_grid.span"),
+    ("equivalence", {"lattice": {"x_min": "a"}}, "lattice.x_min"),
+    ("equivalence", {"lattice": {"x_max": "a"}}, "lattice.x_max"),
+    ("equivalence", {"lattice": {"f_values": ["x"]}}, "lattice.f_values"),
+    ("simulate", {"paths": "many"}, "paths"),
+    ("saddle", {"steps": "x"}, "steps"),
+    ("value", {"solver": {"kind": "deterministic", "steps": "x"}}, "solver.steps"),
+    ("value", {"solver": {**_MARKOV_SOLVER, "steps": "x"}}, "solver.steps"),
+    ("value", {"solver": {**_MARKOV_SOLVER, "paths": "x"}}, "solver.paths"),
+    ("value", {"solver": {**_MARKOV_SOLVER, "paths": 1000.7}}, "solver.paths"),
+    ("value", {"solver": {**_MARKOV_SOLVER, "basis_degree": "x"}}, "solver.basis_degree"),
+    ("value", {"solver": {**_MARKOV_SOLVER, "bootstrap": "x"}}, "solver.bootstrap"),
+], ids=["t_points", "x_points", "k_count", "k_span", "x_min", "x_max", "f_values",
+        "paths", "steps", "rk4_steps", "mc_steps", "mc_paths", "mc_paths_fraction",
+        "basis_degree", "bootstrap"])
 def test_lattice_and_curve_counts_below_one_are_config_errors(tmp_path, capsys, monkeypatch,
                                                               experiment, extra, field):
-    # the counts are refused before any solve runs or any directory is made
+    # counts below one and entries that are not numbers are refused before any
+    # solve runs or any directory is made
     def no_solve(*args):
         raise AssertionError("solved before the counts were checked")
 
@@ -157,6 +175,22 @@ def test_lattice_and_curve_counts_below_one_are_config_errors(tmp_path, capsys, 
     rc = cli.main([experiment, "--config", str(_write_config(tmp_path, cfg))])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("store_paths", "no"), ("store_paths", 1), ("antithetic", "false"), ("antithetic", None),
+])
+def test_simulate_flags_must_be_json_booleans(tmp_path, capsys, monkeypatch, key, value):
+    # bool("no") is True: only true and false are read as flags
+    def no_solve(*args):
+        raise AssertionError("solved before the flags were checked")
+
+    monkeypatch.setattr(cli, "_solve_many", no_solve)
+    cfg = _base_config(tmp_path, "simulate", paths=200, steps=10, **{key: value})
+    rc = cli.main(["simulate", "--config", str(_write_config(tmp_path, cfg))])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
     assert not (tmp_path / "out").exists()
 
 

@@ -202,10 +202,23 @@ def test_factor_free_sigma_is_shared_view(model_c, model_a):
         assert np.array_equal(sig, np.full((3, 1, 1), 0.2))
     # a time-gridded sigma at one time per row varies by row: one matrix each
     cf = mc.CoefficientField.deterministic(
-        [[0.06], [0.06]], [[[0.2]], [[0.3]]], [0.0, 1.0])
+        [[0.06], [0.10]], [[[0.2]], [[0.3]]], [0.0, 1.0])
     sig = cf.sigma_batch(np.array([0.0, 0.5, 1.0]), np.zeros(3))
     assert sig.strides[0] != 0
     assert np.array_equal(sig[:, 0, 0], [0.2, 0.25, 0.3])
+    assert np.allclose(cf.mu_batch(np.array([0.0, 0.5, 1.0]), np.zeros(3))[:, 0],
+                       [0.06, 0.08, 0.10], rtol=0.0, atol=1e-15)
+    # one time between the nodes: one matrix shared by every row, whatever f
+    sig = cf.sigma_batch(0.25, np.array([0.0, 5.0, -5.0]))
+    assert sig.strides[0] == 0
+    assert np.allclose(sig, 0.225, rtol=0.0, atol=1e-15)
+    mu = cf.mu_batch(0.25, np.array([0.0, 5.0, -5.0]))
+    assert mu.shape == (3, 1) and np.allclose(mu, 0.07, rtol=0.0, atol=1e-15)
+    # outside the coefficient grid the values are flat at its end nodes
+    for t, s_end, m_end in ((-0.5, 0.2, 0.06), (1.5, 0.3, 0.10)):
+        assert np.array_equal(cf.sigma_batch(t, np.zeros(2))[:, 0, 0], [s_end, s_end])
+        assert np.array_equal(cf.mu_batch(np.array([t, t]), np.zeros(2))[:, 0],
+                              [m_end, m_end])
 
 
 def test_probe_lattice_rows(model_a, model_c):

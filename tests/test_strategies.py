@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mmvcone as mc
-from mmvcone.errors import InvalidBound, TimeOutOfRange
+from mmvcone.errors import ConfigInvalid, InvalidBound, TimeOutOfRange
 from mmvcone.strategies import StepTargets
 
 from conftest import H0_A, INSTANCE_A, INSTANCE_C, VALUE_A, Y0_A
@@ -104,6 +104,29 @@ def test_feedback_maps_reject_times_outside_horizon(instance, offset, request):
             strat.portfolio_batch(t, np.ones(3), fvals)
     with pytest.raises(TimeOutOfRange):
         adversary.eta_batch(t, fvals)
+
+
+def test_markov_batch_calls_require_factor_states(model_c, markov_c_maps):
+    # a factor-driven model has no default state: evaluating without fvals is
+    # a config error, as the one-row views already were
+    mmv, mv, adversary = markov_c_maps
+    for strat in (mmv, mv):
+        with pytest.raises(ConfigInvalid, match="factor state required"):
+            strat.portfolio_batch(0.5, np.array([1.0]))
+        with pytest.raises(ConfigInvalid, match="factor state required"):
+            strat.portfolio(0.5, 1.0)
+    with pytest.raises(ConfigInvalid, match="factor state required"):
+        StepTargets(model_c, 0.5, None)
+    with pytest.raises(ConfigInvalid, match="factor state required"):
+        adversary.eta_batch(0.5, None)
+    with pytest.raises(ConfigInvalid, match="factor state required"):
+        adversary.eta(0.5)
+    # with a state, the batch and the one-row views agree
+    f0 = model_c.coefficients.f0
+    assert np.array_equal(mmv.portfolio_batch(0.5, np.array([1.0]), np.array([f0]))[0],
+                          mmv.portfolio(0.5, 1.0, f0))
+    assert np.array_equal(adversary.eta_batch(0.5, np.array([f0]))[0],
+                          adversary.eta(0.5, f0))
 
 
 def test_adversary_instance_a(model_a, cone_a, ysol_a):
