@@ -114,7 +114,7 @@ def _state_rows(markov: bool, fvals, t) -> np.ndarray:
     if not markov:
         return np.zeros(np.size(t))
     if fvals is None:
-        raise ConfigInvalid("factor state required for markovian solutions", field="f")
+        raise ConfigInvalid("factor state required with a factor-driven model", field="f")
     return np.atleast_1d(np.asarray(fvals, dtype=float))
 
 
@@ -181,11 +181,11 @@ class CoefficientField:
 
     def mu(self, t: float, f: float | None = None) -> np.ndarray:
         """(m,) excess return at one state: the one-row view of mu_batch."""
-        return self.mu_batch(t, np.array([f], dtype=float))[0]
+        return self.mu_batch(t, _state_rows(self.kind == "markov", f, t))[0]
 
     def sigma(self, t: float, f: float | None = None) -> np.ndarray:
         """(m, n) volatility at one state: the one-row view of sigma_batch."""
-        return self.sigma_batch(t, np.array([f], dtype=float))[0]
+        return self.sigma_batch(t, _state_rows(self.kind == "markov", f, t))[0]
 
     def mu_batch(self, t, fvals: np.ndarray) -> np.ndarray:
         """(N,) factor states -> (N, m) excess returns; t is a time or one per row."""
@@ -393,7 +393,8 @@ def _check_ellipticity(model: MarketModel) -> None:
 
 def pricing_kernel(model: MarketModel, t: float, f: float | None = None) -> np.ndarray:
     """phi = sigma' (sigma sigma')^{-1} mu at one state: the one-row view of the batch."""
-    return pricing_kernel_batch(model, t, np.array([f], dtype=float))[0]
+    return pricing_kernel_batch(
+        model, t, _state_rows(model.coefficients.kind == "markov", f, t))[0]
 
 
 def coefficients_at(model: MarketModel, t, fvals: np.ndarray):

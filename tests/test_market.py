@@ -157,6 +157,19 @@ def test_markov_factor_model(model_c):
     assert cf.mu(0.3, 0.08) == pytest.approx([0.08])
     phi = mc.pricing_kernel(model_c, 0.3, 0.08)
     assert phi == pytest.approx([0.4, 0.0], abs=1e-15)
+    # the one-row views have no default factor state (they read f = NaN before)
+    for view in (cf.mu, cf.sigma, lambda t: mc.pricing_kernel(model_c, t)):
+        with pytest.raises(ConfigInvalid, match="factor state required"):
+            view(0.3)
+
+
+def test_factor_mean_is_the_ou_mean_and_the_median_quantile():
+    maps = mc.affine_factor_maps(1, 2, [0.0], [1.0], [[0.2, 0.0]])
+    cf = mc.CoefficientField.markov_factor(1, 2, 1.5, 0.06, 0.03, 1, 0.10, *maps)
+    for t in (0.0, 0.3, 1.0):
+        mean = cf.mean_level + (cf.f0 - cf.mean_level) * math.exp(-cf.kappa * t)
+        assert cf.factor_mean(t) == mean
+        assert cf.factor_quantiles(t, [0.5])[0] == pytest.approx(mean, rel=0, abs=1e-15)
 
 
 def test_markov_batch_eval(model_c):
