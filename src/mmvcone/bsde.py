@@ -733,10 +733,12 @@ def _as_y(sol: BsdeSolution, equation: str, transform: tuple) -> BsdeSolution:
 
 
 def transform_p_to_y(p_sol: BsdeSolution) -> BsdeSolution:
-    """(Y, Z) = (1/P, -Delta/P^2), valid whenever P stays uniformly positive."""
+    """(Y, Z) = (1/P, -Delta/P^2) of P's interpolant, valid whenever P stays
+    uniformly positive; a view of p_sol's tables (_as_y)."""
     return _as_y(p_sol, "P", ("recip",))
 
 
 def transform_p2_to_y(p2_sol: BsdeSolution, model: MarketModel) -> BsdeSolution:
-    """(Y, Z) = (h^2/P2, -(h^2/P2^2) Delta2), h = model.discount."""
+    """(Y, Z) = (h^2/P2, -(h^2/P2^2) Delta2) of P2's interpolant, h =
+    model.discount; a view of p2_sol's tables (_as_y)."""
     return _as_y(p2_sol, "P2", ("h2", model))
