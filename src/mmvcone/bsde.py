@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from . import forksplit
-from .cones import Cone, cone_inf_quadratic_batch, project_transformed, ray_axis
+from .cones import (Cone, cone_inf_quadratic_batch, project_transformed, ray_axis,
+                    two_sided)
 from .errors import (
     ConfigInvalid,
     InvalidBound,
@@ -92,20 +93,25 @@ def driver_f(cone: Cone, sigma, phi, y: float, z) -> float:
 def _sigma_side(equation, cone, sigma, phi, rows) -> tuple:
     """The driver's columns that need neither Z nor y: (s, |s|^2, p, clip)
     for one asset, s = sigma' spanning sigma' Gamma (cones.ray_axis) and
-    p = sign s'phi / |s|^2; (sigma, phi (rows, n)) for m >= 2."""
+    p = sign s'phi / |s|^2, s'phi summed a column at a time (einsum's bits
+    for n <= 2); (sigma, phi (rows, n)) for m >= 2."""
     sigma = np.asarray(sigma, dtype=float)
     phi = np.broadcast_to(np.asarray(phi, dtype=float), (rows, sigma.shape[-1]))
     if cone.dim == 1:
         s, ss, clip = ray_axis(cone, sigma, rows)
-        sign = -1.0 if equation == "P1" else 1.0
-        return s, ss, sign * np.einsum("ij,ij->i", s, phi) / ss, clip
+        p = np.multiply(s[:, 0], phi[:, 0])
+        for c in range(1, s.shape[1]):
+            p += s[:, c] * phi[:, c]
+        p /= -ss if equation == "P1" else ss
+        return s, ss, p, clip
     return sigma, phi
 
 
 def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
-    """(f, root): f maps y (N,) to the driver (N,); root(cont, h) solves
-    y = cont + h f(y) for one asset, None for m >= 2.  side is _sigma_side of
-    the rows, zcol s'z (N,) for one asset and z (N, n) otherwise, zz = |z|^2.
+    """(f, root): f maps y (N,) to the driver (N,), a fresh array; root(cont, h)
+    solves y = cont + h f(y) for one asset, None for m >= 2.  side is
+    _sigma_side of the rows, zcol s'z (N,) for one asset and z (N, n)
+    otherwise, zz = |z|^2.
 
     By Moreau's identity and positive homogeneity every driver is a function
     of q(y) = |P u(y)|^2, P the projection onto sigma' Gamma and
@@ -116,6 +122,8 @@ def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
     eps |s|^2 clip(p y + w)^2 + rho y^2 - zeta (eps = 1 for Y, else -1;
     rho = 2 r for P1, P2; zeta = |z|^2 for Y), and the trapezoid is a
     quadratic in y, taken with |s|^2 = 0 where the clip binds at its root.
+    A line (clip two_sided) binds nowhere, so only a root with a NaN row is
+    tested; such rows are taken with |s|^2 = 0, as every clip test does.
     """
     sign = -1.0 if equation == "P1" else 1.0
     c = -1.0 if equation == "Y" else 1.0
@@ -125,34 +133,45 @@ def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
         _, ss, p, clip = side
         if ss.strides[0] == 0:      # one |s|^2 for every row: scalar arithmetic
             ss = float(ss[0])
-        w = sign * c * zcol / ss
+        w = np.multiply(zcol, sign * c)
+        w /= ss
         eps = 1.0 if equation == "Y" else -1.0
         rho = 2.0 * r_t if equation in ("P1", "P2") else 0.0
-        zeta = zz if equation == "Y" else 0.0
 
         def q(y):
-            k = clip(p + w / y)
-            return ss * k * k
+            k = np.divide(w, y)
+            k += p
+            k = clip(k)
+            out = np.multiply(ss, k)
+            out *= k
+            return out
 
         def quadratic(cont, h, e):
             # A y^2 - B y - C = 0 with A = 1 - h rho - h e p^2,
             # B = cont + 2 h e p w and C = h (e w^2 - zeta); the root near cont,
-            # (B + sqrt(B^2 + 4 h A (e w^2 - zeta))) / 2A, mostly in place
-            b = h * e * p
-            a = (1.0 - h * rho) - b * p
-            b *= 2.0 * w
+            # (B + sqrt(B^2 + 4 h A (e w^2 - zeta))) / 2A, in four arrays
+            b = np.multiply(p, h * e)
+            a = np.multiply(b, p)
+            np.subtract(1.0 - h * rho, a, out=a)
+            t = np.multiply(w, 2.0)
+            b *= t
             b += cont
-            g = e * w * w - zeta
-            g *= a * (4.0 * h)
-            g += b * b
+            g = np.multiply(w, e)
+            g *= w
+            if equation == "Y":
+                g -= zz
+            g *= np.multiply(a, 4.0 * h, out=t)
+            g += np.multiply(b, b, out=t)
             np.sqrt(g, out=g)
             g += b
-            g /= 2.0 * a
+            g /= np.multiply(a, 2.0, out=t)
             return g
 
         def root(cont, h):
             e = eps * ss
             y = quadratic(cont, h, e)
+            if clip is two_sided and not math.isnan(np.min(y)):
+                return y
             u = p * y + w
             clipped = clip(u) != u
             if clipped.any():
@@ -165,11 +184,18 @@ def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
             u = sign * (phi + c * zcol / y[:, None])
             return -cone_inf_quadratic_batch(cone, sigma, u)
 
-    if equation == "Y":
-        return (lambda y: y * q(y) - zz / y), root
-    if equation == "P":
-        return (lambda y: -y * q(y)), root
-    return (lambda y: 2.0 * r_t * y - y * q(y)), root
+    def f(y):
+        out = q(y)
+        out *= y
+        if equation == "Y":
+            out -= zz / y
+        elif equation == "P":
+            np.negative(out, out=out)
+        else:
+            np.subtract(2.0 * r_t * y, out, out=out)
+        return out
+
+    return f, root
 
 
 def _prepare_driver(equation, cone, sigma, phi, r_t, z) -> Callable:
@@ -564,11 +590,12 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
 
 def _close_step(equation, step, root, cont, h, lower, upper, t):
     """(v, f(v), clamp events) for the fixed point y of y -> cont + h f(clip(y)),
-    f = step, clip to [lower, upper], v = clip(y): the root (one asset),
-    checked by its residual where y lies inside, or Picard iteration from
-    clip(cont); a miss of _FIXED_POINT_TOL raises NoConvergence.  When min y
-    and max y lie inside, v is y; otherwise (NaN and inf rows too) y is
-    clipped, and a root checked for finiteness."""
+    f = step, clip to [lower, upper], v = clip(y).  One asset: y is the root,
+    and the residual y - cont - h f(v), formed in one array, must stay within
+    _FIXED_POINT_TOL where y lies inside; m >= 2: Picard iteration from
+    clip(cont) within _FIXED_POINT_MAX steps.  A miss raises NoConvergence.
+    When min y and max y lie inside, v is y; otherwise (NaN and inf rows too)
+    y is clipped, and a root must be finite."""
     if root is not None:
         y = root(cont, h)
     else:
@@ -591,7 +618,8 @@ def _close_step(equation, step, root, cont, h, lower, upper, t):
         n_off = int(np.count_nonzero(off))
     f = _driver_batch(equation, None, None, None, None, v, None, step)
     if root is not None:
-        r = y - cont - h * f
+        r = np.subtract(y, cont)
+        r -= h * f
         if n_off:
             r[off] = 0.0
         resid = float(np.max(np.abs(r, out=r)))

@@ -201,13 +201,20 @@ def cone_inf_quadratic(cone: Cone, sigma: np.ndarray, a: np.ndarray) -> float:
     return float(cone_inf_quadratic_batch(cone, *_one_row(cone, sigma, a))[0])
 
 
+def two_sided(k):
+    """The clip of a line: every coefficient is admissible."""
+    return k
+
+
 def ray_axis(cone: Cone, sigma: np.ndarray, N: int):
     """For m = 1, where sigma' Gamma = {k s : k admissible} is a ray or line.
 
     sigma is (1, n) shared or (N, 1, n) per sample.  Returns (s (N, n),
     |s|^2 (N,), clip), where clip maps an array of coefficients k to the
-    nearest admissible ones; s and |s|^2 are zero-stride views when every
-    row shares one s.  The projection of a is clip(s'a / |s|^2) s.
+    nearest admissible ones; it is two_sided, the identity, for a line (the
+    full cone, or generators of both signs).  s and |s|^2 are zero-stride
+    views when every row shares one s.  The projection of a is
+    clip(s'a / |s|^2) s.
     """
     if cone.kind == FULL:
         pos = neg = True
@@ -217,12 +224,14 @@ def ray_axis(cone: Cone, sigma: np.ndarray, N: int):
         g = cone.generators[0]
         pos, neg = bool(np.any(g > 0)), bool(np.any(g < 0))
 
-    def clip(k):
+    def one_sided(k):
         if not pos:
             k = np.minimum(k, 0.0)
         if not neg:
             k = np.maximum(k, 0.0)
         return k
+
+    clip = two_sided if pos and neg else one_sided
 
     s = np.broadcast_to(sigma[..., 0, :], (N, sigma.shape[-1]))
     if s.strides[0] == 0:       # one s for every row: |s|^2 from one row, shared

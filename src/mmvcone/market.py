@@ -417,11 +417,17 @@ def pricing_kernel_batch(model: MarketModel, t, fvals: np.ndarray) -> np.ndarray
 
 
 def pricing_kernel_from(sig: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """phi = sigma' (sigma sigma')^{-1} mu from (N, m, n) volatilities and (N, m) returns."""
+    """phi = sigma' (sigma sigma')^{-1} mu from (N, m, n) volatilities and (N, m)
+    returns.  One asset: phi = (mu / |s|^2) s, s = sigma's row, written a column
+    at a time; a shared s (zero row stride) gives |s|^2 from one row."""
     if sig.shape[1] == 1:
         s = sig[:, 0, :]
-        r = s[:1] if s.strides[0] == 0 else s   # one s for every row: |s|^2 from one row
-        return (mu[:, 0] / np.einsum("ij,ij->i", r, r))[:, None] * s
+        r = s[:1] if s.strides[0] == 0 else s
+        k = mu[:, 0] / np.einsum("ij,ij->i", r, r)
+        phi = np.empty(s.shape)
+        for c in range(s.shape[1]):
+            np.multiply(k, s[:, c], out=phi[:, c])
+        return phi
     gram = sig @ np.swapaxes(sig, 1, 2)                    # (N, m, m)
     try:
         w = np.linalg.solve(gram, mu[..., None])           # (N, m, 1)

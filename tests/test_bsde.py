@@ -1132,35 +1132,48 @@ def test_hankel_gram_matches_the_basis_product(degree):
         assert np.max(np.abs(gram - ref)) <= 1e-12 * np.max(np.abs(ref)), degree
 
 
-@pytest.mark.parametrize("cone", [mc.full_space(1), mc.orthant(1)], ids=["full", "orthant"])
-def test_one_asset_step_keeps_the_bits_of_its_reference_form(cone):
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared_sigma", "per_row_sigma"])
+@pytest.mark.parametrize("cone", [mc.full_space(1), mc.orthant(1),
+                                  mc.generated(np.array([[1.0, -1.0]]))],
+                         ids=["full", "orthant", "two_sided_ray"])
+def test_one_asset_step_keeps_the_bits_of_its_reference_form(cone, per_row):
     # a shared |s|^2 is one float and the root is taken in place; driver and
     # root are the bits of the per-row |s|^2 and of the quadratic formula
     rng = np.random.default_rng(7)
     rows, r_t, h = 800, 0.03, 0.02
-    sigma = np.array([[0.2, 0.1]])
+    sigma = (np.array([[0.2, 0.1]]) if not per_row
+             else rng.uniform(0.1, 0.3, size=(rows, 1, 2)))
     phi = rng.normal(0.0, 0.5, size=(rows, 2))
     zj = rng.normal(0.0, 0.3, size=rows)
     cont = rng.uniform(0.6, 1.5, size=rows)
     y = rng.uniform(0.7, 1.4, size=rows)
     for eq in EQUATIONS:
         shared = _sigma_side(eq, cone, sigma, phi, rows)
-        assert shared[1].strides[0] == 0
-        per_row = (shared[0], np.array(shared[1]), *shared[2:])
+        assert (shared[1].strides[0] == 0) != per_row
+        per_row_side = (shared[0], np.array(shared[1]), *shared[2:])
         zcol = shared[0][:, 1] * zj
         zz = zj * zj if eq == "Y" else None
         f_s, root_s = _z_side(eq, cone, shared, r_t, zcol, zz)
-        f_r, root_r = _z_side(eq, cone, per_row, r_t, zcol, zz)
+        f_r, root_r = _z_side(eq, cone, per_row_side, r_t, zcol, zz)
         assert np.array_equal(f_s(y), f_r(y))
         assert np.array_equal(root_s(cont, h), root_r(cont, h))
 
-        # the quadratic formula as written out, with per-row |s|^2
-        _, ss, p, clip = per_row
+        # the driver and the quadratic formula as written out, with per-row |s|^2
+        _, ss, p, clip = per_row_side
         sign = -1.0 if eq == "P1" else 1.0
         c = -1.0 if eq == "Y" else 1.0
         w = sign * c * zcol / ss
         rho = 2.0 * r_t if eq in ("P1", "P2") else 0.0
         zeta = zz if eq == "Y" else 0.0
+        k = clip(p + w / y)
+        q = ss * k * k
+        if eq == "Y":
+            driver = y * q - zz / y
+        elif eq == "P":
+            driver = -y * q
+        else:
+            driver = 2.0 * r_t * y - y * q
+        assert np.array_equal(f_s(y), driver)
 
         def quadratic(e):
             hep = h * e * p
@@ -1171,20 +1184,74 @@ def test_one_asset_step_keeps_the_bits_of_its_reference_form(cone):
         e = (1.0 if eq == "Y" else -1.0) * ss
         ref = quadratic(e)
         u = p * ref + w
-        if cone.kind != "full":
-            assert np.any(clip(u) != u)
+        assert (clip is mc.cones.two_sided) == (cone.kind != "orthant")
+        assert np.any(clip(u) != u) == (cone.kind == "orthant")
         ref = quadratic(np.where(clip(u) != u, 0.0, e))
         assert np.array_equal(root_s(cont, h), ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_pricing_kernel_of_a_shared_sigma_keeps_its_bits(n):
-    # a zero-stride sigma takes |s|^2 from one row: the bits of every row's
+    # a zero-stride sigma takes |s|^2 from one row: the bits of every row's,
+    # and both are the bits of the broadcast product (mu / |s|^2) s
     rng = np.random.default_rng(n)
     sig = np.broadcast_to(rng.normal(size=(1, 1, n)), (500, 1, n))
     mu = rng.normal(size=(500, 1))
-    assert np.array_equal(pricing_kernel_from(sig, mu),
-                          pricing_kernel_from(np.ascontiguousarray(sig), mu))
+    s = sig[:, 0, :]
+    ref = (mu[:, 0] / np.einsum("ij,ij->i", s, s))[:, None] * s
+    assert np.array_equal(pricing_kernel_from(sig, mu), ref)
+    assert np.array_equal(pricing_kernel_from(np.ascontiguousarray(sig), mu), ref)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sigma_side_sums_s_phi_with_the_bits_of_einsum(n):
+    # s'phi is summed a column at a time, einsum's order for n <= 2
+    rng = np.random.default_rng(n)
+    rows = 700
+    for sigma in (rng.normal(size=(1, n)), rng.normal(size=(rows, 1, n))):
+        phi = rng.normal(size=(rows, n))
+        for eq in EQUATIONS:
+            s, ss, p, _ = _sigma_side(eq, mc.full_space(1), sigma, phi, rows)
+            sign = -1.0 if eq == "P1" else 1.0
+            assert np.array_equal(p, sign * np.einsum("ij,ij->i", s, phi) / ss), eq
+
+
+@pytest.mark.parametrize("lower", [0.5, 0.05])
+@pytest.mark.parametrize("eq", ["Y", "P2"])
+def test_line_root_without_a_real_root_is_taken_as_every_clip_test_takes_it(eq, lower):
+    # on a line the clip test runs only for a root with a NaN row; that row
+    # is taken with |s|^2 = 0 exactly as an identity clip tested on every
+    # root takes it: the same (v, f, clamp events) or the same NoConvergence
+    rng = np.random.default_rng(5)
+    rows, j, t = 50, 1, 0.5
+    phi = rng.normal(0.0, 0.5, size=(rows, 2))
+    zj = rng.normal(0.0, 0.3, size=rows)
+    cont = rng.uniform(0.8, 1.2, size=rows)
+    zj[7], cont[7] = 40.0, 0.3          # the discriminant of row 7 is negative
+    side = _sigma_side(eq, mc.full_space(1), np.array([[0.2, 0.1]]), phi, rows)
+    assert side[3] is mc.cones.two_sided
+    outcomes = []
+    for clip in (side[3], lambda k: k):
+        step, root = _z_side(eq, mc.full_space(1), (*side[:3], clip), 0.03,
+                             side[0][:, j] * zj, zj * zj if eq == "Y" else None)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(root(cont, 0.02)[7]) == (eq == "Y")
+            try:
+                outcomes.append(_close_step(eq, step, root, cont, 0.02, lower, 2.0, t))
+            except NoConvergence as exc:
+                outcomes.append(str(exc))
+    gated, tested = outcomes
+    if isinstance(tested, str):
+        assert gated == tested
+    else:
+        assert np.array_equal(gated[0], tested[0]) and np.array_equal(gated[1], tested[1])
+        assert gated[2] == tested[2]
+    # P2's row 7 has a real root once |s|^2 = 0: below a 0.5 envelope it
+    # clamps; inside a 0.05 one its residual fails.  Y's stays NaN.
+    clamps = eq == "P2" and lower == 0.5
+    assert isinstance(tested, str) != clamps
+    if clamps:
+        assert tested[2] == 1 and tested[0][7] == 0.5
 
 
 def test_mixed_basis_widths_stack_by_width(model_c, monkeypatch):
