@@ -91,6 +91,11 @@ def load_config(source) -> dict:
                   or exp in ("simulate", "saddle"))
     if needs_seed and cfg.get("seed") is None:
         raise ConfigInvalid("seed required whenever Monte Carlo runs", field="seed")
+    if cfg.get("seed") is not None:
+        _count(cfg, "seed", None, "seed", 0)
+    for key in ("lattice", "k_grid"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ConfigInvalid(f"must be an object, got {cfg[key]!r}", field=key)
     if "block_size" in solver:
         raise ConfigInvalid("not a setting: the forward draw uses fixed blocks of "
                             "65536 paths", field="solver.block_size")
@@ -175,7 +180,7 @@ def _solve_many(model, cone, cfg, solves):
         return [solve_deterministic(model, cone, eq, sizes["steps"]) for eq, _, _ in solves]
     return solve_markovian_many(model, cone, [(eq, McSolverConfig(
         paths=sizes["paths"], basis_degree=sizes["basis_degree"],
-        seed=int(cfg["seed"]) + lane, steps=sizes["steps"],
+        seed=cfg["seed"] + lane, steps=sizes["steps"],
         bootstrap=sizes["bootstrap"] if boot is None else boot,
     )) for eq, lane, boot in solves])
 
@@ -227,16 +232,18 @@ def _finite_entry(value, shape, field, what):
     raise ConfigInvalid(f"must be {what}, got {value!r}", field=field)
 
 
-def _adversary_from_spec(spec, model, cone, y_sol):
+def _adversary_from_spec(spec, model):
     """One adversary from its config entry: {"kind": ...} plus the kind's
-    parameters, or one of the shorthands "zero", "0" and "saddle"."""
+    parameters, or one of the shorthands "zero", "0" and "saddle".  The
+    saddle adversary needs the Y solution: it stays the string "saddle"
+    until _with_saddle builds it."""
     if spec in ("zero", "0", "saddle"):
         spec = {"kind": "saddle" if spec == "saddle" else "zero"}
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "zero":
         return zero_adversary()
     if kind == "saddle":
-        return saddle_adversary(mmv_adversary(y_sol, cone, model))
+        return "saddle"
     if kind == "scaled_minus_phi":
         return scaled_minus_phi(model, _number(spec, "c", 1.0, "adversary.c"))
     if kind == "constant":
@@ -244,6 +251,13 @@ def _adversary_from_spec(spec, model, cone, y_sol):
                           f"a finite vector of length n = {model.n}")
         return constant_adversary(v)
     raise ConfigInvalid(f"unknown adversary spec {spec!r}", field="adversary")
+
+
+def _with_saddle(adversary, model, cone, y_sol):
+    """adversary, or the saddle adversary of y_sol where it is "saddle"."""
+    if isinstance(adversary, str):
+        return saddle_adversary(mmv_adversary(y_sol, cone, model))
+    return adversary
 
 
 def compare_values(cfg: dict, model, cone) -> dict:
@@ -312,20 +326,20 @@ def run(cfg: dict) -> int:
         paths, steps = _count(cfg, "paths", 10000, "paths"), _count(cfg, "steps", 200, "steps")
         store, antithetic = _flag(cfg, "store_paths"), _flag(cfg, "antithetic")
         strat_spec = cfg.get("strategy", "mmv")
+        if strat_spec not in (None, "none", "zero", "0", "mmv", "mv"):
+            raise ConfigInvalid(f"unknown strategy {strat_spec!r}", field="strategy")
+        adversary = _adversary_from_spec(cfg.get("adversary", "zero"), model)
         y_sol, *mv_pair = _solve_many(model, cone, cfg,
                                       (_Y, *_MV_PAIR) if strat_spec == "mv" else (_Y,))
-        if strat_spec in (None, "none", "zero", "0"):
-            strategy = None
-        elif strat_spec == "mmv":
+        strategy = None
+        if strat_spec == "mmv":
             strategy = mmv_feedback(model, cone, y_sol)
         elif strat_spec == "mv":
             p2_sol, p1_sol = mv_pair
             strategy = mv_feedback(model, cone, p1_sol, p2_sol)
-        else:
-            raise ConfigInvalid(f"unknown strategy {strat_spec!r}", field="strategy")
-        adversary = _adversary_from_spec(cfg.get("adversary", "zero"), model, cone, y_sol)
+        adversary = _with_saddle(adversary, model, cone, y_sol)
         batch = simulate(model, strategy, adversary, paths=paths, steps=steps,
-                         seed=int(cfg["seed"]), store_paths=store, antithetic=antithetic)
+                         seed=cfg["seed"], store_paths=store, antithetic=antithetic)
         results = {
             "objective_mean": batch.objective_mean,
             "objective_stderr": batch.objective_stderr,
@@ -347,22 +361,26 @@ def run(cfg: dict) -> int:
 
     elif experiment == "saddle":
         paths, steps = _count(cfg, "paths", 100000, "paths"), _count(cfg, "steps", 200, "steps")
-        (y_sol,) = _solve_many(model, cone, cfg, (_Y,))
-        base = mmv_feedback(model, cone, y_sol)
         scales = cfg.get("pi_scales", [1.0, 0.0, 0.5, 1.5])
         shape = (len(scales),) if isinstance(scales, list) else None
         scales = _finite_entry(scales, shape, "pi_scales", "a list of finite numbers").tolist()
-        pi_family = [base.scaled(c) if c != 1.0 else base for c in scales]
-        pi_family = [s if s.scale != 0.0 else None for s in pi_family]
         eta_specs = cfg.get("eta_family", [
             {"kind": "saddle"}, {"kind": "zero"},
             {"kind": "scaled_minus_phi", "c": 0.5},
             {"kind": "scaled_minus_phi", "c": 2.0},
         ])
-        eta_family = [_adversary_from_spec(s, model, cone, y_sol) for s in eta_specs]
+        if not isinstance(eta_specs, list):
+            raise ConfigInvalid(f"must be a list of adversaries, got {eta_specs!r}",
+                                field="eta_family")
+        eta_family = [_adversary_from_spec(s, model) for s in eta_specs]
+        (y_sol,) = _solve_many(model, cone, cfg, (_Y,))
+        base = mmv_feedback(model, cone, y_sol)
+        pi_family = [base.scaled(c) if c != 1.0 else base for c in scales]
+        pi_family = [s if s.scale != 0.0 else None for s in pi_family]
+        eta_family = [_with_saddle(a, model, cone, y_sol) for a in eta_family]
         try:
             report = saddle_scan(model, cone, y_sol, pi_family, eta_family,
-                                 paths=paths, steps=steps, seed=int(cfg["seed"]))
+                                 paths=paths, steps=steps, seed=cfg["seed"])
         except SaddleViolated as exc:
             report = exc.report
             exit_code = 2

@@ -194,6 +194,45 @@ def test_simulate_flags_must_be_json_booleans(tmp_path, capsys, monkeypatch, key
     assert not (tmp_path / "out").exists()
 
 
+_MARKOV_C = {"model": {k: (dict(v) if isinstance(v, dict) else v) for k, v in INSTANCE_C.items()},
+             "solver": _MARKOV_SOLVER}
+
+
+@pytest.mark.parametrize("experiment, extra, field", [
+    ("value", {**_MARKOV_C, "seed": "x"}, "seed"),
+    ("value", {**_MARKOV_C, "seed": 1.5}, "seed"),
+    ("value", {**_MARKOV_C, "seed": True}, "seed"),
+    ("value", {**_MARKOV_C, "seed": -1}, "seed"),
+    ("saddle", {"seed": "7"}, "seed"),
+    ("equivalence", {"lattice": 5}, "lattice"),
+    ("dual-curve", {"k_grid": [2001]}, "k_grid"),
+    ("simulate", {"strategy": "best"}, "strategy"),
+    ("simulate", {"adversary": "nature"}, "adversary"),
+    ("simulate", {"adversary": {"kind": "scaled_minus_phi", "c": "x"}}, "adversary.c"),
+    ("saddle", {"pi_scales": ["x"]}, "pi_scales"),
+    ("saddle", {"eta_family": "saddle"}, "eta_family"),
+    ("saddle", {"eta_family": ["saddle", {"kind": "constant", "v": [1.0, 2.0]}]},
+     "adversary.v"),
+], ids=["seed_text", "seed_fraction", "seed_bool", "seed_negative", "saddle_seed_text",
+        "lattice_number", "k_grid_list", "strategy", "adversary", "adversary_c",
+        "pi_scales", "eta_family_string", "eta_family_entry"])
+def test_malformed_entries_are_refused_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                        experiment, extra, field):
+    # seed, lattice, k_grid, strategy and the adversary entries are read
+    # before the solve: a bad one ends in a config error, with no directory
+    def no_solve(*args):
+        raise AssertionError("solved before the entries were checked")
+
+    monkeypatch.setattr(cli, "_solve_many", no_solve)
+    cfg = _base_config(tmp_path, experiment, paths=200, steps=10, **extra)
+    if experiment not in ("simulate", "saddle"):
+        del cfg["paths"], cfg["steps"]
+    rc = cli.main([experiment, "--config", str(_write_config(tmp_path, cfg))])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment, flag", [
     ("solve", "--paths"), ("value", "--steps"), ("equivalence", "--paths"),
     ("dual-curve", "--steps"),
