@@ -133,8 +133,7 @@ def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
         _, ss, p, clip = side
         if ss.strides[0] == 0:      # one |s|^2 for every row: scalar arithmetic
             ss = float(ss[0])
-        w = np.multiply(zcol, sign * c)
-        w /= ss
+        w = zcol / (sign * c * ss)
         eps = 1.0 if equation == "Y" else -1.0
         rho = 2.0 * r_t if equation in ("P1", "P2") else 0.0
 
@@ -517,8 +516,8 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
                            np.ones(paths), np.zeros((paths, model.n)))
     bases = np.zeros((K, width, paths))
     bases[:, 0] = 1.0
-    V = np.ones((K, paths))
-    f_next = np.stack([_rows(f_term, idx) for idx in samples])
+    V = [np.ones(paths)] * K                 # per sample: rebound every step
+    f_next = [_rows(f_term, idx) for idx in samples]
     y_tab = np.zeros((K, steps + 1, width))
     y_tab[:, steps, 0] = 1.0
     z_tab = np.zeros((K, steps + 1, width))
@@ -536,7 +535,8 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
         sig, _, phi = coefficients_at(model, t, Ft[i])
         side = _sigma_side(equation, cone, sig, phi, paths)
         if rate_term and i + 1 < steps:
-            f_next += 2.0 * (r_t - r_step[i + 1]) * V
+            for f_k, v_k in zip(f_next, V):
+                f_k += 2.0 * (r_t - r_step[i + 1]) * v_k
         basis = []
         for k, idx in enumerate(samples):
             # np.mean and np.std: sum / n, the same bits
