@@ -228,8 +228,11 @@ def positivity_envelope(model: MarketModel, grid: np.ndarray) -> tuple[float, fl
 
 
 def _step_rates(model: MarketModel, grid: np.ndarray) -> np.ndarray:
-    """Exact average rate over each step of the uniform grid."""
-    return model.rate.step_integrals(grid) / (model.horizon_T / (len(grid) - 1))
+    """Exact average rate over each step of the uniform grid: the segment's
+    value for a step with no rate break inside it, else integral / dt."""
+    rate, dt, g = model.rate, model.horizon_T / (len(grid) - 1), grid.tolist()
+    return np.array([rate.integral(a, b) / dt if any(a < c < b for c in rate.breaks)
+                     else rate.at(a) for a, b in zip(g[:-1], g[1:])])
 
 
 @dataclass
@@ -494,7 +497,8 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
         V_i = E[V_{i+1} + h f_{i+1} | F_i] + h f_i(V_i, Z_i),
 
     not implicit Euler, whose O(dt) bias the identity checks resolve; both
-    ends at the step's average rate: f_{i+1} gains 2 (r_i - r_{i+1}) V_{i+1}.
+    ends at the step's average rate: where r_i != r_{i+1}, f_{i+1} gains
+    2 (r_i - r_{i+1}) V_{i+1}.
     The sample None is held to _CLAMP_BUDGET after every step (PositivityLost).
     """
     Ft, dWt = F.T, dWj.T
@@ -534,7 +538,7 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
         r_t = r_step[i]
         sig, _, phi = coefficients_at(model, t, Ft[i])
         side = _sigma_side(equation, cone, sig, phi, paths)
-        if rate_term and i + 1 < steps:
+        if rate_term and i + 1 < steps and r_t != r_step[i + 1]:
             for f_k, v_k in zip(f_next, V):
                 f_k += 2.0 * (r_t - r_step[i + 1]) * v_k
         basis = []

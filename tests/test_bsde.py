@@ -546,6 +546,22 @@ def test_markovian_rate_break_keeps_second_order():
             assert 3.5 <= coarse / fine <= 4.5, (eq, errors)
 
 
+def test_step_rates_take_the_segment_value_inside_a_segment():
+    # a step with no rate break inside it takes its segment's value exactly,
+    # so a constant rate is one value; a step across a break its average
+    step_rates = mc.bsde._step_rates
+    assert set(step_rates(mc.build_model(INSTANCE_C), np.linspace(0.0, 1.0, 26)).tolist()) \
+        == {0.02}
+    g = np.linspace(0.0, 1.0, 11)
+    for until in (0.5, 0.4137):
+        model = mc.build_model({**INSTANCE_C, "rate": [{"until": until, "value": 0.02},
+                                                       {"until": 1.0, "value": 0.05}]})
+        r = step_rates(model, g).tolist()
+        assert r[:4] == [0.02] * 4 and r[5:] == [0.05] * 5
+        assert r[4] == (0.02 if until == 0.5
+                        else model.rate.integral(float(g[4]), float(g[5])) / 0.1)
+
+
 def test_markovian_degree_zero_frozen_factor():
     model = mc.build_model(_frozen_factor_config())
     sol = mc.solve_markovian(model, mc.full_space(1), "Y",
