@@ -10,12 +10,8 @@ quadratic infimum):
 
 Deterministic coefficients reduce each equation to a linear ODE,
 integrated backward by RK4.  Markov-factor coefficients are solved by
-least-squares Monte Carlo: the main sample and its bootstrap resamples walk
-back in lockstep on row-major power bases with Hankel Grams, one stacked
-solve per regression stage, and each step closes on an implicit trapezoid
-(a quadratic root for one asset, Picard iteration for m >= 2), clipped to
-the positivity envelope only when it leaves it.  solve_markovian_many
-splits the (solve, sample) items of its solves over the CPUs.
+least-squares Monte Carlo (_backward_pass), the main sample and its
+bootstrap resamples in lockstep, split over the CPUs by solve_markovian_many.
 """
 
 from __future__ import annotations
@@ -27,8 +23,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from . import forksplit
-from .cones import (Cone, cone_inf_quadratic_batch, project_transformed, ray_axis,
-                    two_sided)
+from .cones import Cone, cone_inf_quadratic_batch, project_transformed, ray_axis, two_sided
 from .errors import (
     ConfigInvalid,
     InvalidBound,
@@ -77,10 +72,8 @@ class McSolverConfig:
 
 
 def driver_f(cone: Cone, sigma, phi, y: float, z) -> float:
-    """Driver of the Y equation at one point, projection form.
-
-    f = -(1/y)|z + xi|^2 + 2 phi' xi  with  xi = Proj_{sigma' Gamma}(y phi - z).
-    """
+    """Driver of the Y equation at one point, projection form:
+    f = -(1/y)|z + xi|^2 + 2 phi' xi  with  xi = Proj_{sigma' Gamma}(y phi - z)."""
     if y <= 0:
         raise NonPositiveY(f"driver evaluated at y={y}")
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -93,37 +86,29 @@ def driver_f(cone: Cone, sigma, phi, y: float, z) -> float:
 def _sigma_side(equation, cone, sigma, phi, rows) -> tuple:
     """The driver's columns that need neither Z nor y: (s, |s|^2, p, clip)
     for one asset, s = sigma' spanning sigma' Gamma (cones.ray_axis) and
-    p = sign s'phi / |s|^2, s'phi summed a column at a time (einsum's bits
-    for n <= 2); (sigma, phi (rows, n)) for m >= 2."""
+    p = sign s'phi / |s|^2, s'phi summed by columns as 0 + s_1 phi_1 + ...
+    (einsum's bits for n <= 2); (sigma, phi (rows, n)) for m >= 2."""
     sigma = np.asarray(sigma, dtype=float)
     phi = np.broadcast_to(np.asarray(phi, dtype=float), (rows, sigma.shape[-1]))
     if cone.dim == 1:
         s, ss, clip = ray_axis(cone, sigma, rows)
-        p = np.multiply(s[:, 0], phi[:, 0])
-        for c in range(1, s.shape[1]):
-            p += s[:, c] * phi[:, c]
-        p /= -ss if equation == "P1" else ss
-        return s, ss, p, clip
+        sp = sum(s[:, c] * phi[:, c] for c in range(s.shape[1]))
+        return s, ss, sp / (-ss if equation == "P1" else ss), clip
     return sigma, phi
 
 
 def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
-    """(f, root): f maps y (N,) to the driver (N,), a fresh array; root(cont, h)
+    """(f, root): f maps y (N,) to a fresh driver array (N,); root(cont, h)
     solves y = cont + h f(y) for one asset, None for m >= 2.  side is
-    _sigma_side of the rows, zcol s'z (N,) for one asset and z (N, n)
-    otherwise, zz = |z|^2.
+    _sigma_side of the rows, zcol s'z (N,) for one asset, z (N, n) otherwise.
 
-    By Moreau's identity and positive homogeneity every driver is a function
-    of q(y) = |P u(y)|^2, P the projection onto sigma' Gamma and
-    u(y) = sign (phi + c z / y) (c = -1 for Y, else +1; sign = -1 for P1
-    only): f_Y = y q - |z|^2 / y, f_P = -y q, f_P1 = f_P2 = 2 r y - y q.
-    For m >= 2 q is one projection per evaluation.  One asset:
-    q = |s|^2 clip(p + w / y)^2, w = sign c s'z / |s|^2, so y f is
-    eps |s|^2 clip(p y + w)^2 + rho y^2 - zeta (eps = 1 for Y, else -1;
-    rho = 2 r for P1, P2; zeta = |z|^2 for Y), and the trapezoid is a
-    quadratic in y, taken with |s|^2 = 0 where the clip binds at its root.
-    A line (clip two_sided) binds nowhere, so only a root with a NaN row is
-    tested; such rows are taken with |s|^2 = 0, as every clip test does.
+    By Moreau's identity every driver is a function of q(y) = |P u(y)|^2,
+    P the projection onto sigma' Gamma, u = sign (phi + c z / y) (c = -1 for
+    Y, else 1; sign = -1 for P1 only): f_Y = y q - |z|^2 / y, f_P = -y q,
+    f_P1 = f_P2 = 2 r y - y q.  One asset: q = |s|^2 clip(p + w / y)^2,
+    w = sign c s'z / |s|^2, and the trapezoid is a quadratic in y, taken with
+    |s|^2 = 0 on rows where the clip binds at its root.  A line's clip
+    (two_sided) binds only on NaN rows, so only a root with one is tested.
     """
     sign = -1.0 if equation == "P1" else 1.0
     c = -1.0 if equation == "Y" else 1.0
@@ -146,9 +131,9 @@ def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
             return out
 
         def quadratic(cont, h, e):
-            # A y^2 - B y - C = 0 with A = 1 - h rho - h e p^2,
-            # B = cont + 2 h e p w and C = h (e w^2 - zeta); the root near cont,
-            # (B + sqrt(B^2 + 4 h A (e w^2 - zeta))) / 2A, in four arrays
+            # A y^2 - B y - C = 0, A = 1 - h rho - h e p^2, B = cont + 2 h e p w,
+            # C = h (e w^2 - zeta), e = +-|s|^2 (+ for Y), rho = 2 r (P1, P2),
+            # zeta = |z|^2 (Y): the root near cont, (B + sqrt(B^2 + 4 A C)) / 2A
             b = np.multiply(p, h * e)
             a = np.multiply(b, p)
             np.subtract(1.0 - h * rho, a, out=a)
@@ -238,11 +223,10 @@ def _step_rates(model: MarketModel, grid: np.ndarray) -> np.ndarray:
 @dataclass
 class BsdeSolution:
     """Time-gridded backward solution: per node, a scalar value (z = 0) for
-    deterministic solves, or polynomial coefficients in the normalized
-    factor for the value and the driving component of Z.  A transformed
-    solution keeps its base tables and maps them at evaluation time.  The
-    factor states f / fvals are read by markovian solutions only, which
-    require them."""
+    deterministic solves, or polynomial coefficients in the normalized factor
+    for the value and the driving component of Z.  A transformed solution
+    maps its base tables at evaluation time.  Only markovian solutions read,
+    and require, the factor states f / fvals."""
 
     equation: str
     grid: np.ndarray
@@ -487,19 +471,16 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
     dWj (paths, steps), views of time-major arrays, for samples of their rows
     in lockstep (index vectors, None for the rows as stored).  Returns one
     (y_tab, z_tab, loc, scale, clamps) per sample, the bits of a one-sample
-    pass over F[idx].
+    pass over F[idx].  A sample's basis is the rows 1, u, ..., u^degree
+    (_basis_rows), its Gram the Hankel matrix of their power sums; each
+    stage (continuation with value fit, Z, refit) is one stacked solve per
+    basis width, and the step closes on the trapezoid (_close_step)
 
-    A sample's basis is the rows 1, u, ..., u^degree (_basis_rows) and its
-    Gram the Hankel matrix of their power sums (_hankel_gram).  Each stage
-    (continuation with value fit, Z, refit) is one stacked solve per basis
-    width, and the step closes on the trapezoid (_close_step), h = dt / 2,
+        V_i = E[V_{i+1} + h f_{i+1} | F_i] + h f_i(V_i, Z_i),  h = dt / 2,
 
-        V_i = E[V_{i+1} + h f_{i+1} | F_i] + h f_i(V_i, Z_i),
-
-    not implicit Euler, whose O(dt) bias the identity checks resolve; both
-    ends at the step's average rate: where r_i != r_{i+1}, f_{i+1} gains
-    2 (r_i - r_{i+1}) V_{i+1}.
-    The sample None is held to _CLAMP_BUDGET after every step (PositivityLost).
+    both ends at the step's average rate: where r_i != r_{i+1}, f_{i+1}
+    gains 2 (r_i - r_{i+1}) V_{i+1}.  The sample None is held to
+    _CLAMP_BUDGET after every step (PositivityLost).
     """
     Ft, dWt = F.T, dWj.T
     paths = Ft.shape[1]
@@ -594,12 +575,11 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
 
 def _close_step(equation, step, root, cont, h, lower, upper, t):
     """(v, f(v), clamp events) for the fixed point y of y -> cont + h f(clip(y)),
-    f = step, clip to [lower, upper], v = clip(y).  One asset: y is the root,
-    and the residual y - cont - h f(v), formed in one array, must stay within
-    _FIXED_POINT_TOL where y lies inside; m >= 2: Picard iteration from
-    clip(cont) within _FIXED_POINT_MAX steps.  A miss raises NoConvergence.
-    When min y and max y lie inside, v is y; otherwise (NaN and inf rows too)
-    y is clipped, and a root must be finite."""
+    f = step, clip to [lower, upper], v = clip(y): the root (one asset), its
+    residual within _FIXED_POINT_TOL where y lies inside, or Picard iteration
+    from clip(cont) (m >= 2); a miss raises NoConvergence.  v is y when min y
+    and max y lie inside; otherwise (NaN and inf rows too) y is clipped, and
+    a root must be finite."""
     if root is not None:
         y = root(cont, h)
     else:
@@ -634,10 +614,9 @@ def _close_step(equation, step, root, cont, h, lower, upper, t):
 
 
 def _forward(model, cfg, last):
-    """A job's draws from cfg.seed: factor paths F (steps + 1, paths) and
-    increments dWj (steps, paths), time-major, one substream per _DRAW_BLOCK
-    paths; then samples 0..last, None for the rows as drawn and the resample
-    index vectors of the bootstrap lane in order."""
+    """A job's draws from cfg.seed: time-major factor paths F (steps + 1, paths)
+    and increments dWj (steps, paths), one substream per _DRAW_BLOCK paths, and
+    samples 0..last: None for the rows as drawn, then the bootstrap lane's."""
     cf = model.coefficients
     steps, paths = cfg.steps, cfg.paths
     dt = model.horizon_T / steps

@@ -87,12 +87,10 @@ def load_config(source) -> dict:
     solver = cfg.get("solver")
     if not isinstance(solver, dict) or solver.get("kind") not in ("deterministic", "markovian"):
         raise ConfigInvalid("solver.kind must be deterministic or markovian", field="solver")
-    needs_seed = (solver.get("kind") == "markovian"
-                  or exp in ("simulate", "saddle"))
-    if needs_seed and cfg.get("seed") is None:
-        raise ConfigInvalid("seed required whenever Monte Carlo runs", field="seed")
     if cfg.get("seed") is not None:
         _count(cfg, "seed", None, "seed", 0)
+    elif solver.get("kind") == "markovian" or exp in ("simulate", "saddle"):
+        raise ConfigInvalid("seed required whenever Monte Carlo runs", field="seed")
     for key in ("lattice", "k_grid"):
         if not isinstance(cfg.get(key, {}), dict):
             raise ConfigInvalid(f"must be an object, got {cfg[key]!r}", field=key)
@@ -134,14 +132,11 @@ class _Workspace:
         return p
 
     def write_csv(self, name: str, header, blocks) -> Path:
-        """Write a table from columns, one block of rows at a time.
-
-        header names the columns.  blocks yields the table a block of rows
-        at a time, as one column per name: a float or int array, a sequence
-        of strings, or None for a blank column.  Each cell is str of the
-        column's tolist() value, which for a float is repr(float(v)), so
-        the file does not depend on where the blocks break.
-        """
+        """Write a table with the named columns from blocks, each a block of
+        rows as one column per name: a float or int array, a sequence of
+        strings, or None for a blank column.  Each cell is str of the column's
+        tolist() value (repr(float(v)) for a float), so the file does not
+        depend on where the blocks break."""
         p = self._unique(name)
         with p.open("w") as fh:
             fh.write(",".join(header) + "\n")
@@ -234,9 +229,8 @@ def _finite_entry(value, shape, field, what):
 
 def _adversary_from_spec(spec, model):
     """One adversary from its config entry: {"kind": ...} plus the kind's
-    parameters, or one of the shorthands "zero", "0" and "saddle".  The
-    saddle adversary needs the Y solution: it stays the string "saddle"
-    until _with_saddle builds it."""
+    parameters, or one of the shorthands "zero", "0" and "saddle"; the
+    saddle one stays "saddle" until _with_saddle builds it from Y."""
     if spec in ("zero", "0", "saddle"):
         spec = {"kind": "saddle" if spec == "saddle" else "zero"}
     kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -255,9 +249,8 @@ def _adversary_from_spec(spec, model):
 
 def _with_saddle(adversary, model, cone, y_sol):
     """adversary, or the saddle adversary of y_sol where it is "saddle"."""
-    if isinstance(adversary, str):
-        return saddle_adversary(mmv_adversary(y_sol, cone, model))
-    return adversary
+    return (saddle_adversary(mmv_adversary(y_sol, cone, model))
+            if isinstance(adversary, str) else adversary)
 
 
 def compare_values(cfg: dict, model, cone) -> dict:
@@ -370,8 +363,7 @@ def run(cfg: dict) -> int:
             {"kind": "scaled_minus_phi", "c": 2.0},
         ])
         if not isinstance(eta_specs, list):
-            raise ConfigInvalid(f"must be a list of adversaries, got {eta_specs!r}",
-                                field="eta_family")
+            raise ConfigInvalid(f"must be a list, got {eta_specs!r}", field="eta_family")
         eta_family = [_adversary_from_spec(s, model) for s in eta_specs]
         (y_sol,) = _solve_many(model, cone, cfg, (_Y,))
         base = mmv_feedback(model, cone, y_sol)

@@ -211,9 +211,8 @@ def ray_axis(cone: Cone, sigma: np.ndarray, N: int):
 
     sigma is (1, n) shared or (N, 1, n) per sample.  Returns (s (N, n),
     |s|^2 (N,), clip), where clip maps an array of coefficients k to the
-    nearest admissible ones; it is two_sided, the identity, for a line (the
-    full cone, or generators of both signs).  s and |s|^2 are zero-stride
-    views when every row shares one s.  The projection of a is
+    nearest admissible ones (two_sided for a line); s and |s|^2 are
+    zero-stride views when every row shares one s.  The projection of a is
     clip(s'a / |s|^2) s.
     """
     if cone.kind == FULL:

@@ -32,11 +32,8 @@ PROBE_FACTOR_QUANTILES = 21
 
 @dataclass(frozen=True)
 class PiecewiseRate:
-    """Piecewise-constant interest rate r(t) on [0, T].
-
-    ``breaks[i]`` is the right endpoint of segment i; ``values[i]`` applies on
-    [breaks[i-1], breaks[i]).  The last break must cover the horizon.
-    """
+    """Piecewise-constant interest rate r(t) on [0, T]: ``values[i]`` applies on
+    [breaks[i-1], breaks[i]), and the last break must cover the horizon."""
 
     breaks: tuple[float, ...]
     values: tuple[float, ...]
@@ -221,11 +218,8 @@ class CoefficientField:
 
 
 def affine_factor_maps(m, n, mu0, mu1, sigma0, sigma1=None):
-    """Build vectorized (t, F) -> mu / sigma maps that are affine in the factor.
-
-    When sigma1 is absent or zero, sigma does not depend on the factor and
-    sigma_map returns the read-only (m, n) sigma0 itself.
-    """
+    """Vectorized (t, F) -> mu / sigma maps affine in the factor; when sigma1
+    is absent or zero, sigma_map returns the read-only (m, n) sigma0 itself."""
     mu0 = np.asarray(mu0, dtype=float).reshape(m)
     mu1 = np.asarray(mu1, dtype=float).reshape(m)
     sigma0 = np.array(sigma0, dtype=float).reshape(m, n)
@@ -272,12 +266,9 @@ class MarketModel:
         return self.discount(0.0)
 
     def probe_lattice(self, times, quantiles: int) -> tuple[np.ndarray, np.ndarray]:
-        """(t_rows, f_rows) probe columns in t-major order.
-
-        A model without a factor gets one row per time, at factor state 0;
-        a factor-driven one gets, per time, the factor's marginal quantiles
-        at `quantiles` levels evenly spaced in [0.005, 0.995].
-        """
+        """(t_rows, f_rows) probe columns in t-major order: one row per time at
+        factor state 0 without a factor; with one, per time, the factor's
+        marginal quantiles at `quantiles` levels evenly spaced in [0.005, 0.995]."""
         times = np.asarray(times, dtype=float)
         if self.coefficients.kind == "deterministic":
             return times, np.zeros(len(times))
@@ -288,11 +279,9 @@ class MarketModel:
 
 
 def build_model(config: dict) -> MarketModel:
-    """Validate a model description and return an immutable MarketModel.
-
-    Rejects inconsistent dimensions, non-positive risk aversion, and any
-    volatility whose Gram matrix drops below delta * I on the probe lattice.
-    """
+    """Validate a model description and return an immutable MarketModel;
+    rejects inconsistent dimensions, non-positive risk aversion, and any
+    volatility whose Gram matrix drops below delta * I on the probe lattice."""
     try:
         m = int(config["m"])
         n = int(config["n"])
@@ -418,16 +407,12 @@ def pricing_kernel_batch(model: MarketModel, t, fvals: np.ndarray) -> np.ndarray
 
 def pricing_kernel_from(sig: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """phi = sigma' (sigma sigma')^{-1} mu from (N, m, n) volatilities and (N, m)
-    returns.  One asset: phi = (mu / |s|^2) s, s = sigma's row, written a column
-    at a time; a shared s (zero row stride) gives |s|^2 from one row."""
+    returns; one asset: (mu / |s|^2) s, s = sigma's row, a column at a time."""
     if sig.shape[1] == 1:
         s = sig[:, 0, :]
-        r = s[:1] if s.strides[0] == 0 else s
+        r = s[:1] if s.strides[0] == 0 else s   # one s for every row: |s|^2 from one row
         k = mu[:, 0] / np.einsum("ij,ij->i", r, r)
-        phi = np.empty(s.shape)
-        for c in range(s.shape[1]):
-            np.multiply(k, s[:, c], out=phi[:, c])
-        return phi
+        return np.stack([k * s[:, c] for c in range(s.shape[1])], axis=1)
     gram = sig @ np.swapaxes(sig, 1, 2)                    # (N, m, m)
     try:
         w = np.linalg.solve(gram, mu[..., None])           # (N, m, 1)
