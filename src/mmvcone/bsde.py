@@ -86,14 +86,17 @@ def driver_f(cone: Cone, sigma, phi, y: float, z) -> float:
 def _sigma_side(equation, cone, sigma, phi, rows) -> tuple:
     """The driver's columns that need neither Z nor y: (s, |s|^2, p, clip)
     for one asset, s = sigma' spanning sigma' Gamma (cones.ray_axis) and
-    p = sign s'phi / |s|^2, s'phi summed by columns as 0 + s_1 phi_1 + ...
-    (einsum's bits for n <= 2); (sigma, phi (rows, n)) for m >= 2."""
+    p = sign s'phi / |s|^2, s'phi summed a column at a time (einsum's bits
+    for n <= 2); (sigma, phi (rows, n)) for m >= 2."""
     sigma = np.asarray(sigma, dtype=float)
     phi = np.broadcast_to(np.asarray(phi, dtype=float), (rows, sigma.shape[-1]))
     if cone.dim == 1:
         s, ss, clip = ray_axis(cone, sigma, rows)
-        sp = sum(s[:, c] * phi[:, c] for c in range(s.shape[1]))
-        return s, ss, sp / (-ss if equation == "P1" else ss), clip
+        p = np.multiply(s[:, 0], phi[:, 0])
+        for c in range(1, s.shape[1]):
+            p += s[:, c] * phi[:, c]
+        p /= -ss if equation == "P1" else ss
+        return s, ss, p, clip
     return sigma, phi
 
 
@@ -501,8 +504,8 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
                            np.ones(paths), np.zeros((paths, model.n)))
     bases = np.zeros((K, width, paths))
     bases[:, 0] = 1.0
-    V = [np.ones(paths)] * K                 # per sample: rebound every step
-    f_next = [_rows(f_term, idx) for idx in samples]
+    V = np.ones((K, paths))
+    f_next = np.stack([_rows(f_term, idx) for idx in samples])
     y_tab = np.zeros((K, steps + 1, width))
     y_tab[:, steps, 0] = 1.0
     z_tab = np.zeros((K, steps + 1, width))
@@ -520,8 +523,7 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
         sig, _, phi = coefficients_at(model, t, Ft[i])
         side = _sigma_side(equation, cone, sig, phi, paths)
         if rate_term and i + 1 < steps and r_t != r_step[i + 1]:
-            for f_k, v_k in zip(f_next, V):
-                f_k += 2.0 * (r_t - r_step[i + 1]) * v_k
+            f_next += 2.0 * (r_t - r_step[i + 1]) * V
         basis = []
         for k, idx in enumerate(samples):
             # np.mean and np.std: sum / n, the same bits

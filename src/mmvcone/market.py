@@ -412,7 +412,10 @@ def pricing_kernel_from(sig: np.ndarray, mu: np.ndarray) -> np.ndarray:
         s = sig[:, 0, :]
         r = s[:1] if s.strides[0] == 0 else s   # one s for every row: |s|^2 from one row
         k = mu[:, 0] / np.einsum("ij,ij->i", r, r)
-        return np.stack([k * s[:, c] for c in range(s.shape[1])], axis=1)
+        phi = np.empty(s.shape)
+        for c in range(s.shape[1]):
+            np.multiply(k, s[:, c], out=phi[:, c])
+        return phi
     gram = sig @ np.swapaxes(sig, 1, 2)                    # (N, m, m)
     try:
         w = np.linalg.solve(gram, mu[..., None])           # (N, m, 1)

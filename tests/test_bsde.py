@@ -1148,10 +1148,13 @@ def test_hankel_gram_matches_the_basis_product(degree):
         assert np.max(np.abs(gram - ref)) <= 1e-12 * np.max(np.abs(ref)), degree
 
 
-@pytest.mark.parametrize("per_row", [False, True], ids=["shared_sigma", "per_row_sigma"])
-@pytest.mark.parametrize("cone", [mc.full_space(1), mc.orthant(1),
-                                  mc.generated(np.array([[1.0, -1.0]]))],
-                         ids=["full", "orthant", "two_sided_ray"])
+_ONE_ASSET_CONES = {"full": mc.full_space(1), "orthant": mc.orthant(1),
+                    "two_sided_ray": mc.generated(np.array([[1.0, -1.0]]))}
+
+
+@pytest.mark.parametrize("cone, per_row", [
+    (cone, per_row) for per_row in (False, True) for cone in _ONE_ASSET_CONES.values()
+], ids=[name + suffix for suffix in ("", "_per_row_sigma") for name in _ONE_ASSET_CONES])
 def test_one_asset_step_keeps_the_bits_of_its_reference_form(cone, per_row):
     # a shared |s|^2 is one float and the root is taken in place; driver and
     # root are the bits of the per-row |s|^2 and of the quadratic formula
