@@ -6,25 +6,19 @@ from .market import (
     PiecewiseRate,
     affine_factor_maps,
     build_model,
-    pricing_kernel,
     pricing_kernel_batch,
 )
 from .cones import (
     Cone,
-    TransformedConePoint,
     cone_from_config,
-    cone_inf_quadratic,
-    contains,
     full_space,
     generated,
     orthant,
     project_cone,
-    project_transformed,
 )
 from .bsde import (
     BsdeSolution,
     McSolverConfig,
-    driver_f,
     positivity_envelope,
     solve_deterministic,
     solve_markovian,

@@ -23,12 +23,11 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from . import forksplit
-from .cones import Cone, cone_inf_quadratic_batch, project_transformed, ray_axis, two_sided
+from .cones import Cone, cone_inf_quadratic_batch, ray_axis, two_sided
 from .errors import (
     ConfigInvalid,
     InvalidBound,
     NoConvergence,
-    NonPositiveY,
     PositivityLost,
     RegressionIllConditioned,
 )
@@ -71,18 +70,6 @@ class McSolverConfig:
             raise ConfigInvalid("bootstrap must be 0 or >= 2", field="solver.bootstrap")
 
 
-def driver_f(cone: Cone, sigma, phi, y: float, z) -> float:
-    """Driver of the Y equation at one point, projection form:
-    f = -(1/y)|z + xi|^2 + 2 phi' xi  with  xi = Proj_{sigma' Gamma}(y phi - z)."""
-    if y <= 0:
-        raise NonPositiveY(f"driver evaluated at y={y}")
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    point = project_transformed(cone, sigma, y * phi - z)
-    zx = z + point.xi
-    return float(-(zx @ zx) / y + 2.0 * (phi @ point.xi))
-
-
 def _sigma_side(equation, cone, sigma, phi, rows) -> tuple:
     """The driver's columns that need neither Z nor y: (s, |s|^2, p, clip)
     for one asset, s = sigma' spanning sigma' Gamma (cones.ray_axis) and
@@ -102,8 +89,9 @@ def _sigma_side(equation, cone, sigma, phi, rows) -> tuple:
 
 def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
     """(f, root): f maps y (N,) to a fresh driver array (N,); root(cont, h)
-    solves y = cont + h f(y) for one asset, None for m >= 2.  side is
-    _sigma_side of the rows, zcol s'z (N,) for one asset, z (N, n) otherwise.
+    solves y = cont + h f(y) for one asset, returning (y, min y), None for
+    m >= 2.  side is _sigma_side of the rows (s itself unread), zcol s'z (N,)
+    for one asset, z (N, n) otherwise.
 
     By Moreau's identity every driver is a function of q(y) = |P u(y)|^2,
     P the projection onto sigma' Gamma, u = sign (phi + c z / y) (c = -1 for
@@ -157,13 +145,15 @@ def _z_side(equation, cone, side, r_t, zcol, zz) -> tuple:
         def root(cont, h):
             e = eps * ss
             y = quadratic(cont, h, e)
-            if clip is two_sided and not math.isnan(np.min(y)):
-                return y
+            if clip is two_sided:
+                lo = float(np.min(y))
+                if not math.isnan(lo):
+                    return y, lo
             u = p * y + w
             clipped = clip(u) != u
             if clipped.any():
                 y = quadratic(cont, h, np.where(clipped, 0.0, e))
-            return y
+            return y, float(np.min(y))
     else:
         sigma, phi = side
 
@@ -302,7 +292,7 @@ class BsdeSolution:
         h = self.transform[1].discount(t)
         return h * h / base, -(h * h / (base * base))[:, None] * z
 
-    # -- public evaluation: batch forms and their one-row views ----------------
+    # -- public evaluation: the batch forms, and value at one state -------------
 
     def value_batch(self, t, fvals: np.ndarray) -> np.ndarray:
         """Values at factor states fvals (N,); t is a time or one per row."""
@@ -314,9 +304,6 @@ class BsdeSolution:
 
     def value(self, t: float, f=None) -> float:
         return float(self.value_batch(t, _state_rows(self.kind != "deterministic", f, t))[0])
-
-    def z_at(self, t: float, f=None) -> np.ndarray:
-        return self.z_batch(t, _state_rows(self.kind != "deterministic", f, t))[0]
 
     @property
     def value0(self) -> float:
@@ -522,6 +509,8 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
         r_t = r_step[i]
         sig, _, phi = coefficients_at(model, t, Ft[i])
         side = _sigma_side(equation, cone, sig, phi, paths)
+        if cone.dim == 1:       # the step reads s's column j only: gather that
+            side = (side[0][:, j], *side[1:])
         if rate_term and i + 1 < steps and r_t != r_step[i + 1]:
             f_next += 2.0 * (r_t - r_step[i + 1]) * V
         basis = []
@@ -557,7 +546,7 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
             # Z_i is zj in column j and zero elsewhere
             side_k = tuple(_rows(a, idx) for a in side)
             if cone.dim == 1:
-                zcol = side_k[0][:, j] * zj
+                zcol = side_k[0] * zj
             else:
                 zcol = np.zeros((paths, model.n))
                 zcol[:, j] = zj
@@ -583,7 +572,7 @@ def _close_step(equation, step, root, cont, h, lower, upper, t):
     and max y lie inside; otherwise (NaN and inf rows too) y is clipped, and
     a root must be finite."""
     if root is not None:
-        y = root(cont, h)
+        y, lo = root(cont, h)
     else:
         y = np.clip(cont, lower, upper)
         for _ in range(_FIXED_POINT_MAX):
@@ -596,7 +585,8 @@ def _close_step(equation, step, root, cont, h, lower, upper, t):
             raise NoConvergence(
                 f"{equation} driver solve not converged after {_FIXED_POINT_MAX} "
                 f"fixed-point iterations at t={t:.4f}")
-    inside = lower <= float(np.min(y)) and float(np.max(y)) <= upper
+        lo = float(np.min(y))
+    inside = lower <= lo and float(np.max(y)) <= upper
     v, n_off = y, 0
     if not inside:
         v = np.clip(y, lower, upper)

@@ -156,51 +156,6 @@ def project_cone(cone: Cone, p: np.ndarray) -> np.ndarray:
     return proj
 
 
-def contains(cone: Cone, v: np.ndarray, tol: float = 1e-10) -> bool:
-    """Membership test: distance to the cone within tol."""
-    v = np.asarray(v, dtype=float)
-    return bool(np.linalg.norm(v - project_cone(cone, v)) <= tol)
-
-
-@dataclass(frozen=True)
-class TransformedConePoint:
-    """Projection onto sigma' Gamma together with a representative of Gamma."""
-
-    xi: np.ndarray        # (n,) projection
-    gamma_min: np.ndarray  # (m,) minimizer with sigma' gamma = xi
-    dist_sq: float        # squared distance of the input to sigma' Gamma
-
-
-def _one_row(cone: Cone, sigma, a):
-    """Validate one (sigma, a) pair and shape it as a one-row batch."""
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    m, n = sigma.shape
-    if m != cone.dim:
-        raise DimensionMismatch(f"sigma has {m} rows, cone dim is {cone.dim}")
-    if a.shape != (n,):
-        raise DimensionMismatch(f"target has shape {a.shape}, expected ({n},)")
-    return sigma, a[None, :]
-
-
-def project_transformed(cone: Cone, sigma: np.ndarray, a: np.ndarray) -> TransformedConePoint:
-    """Project a onto sigma' Gamma, i.e. solve min over pi in Gamma of |a - sigma' pi|^2.
-
-    The one-row view of project_transformed_batch.
-    """
-    xi, gamma, dist_sq = project_transformed_batch(cone, *_one_row(cone, sigma, a))
-    return TransformedConePoint(xi[0], gamma[0], float(dist_sq[0]))
-
-
-def cone_inf_quadratic(cone: Cone, sigma: np.ndarray, a: np.ndarray) -> float:
-    """inf over pi in Gamma of [pi' sigma sigma' pi - 2 pi' sigma a].
-
-    Equals dist^2(a, sigma' Gamma) - |a|^2; never positive since pi = 0 is
-    feasible.  The one-row view of cone_inf_quadratic_batch.
-    """
-    return float(cone_inf_quadratic_batch(cone, *_one_row(cone, sigma, a))[0])
-
-
 def two_sided(k):
     """The clip of a line: every coefficient is admissible."""
     return k

@@ -176,14 +176,6 @@ class CoefficientField:
             raise DimensionMismatch(f"sigma map returns shape {sig0}, expected (N, {m}, {n})")
         return cf
 
-    def mu(self, t: float, f: float | None = None) -> np.ndarray:
-        """(m,) excess return at one state: the one-row view of mu_batch."""
-        return self.mu_batch(t, _state_rows(self.kind == "markov", f, t))[0]
-
-    def sigma(self, t: float, f: float | None = None) -> np.ndarray:
-        """(m, n) volatility at one state: the one-row view of sigma_batch."""
-        return self.sigma_batch(t, _state_rows(self.kind == "markov", f, t))[0]
-
     def mu_batch(self, t, fvals: np.ndarray) -> np.ndarray:
         """(N,) factor states -> (N, m) excess returns; t is a time or one per row."""
         out = np.asarray(self.mu_map(t, fvals), dtype=float)
@@ -378,12 +370,6 @@ def _check_ellipticity(model: MarketModel) -> None:
     raise DegenerateVolatility(
         f"min eigenvalue of sigma sigma' = {min_eig[i, k]:.3e} < delta={model.delta} "
         f"at (t={t:.4f}, f={f_rows.reshape(shape)[i, k]})")
-
-
-def pricing_kernel(model: MarketModel, t: float, f: float | None = None) -> np.ndarray:
-    """phi = sigma' (sigma sigma')^{-1} mu at one state: the one-row view of the batch."""
-    return pricing_kernel_batch(
-        model, t, _state_rows(model.coefficients.kind == "markov", f, t))[0]
 
 
 def coefficients_at(model: MarketModel, t, fvals: np.ndarray):

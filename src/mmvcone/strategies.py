@@ -9,7 +9,7 @@ which the conservation identity makes equal to the density-feedback form
 along the optimal dynamics, and which needs no simulation to evaluate.
 The mean-variance side supplies the Lagrange dual machinery: the quadratics
 J1/J2, the squared-distance curve F(K), its maximizer gamma_hat(K), the
-optimal target K_hat, and the one-sided optimal feedback.  The infinite
+optimal target K_hat, and the mean-variance feedback.  The infinite
 values of F and gamma_hat on the boundary p_{i,0} = h_0^2 are legitimate
 cases and are carried as IEEE infinities.
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from .bsde import BsdeSolution, _require_positive
 from .cones import Cone, project_transformed_batch
-from .errors import ConfigInvalid, InvalidBound
+from .errors import InvalidBound
 from .market import MarketModel, _state_rows, coefficients_at
 
 _EQ_SLACK = 1e-10   # absolute slack detecting the p_{i,0} = h_0^2 boundary
@@ -84,7 +84,7 @@ class StepTargets:
 @dataclass
 class FeedbackStrategy:
     """State-feedback portfolio map, robust ("MMV") or mean-variance ("MV");
-    the scalar methods are one-row views of the batch forms."""
+    portfolio is portfolio_batch at one state and wealth."""
 
     kind: str
     model: MarketModel
@@ -101,20 +101,8 @@ class FeedbackStrategy:
         if not self.label:
             self.label = self.kind.lower()
 
-    def xi2(self, t: float, f=None) -> np.ndarray:
-        """MV long-side direction in R^m."""
-        step = StepTargets(self.model, t, f)
-        return step.target(self.cone, self.p2_sol, "P2")[3][0]
-
     def portfolio(self, t: float, x: float, f=None) -> np.ndarray:
         return self.portfolio_batch(t, np.array([x], dtype=float), f)[0]
-
-    def portfolio_one_sided(self, t: float, x: float, f=None) -> np.ndarray:
-        """MV optimal form pi = -(X - gamma_hat/h) xi2 (valid on-manifold)."""
-        if self.kind != "MV":
-            raise ConfigInvalid("one-sided form is a mean-variance map", field="kind")
-        h_t = self.model.discount(t)
-        return self.scale * (-(x - self.gamma_hat / h_t)) * self.xi2(t, f)
 
     def portfolio_batch(self, t, xvals: np.ndarray, fvals=None, *,
                         _step: StepTargets | None = None) -> np.ndarray:
@@ -203,9 +191,6 @@ class SaddleAdversary:
         step = step if step is not None else StepTargets(self.model, t, fvals)
         y, z, xi, _ = step.target(self.cone, self.y_sol, "Y")
         return -(z + xi) / y[:, None]
-
-    def eta(self, t: float, f=None) -> np.ndarray:
-        return self.eta_batch(t, _state_rows(self.model.coefficients.kind == "markov", f, t))[0]
 
     def eta_batch(self, t: float, fvals: np.ndarray, *,
                   _step: StepTargets | None = None) -> np.ndarray:

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 import mmvcone as mc
+from mmvcone.cones import cone_inf_quadratic_batch, project_transformed_batch
+from mmvcone.errors import NonPositiveY
+from mmvcone.market import _state_rows
+from mmvcone.strategies import StepTargets
 
 # Instance A: one asset, constant coefficients, unconstrained
 INSTANCE_A = {
@@ -150,3 +154,58 @@ def sample_cone_point(rng, cone):
         return np.abs(rng.normal(size=cone.dim))
     lam = np.abs(rng.normal(size=cone.generators.shape[1]))
     return cone.generators @ lam
+
+
+# -- one-row forms of the engine's batch kernels ------------------------------
+
+def one_state(model, t, f=None):
+    """The factor rows of one state, as the engine reads them (market._state_rows)."""
+    return _state_rows(model.coefficients.kind == "markov", f, t)
+
+
+def pricing_kernel_at(model, t, f=None):
+    """(n,) phi at one state: pricing_kernel_batch on one row."""
+    return mc.pricing_kernel_batch(model, t, one_state(model, t, f))[0]
+
+
+def eta_at(adversary, t, f=None):
+    """(n,) clipped saddle loading at one state: eta_batch on one row."""
+    return adversary.eta_batch(t, one_state(adversary.model, t, f))[0]
+
+
+def xi2_at(strategy, t, f=None):
+    """(m,) mean-variance long-side direction (the P2 target's gamma) at one state."""
+    step = StepTargets(strategy.model, t, f)
+    return step.target(strategy.cone, strategy.p2_sol, "P2")[3][0]
+
+
+def project_one(cone, sigma, a):
+    """(xi (n,), gamma (m,), dist_sq) of one target a projected onto sigma' Gamma."""
+    xi, gamma, dist_sq = project_transformed_batch(cone, sigma, np.asarray(a)[None, :])
+    return xi[0], gamma[0], float(dist_sq[0])
+
+
+def inf_quadratic_one(cone, sigma, a):
+    """inf over pi in Gamma of [pi' sigma sigma' pi - 2 pi' sigma a] at one target."""
+    return float(cone_inf_quadratic_batch(cone, sigma, np.asarray(a)[None, :])[0])
+
+
+def in_cone(cone, v, tol=1e-10):
+    """Membership test: distance of v to the cone within tol."""
+    v = np.asarray(v, dtype=float)
+    return bool(np.linalg.norm(v - mc.project_cone(cone, v)) <= tol)
+
+
+def driver_f(cone, sigma, phi, y, z):
+    """Driver of the Y equation at one point, projection form:
+    f = -(1/y)|z + xi|^2 + 2 phi' xi  with  xi = Proj_{sigma' Gamma}(y phi - z).
+
+    The engine evaluates the driver through Moreau's q(y) form (bsde._z_side),
+    so this is an independent oracle for it."""
+    if y <= 0:
+        raise NonPositiveY(f"driver evaluated at y={y}")
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    xi = project_one(cone, sigma, y * phi - z)[0]
+    zx = z + xi
+    return float(-(zx @ zx) / y + 2.0 * (phi @ xi))

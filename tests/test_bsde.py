@@ -15,7 +15,8 @@ from mmvcone.errors import (ConfigInvalid, InvalidBound, NoConvergence, NonPosit
 from mmvcone.market import pricing_kernel_from
 from mmvcone.rng import substream
 
-from conftest import INSTANCE_A, INSTANCE_C, INSTANCE_C_SIGMA1, random_full_rank_sigma
+from conftest import (INSTANCE_A, INSTANCE_C, INSTANCE_C_SIGMA1, driver_f, inf_quadratic_one,
+                      random_full_rank_sigma)
 
 
 def projected_gradient_qp(M, c, project, iters=30000):
@@ -33,14 +34,14 @@ def projected_gradient_qp(M, c, project, iters=30000):
 
 def test_driver_examples():
     sig = np.array([[0.2]])
-    assert mc.driver_f(mc.full_space(1), sig, [0.3], 1.0, [0.0]) == pytest.approx(0.09, abs=1e-12)
-    assert mc.driver_f(mc.orthant(1), sig, [-0.3], 1.0, [0.0]) == pytest.approx(0.0, abs=0)
-    assert mc.driver_f(mc.orthant(1), sig, [0.3], 2.0, [0.0]) == pytest.approx(0.18, abs=1e-12)
+    assert driver_f(mc.full_space(1), sig, [0.3], 1.0, [0.0]) == pytest.approx(0.09, abs=1e-12)
+    assert driver_f(mc.orthant(1), sig, [-0.3], 1.0, [0.0]) == pytest.approx(0.0, abs=0)
+    assert driver_f(mc.orthant(1), sig, [0.3], 2.0, [0.0]) == pytest.approx(0.18, abs=1e-12)
 
 
 def test_driver_requires_positive_y():
     with pytest.raises(NonPositiveY):
-        mc.driver_f(mc.full_space(1), np.array([[0.2]]), [0.3], 0.0, [0.0])
+        driver_f(mc.full_space(1), np.array([[0.2]]), [0.3], 0.0, [0.0])
 
 
 def test_driver_two_forms_agree():
@@ -55,23 +56,23 @@ def test_driver_two_forms_agree():
         phi = rng.normal(size=n)
         y = float(rng.uniform(0.2, 3.0))
         z = rng.normal(size=n)
-        proj_form = mc.driver_f(cone, sigma, phi, y, z)
+        proj_form = driver_f(cone, sigma, phi, y, z)
         a = y * phi - z
-        dist_form = (-(mc.cone_inf_quadratic(cone, sigma, a)) / y - (z @ z) / y)
+        dist_form = (-(inf_quadratic_one(cone, sigma, a)) / y - (z @ z) / y)
         assert abs(proj_form - dist_form) < 1e-10
 
 
 def _driver_reference(equation, cone, sigma, phi, r, y, z):
-    """Per-row driver from the dist form of cone_inf_quadratic, and its infima."""
+    """Per-row driver from the dist form of the quadratic infimum, and its infima."""
     f = np.empty(len(y))
     infq = np.empty(len(y))
     for i in range(len(y)):
         if equation == "Y":
-            infq[i] = mc.cone_inf_quadratic(cone, sigma[i], y[i] * phi[i] - z[i])
+            infq[i] = inf_quadratic_one(cone, sigma[i], y[i] * phi[i] - z[i])
             f[i] = -(infq[i] + z[i] @ z[i]) / y[i]
             continue
         sign = -1.0 if equation == "P1" else 1.0
-        infq[i] = mc.cone_inf_quadratic(cone, sigma[i], sign * (phi[i] + z[i] / y[i]))
+        infq[i] = inf_quadratic_one(cone, sigma[i], sign * (phi[i] + z[i] / y[i]))
         f[i] = y[i] * infq[i] + (2.0 * r * y[i] if equation in ("P1", "P2") else 0.0)
     return f, infq
 
@@ -124,7 +125,7 @@ def test_p_driver_factorization_against_direct_qp():
         delta = rng.normal(size=n) * 0.2
         p = float(rng.uniform(0.5, 2.0))
         phi = sigma.T @ np.linalg.solve(sigma @ sigma.T, mu)
-        factored = p * mc.cone_inf_quadratic(cone, sigma, phi + delta / p)
+        factored = p * inf_quadratic_one(cone, sigma, phi + delta / p)
         direct = projected_gradient_qp(
             p * sigma @ sigma.T, p * mu + sigma @ delta,
             lambda v: np.maximum(v, 0.0))
@@ -378,7 +379,7 @@ def test_closed_step_matches_picard(cone):
 def _clipped_close(equation, step, root, cont, h, lower, upper):
     """_close_step's clip path taken for every y: (v, f(v), clamp events)."""
     if root is not None:
-        y = root(cont, h)
+        y = root(cont, h)[0]
     else:
         y = np.clip(cont, lower, upper)
         for _ in range(mc.bsde._FIXED_POINT_MAX):
@@ -631,8 +632,8 @@ def test_markovian_transforms_pointwise(model_c):
         f = float(rng.normal(0.06, 0.03))
         h_t = model_c.discount(t)
         assert y.value(t, f) == pytest.approx(h_t ** 2 / p2.value(t, f), rel=1e-12)
-        expect_z = -(h_t ** 2 / p2.value(t, f) ** 2) * p2.z_at(t, f)
-        assert y.z_at(t, f) == pytest.approx(expect_z, rel=1e-12)
+        expect_z = -(h_t ** 2 / p2.value(t, f) ** 2) * p2.z_batch(t, np.array([f]))[0]
+        assert y.z_batch(t, np.array([f]))[0] == pytest.approx(expect_z, rel=1e-12)
     # replicate views transform consistently
     assert y.value0_stderr is not None and y.value0_stderr > 0
     rep = y.replicate(0)
@@ -1175,7 +1176,7 @@ def test_one_asset_step_keeps_the_bits_of_its_reference_form(cone, per_row):
         f_s, root_s = _z_side(eq, cone, shared, r_t, zcol, zz)
         f_r, root_r = _z_side(eq, cone, per_row_side, r_t, zcol, zz)
         assert np.array_equal(f_s(y), f_r(y))
-        assert np.array_equal(root_s(cont, h), root_r(cont, h))
+        assert np.array_equal(root_s(cont, h)[0], root_r(cont, h)[0])
 
         # the driver and the quadratic formula as written out, with per-row |s|^2
         _, ss, p, clip = per_row_side
@@ -1206,7 +1207,21 @@ def test_one_asset_step_keeps_the_bits_of_its_reference_form(cone, per_row):
         assert (clip is mc.cones.two_sided) == (cone.kind != "orthant")
         assert np.any(clip(u) != u) == (cone.kind == "orthant")
         ref = quadratic(np.where(clip(u) != u, 0.0, e))
-        assert np.array_equal(root_s(cont, h), ref)
+        assert np.array_equal(root_s(cont, h)[0], ref)
+
+
+@pytest.mark.parametrize("cone", list(_ONE_ASSET_CONES.values()), ids=list(_ONE_ASSET_CONES))
+def test_one_asset_root_returns_its_minimum(cone):
+    # _close_step's envelope check reads the min y the root returns, so a
+    # line's NaN gate and the envelope check share one reduction
+    for eq in EQUATIONS:
+        step, root, cont = _one_step(eq, cone, 300, 47)
+        y, lo = root(cont, 0.02)
+        assert lo == float(np.min(y))
+        cont[5] = np.nan
+        with np.errstate(invalid="ignore"):
+            y, lo = root(cont, 0.02)
+        assert math.isnan(lo) and np.isnan(y[5])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -1254,7 +1269,7 @@ def test_line_root_without_a_real_root_is_taken_as_every_clip_test_takes_it(eq, 
         step, root = _z_side(eq, mc.full_space(1), (*side[:3], clip), 0.03,
                              side[0][:, j] * zj, zj * zj if eq == "Y" else None)
         with np.errstate(invalid="ignore"):
-            assert np.isnan(root(cont, 0.02)[7]) == (eq == "Y")
+            assert np.isnan(root(cont, 0.02)[0][7]) == (eq == "Y")
             try:
                 outcomes.append(_close_step(eq, step, root, cont, 0.02, lower, 2.0, t))
             except NoConvergence as exc:
@@ -1306,7 +1321,7 @@ def test_replicate_evaluates_in_its_own_basis_normalization(model_c, monkeypatch
         rep = sol.replicate(b)
         for t, f in ((0.25, 0.04), (0.48, 0.081), (0.9, 0.06)):
             assert rep.value(t, f) == alone.value(t, f)
-            assert np.array_equal(rep.z_at(t, f), alone.z_at(t, f))
+            assert np.array_equal(rep.z_batch(t, np.array([f])), alone.z_batch(t, np.array([f])))
 
 
 def test_markovian_clamp_budget_checks_main_sample(model_c, monkeypatch):

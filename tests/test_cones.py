@@ -4,7 +4,8 @@ import pytest
 import mmvcone as mc
 from mmvcone.errors import DimensionMismatch
 
-from conftest import random_cone, random_full_rank_sigma, sample_cone_point
+from conftest import (in_cone, inf_quadratic_one, project_one, random_cone,
+                      random_full_rank_sigma, sample_cone_point)
 
 
 def grid_search_projection(G, p, lam_max=10.0, coarse=0.05, fine=1e-3):
@@ -119,35 +120,35 @@ def test_transformed_full_space_remark_formula():
     sigma = np.array([[0.2, 0.0]])
     y, z = 1.0, np.array([0.1, 0.5])
     phi = np.array([0.3, 0.0])
-    point = mc.project_transformed(cone, sigma, y * phi - z)
-    assert point.xi == pytest.approx([0.2, 0.0], abs=1e-12)
-    assert sigma.T @ point.gamma_min == pytest.approx(point.xi, abs=1e-10)
+    xi, gamma_min, _ = project_one(cone, sigma, y * phi - z)
+    assert xi == pytest.approx([0.2, 0.0], abs=1e-12)
+    assert sigma.T @ gamma_min == pytest.approx(xi, abs=1e-10)
 
 
 def test_transformed_orthant_negative_scalar():
-    point = mc.project_transformed(mc.orthant(1), np.array([[0.2]]), np.array([-0.3]))
-    assert point.xi == pytest.approx([0.0], abs=0)
-    assert point.dist_sq == pytest.approx(0.09, abs=1e-15)
+    xi, _, dist_sq = project_one(mc.orthant(1), np.array([[0.2]]), np.array([-0.3]))
+    assert xi == pytest.approx([0.0], abs=0)
+    assert dist_sq == pytest.approx(0.09, abs=1e-15)
 
 
 def test_transformed_orthant_positive_scalar():
-    point = mc.project_transformed(mc.orthant(1), np.array([[0.2]]), np.array([0.3]))
-    assert point.xi == pytest.approx([0.3], abs=1e-12)
-    assert point.gamma_min == pytest.approx([1.5], abs=1e-10)
+    xi, gamma_min, _ = project_one(mc.orthant(1), np.array([[0.2]]), np.array([0.3]))
+    assert xi == pytest.approx([0.3], abs=1e-12)
+    assert gamma_min == pytest.approx([1.5], abs=1e-10)
 
 
 def test_transformed_degenerate_zero_input():
-    point = mc.project_transformed(mc.orthant(2), np.eye(2), np.zeros(2))
-    assert np.all(point.xi == 0.0)
-    assert np.all(point.gamma_min == 0.0)
-    assert point.dist_sq == 0.0
+    xi, gamma_min, dist_sq = project_one(mc.orthant(2), np.eye(2), np.zeros(2))
+    assert np.all(xi == 0.0)
+    assert np.all(gamma_min == 0.0)
+    assert dist_sq == 0.0
 
 
 def test_inf_quadratic_examples():
     sig = np.array([[0.2]])
-    assert mc.cone_inf_quadratic(mc.orthant(1), sig, np.array([0.3])) == pytest.approx(-0.09, abs=1e-12)
-    assert mc.cone_inf_quadratic(mc.orthant(1), sig, np.array([-0.3])) == pytest.approx(0.0, abs=1e-15)
-    assert mc.cone_inf_quadratic(mc.full_space(1), sig, np.array([0.3])) == pytest.approx(-0.09, abs=1e-12)
+    assert inf_quadratic_one(mc.orthant(1), sig, np.array([0.3])) == pytest.approx(-0.09, abs=1e-12)
+    assert inf_quadratic_one(mc.orthant(1), sig, np.array([-0.3])) == pytest.approx(0.0, abs=1e-15)
+    assert inf_quadratic_one(mc.full_space(1), sig, np.array([0.3])) == pytest.approx(-0.09, abs=1e-12)
 
 
 def test_projection_property_suite():
@@ -168,7 +169,7 @@ def test_projection_property_suite():
         alpha = float(rng.uniform(0.0, 3.0))
         assert np.linalg.norm(mc.project_cone(cone, alpha * p) - alpha * proj_p) < 1e-10
         # membership of the projection
-        assert mc.contains(cone, proj_p, tol=1e-8)
+        assert in_cone(cone, proj_p, tol=1e-8)
 
 
 def test_moreau_and_variational_inequality():
@@ -179,21 +180,20 @@ def test_moreau_and_variational_inequality():
         cone = random_cone(rng, m)
         sigma = random_full_rank_sigma(rng, m, n)
         a = rng.normal(size=n)
-        point = mc.project_transformed(cone, sigma, a)
+        xi, g, dist_sq = project_one(cone, sigma, a)
         # representative maps back onto the projection
-        assert np.linalg.norm(sigma.T @ point.gamma_min - point.xi) < 1e-10
+        assert np.linalg.norm(sigma.T @ g - xi) < 1e-10
         # Moreau orthogonality
-        assert abs(point.xi @ (a - point.xi)) < 1e-10
+        assert abs(xi @ (a - xi)) < 1e-10
         # variational inequality against random members of sigma' Gamma
         for _ in range(5):
             u = sigma.T @ sample_cone_point(rng, cone)
-            assert (a - point.xi) @ (u - point.xi) <= 1e-10
+            assert (a - xi) @ (u - xi) <= 1e-10
         # distance-form identity for the quadratic infimum
-        val = mc.cone_inf_quadratic(cone, sigma, a)
+        val = inf_quadratic_one(cone, sigma, a)
         assert val <= 0.0
-        assert abs(val - (point.dist_sq - a @ a)) < 1e-10
+        assert abs(val - (dist_sq - a @ a)) < 1e-10
         # direct evaluation at the minimizer agrees
-        g = point.gamma_min
         direct = g @ (sigma @ sigma.T) @ g - 2.0 * g @ (sigma @ a)
         assert abs(val - direct) < 1e-9
 
@@ -221,9 +221,9 @@ def test_batch_projection_matches_scalar():
         A = rng.normal(size=(40, n))
         xi_b, gamma_b, dist_b = mc.cones.project_transformed_batch(cone, sigma, A)
         for i in range(40):
-            point = mc.project_transformed(cone, sigma, A[i])
-            assert np.linalg.norm(xi_b[i] - point.xi) < 1e-9
-            assert abs(dist_b[i] - point.dist_sq) < 1e-9
+            xi, _, dist_sq = project_one(cone, sigma, A[i])
+            assert np.linalg.norm(xi_b[i] - xi) < 1e-9
+            assert abs(dist_b[i] - dist_sq) < 1e-9
 
 
 def test_one_asset_projection_stays_on_admissible_side():

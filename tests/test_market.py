@@ -12,7 +12,7 @@ from mmvcone.errors import (
     TimeOutOfRange,
 )
 
-from conftest import INSTANCE_A, INSTANCE_C_SIGMA1, random_full_rank_sigma
+from conftest import INSTANCE_A, INSTANCE_C_SIGMA1, pricing_kernel_at, random_full_rank_sigma
 
 
 def _config(**overrides):
@@ -64,21 +64,21 @@ def test_build_is_deterministic():
 
 
 def test_pricing_kernel_instance_a(model_a):
-    phi = mc.pricing_kernel(model_a, 0.0)
+    phi = pricing_kernel_at(model_a, 0.0)
     assert phi == pytest.approx([0.3], abs=1e-15)
 
 
 def test_pricing_kernel_zero_mu():
     model = mc.build_model(_config(coefficients={"kind": "deterministic",
                                                  "mu": [0.0], "sigma": [[0.2]]}))
-    assert mc.pricing_kernel(model, 0.5) == pytest.approx([0.0], abs=0)
+    assert pricing_kernel_at(model, 0.5) == pytest.approx([0.0], abs=0)
 
 
 def test_pricing_kernel_wide_sigma():
     model = mc.build_model(_config(n=2, coefficients={"kind": "deterministic",
                                                       "mu": [0.06],
                                                       "sigma": [[0.2, 0.0]]}))
-    phi = mc.pricing_kernel(model, 0.0)
+    phi = pricing_kernel_at(model, 0.0)
     assert phi == pytest.approx([0.3, 0.0], abs=1e-15)
 
 
@@ -97,7 +97,7 @@ def test_sigma_phi_equals_mu_randomized():
             "delta": 1e-4,
         })
         for t in rng.uniform(0.0, 1.0, size=50):
-            phi = mc.pricing_kernel(model, float(t))
+            phi = pricing_kernel_at(model, float(t))
             assert np.max(np.abs(sig @ phi - mu)) < 1e-12
             checked += 1
 
@@ -144,7 +144,7 @@ def test_time_out_of_range(model_a):
     with pytest.raises(TimeOutOfRange):
         model_a.discount(1.5)
     with pytest.raises(TimeOutOfRange):
-        mc.pricing_kernel(model_a, -0.1)
+        pricing_kernel_at(model_a, -0.1)
 
 
 def test_markov_factor_model(model_c):
@@ -154,11 +154,12 @@ def test_markov_factor_model(model_c):
     # factor law at t=0 is the point mass at f0
     assert np.allclose(cf.factor_quantiles(0.0, [0.1, 0.5, 0.9]), cf.f0)
     # mu map is affine in the factor
-    assert cf.mu(0.3, 0.08) == pytest.approx([0.08])
-    phi = mc.pricing_kernel(model_c, 0.3, 0.08)
+    assert cf.mu_batch(0.3, np.array([0.08]))[0] == pytest.approx([0.08])
+    phi = pricing_kernel_at(model_c, 0.3, 0.08)
     assert phi == pytest.approx([0.4, 0.0], abs=1e-15)
-    # the one-row views have no default factor state (they read f = NaN before)
-    for view in (cf.mu, cf.sigma, lambda t: mc.pricing_kernel(model_c, t)):
+    # a factor-driven model has no default factor state (it read f = NaN before)
+    for view in (lambda t: mc.market._state_rows(True, None, t),
+                 lambda t: pricing_kernel_at(model_c, t)):
         with pytest.raises(ConfigInvalid, match="factor state required"):
             view(0.3)
 
@@ -190,7 +191,7 @@ def test_factor_dependent_sigma_per_row():
     assert sig.shape == (4, 1, 2)
     expect = np.array([[0.2, 0.0]]) + f[:, None, None] * np.array([[0.5, 0.3]])
     assert np.array_equal(sig, expect)
-    assert np.array_equal(cf.sigma(0.4, 0.02), expect[1])
+    assert np.array_equal(cf.sigma_batch(0.4, np.array([0.02]))[0], expect[1])
 
 
 def test_factor_free_sigma_is_shared_view(model_c, model_a):
@@ -274,7 +275,7 @@ def test_ellipticity_failure_names_late_probe_time():
     cf = mc.CoefficientField.deterministic(
         cfg["coefficients"]["mu"], cfg["coefficients"]["sigma"], cfg["coefficients"]["times"])
     for t in np.linspace(0.0, 1.0, mc.market.PROBE_TIME_POINTS):
-        sig = cf.sigma(t)
+        sig = cf.sigma_batch(t, np.zeros(1))[0]
         min_eig = float(np.linalg.eigvalsh(sig @ sig.T)[0])
         if min_eig < 1e-3:
             break

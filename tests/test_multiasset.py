@@ -13,6 +13,7 @@ import pytest
 import mmvcone as mc
 
 from conftest import INSTANCE_ORTHANT2 as CONFIG
+from conftest import eta_at, in_cone, pricing_kernel_at
 
 # KKT by hand: gram = sigma sigma' = [[0.0425, 0.0125], [0.0125, 0.0625]];
 # the unconstrained minimizer of pi'gram pi - 2 pi'mu has pi_2 < 0, so the
@@ -44,14 +45,14 @@ def test_binding_constraint(setup):
     pi = mmv.portfolio(0.0, 1.0)
     assert pi[1] == 0.0                      # face of the orthant
     assert pi[0] > 0.0
-    assert mc.contains(cone, pi, tol=1e-12)
+    assert in_cone(cone, pi, tol=1e-12)
 
 
 def test_constrained_adversary_not_minus_phi(setup):
     model, cone, y, _, _ = setup
     adv = mc.mmv_adversary(y, cone, model)
-    eta = adv.eta(0.0)
-    phi = mc.pricing_kernel(model, 0.0)
+    eta = eta_at(adv, 0.0)
+    phi = pricing_kernel_at(model, 0.0)
     assert np.linalg.norm(eta + phi) > 1e-3  # constraint shifts the worst case
     # eta_hat = -xi/Y is proportional to the active generator sigma' e_1
     assert eta[1] / eta[0] == pytest.approx(0.05 / 0.2, abs=1e-12)

@@ -1,18 +1,52 @@
-"""The engine is configured by its config and its arguments only."""
+"""Checks on the package's sources and on the README: the engine is
+configured by its config and its arguments only, every export has a user,
+and the README's Python sketch runs."""
 
+import ast
 import re
 from pathlib import Path
 
 import mmvcone
 
 _AMBIENT = re.compile(r"os\.environ|os\.getenv|concurrent\.futures")
+_PACKAGE = Path(mmvcone.__file__).parent
+_README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_engine_reads_no_environment_and_starts_no_pool():
-    sources = sorted(Path(mmvcone.__file__).parent.glob("*.py"))
+    sources = sorted(_PACKAGE.glob("*.py"))
     assert sources
     hits = [f"{path.name}:{i}: {line.strip()}"
             for path in sources
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if _AMBIENT.search(line)]
     assert hits == []
+
+
+def test_every_export_is_used_by_the_engine_an_acceptance_test_or_the_readme():
+    # a name mmvcone exports is referenced on a line of another engine module
+    # (not its own def or class line), in test_acceptance.py or in README.md
+    tree = ast.parse((_PACKAGE / "__init__.py").read_text())
+    names = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(names) > 30
+    lines = [line for path in sorted(_PACKAGE.glob("*.py")) if path.name != "__init__.py"
+             for line in path.read_text().splitlines()]
+    documented = (_README.read_text()
+                  + (Path(__file__).parent / "test_acceptance.py").read_text())
+    unused = []
+    for name in names:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+        if not (word.search(documented)
+                or any(word.search(line) and not own.match(line) for line in lines)):
+            unused.append(name)
+    assert unused == []
+
+
+def test_readme_python_sketch_runs(capsys):
+    sketch = re.search(r"## Python API sketch\s+```python\n(.*?)```", _README.read_text(), re.S)
+    assert sketch
+    exec(compile(sketch.group(1), str(_README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3 and printed[-1] == "True"

@@ -7,7 +7,8 @@ import mmvcone as mc
 from mmvcone.errors import ConfigInvalid, InvalidBound, TimeOutOfRange
 from mmvcone.strategies import StepTargets
 
-from conftest import H0_A, INSTANCE_A, INSTANCE_C, VALUE_A, Y0_A
+from conftest import (H0_A, INSTANCE_A, INSTANCE_C, VALUE_A, Y0_A, eta_at, in_cone, project_one,
+                      xi2_at)
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +57,8 @@ def test_mmv_membership_in_cone(model_b, cone_b, ysol_b, mmv_a, cone_a):
     for _ in range(50):
         t = float(rng.uniform(0.0, 1.0))
         x = float(rng.uniform(0.0, 2.0))
-        assert mc.contains(cone_a, mmv_a.portfolio(t, x), tol=1e-9)
-        assert mc.contains(cone_b, mmv_b.portfolio(t, x), tol=1e-9)
+        assert in_cone(cone_a, mmv_a.portfolio(t, x), tol=1e-9)
+        assert in_cone(cone_b, mmv_b.portfolio(t, x), tol=1e-9)
 
 
 def test_xi_field_lies_in_transformed_cone(mmv_a, model_a, cone_a,
@@ -66,9 +67,9 @@ def test_xi_field_lies_in_transformed_cone(mmv_a, model_a, cone_a,
     for strat, model, cone in ((mmv_a, model_a, cone_a), (mmv_b, model_b, cone_b)):
         for t in (0.0, 0.37, 0.99):
             xi = StepTargets(model, t, None).target(cone, strat.y_sol, "Y")[2][0]
-            sig = model.coefficients.sigma(t)
-            point = mc.project_transformed(cone, sig, xi)
-            assert math.sqrt(point.dist_sq) < 1e-10
+            sig = model.coefficients.sigma_batch(t, np.zeros(1))[0]
+            dist_sq = project_one(cone, sig, xi)[2]
+            assert math.sqrt(dist_sq) < 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +109,7 @@ def test_feedback_maps_reject_times_outside_horizon(instance, offset, request):
 
 def test_markov_batch_calls_require_factor_states(model_c, markov_c_maps):
     # a factor-driven model has no default state: evaluating without fvals is
-    # a config error, as the one-row views already were
+    # a config error
     mmv, mv, adversary = markov_c_maps
     for strat in (mmv, mv):
         with pytest.raises(ConfigInvalid, match="factor state required"):
@@ -120,24 +121,22 @@ def test_markov_batch_calls_require_factor_states(model_c, markov_c_maps):
     with pytest.raises(ConfigInvalid, match="factor state required"):
         adversary.eta_batch(0.5, None)
     with pytest.raises(ConfigInvalid, match="factor state required"):
-        adversary.eta(0.5)
-    # with a state, the batch and the one-row views agree
+        eta_at(adversary, 0.5)
+    # with a state, portfolio is portfolio_batch on one row
     f0 = model_c.coefficients.f0
     assert np.array_equal(mmv.portfolio_batch(0.5, np.array([1.0]), np.array([f0]))[0],
                           mmv.portfolio(0.5, 1.0, f0))
-    assert np.array_equal(adversary.eta_batch(0.5, np.array([f0]))[0],
-                          adversary.eta(0.5, f0))
 
 
 def test_adversary_instance_a(model_a, cone_a, ysol_a):
     adv = mc.mmv_adversary(ysol_a, cone_a, model_a)
     for t in (0.0, 0.31, 0.9):
-        assert adv.eta(t) == pytest.approx([-0.3], abs=1e-10)
+        assert eta_at(adv, t) == pytest.approx([-0.3], abs=1e-10)
 
 
 def test_adversary_instance_b(model_b, cone_b, ysol_b):
     adv = mc.mmv_adversary(ysol_b, cone_b, model_b)
-    assert adv.eta(0.2) == pytest.approx([0.0], abs=1e-12)
+    assert eta_at(adv, 0.2) == pytest.approx([0.0], abs=1e-12)
 
 
 def test_adversary_independent_of_y_when_unconstrained(model_a, cone_a):
@@ -148,15 +147,17 @@ def test_adversary_independent_of_y_when_unconstrained(model_a, cone_a):
                               y_values=np.full(5, level),
                               z_values=np.zeros((5, 1)), bounds=(0.1, 10.0), n=1)
         adv = mc.mmv_adversary(sol, cone_a, model_a)
-        assert adv.eta(0.5) == pytest.approx([-0.3], abs=1e-12)
+        assert eta_at(adv, 0.5) == pytest.approx([-0.3], abs=1e-12)
 
 
 def test_mv_portfolio_instance_a(mv_a):
     assert mv_a.gamma_hat == pytest.approx(H0_A + Y0_A, abs=1e-8)
-    assert mv_a.xi2(0.0) == pytest.approx([1.5], abs=1e-8)
+    xi2 = xi2_at(mv_a, 0.0)
+    assert xi2 == pytest.approx([1.5], abs=1e-8)
     pi = mv_a.portfolio(0.0, 1.0)
     assert pi == pytest.approx([1.5 * math.exp(0.07)], abs=1e-8)
-    one_sided = mv_a.portfolio_one_sided(0.0, 1.0)
+    # the one-sided optimal form pi = -(X - gamma_hat / h) xi2, valid on-manifold
+    one_sided = -(1.0 - mv_a.gamma_hat / mv_a.model.discount(0.0)) * xi2
     assert one_sided == pytest.approx(pi, abs=1e-12)
 
 
@@ -169,7 +170,7 @@ def test_mv_instance_b_no_trade(model_b, cone_b):
     p1 = mc.solve_deterministic(model_b, cone_b, "P1", 500)
     p2 = mc.solve_deterministic(model_b, cone_b, "P2", 500)
     mv = mc.mv_feedback(model_b, cone_b, p1, p2)
-    assert mv.xi2(0.3) == pytest.approx([0.0], abs=1e-10)
+    assert xi2_at(mv, 0.3) == pytest.approx([0.0], abs=1e-10)
     # on-manifold states: optimal portfolio vanishes
     for t in (0.0, 0.5, 1.0):
         for x in (0.0, 1.0, 1.5):
@@ -191,7 +192,7 @@ def test_mv_membership_in_cone():
     for _ in range(50):
         t = float(rng.uniform(0.0, 1.0))
         x = float(rng.uniform(0.0, mv.gamma_hat / model.discount(t)))
-        assert mc.contains(cone, mv.portfolio(t, x), tol=1e-9)
+        assert in_cone(cone, mv.portfolio(t, x), tol=1e-9)
 
 
 def test_mmv_value_examples(model_a, ysol_a, model_b, ysol_b):
