@@ -8,7 +8,8 @@ Every backward-equation driver in this package reduces to
 so the projection onto sigma' Gamma is the one kernel everything shares.
 Cones are full space, the nonnegative orthant, or finitely generated
 {G lam : lam >= 0}.  Beyond the closed forms (one asset, full space), every
-projection is one stacked nnls call, the orthant taking G = I.
+projection is one stacked nnls call, the orthant taking G = I; nnls itself
+is closed-form for at most two generators and Lawson-Hanson beyond.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ ORTHANT = "orthant"
 GENERATED = "generated"
 
 _NNLS_TOL = 1e-12
+# two columns whose angle has |sin| <= 1e-12 count as dependent (_nnls_two)
+_DEPENDENT_SIN_SQ = 1e-24
 
 
 @dataclass(frozen=True)
@@ -80,25 +83,74 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (M @ v[..., None])[..., 0]
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u[i] . v[i] of (N, p) stacks, summed over p in order, so each
+    row's bits do not depend on the rows beside it."""
+    out = u[:, 0] * v[:, 0]
+    for i in range(1, u.shape[1]):
+        out = out + u[:, i] * v[:, i]
+    return out
+
+
+def _nnls_two(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Closed-form nnls for k <= 2 columns, A (N, p, k) and B (N, p).
+
+    With two independent columns and both least-squares coefficients > 0,
+    take the interior solution, by Gram-Schmidt: with r = c1.c2/|c1|^2,
+    u = c2 - r c1 and a = c1.b/|c1|^2, lam2 = u.(b - a c1)/|u|^2 and
+    lam1 = a - r lam2 (subtracting a c1 first keeps nearly parallel columns
+    accurate).  Otherwise take the single ray with the larger
+    max(c_j.b, 0)^2/|c_j|^2 (ties to the lowest index), the apex when
+    neither gains.  A zero column, or a second column whose angle to the
+    first's line has sin^2 <= _DEPENDENT_SIN_SQ, offers only its ray.
+    """
+    N, k = len(B), A.shape[2]
+    cols = [A[..., j] for j in range(k)]
+    gram = [_dot(c, c) for c in cols]
+    dual = [_dot(c, B) for c in cols]
+    rays = [np.divide(np.maximum(d, 0.0), g, out=np.zeros(N), where=g > 0.0)
+            for d, g in zip(dual, gram)]
+    if k == 1:
+        return rays[0][:, None]
+    first = rays[0] * dual[0] >= rays[1] * dual[1]
+    x = np.stack([np.where(first, rays[0], 0.0), np.where(first, 0.0, rays[1])], axis=1)
+    (c1, c2), (g11, g22), (b1, _) = cols, gram, dual
+    ratio = np.divide(_dot(c1, c2), g11, out=np.zeros(N), where=g11 > 0.0)
+    u = c2 - ratio[:, None] * c1
+    uu = _dot(u, u)
+    free = (g11 > 0.0) & (uu > _DEPENDENT_SIN_SQ * g22)
+    along = np.divide(b1, g11, out=np.zeros(N), where=free)
+    lam2 = np.divide(_dot(u, B - along[:, None] * c1), uu, out=np.zeros(N), where=free)
+    lam1 = along - lam2 * ratio
+    inside = free & (lam1 > 0.0) & (lam2 > 0.0)
+    return np.where(inside[:, None], np.stack([lam1, lam2], axis=1), x)
+
+
 def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
-    """Lawson-Hanson active-set solve of min |A x - b| subject to x >= 0.
+    """Solve min |A x - b| subject to x >= 0.
 
     A is (p, k), shared, or (N, p, k); b is (p,) or (N, p); x is (k,) or
-    (N, k).  The rows advance in lockstep, each taking exactly its own
-    Lawson-Hanson steps, so a row's x does not depend on the rows beside it.
-    The entering column has the largest dual w = A'(b - A x) above 1e-12, ties
-    to the lowest index.  The passive-set least squares is one SVD solve
+    (N, k).  Every row is solved on its own: a row's x does not depend on
+    the rows beside it.  For k <= 2 the solve is closed-form (_nnls_two).
+    For k >= 3 it is Lawson-Hanson's active-set method, the rows advancing
+    in lockstep, each taking exactly its own steps.  The entering column
+    has the largest dual w = A'(b - A x) above 1e-12, ties to the lowest
+    index.  The passive-set least squares is one SVD solve
     (np.linalg.pinv) on the column-masked stack, defined for dependent or
     duplicated columns.  A column whose coefficient comes out <= 0 right
     after it enters is refused until x moves (Lawson & Hanson 1974, ch. 23);
     without this, round-off can cycle it in and out at zero steps.  Every
     other passive solve counts one iteration of its row, and NoConvergence
-    is raised once a row exceeds max_iter (default max(10 k max(p, k), 50)).
+    is raised once a row exceeds max_iter (default max(10 k max(p, k), 50));
+    max_iter applies to k >= 3 only.
     """
     b = np.asarray(b, dtype=float)
     B = np.atleast_2d(b)
     (N, p), k = B.shape, np.shape(A)[-1]
     A = np.broadcast_to(np.asarray(A, dtype=float), (N, p, k))
+    if k <= 2:
+        out = _nnls_two(A, B)
+        return out[0] if b.ndim == 1 else out
     if max_iter is None:
         max_iter = max(10 * k * max(p, k), 50)
     out, rows, x = np.zeros((N, k)), np.arange(N), np.zeros((N, k))

@@ -85,14 +85,24 @@ def test_generated_projection_of_interior_point_converges():
 
 
 def _nnls_stacks(rng, rows=40):
-    """Random nnls stacks: shared and per-row A, k <= p and k > p, a
-    duplicated column whenever k >= 3, zero targets and mixed scales."""
-    for p, k in ((3, 2), (1, 3), (2, 4), (4, 4), (3, 6)):
+    """Random nnls stacks: shared and per-row A, k <= p and k > p, zero
+    targets, targets inside the cone and mixed scales; a duplicated column
+    whenever k >= 3, and for k = 2 also a zero, duplicated, opposite (a
+    line) or nearly parallel (1e-4 apart) second column."""
+    second = {"zero": lambda c: 0.0 * c, "duplicate": lambda c: c, "opposite": lambda c: -c,
+              "close": lambda c: c + 1e-4 * rng.normal(size=c.shape)}
+    cases = ([(p, k, None) for p, k in ((3, 2), (2, 2), (2, 1), (1, 3), (2, 4), (4, 4), (3, 6))]
+             + [(p, 2, kind) for kind in second for p in (3, 2)])
+    for p, k, kind in cases:
         for shared in (True, False):
             A = rng.normal(size=(p, k) if shared else (rows, p, k))
             if k >= 3:
                 A[..., 2] = A[..., 0]
+            if kind is not None:
+                A[..., 1] = second[kind](A[..., 0])
             b = rng.normal(size=(rows, p)) * rng.choice([0.1, 1.0, 50.0], size=(rows, 1))
+            inside = np.einsum("...ij,...j->...i", A, rng.uniform(0.1, 2.0, size=(rows, k)))
+            b[1::5] = inside[1::5]
             b[::5] = 0.0
             yield A, b
 
