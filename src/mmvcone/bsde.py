@@ -199,8 +199,7 @@ def positivity_envelope(model: MarketModel, grid: np.ndarray) -> tuple[float, fl
     t_rows, f_rows = model.probe_lattice(grid, PROBE_FACTOR_QUANTILES)
     phis = pricing_kernel_batch(model, t_rows, f_rows)
     phi_sq = np.einsum("ij,ij->i", phis, phis).reshape(len(grid), -1).max(axis=1)
-    rates = np.array([abs(2.0 * model.rate.at(float(t))) for t in grid])
-    c = float(np.max(rates + phi_sq))
+    c = float(np.max(np.abs(2.0 * model.rate.at(grid)) + phi_sq))
     horizon = float(grid[-1])
     return math.exp(-c * horizon), math.exp(c * horizon)
 
@@ -208,9 +207,14 @@ def positivity_envelope(model: MarketModel, grid: np.ndarray) -> tuple[float, fl
 def _step_rates(model: MarketModel, grid: np.ndarray) -> np.ndarray:
     """Exact average rate over each step of the uniform grid: the segment's
     value for a step with no rate break inside it, else integral / dt."""
-    rate, dt, g = model.rate, model.horizon_T / (len(grid) - 1), grid.tolist()
-    return np.array([rate.integral(a, b) / dt if any(a < c < b for c in rate.breaks)
-                     else rate.at(a) for a, b in zip(g[:-1], g[1:])])
+    rate, dt = model.rate, model.horizon_T / (len(grid) - 1)
+    out = rate.at(grid[:-1])
+    # a break strictly inside (a, b): more breaks lie below b than at or below a
+    inside = (np.searchsorted(rate.breaks, grid[1:], side="left")
+              > np.searchsorted(rate.breaks, grid[:-1], side="right"))
+    for k in np.flatnonzero(inside).tolist():
+        out[k] = rate.integral(float(grid[k]), float(grid[k + 1])) / dt
+    return out
 
 
 @dataclass

@@ -106,6 +106,10 @@ def load_config(source) -> dict:
     return cfg
 
 
+def _is_float64(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
+
+
 class _Workspace:
     """Output directory with collision-free artifact writing, made when the
     first artifact is written: a run refused before that leaves none."""
@@ -136,16 +140,27 @@ class _Workspace:
         rows as one column per name: a float or int array, a sequence of
         strings, or None for a blank column.  Each cell is str of the column's
         tolist() value (repr(float(v)) for a float), so the file does not
-        depend on where the blocks break."""
+        depend on where the blocks break.  A block's float64 columns are
+        formatted once per distinct bit pattern (-0.0 and 0.0 apart)."""
         p = self._unique(name)
         with p.open("w") as fh:
             fh.write(",".join(header) + "\n")
             for cols in blocks:
                 rows = len(next(c for c in cols if c is not None))
+                floats = [c for c in cols if _is_float64(c)]
+                if floats:
+                    # unique over the bits, not the values: -0.0 and 0.0 differ
+                    bits, inverse = np.unique(np.concatenate(floats).view(np.int64),
+                                              return_inverse=True)
+                    text = np.array(list(map(str, bits.view(np.float64).tolist())),
+                                    dtype=object)[inverse]
+                    formatted = iter(text.reshape(len(floats), rows).tolist())
                 cells = [[""] * rows if c is None
+                         else next(formatted) if _is_float64(c)
                          else map(str, c.tolist() if isinstance(c, np.ndarray) else c)
                          for c in cols]
-                fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+                if rows:
+                    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         self.artifacts.append(p.name)
         return p
 
@@ -412,10 +427,8 @@ def run(cfg: dict) -> int:
         if span is None:
             span = max(3.0 * abs(curve.K_hat - anchor), 1.0)
         ks = np.linspace(anchor - span, anchor + span, count)
-        kl = ks.tolist()
         ws.write_csv("dual_curve.csv", ["K", "F", "gamma_hat_of_K", "objective"],
-                     [[kl, [curve.F(k) for k in kl], [curve.gamma_hat_of(k) for k in kl],
-                       [curve.objective(k) for k in kl]]])
+                     [[ks, curve.F(ks), curve.gamma_hat_of(ks), curve.objective(ks)]])
         results = {
             "p1_0": curve.p1_0, "p2_0": curve.p2_0, "h0": curve.h0,
             "K_hat": curve.K_hat, "gamma_hat": curve.gamma_hat,
@@ -463,7 +476,10 @@ def _trajectory_table(batch, model, values):
     return ["t", "path_id", "X", "Lambda", "R"], blocks()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="mmvcone",
         description="Cone-constrained MMV/MV portfolio experiments",

@@ -53,11 +53,11 @@ class PiecewiseRate:
     def constant(r: float, horizon: float) -> "PiecewiseRate":
         return PiecewiseRate((horizon,), (float(r),))
 
-    def at(self, t: float) -> float:
-        for b, v in zip(self.breaks, self.values):
-            if t < b:
-                return v
-        return self.values[-1]
+    def at(self, t):
+        """r(t) for a time or an array of times: the value of the first
+        segment whose end lies past t, the last one from the horizon on."""
+        idx = np.searchsorted(self.breaks, t, side="right")
+        return np.asarray(self.values)[np.minimum(idx, len(self.values) - 1)]
 
     def integral(self, t0: float, t1: float) -> float:
         """Exact integral of r over [t0, t1] (sum of segment rectangles)."""

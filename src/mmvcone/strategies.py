@@ -239,13 +239,13 @@ class DualCurve:
         if self.theta <= 0:
             raise InvalidBound(f"theta = {self.theta} must be positive")
 
-    def _on_boundary(self, p0: float) -> bool:
+    def _on_boundary(self, p0):
         """p_{i,0} = h_0^2, up to _EQ_SLACK."""
         return self.h0 * self.h0 - p0 <= _EQ_SLACK
 
-    def _side_p0(self, K: float) -> float:
-        """p_{i,0} of the side K lies on: P2 above the anchor x h_0, P1 below."""
-        return self.p2_0 if K > self.x * self.h0 else self.p1_0
+    def _side_p0(self, K: np.ndarray) -> np.ndarray:
+        """p_{i,0} of the side each K lies on: P2 above the anchor x h_0, P1 below."""
+        return np.where(K > self.x * self.h0, self.p2_0, self.p1_0)
 
     def _J(self, p0: float, K: float, gamma: float) -> float:
         h0_sq = self.h0 * self.h0
@@ -259,26 +259,30 @@ class DualCurve:
     def J2(self, K: float, gamma: float) -> float:
         return self._J(self.p2_0, K, gamma)
 
-    def F(self, K: float) -> float:
-        """Minimal E[(X_T - K)^2] over portfolios with mean K; +inf if infeasible."""
+    def F(self, K):
+        """Minimal E[(X_T - K)^2] over portfolios with mean K; +inf if infeasible.
+        K is a number or an array, and so is the result."""
+        K = np.asarray(K, dtype=float)
         anchor = self.x * self.h0
-        if K == anchor:
-            return 0.0
         p0 = self._side_p0(K)
-        if self._on_boundary(p0):
-            return math.inf
-        return p0 * (K - anchor) ** 2 / (self.h0 * self.h0 - p0)
+        # float ** 2 per K (libm pow), the bits of scalar float arithmetic;
+        # np.square rounds the last bit differently for about 1 K in 1 100
+        sq = np.array([d ** 2 for d in (K - anchor).ravel().tolist()]).reshape(K.shape)
+        out = np.divide(p0 * sq, self.h0 * self.h0 - p0, out=np.full(K.shape, math.inf),
+                        where=~self._on_boundary(p0))
+        return np.where(K == anchor, 0.0, out)[()]
 
-    def gamma_hat_of(self, K: float) -> float:
-        """Maximizing Lagrange level for F(K); +-inf on the boundary cases."""
+    def gamma_hat_of(self, K):
+        """Maximizing Lagrange level for F(K); +-inf on the boundary cases.
+        K is a number or an array, and so is the result."""
+        K = np.asarray(K, dtype=float)
         anchor = self.x * self.h0
-        if K == anchor:
-            return anchor
         p0 = self._side_p0(K)
-        if self._on_boundary(p0):
-            return math.inf if K > anchor else -math.inf
         h0_sq = self.h0 * self.h0
-        return (h0_sq * K - self.x * p0 * self.h0) / (h0_sq - p0)
+        out = np.divide(h0_sq * K - self.x * p0 * self.h0, h0_sq - p0,
+                        out=np.where(K > anchor, math.inf, -math.inf),
+                        where=~self._on_boundary(p0))
+        return np.where(K == anchor, anchor, out)[()]
 
     @property
     def K_hat(self) -> float:
@@ -296,12 +300,10 @@ class DualCurve:
     def gamma_hat(self) -> float:
         return self.x * self.h0 + self.h0 * self.h0 / (self.theta * self.p2_0)
 
-    def objective(self, K: float) -> float:
-        """K - (theta/2) F(K), the quantity K_hat maximizes."""
-        f = self.F(K)
-        if math.isinf(f):
-            return -math.inf
-        return K - 0.5 * self.theta * f
+    def objective(self, K):
+        """K - (theta/2) F(K), the quantity K_hat maximizes: -inf where F is
+        +inf.  K is a number or an array, and so is the result."""
+        return (K - 0.5 * self.theta * self.F(K))[()]
 
 
 def dual_curve(p1_0: float, p2_0: float, h0: float, x: float, theta: float) -> DualCurve:
@@ -359,17 +361,19 @@ class EquivalenceReport:
         return out
 
     def csv_table(self):
-        """(header, blocks) of the lattice table, one block of X rows per probe;
-        the f column is blank when probe_f is None."""
+        """(header, blocks) of the lattice table, one block of X rows per probe
+        (the X column formatted once for all of them); the f column is blank
+        when probe_f is None."""
         m = self.pim.shape[2]
         header = (["t", "X", "f"] + [f"pi_mmv_{k+1}" for k in range(m)]
                   + [f"pi_mv_{k+1}" for k in range(m)] + ["abs_gap"])
         nx = len(self.x_values)
+        xs = list(map(str, self.x_values.tolist()))
 
         def blocks():
             for p, t in enumerate(self.probe_t):
                 f = None if self.probe_f is None else np.full(nx, self.probe_f[p])
-                yield ([np.full(nx, t), self.x_values, f] + list(self.pim[p].T)
+                yield ([np.full(nx, t), xs, f] + list(self.pim[p].T)
                        + list(self.piv[p].T) + [self.gaps[p]])
         return header, blocks()
 

@@ -170,17 +170,31 @@ def test_uniform_positivity_envelope(model_a, cone_a):
         assert np.max(sol.y_values) <= upper
 
 
+def _loop_rate_at(rate, t):
+    """r(t) by a scan of the segments: the reference for PiecewiseRate.at."""
+    for b, v in zip(rate.breaks, rate.values):
+        if t < b:
+            return v
+    return rate.values[-1]
+
+
+# breaks at 0.25, 0.6 and T = 1: on a node or inside a step, by grid
+_THREE_RATES = [{"until": 0.25, "value": 0.01}, {"until": 0.6, "value": 0.05},
+                {"until": 1.0, "value": 0.02}]
+
+
 def test_positivity_envelope_matches_per_node_loop(model_a, model_c):
     # the one-call envelope keeps the per-node pairing |2 r(t)| + max_f |phi(t, f)|^2
     levels = np.linspace(0.005, 0.995, 21)
-    for model, steps in ((model_a, 250), (model_c, 25)):
+    model_r = mc.build_model({**INSTANCE_C, "rate": _THREE_RATES})
+    for model, steps in ((model_a, 250), (model_c, 25), (model_r, 10)):
         grid = np.linspace(0.0, model.horizon_T, steps + 1)
         c = 0.0
         for t in grid:
             fvals = (model.coefficients.factor_quantiles(float(t), levels)
                      if model.coefficients.kind == "markov" else np.zeros(1))
             phis = mc.pricing_kernel_batch(model, float(t), fvals)
-            c = max(c, abs(2.0 * model.rate.at(float(t)))
+            c = max(c, abs(2.0 * _loop_rate_at(model.rate, float(t)))
                     + float(np.max(np.einsum("ij,ij->i", phis, phis))))
         assert mc.positivity_envelope(model, grid) == (math.exp(-c), math.exp(c))
 
@@ -561,6 +575,20 @@ def test_step_rates_take_the_segment_value_inside_a_segment():
         assert r[:4] == [0.02] * 4 and r[5:] == [0.05] * 5
         assert r[4] == (0.02 if until == 0.5
                         else model.rate.integral(float(g[4]), float(g[5])) / 0.1)
+
+
+def test_step_rates_match_the_per_step_loop():
+    # 4 and 8 steps put the break at 0.25 on a node and 0.6 inside a step, 10
+    # steps the other way round; the last break is T on every grid
+    model = mc.build_model({**INSTANCE_C, "rate": _THREE_RATES})
+    rate = model.rate
+    for steps in (4, 8, 10, 25):
+        grid = np.linspace(0.0, 1.0, steps + 1)
+        g, dt = grid.tolist(), 1.0 / steps
+        want = [rate.integral(a, b) / dt if any(a < c < b for c in rate.breaks)
+                else _loop_rate_at(rate, a) for a, b in zip(g[:-1], g[1:])]
+        assert mc.bsde._step_rates(model, grid).tolist() == want
+        assert rate.at(grid).tolist() == [_loop_rate_at(rate, t) for t in g]
 
 
 def test_markovian_degree_zero_frozen_factor():

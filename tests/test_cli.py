@@ -90,6 +90,28 @@ def test_dual_curve_experiment(tmp_path):
     assert len(rows) == 102
 
 
+def test_main_builds_one_parser(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["solve", "--config", missing]) == 1
+    assert cli.main(["value", "--config", missing, "--seed", "3"]) == 1
+    assert cli.build_parser.cache_info().misses == 1
+    # parsing leaves the shared parser as it was
+    parser = cli.build_parser()
+    assert parser.parse_args(["solve", "--config", "c.json", "--seed", "3"]).seed == 3
+    assert parser.parse_args(["solve", "--config", "c.json"]).seed is None
+    capsys.readouterr()
+    # a bad argument still exits 2 with argparse's message, every time
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--config", missing, "--seed", "x"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "invalid int value: 'x'" in errors[0]
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_malformed_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{не json")
@@ -359,7 +381,10 @@ def test_version_string_runs_git_once_per_process(tmp_path, monkeypatch):
 
 
 def test_write_csv_cells_and_block_boundaries(tmp_path):
-    vals = np.array([math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 1.0 / 3.0])
+    # repeated values, nan, and -0.0 beside 0.0 in one block: each distinct
+    # bit pattern is formatted once, and -0.0 keeps its sign
+    vals = np.array([math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 1.0 / 3.0,
+                     0.0, math.nan, 1.0 / 3.0, -0.0, 0.0, 1e16])
     other = vals[::-1] * 3.0
     ids = np.arange(len(vals))
     header = ["t", "path_id", "f", "v"]
@@ -371,7 +396,7 @@ def test_write_csv_cells_and_block_boundaries(tmp_path):
     for line, v, i, w in zip(lines[1:], vals, ids, other):
         assert line == ",".join([repr(float(v)), str(int(i)), "", repr(float(w))])
     # any split into blocks, empty blocks included, writes the same file
-    cuts = [(0, 3), (3, 3), (3, 4), (4, 7)]
+    cuts = [(0, 3), (3, 3), (3, 4), (4, len(vals))]
     split = ws.write_csv("split.csv", header,
                          ([vals[a:b], ids[a:b], None, other[a:b]] for a, b in cuts))
     assert split.read_bytes() == one.read_bytes()
