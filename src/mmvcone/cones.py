@@ -25,8 +25,8 @@ ORTHANT = "orthant"
 GENERATED = "generated"
 
 _NNLS_TOL = 1e-12
-# two columns whose angle has |sin| <= 1e-12 count as dependent (_nnls_two)
-_DEPENDENT_SIN_SQ = 1e-24
+# two columns whose angle has |sin| <= 1e-14 count as dependent (_nnls_two)
+_DEPENDENT_SIN_SQ = 1e-28
 
 
 @dataclass(frozen=True)

@@ -578,8 +578,9 @@ def test_step_rates_take_the_segment_value_inside_a_segment():
 
 
 def test_step_rates_match_the_per_step_loop():
-    # 4 and 8 steps put the break at 0.25 on a node and 0.6 inside a step, 10
-    # steps the other way round; the last break is T on every grid
+    # 4 and 8 steps put the break at 0.25 on a node and 0.6 inside a step, 25
+    # steps the other way round, 10 steps 0.6 one ulp before the node
+    # 0.6000000000000001; the last break is T on every grid
     model = mc.build_model({**INSTANCE_C, "rate": _THREE_RATES})
     rate = model.rate
     for steps in (4, 8, 10, 25):

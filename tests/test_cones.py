@@ -124,6 +124,22 @@ def test_nnls_stack_matches_scipy_and_one_row_calls():
             assert abs(resid - oracle(A_i, b[i])[1]) <= 1e-12 * np.linalg.norm(b[i])
 
 
+def test_nnls_nearly_opposite_columns_span_a_half_plane():
+    # c and -3c + d with |d| from 1e-13 to 1e-9 |c| generate nearly a
+    # half-plane, not a line: the residual stays near that of scipy's solution
+    oracle = pytest.importorskip("scipy.optimize").nnls
+    from mmvcone.cones import nnls
+    rng = np.random.default_rng(17)
+    c = rng.normal(size=(200, 3))
+    d = 10.0 ** rng.uniform(-13, -9, size=(200, 1)) * rng.normal(size=(200, 3))
+    A = np.stack([c, -3.0 * c + d], axis=2)
+    b = rng.normal(size=(200, 3))
+    x = nnls(A, b)
+    for i in range(len(b)):
+        best = np.linalg.norm(A[i] @ oracle(A[i], b[i])[0] - b[i])
+        assert np.linalg.norm(A[i] @ x[i] - b[i]) - best <= 1e-2 * np.linalg.norm(b[i])
+
+
 def test_transformed_full_space_remark_formula():
     # wide sigma, unconstrained: projection replaces only the Z-part
     cone = mc.full_space(1)
