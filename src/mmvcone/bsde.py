@@ -34,8 +34,10 @@ from .errors import (
 from .market import (
     PROBE_FACTOR_QUANTILES,
     MarketModel,
+    _check_times,
     _state_rows,
     coefficients_at,
+    locate,
     pricing_kernel_batch,
 )
 from .rng import substream
@@ -208,13 +210,10 @@ def _step_rates(model: MarketModel, grid: np.ndarray) -> np.ndarray:
     """Exact average rate over each step of the uniform grid: the segment's
     value for a step with no rate break inside it, else integral / dt."""
     rate, dt = model.rate, model.horizon_T / (len(grid) - 1)
-    out = rate.at(grid[:-1])
     # a break strictly inside (a, b): more breaks lie below b than at or below a
     inside = (np.searchsorted(rate.breaks, grid[1:], side="left")
               > np.searchsorted(rate.breaks, grid[:-1], side="right"))
-    for k in np.flatnonzero(inside).tolist():
-        out[k] = rate.integral(float(grid[k]), float(grid[k + 1])) / dt
-    return out
+    return np.where(inside, rate.integral(grid[:-1], grid[1:]) / dt, rate.at(grid[:-1]))
 
 
 @dataclass
@@ -244,15 +243,6 @@ class BsdeSolution:
     transform: tuple | None = None
     seed: int | None = None
 
-    def _locate(self, t):
-        """Node i at or before t and weight w toward node i + 1, for a time or
-        one per row: w = 0 on a node, and t is held to the grid's ends."""
-        grid = self.grid
-        t = np.minimum(np.maximum(t, grid[0]), grid[-1])
-        i = np.searchsorted(grid, t, side="right") - 1
-        k = np.minimum(i, len(grid) - 2)
-        return i, (t - grid[i]) / (grid[k + 1] - grid[k])
-
     def _node_batch(self, i, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(value (N,), z (N, n)) at grid node i (one node, or one per row)
         before any transform."""
@@ -269,8 +259,9 @@ class BsdeSolution:
 
     def _raw_batch(self, t, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(value (N,), z (N, n)) before any transform, linear in t between nodes;
-        t is a time or one per row."""
-        i, w = self._locate(t)
+        t is a time or one per row; TimeOutOfRange outside the grid."""
+        _check_times(t, self.grid[-1])
+        i, w = locate(self.grid, t)
         base, z = self._node_batch(i, fvals)
         mid = w != 0.0
         if mid.any():

@@ -192,10 +192,12 @@ def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarra
 
 
 def project_cone(cone: Cone, p: np.ndarray) -> np.ndarray:
-    """Euclidean projection of p onto the cone."""
+    """Euclidean projection of p, a finite point, onto the cone."""
     p = np.asarray(p, dtype=float)
     if p.shape != (cone.dim,):
         raise DimensionMismatch(f"point has shape {p.shape}, cone dim is {cone.dim}")
+    if not np.all(np.isfinite(p)):
+        raise ConfigInvalid("point has non-finite entries", field="p")
     if cone.kind == FULL:
         return p.copy()
     if cone.kind == ORTHANT:

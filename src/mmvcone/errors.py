@@ -42,10 +42,6 @@ class NoConvergence(MmvConeError):
     """Iterative solver exceeded its iteration budget."""
 
 
-class NonPositiveY(MmvConeError):
-    """Driver evaluated at a non-positive solution value."""
-
-
 class PositivityLost(MmvConeError):
     """A solution crossed its uniform-positivity envelope."""
 

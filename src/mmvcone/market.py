@@ -59,26 +59,17 @@ class PiecewiseRate:
         idx = np.searchsorted(self.breaks, t, side="right")
         return np.asarray(self.values)[np.minimum(idx, len(self.values) - 1)]
 
-    def integral(self, t0: float, t1: float) -> float:
-        """Exact integral of r over [t0, t1] (sum of segment rectangles)."""
-        if t1 < t0:
-            return -self.integral(t1, t0)
-        total = 0.0
-        seg_start = 0.0
+    def integral(self, t0, t1):
+        """Exact integral of r over [t0, t1] for times or arrays of them: each
+        segment's overlap rectangle added in segment order (a segment outside
+        adds +-0), then the part past the last break, negated where t1 < t0."""
+        lo, hi = np.minimum(t0, t1), np.maximum(t0, t1)
+        total, start = 0.0, 0.0
         for b, v in zip(self.breaks, self.values):
-            lo = max(seg_start, t0)
-            hi = min(b, t1)
-            if hi > lo:
-                total += v * (hi - lo)
-            seg_start = b
-        if t1 > self.breaks[-1]:
-            total += self.values[-1] * (t1 - max(t0, self.breaks[-1]))
-        return total
-
-    def step_integrals(self, grid) -> np.ndarray:
-        """integral(grid[k], grid[k + 1]) for each step k of the grid."""
-        g = np.asarray(grid, dtype=float).tolist()
-        return np.array([self.integral(a, b) for a, b in zip(g[:-1], g[1:])])
+            total = total + v * np.maximum(np.minimum(b, hi) - np.maximum(start, lo), 0.0)
+            start = b
+        total = total + self.values[-1] * np.maximum(hi - np.maximum(lo, start), 0.0)
+        return np.where(np.less(t1, t0), -total, total)[()]
 
 
 def _as_time_grid(values, shape, name):
@@ -91,17 +82,34 @@ def _as_time_grid(values, shape, name):
     raise ConfigInvalid(f"expected shape {shape} or (K,)+{shape}, got {arr.shape}", field=name)
 
 
+def _check_times(t, horizon: float) -> None:
+    """TimeOutOfRange unless every time in t (a time or an array) lies in
+    [0, horizon], with 1e-12 of slack above; a NaN time fails."""
+    t = np.asarray(t)
+    if not (0.0 <= t.min() and t.max() <= horizon + 1e-12):
+        raise TimeOutOfRange(f"t={t} outside [0, {horizon}]")
+
+
+def locate(times, t):
+    """(i, w) for a time or one per row on the increasing grid times: node i
+    at or before t and weight w toward node i + 1, w = 0 on a node; t is held
+    to the grid's ends."""
+    t = np.minimum(np.maximum(t, times[0]), times[-1])
+    i = np.searchsorted(times, t, side="right") - 1
+    k = np.minimum(i, len(times) - 2)
+    return i, (t - times[i]) / (times[k + 1] - times[k])
+
+
 def _interp_map(times, grid):
     """(t, f) -> grid values at t (a time or one per row), linear between the
     nodes of times and flat outside them; f is not read."""
     def at(t, f):
         if grid.shape[0] == 1:
             return grid[0]
-        tc = np.clip(t, times[0], times[-1])
-        i = np.clip(np.searchsorted(times, tc) - 1, 0, len(times) - 2)
-        w = (tc - times[i]) / (times[i + 1] - times[i])
+        i, w = locate(times, t)
+        j = i + (w != 0.0)                  # node i itself on a node
         w = np.reshape(w, np.shape(w) + (1,) * (grid.ndim - 1))
-        return (1.0 - w) * grid[i] + w * grid[i + 1]
+        return (1.0 - w) * grid[i] + w * grid[j]
     return at
 
 
@@ -194,19 +202,16 @@ class CoefficientField:
         return self.mean_level + (self.f0 - self.mean_level) * math.exp(-self.kappa * t)
 
     def factor_quantiles(self, t: float, levels: Sequence[float]) -> np.ndarray:
-        """Marginal quantiles of the factor at time t (Gaussian OU law)."""
+        """Marginal quantiles of the factor at time t (Gaussian OU law): mean +
+        z sd, z the standard normal quantiles of levels (NormalDist's bits)."""
         if self.kind != "markov":
             raise ValueError("factor quantiles only defined for markov coefficients")
-        mean = self.factor_mean(t)
         if self.kappa > 0:
             var = self.nu ** 2 * (1.0 - math.exp(-2.0 * self.kappa * t)) / (2.0 * self.kappa)
         else:
             var = self.nu ** 2 * t
-        sd = math.sqrt(max(var, 0.0))
-        if sd == 0.0:
-            return np.full(len(levels), mean)
-        law = NormalDist(mean, sd)
-        return np.array([law.inv_cdf(q) for q in levels])
+        z = np.array([NormalDist().inv_cdf(q) for q in levels])
+        return self.factor_mean(t) + z * math.sqrt(max(var, 0.0))
 
 
 def affine_factor_maps(m, n, mu0, mu1, sigma0, sigma1=None):
@@ -245,13 +250,14 @@ class MarketModel:
     delta: float
 
     def discount(self, t):
-        """h_t = exp(integral of r over [t, T]) at a time, or one math.exp per
-        row when t holds one time per row (np.exp may differ by an ulp)."""
-        if np.ndim(t):
-            return np.array([self.discount(s) for s in np.asarray(t, dtype=float).tolist()])
-        if not 0.0 <= t <= self.horizon_T + 1e-12:
-            raise TimeOutOfRange(f"t={t} outside [0, {self.horizon_T}]")
-        return math.exp(self.rate.integral(t, self.horizon_T))
+        """h_t = exp(integral of r over [t, T]) at a time, or at one time per
+        row with one math.exp per row (np.exp may differ by an ulp);
+        TimeOutOfRange outside [0, T]."""
+        _check_times(t, self.horizon_T)
+        r = self.rate.integral(t, self.horizon_T)
+        if np.ndim(r):
+            return np.array([math.exp(v) for v in r.tolist()])
+        return math.exp(r)
 
     @property
     def h0(self) -> float:
@@ -272,8 +278,9 @@ class MarketModel:
 
 def build_model(config: dict) -> MarketModel:
     """Validate a model description and return an immutable MarketModel;
-    rejects inconsistent dimensions, non-positive risk aversion, and any
-    volatility whose Gram matrix drops below delta * I on the probe lattice."""
+    rejects non-finite T, x0, theta or delta, inconsistent dimensions,
+    non-positive risk aversion, and any volatility whose Gram matrix drops
+    below delta * I on the probe lattice."""
     try:
         m = int(config["m"])
         n = int(config["n"])
@@ -283,6 +290,9 @@ def build_model(config: dict) -> MarketModel:
         delta = float(config.get("delta", 1e-8))
     except KeyError as exc:
         raise ConfigInvalid("missing required field", field=str(exc)) from exc
+    for name, v in (("T", horizon), ("x0", x0), ("theta", theta), ("delta", delta)):
+        if not math.isfinite(v):
+            raise ConfigInvalid(f"must be finite, got {v}", field=name)
     if m > n:
         raise DimensionMismatch(f"m={m} risky assets exceed Brownian dimension n={n}")
     if m < 1:
@@ -376,8 +386,7 @@ def coefficients_at(model: MarketModel, t, fvals: np.ndarray):
     """(sigma (N, m, n), mu (N, m), phi (N, n)) at factor states fvals (N,):
     sigma and mu evaluated once each, phi derived from them.  t is a time or
     one time per row; TimeOutOfRange outside [0, T]."""
-    if not (0.0 <= np.min(t) and np.max(t) <= model.horizon_T + 1e-12):
-        raise TimeOutOfRange(f"t={t} outside [0, {model.horizon_T}]")
+    _check_times(t, model.horizon_T)
     sig = model.coefficients.sigma_batch(t, fvals)
     mu = model.coefficients.mu_batch(t, fvals)
     return sig, mu, pricing_kernel_from(sig, mu)

@@ -86,6 +86,8 @@ def scaled_minus_phi(model: MarketModel, c: float) -> Adversary:
 
 def constant_adversary(v) -> Adversary:
     v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ConfigInvalid("constant loading has non-finite entries", field="adversary.v")
     return Adversary(kind="constant", vector=v, bound=float(np.linalg.norm(v)),
                      label="const")
 
@@ -96,8 +98,8 @@ def saddle_adversary(saddle: SaddleAdversary) -> Adversary:
 
 def custom_adversary(eta_fn, bound: float, label: str = "custom") -> Adversary:
     """Wrap a user-supplied loading map (t, fvals) -> (N, n); bound required."""
-    if not bound > 0:
-        raise ConfigInvalid("custom adversaries must declare a positive bound",
+    if not 0 < bound < math.inf:
+        raise ConfigInvalid("custom adversaries must declare a finite positive bound",
                             field="adversary.bound")
     return Adversary(kind="custom", eta_fn=eta_fn, bound=float(bound), label=label)
 
@@ -172,7 +174,7 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     dt = T / steps
     times = np.linspace(0.0, T, steps + 1)
     sqdt = math.sqrt(dt)
-    growth = [math.exp(v) for v in model.rate.step_integrals(times).tolist()]
+    growth = [math.exp(v) for v in model.rate.integral(times[:-1], times[1:]).tolist()]
 
     n_pi = len(strategies)
     terminal = np.empty((n_pi + len(adversaries), paths))   # strategy rows, then adversary rows
@@ -292,6 +294,8 @@ def path_values(batch: SimBatchResult, y_sol: BsdeSolution,
     if not batch.has_trajectories:
         raise MissingTrajectories("simulate(..., store_paths=True) required")
     h = model.discount(batch.times)
+    # one value_batch per time: one call over every (path, time) row holds
+    # about 14 floats per row at once (2.8x the peak RSS at 10k x 200)
     y = np.empty_like(batch.X_paths)
     for k, t in enumerate(batch.times.tolist()):
         y[:, k] = y_sol.value_batch(t, batch.factor_paths[:, k])
@@ -305,15 +309,10 @@ def conservation_residual(batch: SimBatchResult, y_sol: BsdeSolution,
     values is path_values(batch, y_sol, model) when the caller has it already.
     """
     h, y = path_values(batch, y_sol, model) if values is None else values
-    theta = model.theta
-    const = theta * model.h0 * model.x0 + y_sol.value0
-    worst = 0.0
-    for k, h_t in enumerate(h.tolist()):
-        resid = np.abs(theta * h_t * batch.X_paths[:, k]
-                       + y[:, k] * batch.Lambda_paths[:, k] - const)
-        worst = max(worst, float(np.max(resid)))
-    batch.conservation_max_residual = worst
-    return worst
+    const = model.theta * model.h0 * model.x0 + y_sol.value0
+    resid = np.abs(model.theta * h * batch.X_paths + y * batch.Lambda_paths - const)
+    batch.conservation_max_residual = float(np.max(resid))
+    return batch.conservation_max_residual
 
 
 @dataclass

@@ -265,11 +265,8 @@ class DualCurve:
         K = np.asarray(K, dtype=float)
         anchor = self.x * self.h0
         p0 = self._side_p0(K)
-        # float ** 2 per K (libm pow), the bits of scalar float arithmetic;
-        # np.square rounds the last bit differently for about 1 K in 1 100
-        sq = np.array([d ** 2 for d in (K - anchor).ravel().tolist()]).reshape(K.shape)
-        out = np.divide(p0 * sq, self.h0 * self.h0 - p0, out=np.full(K.shape, math.inf),
-                        where=~self._on_boundary(p0))
+        out = np.divide(p0 * np.square(K - anchor), self.h0 * self.h0 - p0,
+                        out=np.full(K.shape, math.inf), where=~self._on_boundary(p0))
         return np.where(K == anchor, 0.0, out)[()]
 
     def gamma_hat_of(self, K):

@@ -6,7 +6,6 @@ import pytest
 
 import mmvcone as mc
 from mmvcone.cones import cone_inf_quadratic_batch, project_transformed_batch
-from mmvcone.errors import NonPositiveY
 from mmvcone.market import _state_rows
 from mmvcone.strategies import StepTargets
 
@@ -203,7 +202,7 @@ def driver_f(cone, sigma, phi, y, z):
     The engine evaluates the driver through Moreau's q(y) form (bsde._z_side),
     so this is an independent oracle for it."""
     if y <= 0:
-        raise NonPositiveY(f"driver evaluated at y={y}")
+        raise ValueError(f"driver evaluated at y={y}")
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     xi = project_one(cone, sigma, y * phi - z)[0]

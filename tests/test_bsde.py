@@ -10,8 +10,8 @@ import pytest
 import mmvcone as mc
 from mmvcone.bsde import (EQUATIONS, _backward_pass, _close_step, _driver_batch,
                           _prepare_driver, _sigma_side, _z_side)
-from mmvcone.errors import (ConfigInvalid, InvalidBound, NoConvergence, NonPositiveY,
-                            PositivityLost, RegressionIllConditioned)
+from mmvcone.errors import (ConfigInvalid, InvalidBound, NoConvergence, PositivityLost,
+                            RegressionIllConditioned, TimeOutOfRange)
 from mmvcone.market import pricing_kernel_from
 from mmvcone.rng import substream
 
@@ -40,7 +40,7 @@ def test_driver_examples():
 
 
 def test_driver_requires_positive_y():
-    with pytest.raises(NonPositiveY):
+    with pytest.raises(ValueError, match="driver evaluated at y=0.0"):
         driver_f(mc.full_space(1), np.array([[0.2]]), [0.3], 0.0, [0.0])
 
 
@@ -1422,6 +1422,26 @@ def test_per_row_time_evaluation_matches_scalar_calls(evaluated_solutions, name)
         else:
             f_nodes, expect = sol.basis_loc[nodes], sol.y_values[nodes, 0]
         assert np.array_equal(sol.value_batch(grid[nodes], f_nodes), expect)
+
+
+@pytest.mark.parametrize("name", ["deterministic", "deterministic_h2", "markov",
+                                  "markov_replicate", "recip", "h2"])
+def test_evaluation_outside_the_horizon_raises(evaluated_solutions, name):
+    # t outside [0, T] or NaN, alone or in a per-row array, raises; T plus
+    # less than 1e-12 reads the terminal node (h_t of "h2" moves by r 1e-13)
+    sol = evaluated_solutions[name]
+    T = float(sol.grid[-1])
+    f = None if sol.kind == "deterministic" else 0.06
+    rows = np.zeros(2) if f is None else np.full(2, f)
+    for t in (2.0 * T, -1.0, -1e-9, T + 1e-9, math.nan):
+        with pytest.raises(TimeOutOfRange):
+            sol.value(t, f)
+        for view in (sol.value_batch, sol.z_batch):
+            with pytest.raises(TimeOutOfRange):
+                view(t, rows[:1])
+            with pytest.raises(TimeOutOfRange):
+                view(np.array([0.5 * T, t]), rows)
+    assert sol.value(T + 1e-13, f) == pytest.approx(sol.value(T, f), rel=0, abs=1e-14)
 
 
 def test_per_row_positivity_check_names_the_failing_time(evaluated_solutions):

@@ -255,6 +255,17 @@ def test_malformed_entries_are_refused_before_any_solve(tmp_path, capsys, monkey
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, bad", [("x0", math.nan), ("theta", math.inf)])
+def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, bad):
+    # before, x0 = NaN exited 0 and wrote "mmv": NaN, which is not JSON
+    cfg = _base_config(tmp_path, "value")
+    cfg["model"][field] = bad
+    rc = cli.main(["value", "--config", str(_write_config(tmp_path, cfg))])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: must be finite")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment, flag", [
     ("solve", "--paths"), ("value", "--steps"), ("equivalence", "--paths"),
     ("dual-curve", "--steps"),

@@ -132,12 +132,45 @@ def test_discount_semigroup():
         assert abs(lhs - rhs) < 1e-14
 
 
+def _integral_one(rate, t0, t1):
+    """Reference: the integral of r over [t0, t1] for one pair of floats."""
+    if t1 < t0:
+        return -_integral_one(rate, t1, t0)
+    total, start = 0.0, 0.0
+    for b, v in zip(rate.breaks, rate.values):
+        lo, hi = max(start, t0), min(b, t1)
+        if hi > lo:
+            total += v * (hi - lo)
+        start = b
+    if t1 > rate.breaks[-1]:
+        total += rate.values[-1] * (t1 - max(t0, rate.breaks[-1]))
+    return total
+
+
 def test_step_integrals_match_integral_bit_for_bit():
-    # breaks at 0.25 (a node of the grid) and at 0.6 (inside the step 0.5-0.625)
-    rate = mc.PiecewiseRate((0.25, 0.6, 1.0), (0.01, 0.05, 0.02))
+    # breaks at 0.25 (a node of the grid), at 0.6 (inside the step 0.5-0.625)
+    # and at T = 1; reversed pairs, random pairs and pairs past the last break
     grid = np.linspace(0.0, 1.0, 9)
-    want = [rate.integral(float(a), float(b)) for a, b in zip(grid[:-1], grid[1:])]
-    assert rate.step_integrals(grid).tolist() == want
+    rng = np.random.default_rng(3)
+    for rate in (mc.PiecewiseRate((0.25, 0.6, 1.0), (0.01, 0.05, 0.02)),
+                 mc.PiecewiseRate((0.25, 0.6, 1.0, 1.3), (0.01, -0.05, 0.02, 0.07))):
+        a, b = grid[:-1].tolist(), grid[1:].tolist()
+        want = [_integral_one(rate, s, t) for s, t in zip(a, b)]
+        assert rate.integral(grid[:-1], grid[1:]).tolist() == want
+        assert rate.integral(grid[1:], grid[:-1]).tolist() == [-w for w in want]
+        t0, t1 = rng.uniform(0.0, 1.5, size=(2, 500))
+        t0[:4] = rate.breaks[-1], 1.0, 0.25, 0.6
+        want = [_integral_one(rate, s, t) for s, t in zip(t0.tolist(), t1.tolist())]
+        assert rate.integral(t0, t1).tolist() == want
+        assert rate.integral(float(t0[5]), float(t1[5])) == want[5]
+
+    model = mc.build_model(_config(rate=[{"until": 0.25, "value": 0.01},
+                                         {"until": 0.6, "value": 0.05},
+                                         {"until": 1.0, "value": 0.02}]))
+    times = np.concatenate([grid, rng.uniform(0.0, 1.0, size=200)])
+    want = [math.exp(_integral_one(model.rate, t, 1.0)) for t in times.tolist()]
+    assert model.discount(times).tolist() == want
+    assert [model.discount(t) for t in times.tolist()] == want
 
 
 def test_time_out_of_range(model_a):
@@ -145,6 +178,10 @@ def test_time_out_of_range(model_a):
         model_a.discount(1.5)
     with pytest.raises(TimeOutOfRange):
         pricing_kernel_at(model_a, -0.1)
+    for t in (math.nan, np.array([0.5, math.nan]), np.array([0.0, 1.0 + 1e-9])):
+        with pytest.raises(TimeOutOfRange):
+            model_a.discount(t)
+    assert model_a.discount(1.0 + 1e-13) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_markov_factor_model(model_c):
@@ -243,12 +280,31 @@ def test_probe_lattice_rows(model_a, model_c):
     assert np.array_equal(f_rows, np.zeros(4))
     t_rows, f_rows = model_c.probe_lattice(times, 5)
     assert np.array_equal(t_rows, np.repeat(times, 5))
-    levels = np.linspace(0.005, 0.995, 5)
-    for i, t in enumerate(times.tolist()):
-        assert np.array_equal(f_rows[5 * i:5 * i + 5],
-                              model_c.coefficients.factor_quantiles(t, levels))
     assert np.all(f_rows[:5] == model_c.coefficients.f0)      # no spread at t = 0
     assert np.all(np.diff(f_rows[5:10]) > 0)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0])
+def test_probe_lattice_matches_normal_dist_quantiles(kappa):
+    # per time t > 0: NormalDist(mean, sd).inv_cdf of the levels, bit for bit
+    from statistics import NormalDist
+
+    model = mc.build_model({**INSTANCE_C_SIGMA1, "coefficients": {
+        **INSTANCE_C_SIGMA1["coefficients"], "kappa": kappa}})
+    cf = model.coefficients
+    times = np.linspace(0.0, 1.0, 11)
+    levels = np.linspace(0.005, 0.995, 7)
+    t_rows, f_rows = model.probe_lattice(times, 7)
+    assert np.array_equal(t_rows, np.repeat(times, 7))
+    for i, t in enumerate(times.tolist()):
+        if kappa > 0:
+            var = cf.nu ** 2 * (1.0 - math.exp(-2.0 * kappa * t)) / (2.0 * kappa)
+        else:
+            var = cf.nu ** 2 * t
+        mean = cf.mean_level + (cf.f0 - cf.mean_level) * math.exp(-kappa * t)
+        want = ([NormalDist(mean, math.sqrt(var)).inv_cdf(q) for q in levels.tolist()]
+                if t > 0 else [mean] * 7)
+        assert f_rows[7 * i:7 * i + 7].tolist() == want
 
 
 def test_rate_must_cover_horizon():
@@ -295,3 +351,26 @@ def test_ellipticity_first_failing_probe_time_decides_the_error():
     cfg["coefficients"]["sigma"] = [[[0.2]], [[0.0]], [[0.2]]]
     with pytest.raises(DegenerateVolatility, match=r"at \(t=0.5000, f=0.0\)$"):
         mc.build_model(cfg)
+
+
+_G3 = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [
+    lambda bad: mc.build_model(_config(x0=bad)),
+    lambda bad: mc.build_model(_config(theta=bad)),
+    lambda bad: mc.build_model(_config(delta=bad)),
+    lambda bad: mc.build_model(_config(T=bad)),
+    lambda bad: mc.constant_adversary([bad]),
+    lambda bad: mc.constant_adversary([0.1, bad]),
+    lambda bad: mc.custom_adversary(lambda t, f: np.zeros((len(f), 1)), bound=bad),
+    lambda bad: mc.project_cone(mc.full_space(2), [bad, 1.0]),
+    lambda bad: mc.project_cone(mc.orthant(2), [1.0, bad]),
+    lambda bad: mc.project_cone(mc.generated([[1.0, 0.5], [0.0, 1.0]]), [bad, 1.0]),
+    lambda bad: mc.project_cone(mc.generated(_G3), [bad, 1.0]),
+], ids=["x0", "theta", "delta", "T", "constant_1", "constant_2", "custom_bound",
+        "project_full", "project_orthant", "project_k2", "project_k3"])
+def test_non_finite_inputs_are_refused_at_public_boundaries(entry, bad):
+    with pytest.raises(ConfigInvalid):
+        entry(bad)

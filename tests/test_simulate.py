@@ -16,6 +16,7 @@ from mmvcone.errors import (
     NoConvergence,
     SaddleViolated,
 )
+from mmvcone.simulate import path_values
 from mmvcone.strategies import StepTargets
 
 from conftest import H0_A, INSTANCE_C_SIGMA1, INSTANCE_ORTHANT2, VALUE_A
@@ -115,6 +116,29 @@ def test_conservation_instance_b_exact(model_b, cone_b, ysol_b):
     res = mc.simulate(model_b, mmv, adv, paths=500, steps=40, seed=9, store_paths=True)
     residual = mc.conservation_residual(res, ysol_b, model_b)
     assert residual < 1e-12
+
+
+def test_conservation_residual_matches_a_loop_over_times(model_a, mmv_a, saddle_a, ysol_a,
+                                                          p2sol_a, model_c):
+    # the one array expression against the per-time loop it replaced, and h
+    # against one discount call per time
+    cone = mc.full_space(1)
+    y_c = mc.solve_markovian(model_c, cone, "Y", mc.McSolverConfig(
+        paths=2000, basis_degree=2, seed=41, steps=12, bootstrap=0))
+    batch_c = mc.simulate(model_c, mc.mmv_feedback(model_c, cone, y_c), mc.zero_adversary(),
+                          paths=150, steps=17, seed=43, store_paths=True)
+    batch_a = mc.simulate(model_a, mmv_a, saddle_a, paths=150, steps=23, seed=5,
+                          store_paths=True)
+    for batch, sol, model in ((batch_a, ysol_a, model_a),
+                              (batch_a, mc.transform_p2_to_y(p2sol_a, model_a), model_a),
+                              (batch_c, y_c, model_c)):
+        h, y = path_values(batch, sol, model)
+        assert h.tolist() == [model.discount(t) for t in batch.times.tolist()]
+        const = model.theta * model.h0 * model.x0 + sol.value0
+        worst = max(float(np.max(np.abs(model.theta * h_t * batch.X_paths[:, k]
+                                        + y[:, k] * batch.Lambda_paths[:, k] - const)))
+                    for k, h_t in enumerate(h.tolist()))
+        assert mc.conservation_residual(batch, sol, model) == worst
 
 
 def test_conservation_shrinks_with_steps(model_a, mmv_a, saddle_a, ysol_a):
