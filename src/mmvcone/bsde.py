@@ -289,13 +289,21 @@ class BsdeSolution:
 
     # -- public evaluation: the batch forms, and value at one state -------------
 
+    def _checked_batch(self, t, fvals) -> tuple[np.ndarray, np.ndarray]:
+        """_transformed_batch at a public entry point: a markovian solution
+        refuses a non-finite factor state (ConfigInvalid); simulate's
+        per-step targets call _transformed_batch and skip the check."""
+        if self.kind != "deterministic" and not np.all(np.isfinite(fvals)):
+            raise ConfigInvalid("factor states must be finite", field="f")
+        return self._transformed_batch(t, fvals)
+
     def value_batch(self, t, fvals: np.ndarray) -> np.ndarray:
         """Values at factor states fvals (N,); t is a time or one per row."""
-        return self._transformed_batch(t, fvals)[0]
+        return self._checked_batch(t, fvals)[0]
 
     def z_batch(self, t, fvals: np.ndarray) -> np.ndarray:
         """Z (N, n) at factor states fvals (N,); t is a time or one per row."""
-        return self._transformed_batch(t, fvals)[1]
+        return self._checked_batch(t, fvals)[1]
 
     def value(self, t: float, f=None) -> float:
         return float(self.value_batch(t, _state_rows(self.kind != "deterministic", f, t))[0])

@@ -130,8 +130,14 @@ class _Workspace:
         return self.root / f"{stem}_{k}{suffix}"
 
     def write_json(self, name: str, payload: dict) -> Path:
+        """Write payload as JSON; a NaN or infinity, which JSON cannot hold
+        (RFC 8259, section 6), raises MmvConeError and writes no file."""
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise MmvConeError(f"{name} not written: {exc}") from exc
         p = self._unique(name)
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        p.write_text(text + "\n")
         self.artifacts.append(p.name)
         return p
 

@@ -1,6 +1,8 @@
 """Contiguous groups of work items run over the CPUs: the first group in the
 calling process, each other group in an os.fork child that pickles its
-result back over a pipe."""
+result back over a pipe.  On request the calling process also streams
+arrays to every child over a one-way feed (Feed), so that what every group
+reads is made once, here."""
 
 from __future__ import annotations
 
@@ -17,21 +19,72 @@ def cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork(work, items):
+class Feed:
+    """One end of the one-way pipes from the calling process to its forked
+    children: here, the write end of each child's pipe (none when no child
+    was forked); in a child, the read end of its own."""
+
+    def __init__(self, read=None):
+        self._read, self._writes = read, []
+        self.reads = read is not None   # in a child: it gets what the calling process puts
+
+    def put(self, a) -> None:
+        """Write the bytes of a (a C-contiguous array) to every child; a child
+        that has exited (BrokenPipeError) is dropped from the feed."""
+        data = memoryview(a).cast("B")
+        for fd in list(self._writes):
+            view = data
+            try:
+                while view:
+                    view = view[os.write(fd, view):]
+            except BrokenPipeError:
+                self._writes.remove(fd)
+                os.close(fd)
+
+    def get(self, out) -> bool:
+        """Fill out (a C-contiguous array) with the next bytes put; False at
+        the end of the stream."""
+        view = memoryview(out).cast("B")
+        while view:
+            got = os.readv(self._read, [view])
+            if not got:
+                return False
+            view = view[got:]
+        return True
+
+    def close(self) -> None:
+        for fd in self._writes + ([self._read] if self.reads else []):
+            os.close(fd)
+        self._writes, self.reads = [], False
+
+
+def _fork(work, items, out):
     """(pid, read end) of a forked child that writes back work(items),
-    pickled; None when os.fork fails.  The child ends in os._exit."""
+    pickled; None when os.fork fails.  With a Feed out, the child's work
+    reads from a pipe whose write end joins out.  The child ends in os._exit."""
     r, w = os.pipe()
+    feed = os.pipe() if out is not None else None
     try:
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
+        for fd in (r, w, *(feed or ())):
+            os.close(fd)
         return None
     if pid:
         os.close(w)
+        if feed:
+            os.close(feed[0])
+            out._writes.append(feed[1])
         return pid, r
     try:
-        result, failure = work(items)
+        if feed:
+            os.close(feed[1])
+            out.close()             # the write ends of the children forked before
+            source = Feed(feed[0])
+            result, failure = work(items, source)
+            source.close()          # a write to this child now fails at once
+        else:
+            result, failure = work(items)
         try:
             reply = pickle.dumps((result, failure))
         except Exception:   # an error that does not pickle goes back as its text
@@ -44,10 +97,14 @@ def _fork(work, items):
 
 def _collect(pid, fd, floor):
     """A child's reply, read to its end before the child is reaped; a child
-    whose reply is missing or does not load fails at floor."""
+    whose reply is missing or does not load fails at floor.  A read stopped
+    by an exception (a test's watchdog alarm) kills the child first."""
     try:
         with os.fdopen(fd, "rb") as fh:
             data = fh.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         os.waitpid(pid, 0)
     try:
@@ -56,7 +113,7 @@ def _collect(pid, fd, floor):
         return None, (floor, ChildProcessError(f"child {pid} ended without a reply"))
 
 
-def run(work, groups, floor):
+def run(work, groups, floor, *, feed=False):
     """([result], failure) of work run over groups, lists of items.
 
     work(items) returns (result, failure), failure None or the (key,
@@ -64,22 +121,29 @@ def run(work, groups, floor):
     groups in turn meets its errors; floor(group) is the least key group can
     fail with.  groups[0] runs here and each other group in a forked child;
     a group whose fork fails runs here too, and so does everything while
-    another thread runs.  The results are this process's, then each child's
-    in group order (None for a child that failed without one); failure is
-    the least-keyed of all, else None.  When the work here fails, each child
-    whose floor is past its key is killed; every child is reaped on every
-    path."""
+    another thread runs.  With feed, work is called as work(items, feed): a
+    Feed that puts to every forked child here, and that a child gets from;
+    every feed is closed before the replies are read, so a child that gets
+    the end of the stream returns (None, None).  The results are this
+    process's, then each child's in group order (None for a child that
+    failed without one); failure is the least-keyed of all, else None.  When
+    the work here fails, each child whose floor is past its key is killed;
+    every child is reaped on every path."""
     forks = threading.active_count() == 1
+    out = Feed() if feed else None
     mine, children, replies = [0], [], []
     try:
         for g in range(1, len(groups)):
-            child = _fork(work, groups[g]) if forks else None
+            child = _fork(work, groups[g], out) if forks else None
             if child is None:
                 mine.append(g)
             else:
                 children.append((*child, g))
-        replies.append(work([item for g in mine for item in groups[g]]))
+        items = [item for g in mine for item in groups[g]]
+        replies.append(work(items, out) if feed else work(items))
     finally:
+        if out is not None:
+            out.close()
         here = replies[0][1] if replies else None
         for pid, _, g in children:  # until the work here returns, every child is killed
             if not replies or (here is not None and floor(groups[g]) > here[0]):

@@ -9,6 +9,7 @@ Monte Carlo.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -259,8 +260,9 @@ class MarketModel:
             return np.array([math.exp(v) for v in r.tolist()])
         return math.exp(r)
 
-    @property
+    @functools.cached_property
     def h0(self) -> float:
+        """h_0 = discount(0.0), computed once per model."""
         return self.discount(0.0)
 
     def probe_lattice(self, times, quantiles: int) -> tuple[np.ndarray, np.ndarray]:

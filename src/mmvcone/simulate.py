@@ -3,8 +3,9 @@
 Paths are advanced under the physical measure; an objective under a tilted
 measure is estimated by reweighting, E^{P^eta}[V] = E[Lambda_T V].  One
 draw per block and step serves a whole family, so every (pi, eta) cell has
-common random numbers.  Wealth compounds by the exact per-step growth
-factor, and the density is advanced in log space.
+common random numbers: the calling process draws it and streams it to the
+processes that advance the other members.  Wealth compounds by the exact
+per-step growth factor, and the density is advanced in log space.
 """
 
 from __future__ import annotations
@@ -31,6 +32,31 @@ from .strategies import (FeedbackStrategy, SaddleAdversary, StepTargets,
 
 _BLOCK = 32768              # paths per substream block
 _SADDLE_TOL = 3.0           # stderrs allowed by each saddle relation
+# a block step's draw, in members: on A at 20k paths x 50 steps a draw took
+# about 330 us per step and a member 140-240 us
+_DRAW_COST = 2
+
+
+def _row_dots(a, b) -> np.ndarray:
+    """Row sums of a * b, (N, k) each, column by column: einsum("ik,ik->i")'s
+    bits for k <= 2, up to the sign of a zero sum (for k >= 3 einsum sums
+    in another order, and a third to two fifths of the rows move)."""
+    out = a[:, 0] * b[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j] * b[:, j]
+    return out
+
+
+def _noise(pi, sig, dw) -> np.ndarray:
+    """pi' sigma dw per row, pi (N, m), sigma (N, m, n), dw (N, n): the
+    column products pi_a sigma_ab dw_b summed in (a, b) order, which give
+    einsum("im,imn,in->i")'s bits at every shape, up to the sign of a zero
+    sum."""
+    n = dw.shape[1]
+    out = pi[:, 0] * sig[:, 0, 0] * dw[:, 0]
+    for a, b in (divmod(k, n) for k in range(1, pi.shape[1] * n)):
+        out += pi[:, a] * sig[:, a, b] * dw[:, b]
+    return out
 
 
 @dataclass
@@ -150,10 +176,12 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     is the zero portfolio).  Block b of _BLOCK paths draws from
     substream(seed, b); each step evaluates one StepTargets, read by the
     wealth update, every portfolio and every loading.  The members are split
-    over the CPUs in groups of equal cost (forksplit.run); each process
-    draws every block and advances its own members, so each row has the
-    bits of a one-process run.  A cell estimates E^{P^eta}[X_T + (Lambda_T
-    - 1)/(2 theta)].  store_paths keeps the trajectories of a one-pair call.
+    over the CPUs in groups of equal cost (forksplit.run); the calling
+    process draws each block step once and streams the draw to the forked
+    groups, and each process advances its own members on it, so each row
+    has the bits of a one-process run.  A cell estimates E^{P^eta}[X_T +
+    (Lambda_T - 1)/(2 theta)].  store_paths keeps the trajectories of a
+    one-pair call.
     """
     family = isinstance(strategy, (list, tuple)) or isinstance(adversary, (list, tuple))
     strategies = list(strategy) if isinstance(strategy, (list, tuple)) else [strategy]
@@ -184,19 +212,22 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     L_paths = np.empty((paths, steps + 1)) if store_paths else None
     F_paths = np.empty((paths, steps + 1)) if (store_paths and markov) else None
 
-    def walk(own):
+    def walk(own, feed):
         """({member: terminal row}, failure) of the members in own, advanced on
-        every block's draw; failure is ((block, step, member), exception)."""
+        every block's draw; failure is ((block, step, member), exception).
+        The calling process draws each step and puts it to feed; a forked
+        group gets it from feed, and returns (None, None) at its end."""
         wealth = [(i, strategies[i], terminal[i]) for i in sorted(own) if i < n_pi]
         # a zero loading leaves its density at 1: only the others are advanced
         moving = [(i, adversaries[i - n_pi], terminal[i]) for i in sorted(own)
                   if i >= n_pi and adversaries[i - n_pi].kind != "zero"]
+        buffer = np.empty((min(_BLOCK, paths), model.n)) if feed.reads else None
         at = (0, -1, -1)
         try:
             for block_index, start in enumerate(range(0, paths, _BLOCK)):
                 stop = min(start + _BLOCK, paths)
                 bs = stop - start
-                rng = substream(seed, block_index)
+                rng = None if feed.reads else substream(seed, block_index)
                 f = np.full(bs, cf.f0)
                 if store_paths:
                     X_paths[start:stop, 0] = terminal[0, start:stop]
@@ -206,16 +237,20 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
                 for k in range(steps):
                     at = (block_index, k, -1)
                     t = times[k]
-                    if antithetic:
-                        half = (bs + 1) // 2
-                        d = rng.standard_normal((half, model.n))
-                        dw = sqdt * np.concatenate([d, -d[: bs - half]], axis=0)
+                    if feed.reads:
+                        dw = buffer[:bs]
+                        if not feed.get(dw):
+                            return None, None
                     else:
-                        dw = sqdt * rng.standard_normal((bs, model.n))
+                        if antithetic:
+                            half = (bs + 1) // 2
+                            d = rng.standard_normal((half, model.n))
+                            dw = sqdt * np.concatenate([d, -d[: bs - half]], axis=0)
+                        else:
+                            dw = sqdt * rng.standard_normal((bs, model.n))
+                        feed.put(dw)
 
                     step = StepTargets(model, t, f)     # this step's coefficients and targets
-                    mu_b = np.broadcast_to(step.mu, (bs, model.m))
-                    sig = np.broadcast_to(step.sigma, (bs, model.m, model.n))
                     for at_i, strat, row in wealth:
                         at = (block_index, k, at_i)
                         x = row[start:stop]
@@ -223,13 +258,15 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
                               if strat is not None else None)
                         np.multiply(x, growth[k], out=x)
                         if pi is not None:
-                            x += np.einsum("im,im->i", pi, mu_b) * dt
-                            x += np.einsum("im,imn,in->i", pi, sig, dw)
+                            x += _row_dots(pi, step.mu) * dt
+                            x += _noise(pi, step.sigma, dw)
                     for at_i, adv, row in moving:
                         at = (block_index, k, at_i)
                         eta = adv.eta_batch(model, t, f, _step=step)
-                        row[start:stop] *= np.exp(np.einsum("in,in->i", eta, dw)
-                                                  - 0.5 * np.einsum("in,in->i", eta, eta) * dt)
+                        # a loading shared by every row has one |eta|^2
+                        one = eta[:1] if eta.strides[0] == 0 else eta
+                        row[start:stop] *= np.exp(_row_dots(eta, dw)
+                                                  - 0.5 * _row_dots(one, one) * dt)
                     if markov:
                         f = (f + cf.kappa * (cf.mean_level - f) * dt
                              + cf.nu * dw[:, cf.driving_index])
@@ -245,18 +282,20 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
             return None, (at, exc)
         return {i: terminal[i] for i in own}, None
 
-    # the calling process walks the first strategy and adversary; the rest is
-    # cut into contiguous groups of equal cost, a None or zero member costing 0
+    # the calling process draws every step and walks the first strategy and
+    # adversary and every member that costs nothing (a None portfolio, a
+    # zero loading); the rest is cut into contiguous groups of equal cost,
+    # the draw counted as _DRAW_COST members of the first group
     order = [0, n_pi, *range(1, n_pi), *range(n_pi + 1, len(terminal))]
     cost = [s is not None for s in strategies] + [a.kind != "zero" for a in adversaries]
     total = sum(cost)
-    n, before = min(forksplit.cpus(), total) or 1, 0
+    n, before = min(forksplit.cpus(), total) or 1, _DRAW_COST
     groups = [[] for _ in range(n)]
     for p, i in enumerate(order):
-        groups[before * n // max(total, 1) if p > 1 else 0].append(i)
+        groups[before * n // (_DRAW_COST + total) if p > 1 and cost[i] else 0].append(i)
         before += cost[i]
     results, failure = forksplit.run(walk, [g for g in groups if g],
-                                     lambda group: (0, 0, min(group)))
+                                     lambda group: (0, 0, min(group)), feed=True)
     if failure is not None:
         raise failure[1]
     for rows in results[1:]:        # the children's rows; this process's are in place

@@ -17,6 +17,7 @@ cases and are carried as IEEE infinities.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field, replace as dc_replace
 
@@ -56,6 +57,7 @@ class StepTargets:
     and every family member; nothing writes into its arrays."""
 
     def __init__(self, model: MarketModel, t, fvals):
+        self.model = model
         self.t = t
         self.rows = _state_rows(model.coefficients.kind == "markov", fvals, t)
         self.sigma, self.mu, self.phi = coefficients_at(model, t, self.rows)
@@ -70,8 +72,14 @@ class StepTargets:
         sub.sigma = (np.broadcast_to(self.sigma[0], (len(sub.rows),) + self.sigma.shape[1:])
                      if self.sigma.strides[0] == 0 else self.sigma[keep])
         sub.mu, sub.phi = self.mu[keep], self.phi[keep]
+        sub.__dict__.pop("h", None)         # h_t at sub's own times, on first use
         sub._targets = {}
         return sub
+
+    @functools.cached_property
+    def h(self):
+        """The discount h_t at the step's time(s), computed on first use."""
+        return self.model.discount(self.t)
 
     def target(self, cone: Cone, sol: BsdeSolution, side: str):
         """_projected_target of (sol, side, cone) on the step's rows."""
@@ -122,7 +130,7 @@ class FeedbackStrategy:
         rows = step.rows
         shape = (-1,) + (1,) * (xvals.ndim - 1)      # state rows against wealth
         vec = shape + (self.model.m,)
-        h_t = np.reshape(self.model.discount(t), shape)
+        h_t = np.reshape(step.h, shape)
         if self.kind == "MMV":
             y, _, _, gamma = step.target(self.cone, self.y_sol, "Y")
             gap = self.a_const - h_t * xvals

@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -64,6 +65,31 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail(f"a child process ({'running' if pid == 0 else pid}) outlived the test")
+
+
+_WATCHDOG_S = 60
+
+
+@pytest.fixture
+def fork_watchdog():
+    """Fail a forking test that runs past _WATCHDOG_S seconds with TimeoutError
+    (a deadlock between processes), rather than let it block the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"a forking test ran past its {_WATCHDOG_S} s watchdog")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(_WATCHDOG_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def forks(test):
+    """Mark a test that forks: skipped without os.fork, run under fork_watchdog."""
+    test = pytest.mark.usefixtures("fork_watchdog")(test)
+    return pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")(test)
 
 
 Y0_A = math.exp(0.09)

@@ -17,6 +17,7 @@ from mmvcone.rng import substream
 
 from conftest import (INSTANCE_A, INSTANCE_C, INSTANCE_C_SIGMA1, driver_f, inf_quadratic_one,
                       random_full_rank_sigma)
+from conftest import forks as _forks
 
 
 def projected_gradient_qp(M, c, project, iters=30000):
@@ -792,9 +793,6 @@ def _walk_sizes(monkeypatch):
     return sizes
 
 
-_forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-
 @_forks
 @pytest.mark.parametrize("name, config, cone, equation, sizes", _BOOTSTRAP_CASES,
                          ids=[f"{c[0]}-{c[3]}" for c in _BOOTSTRAP_CASES])
@@ -1442,6 +1440,24 @@ def test_evaluation_outside_the_horizon_raises(evaluated_solutions, name):
             with pytest.raises(TimeOutOfRange):
                 view(np.array([0.5 * T, t]), rows)
     assert sol.value(T + 1e-13, f) == pytest.approx(sol.value(T, f), rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["deterministic", "deterministic_h2", "markov",
+                                  "markov_replicate", "recip", "h2"])
+def test_non_finite_factor_state_is_refused(evaluated_solutions, name):
+    # a Markov solution refuses a NaN or infinite factor state at value,
+    # value_batch and z_batch; a deterministic one does not read f
+    sol = evaluated_solutions[name]
+    for bad in (math.nan, math.inf, -math.inf):
+        calls = (lambda: sol.value(0.5, bad), lambda: sol.value_batch(0.5, [0.06, bad]),
+                 lambda: sol.z_batch(0.5, [bad, 0.06]),
+                 lambda: sol.value_batch(np.array([0.25, 0.5]), [0.06, bad]))
+        for call in calls:
+            if sol.kind == "deterministic":
+                assert np.all(np.isfinite(call()))
+            else:
+                with pytest.raises(ConfigInvalid, match="^f: factor states must be finite$"):
+                    call()
 
 
 def test_per_row_positivity_check_names_the_failing_time(evaluated_solutions):

@@ -266,6 +266,21 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, bad)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_result_is_an_error_not_json(tmp_path, capsys, monkeypatch, bad):
+    # JSON has no NaN or Infinity: a result holding one exits 1, naming the
+    # file, and neither it nor the manifest is written
+    real = cli.compare_values
+    monkeypatch.setattr(cli, "compare_values",
+                        lambda *args: {**real(*args), "mmv": bad})
+    path = _write_config(tmp_path, _base_config(tmp_path, "value"))
+    assert cli.main(["value", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: MmvConeError: value_comparison.json not written: Out of range float")
+    assert not (tmp_path / "out" / "value_comparison.json").exists()
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("experiment, flag", [
     ("solve", "--paths"), ("value", "--steps"), ("equivalence", "--paths"),
     ("dual-curve", "--steps"),

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from mmvcone.errors import (
     NoConvergence,
     SaddleViolated,
 )
-from mmvcone.simulate import path_values
+from mmvcone.simulate import _noise, _row_dots, path_values
 from mmvcone.strategies import StepTargets
 
 from conftest import H0_A, INSTANCE_C_SIGMA1, INSTANCE_ORTHANT2, VALUE_A
+from conftest import forks as _forks
 
 
 @pytest.fixture(scope="module")
@@ -444,10 +446,11 @@ def test_step_subset_matches_its_own_step(instance, request):
     # a factor-free model has one row per time, so one row at a single t
     for t in (per_row,) if instance == "A" else (0.37, per_row):
         step = StepTargets(model, t, fvals)
+        assert np.array_equal(step.h, model.discount(t))   # cached before the subset
         sub = step.subset(keep)
         alone = StepTargets(model, t[keep] if np.ndim(t) else t, fvals[keep])
         assert np.array_equal(sub.rows, alone.rows)
-        for name in ("sigma", "mu", "phi"):
+        for name in ("sigma", "mu", "phi", "h"):
             assert np.array_equal(getattr(sub, name), getattr(alone, name)), name
         assert (sub.sigma.strides[0] == 0) == (step.sigma.strides[0] == 0)
         for sol, side in ((mv.p1_sol, "P1"), (mv.p2_sol, "P2"), (mmv.y_sol, "Y")):
@@ -479,16 +482,14 @@ def test_family_rejects_store_paths_and_empty(model_a, mmv_a, saddle_a):
         mc.simulate(model_a, [mmv_a], [], paths=200, steps=10, seed=1)
 
 
-_forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-
 def _count_forks(monkeypatch, fails=False):
-    """Count the os.fork calls; each raises OSError when fails."""
+    """Count the os.fork calls; each raises OSError when fails is True, and
+    the k-th (from 0) when fails is a collection holding k."""
     forks, real_fork = [], os.fork
 
     def fork():
         forks.append(1)
-        if fails:
+        if fails is True or (fails and len(forks) - 1 in fails):
             raise OSError("no fork")
         return real_fork()
 
@@ -562,19 +563,20 @@ def test_stored_pair_matches_one_process(instance, request, monkeypatch):
 
 
 def test_split_groups_balance_member_cost(model_a, mmv_a, saddle_a, monkeypatch):
-    # pi_hat and eta_hat stay here; a None portfolio and a zero loading cost
-    # nothing, so 0.5 pi_hat joins them and the other three members cost three
+    # pi_hat, eta_hat and the members that cost nothing (a None portfolio, a
+    # zero loading) stay here with the draw, which costs two members; the
+    # other four members make the child's equal share
     pi_family, eta_family = _saddle_family(model_a, mmv_a, saddle_a)
     calls, real = [], mc.forksplit.run
 
-    def run(work, groups, floor):
+    def run(work, groups, floor, **kw):
         calls.append(groups)
-        return real(work, groups, floor)
+        return real(work, groups, floor, **kw)
 
     monkeypatch.setattr(mc.forksplit, "run", run)
     monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
     mc.simulate(model_a, pi_family, eta_family, paths=200, steps=10, seed=1)
-    assert calls == [[[0, 4, 1, 2], [3, 5, 6, 7]]]
+    assert calls == [[[0, 4, 1, 5], [2, 3, 6, 7]]]
 
 
 def _loading(label, fails_at=None, steps=10, shape=None, nan=False):
@@ -606,9 +608,12 @@ def _loading(label, fails_at=None, steps=10, shape=None, nan=False):
     (dict(fails_at=(0, 9)), dict(nan=True), NoConvergence, "^here failed"),
     (dict(nan=True), dict(fails_at=(0, 9)), NoConvergence, "^there failed"),
     (dict(nan=True), dict(fails_at=(1, 0)), ExplodedPath, "^non-finite state in block 0"),
+    # the child waits for block 1's draw, which never comes
+    (dict(nan=True), {}, ExplodedPath, "^non-finite state in block 0"),
 ], ids=["child_nan", "child_shape", "child_step_first", "same_step_member_order",
         "child_block_first", "child_exploded_before_next_block", "parent_step_before_block_end",
-        "child_step_before_block_end", "parent_exploded_before_next_block"])
+        "child_step_before_block_end", "parent_exploded_before_next_block",
+        "parent_exploded_child_waits"])
 def test_split_raises_the_first_one_process_error(model_a, mmv_a, monkeypatch, here, there,
                                                   error, match):
     # [pi_hat] x [here, there]: here walks in this process, there in the child
@@ -651,3 +656,94 @@ def test_simulate_falls_back_to_one_process(model_a, mmv_a, saddle_a, monkeypatc
     assert not thread.is_alive()
     assert len(forks) == (1 if fallback == "fork_fails" else 0)
     _assert_same_batch(batch, one)
+
+
+@_forks
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_only_the_calling_process_draws(model_a, mmv_a, saddle_a, monkeypatch, tmp_path, cpus):
+    # each block's substream is opened once, here; the forked groups read its
+    # draws from the feed and open none
+    pi_family, eta_family = _saddle_family(model_a, mmv_a, saddle_a)
+    log, real = tmp_path / "draws", sys.modules["mmvcone.simulate"].substream
+
+    def substream(seed, block):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {block}\n")
+        return real(seed, block)
+
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "substream", substream)
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: cpus)
+    forks = _count_forks(monkeypatch)
+    mc.simulate(model_a, pi_family, eta_family, paths=2500, steps=12, seed=83)
+    assert len(forks) == cpus - 1
+    assert log.read_text().split("\n") == [f"{os.getpid()} {b}" for b in range(3)] + [""]
+
+
+@_forks
+@pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+@pytest.mark.parametrize("name", ["A", "C1"])
+def test_three_groups_match_one_process(name, antithetic, request, monkeypatch):
+    # two children read the feed (the second closes the first's write end);
+    # an odd last block splits its antithetic pairs unevenly
+    model, pi_family, eta_family = _split_family(request, name)
+    kw = dict(paths=2501, steps=12, seed=89, antithetic=antithetic)
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
+    one = mc.simulate(model, pi_family, eta_family, **kw)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 3)
+    split = mc.simulate(model, pi_family, eta_family, **kw)
+    assert len(forks) == 2
+    _assert_same_batch(split, one)
+
+
+@_forks
+def test_first_fork_fails_second_group_reads_the_feed(model_a, mmv_a, saddle_a, monkeypatch):
+    # the first child's group runs here; the second group still reads the draw
+    pi_family, eta_family = _saddle_family(model_a, mmv_a, saddle_a)
+    kw = dict(paths=2500, steps=12, seed=97)
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
+    one = mc.simulate(model_a, pi_family, eta_family, **kw)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 3)
+    forks = _count_forks(monkeypatch, fails={0})
+    batch = mc.simulate(model_a, pi_family, eta_family, **kw)
+    assert len(forks) == 2
+    _assert_same_batch(batch, one)
+
+
+@_forks
+def test_child_fails_early_while_this_process_draws_on(model_a, mmv_a, monkeypatch):
+    # the child stops at (0, 0) and exits; this process waits until it has,
+    # then walks every step to the end, dropping the broken feed
+    calls = []
+
+    def here(t, f):
+        calls.append(t)
+        if len(calls) == 2:
+            time.sleep(0.3)
+        return np.full((len(f), 1), 0.1)
+
+    family = [mc.custom_adversary(here, bound=1.0, label="here"),
+              _loading("there", fails_at=(0, 0))]
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 100)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(NoConvergence, match=r"^there failed at \(0, 0\)$"):
+        mc.simulate(model_a, [mmv_a], family, paths=300, steps=10, seed=3)
+    assert len(forks) == 1 and len(calls) == 30
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared_sigma", "per_row_sigma"])
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 2)])
+def test_column_products_match_einsum(m, n, shared):
+    # the wealth and density updates' column sums give einsum's bits for m, n <= 2
+    rng = np.random.default_rng(10 * m + n)
+    rows = 5000
+    pi, mu, dw = (rng.normal(size=(rows, k)) for k in (m, m, n))
+    sig = (np.broadcast_to(rng.normal(size=(m, n)), (rows, m, n)) if shared
+           else rng.normal(size=(rows, m, n)))
+    assert np.array_equal(_noise(pi, sig, dw), np.einsum("im,imn,in->i", pi, sig, dw))
+    assert np.array_equal(_row_dots(pi, mu), np.einsum("im,im->i", pi, mu))
+    assert np.array_equal(_row_dots(dw, dw), np.einsum("in,in->i", dw, dw))
