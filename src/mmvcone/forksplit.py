@@ -1,8 +1,8 @@
 """Contiguous groups of work items run over the CPUs: the first group in the
 calling process, each other group in an os.fork child that pickles its
-result back over a pipe.  On request the calling process also streams
-arrays to every child over a one-way feed (Feed), so that what every group
-reads is made once, here."""
+result back over a pipe.  The calling process may also stream arrays to
+every child over a one-way feed (Feed), so that what every group reads is
+made once, here."""
 
 from __future__ import annotations
 
@@ -59,32 +59,28 @@ class Feed:
 
 
 def _fork(work, items, out):
-    """(pid, read end) of a forked child that writes back work(items),
-    pickled; None when os.fork fails.  With a Feed out, the child's work
-    reads from a pipe whose write end joins out.  The child ends in os._exit."""
+    """(pid, read end) of a forked child that writes back work(items, feed),
+    pickled, feed the read end of a pipe whose write end joins the Feed out;
+    None when os.fork fails.  The child ends in os._exit."""
     r, w = os.pipe()
-    feed = os.pipe() if out is not None else None
+    feed = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        for fd in (r, w, *(feed or ())):
+        for fd in (r, w, *feed):
             os.close(fd)
         return None
     if pid:
         os.close(w)
-        if feed:
-            os.close(feed[0])
-            out._writes.append(feed[1])
+        os.close(feed[0])
+        out._writes.append(feed[1])
         return pid, r
     try:
-        if feed:
-            os.close(feed[1])
-            out.close()             # the write ends of the children forked before
-            source = Feed(feed[0])
-            result, failure = work(items, source)
-            source.close()          # a write to this child now fails at once
-        else:
-            result, failure = work(items)
+        os.close(feed[1])
+        out.close()                 # the write ends of the children forked before
+        source = Feed(feed[0])
+        result, failure = work(items, source)
+        source.close()              # a write to this child now fails at once
         try:
             reply = pickle.dumps((result, failure))
         except Exception:   # an error that does not pickle goes back as its text
@@ -113,24 +109,24 @@ def _collect(pid, fd, floor):
         return None, (floor, ChildProcessError(f"child {pid} ended without a reply"))
 
 
-def run(work, groups, floor, *, feed=False):
+def run(work, groups, floor):
     """([result], failure) of work run over groups, lists of items.
 
-    work(items) returns (result, failure), failure None or the (key,
+    work(items, feed) returns (result, failure), failure None or the (key,
     exception) that stopped it, keys ordered as one process running the
     groups in turn meets its errors; floor(group) is the least key group can
     fail with.  groups[0] runs here and each other group in a forked child;
     a group whose fork fails runs here too, and so does everything while
-    another thread runs.  With feed, work is called as work(items, feed): a
-    Feed that puts to every forked child here, and that a child gets from;
-    every feed is closed before the replies are read, so a child that gets
-    the end of the stream returns (None, None).  The results are this
-    process's, then each child's in group order (None for a child that
-    failed without one); failure is the least-keyed of all, else None.  When
-    the work here fails, each child whose floor is past its key is killed;
-    every child is reaped on every path."""
+    another thread runs.  feed is a Feed that puts to every forked child
+    here, and that a child gets from; every feed is closed before the
+    replies are read, so a child that gets the end of the stream returns
+    (None, None).  The results are this process's, then each child's in
+    group order (None for a child that failed without one); failure is the
+    least-keyed of all, else None.  When the work here fails, each child
+    whose floor is past its key is killed; every child is reaped on every
+    path."""
     forks = threading.active_count() == 1
-    out = Feed() if feed else None
+    out = Feed()
     mine, children, replies = [0], [], []
     try:
         for g in range(1, len(groups)):
@@ -140,10 +136,9 @@ def run(work, groups, floor, *, feed=False):
             else:
                 children.append((*child, g))
         items = [item for g in mine for item in groups[g]]
-        replies.append(work(items, out) if feed else work(items))
+        replies.append(work(items, out))
     finally:
-        if out is not None:
-            out.close()
+        out.close()
         here = replies[0][1] if replies else None
         for pid, _, g in children:  # until the work here returns, every child is killed
             if not replies or (here is not None and floor(groups[g]) > here[0]):

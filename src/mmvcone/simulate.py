@@ -295,7 +295,7 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
         groups[before * n // (_DRAW_COST + total) if p > 1 and cost[i] else 0].append(i)
         before += cost[i]
     results, failure = forksplit.run(walk, [g for g in groups if g],
-                                     lambda group: (0, 0, min(group)), feed=True)
+                                     lambda group: (0, 0, min(group)))
     if failure is not None:
         raise failure[1]
     for rows in results[1:]:        # the children's rows; this process's are in place

@@ -130,7 +130,8 @@ class FeedbackStrategy:
         rows = step.rows
         shape = (-1,) + (1,) * (xvals.ndim - 1)      # state rows against wealth
         vec = shape + (self.model.m,)
-        h_t = np.reshape(step.h, shape)
+        # the step's h_t serves a strategy built on the model it steps
+        h_t = np.reshape(step.h if step.model is self.model else self.model.discount(t), shape)
         if self.kind == "MMV":
             y, _, _, gamma = step.target(self.cone, self.y_sol, "Y")
             gap = self.a_const - h_t * xvals

@@ -569,9 +569,9 @@ def test_split_groups_balance_member_cost(model_a, mmv_a, saddle_a, monkeypatch)
     pi_family, eta_family = _saddle_family(model_a, mmv_a, saddle_a)
     calls, real = [], mc.forksplit.run
 
-    def run(work, groups, floor, **kw):
+    def run(work, groups, floor):
         calls.append(groups)
-        return real(work, groups, floor, **kw)
+        return real(work, groups, floor)
 
     monkeypatch.setattr(mc.forksplit, "run", run)
     monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
@@ -733,6 +733,38 @@ def test_child_fails_early_while_this_process_draws_on(model_a, mmv_a, monkeypat
     with pytest.raises(NoConvergence, match=r"^there failed at \(0, 0\)$"):
         mc.simulate(model_a, [mmv_a], family, paths=300, steps=10, seed=3)
     assert len(forks) == 1 and len(calls) == 30
+
+
+def _run_two_groups(there):
+    """forksplit.run over [[0], [1]]: "here" from this process, there() from a
+    forked child."""
+    return mc.forksplit.run(lambda items, feed: (there() if items == [1] else "here", None),
+                            [[0], [1]], lambda group: (group[0], "floor"))
+
+
+@_forks
+def test_reply_arrays_arrive_with_their_bits():
+    # a child's arrays come back with their bits, dtype and shape; strided
+    # views and empty arrays too
+    block = np.random.default_rng(4).normal(size=(6, 5000))
+    sent = {"rows": {2: block[2], 5: block[5]}, "strided": block[:, ::3],
+            "ints": np.arange(7, dtype=np.int32), "empty": np.empty((0, 3)),
+            "scalar": np.float64(0.25), "text": "x"}
+    results, failure = _run_two_groups(lambda: sent)
+    assert failure is None and len(results) == 2 and results[0] == "here"
+    got = results[1]
+    pairs = [(got["rows"][i], sent["rows"][i]) for i in (2, 5)]
+    pairs += [(got[k], sent[k]) for k in ("strided", "ints", "empty", "scalar")]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    assert got["rows"][2].flags.writeable and got["text"] == "x"
+
+
+@_forks
+def test_a_child_without_a_reply_fails_at_its_floor():
+    results, failure = _run_two_groups(lambda: os._exit(0))
+    assert results == ["here", None]
+    assert failure[0] == (1, "floor") and isinstance(failure[1], ChildProcessError)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared_sigma", "per_row_sigma"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -164,6 +165,18 @@ def test_mv_portfolio_instance_a(mv_a):
 def test_mv_portfolio_zero_gap(mv_a, model_a):
     x_star = mv_a.gamma_hat / model_a.discount(0.7)
     assert mv_a.portfolio(0.7, x_star) == pytest.approx([0.0], abs=1e-12)
+
+
+def test_step_of_another_model_keeps_the_strategys_discount(mmv_a, mv_a, model_a):
+    # a step of a market with another rate has the same targets; h_t stays
+    # the strategy's own
+    other = dataclasses.replace(model_a, rate=mc.PiecewiseRate.constant(0.07, 1.0))
+    x = np.array([0.8, 1.0, 1.3])
+    for strat in (mmv_a, mv_a):
+        for t in (0.0, 0.4):
+            mine = strat.portfolio_batch(t, x, _step=StepTargets(model_a, t, None))
+            theirs = strat.portfolio_batch(t, x, _step=StepTargets(other, t, None))
+            assert np.array_equal(theirs, mine)
 
 
 def test_mv_instance_b_no_trade(model_b, cone_b):
