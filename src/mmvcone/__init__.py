@@ -32,7 +32,6 @@ from .strategies import (
     FeedbackStrategy,
     dual_curve,
     equivalence_check,
-    mmv_adversary,
     mmv_feedback,
     mmv_value,
     mv_feedback,
@@ -43,8 +42,8 @@ from .simulate import (
     conservation_residual,
     constant_adversary,
     custom_adversary,
+    mmv_adversary,
     mv_objective,
-    saddle_adversary,
     saddle_scan,
     scaled_minus_phi,
     simulate,

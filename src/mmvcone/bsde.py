@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from . import forksplit
-from .cones import Cone, cone_inf_quadratic_batch, ray_axis, two_sided
+from .cones import Cone, cone_inf_quadratic_batch, ray_axis, row_dot, two_sided
 from .errors import (
     ConfigInvalid,
     InvalidBound,
@@ -75,15 +75,13 @@ class McSolverConfig:
 def _sigma_side(equation, cone, sigma, phi, rows) -> tuple:
     """The driver's columns that need neither Z nor y: (s, |s|^2, p, clip)
     for one asset, s = sigma' spanning sigma' Gamma (cones.ray_axis) and
-    p = sign s'phi / |s|^2, s'phi summed a column at a time (einsum's bits
-    for n <= 2); (sigma, phi (rows, n)) for m >= 2."""
+    p = sign s'phi / |s|^2 (s'phi by cones.row_dot); (sigma, phi (rows, n))
+    for m >= 2."""
     sigma = np.asarray(sigma, dtype=float)
     phi = np.broadcast_to(np.asarray(phi, dtype=float), (rows, sigma.shape[-1]))
     if cone.dim == 1:
         s, ss, clip = ray_axis(cone, sigma, rows)
-        p = np.multiply(s[:, 0], phi[:, 0])
-        for c in range(1, s.shape[1]):
-            p += s[:, c] * phi[:, c]
+        p = row_dot(s, phi)
         p /= -ss if equation == "P1" else ss
         return s, ss, p, clip
     return sigma, phi
@@ -624,7 +622,7 @@ def _forward(model, cfg, last):
         d *= math.sqrt(dt)
         dWj[:, start:stop] = d.T
     for i in range(steps):
-        F[i + 1] = F[i] + cf.kappa * (cf.mean_level - F[i]) * dt + cf.nu * dWj[i]
+        F[i + 1] = cf.factor_step(F[i], dt, dWj[i])
     boot_rng = substream(cfg.seed, 45803)  # dedicated bootstrap lane
     return F, dWj, [None] + [boot_rng.integers(0, paths, size=paths) for _ in range(last)]
 

@@ -28,9 +28,9 @@ from .market import build_model
 from .simulate import (
     conservation_residual,
     constant_adversary,
+    mmv_adversary,
     mv_objective,
     path_values,
-    saddle_adversary,
     saddle_scan,
     scaled_minus_phi,
     simulate,
@@ -39,7 +39,6 @@ from .simulate import (
 from .strategies import (
     dual_curve,
     equivalence_check,
-    mmv_adversary,
     mmv_feedback,
     mmv_value,
     mv_feedback,
@@ -64,17 +63,25 @@ def version_string() -> str:
     return __version__
 
 
+def _read_config(source) -> dict:
+    """A config as a fresh top-level dict: a copy of a dict, or the JSON
+    object at a path."""
+    if isinstance(source, dict):
+        return dict(source)
+    try:
+        cfg = json.loads(Path(source).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalid(f"malformed JSON: {exc}", field=str(source)) from exc
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read config: {exc}", field=str(source)) from exc
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid("must be a JSON object", field=str(source))
+    return cfg
+
+
 def load_config(source) -> dict:
     """Parse and minimally validate an experiment config (path, str or dict)."""
-    if isinstance(source, dict):
-        cfg = dict(source)
-    else:
-        try:
-            cfg = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"malformed JSON: {exc}", field=str(source)) from exc
-        except OSError as exc:
-            raise ConfigInvalid(f"cannot read config: {exc}", field=str(source)) from exc
+    cfg = _read_config(source)
     cfg.pop("_meta", None)  # manifests round-trip as configs
 
     if "model" not in cfg or not isinstance(cfg["model"], dict):
@@ -251,7 +258,7 @@ def _finite_entry(value, shape, field, what):
 def _adversary_from_spec(spec, model):
     """One adversary from its config entry: {"kind": ...} plus the kind's
     parameters, or one of the shorthands "zero", "0" and "saddle"; the
-    saddle one stays "saddle" until _with_saddle builds it from Y."""
+    saddle one stays "saddle" until mmv_adversary builds it from Y."""
     if spec in ("zero", "0", "saddle"):
         spec = {"kind": "saddle" if spec == "saddle" else "zero"}
     kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -266,12 +273,6 @@ def _adversary_from_spec(spec, model):
                           f"a finite vector of length n = {model.n}")
         return constant_adversary(v)
     raise ConfigInvalid(f"unknown adversary spec {spec!r}", field="adversary")
-
-
-def _with_saddle(adversary, model, cone, y_sol):
-    """adversary, or the saddle adversary of y_sol where it is "saddle"."""
-    return (saddle_adversary(mmv_adversary(y_sol, cone, model))
-            if isinstance(adversary, str) else adversary)
 
 
 def compare_values(cfg: dict, model, cone) -> dict:
@@ -351,7 +352,8 @@ def run(cfg: dict) -> int:
         elif strat_spec == "mv":
             p2_sol, p1_sol = mv_pair
             strategy = mv_feedback(model, cone, p1_sol, p2_sol)
-        adversary = _with_saddle(adversary, model, cone, y_sol)
+        if adversary == "saddle":
+            adversary = mmv_adversary(y_sol, cone, model)
         batch = simulate(model, strategy, adversary, paths=paths, steps=steps,
                          seed=cfg["seed"], store_paths=store, antithetic=antithetic)
         results = {
@@ -390,7 +392,8 @@ def run(cfg: dict) -> int:
         base = mmv_feedback(model, cone, y_sol)
         pi_family = [base.scaled(c) if c != 1.0 else base for c in scales]
         pi_family = [s if s.scale != 0.0 else None for s in pi_family]
-        eta_family = [_with_saddle(a, model, cone, y_sol) for a in eta_family]
+        eta_family = [mmv_adversary(y_sol, cone, model) if a == "saddle" else a
+                      for a in eta_family]
         try:
             report = saddle_scan(model, cone, y_sol, pi_family, eta_family,
                                  paths=paths, steps=steps, seed=cfg["seed"])
@@ -448,22 +451,10 @@ def run(cfg: dict) -> int:
         "created_utc": dt.datetime.now(dt.timezone.utc).isoformat(),
         "elapsed_seconds": time.time() - t_start,
         "artifacts": ws.artifacts,
-        "results": _jsonable(results),
+        "results": results,
     }
     ws.write_json("manifest.json", manifest)
     return exit_code
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def _trajectory_table(batch, model, values):
@@ -504,18 +495,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        # the subcommand and flags override the file; the result is validated once
+        cfg = _read_config(args.config)
         cfg["experiment"] = args.command
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.out is not None:
-            cfg["output_dir"] = args.out
-        if args.paths is not None:
-            cfg["paths"] = args.paths
-        if args.steps is not None:
-            cfg["steps"] = args.steps
-        cfg = load_config(cfg)  # re-validate after overrides
-        return run(cfg)
+        for key, value in (("seed", args.seed), ("output_dir", args.out),
+                           ("paths", args.paths), ("steps", args.steps)):
+            if value is not None:
+                cfg[key] = value
+        return run(load_config(cfg))
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -83,12 +83,14 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (M @ v[..., None])[..., 0]
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise u[i] . v[i] of (N, p) stacks, summed over p in order, so each
-    row's bits do not depend on the rows beside it."""
-    out = u[:, 0] * v[:, 0]
-    for i in range(1, u.shape[1]):
-        out = out + u[:, i] * v[:, i]
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a[i] . b[i] of (N, k) stacks, summed a column at a time into
+    one fresh array, so each row's bits do not depend on the rows beside it.
+    These are einsum("ik,ik->i")'s bits for k <= 2, up to the sign of a zero
+    sum (for k >= 3 einsum sums in another order)."""
+    out = a[:, 0] * b[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j] * b[:, j]
     return out
 
 
@@ -106,8 +108,8 @@ def _nnls_two(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """
     N, k = len(B), A.shape[2]
     cols = [A[..., j] for j in range(k)]
-    gram = [_dot(c, c) for c in cols]
-    dual = [_dot(c, B) for c in cols]
+    gram = [row_dot(c, c) for c in cols]
+    dual = [row_dot(c, B) for c in cols]
     rays = [np.divide(np.maximum(d, 0.0), g, out=np.zeros(N), where=g > 0.0)
             for d, g in zip(dual, gram)]
     if k == 1:
@@ -115,12 +117,12 @@ def _nnls_two(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     first = rays[0] * dual[0] >= rays[1] * dual[1]
     x = np.stack([np.where(first, rays[0], 0.0), np.where(first, 0.0, rays[1])], axis=1)
     (c1, c2), (g11, g22), (b1, _) = cols, gram, dual
-    ratio = np.divide(_dot(c1, c2), g11, out=np.zeros(N), where=g11 > 0.0)
+    ratio = np.divide(row_dot(c1, c2), g11, out=np.zeros(N), where=g11 > 0.0)
     u = c2 - ratio[:, None] * c1
-    uu = _dot(u, u)
+    uu = row_dot(u, u)
     free = (g11 > 0.0) & (uu > _DEPENDENT_SIN_SQ * g22)
     along = np.divide(b1, g11, out=np.zeros(N), where=free)
-    lam2 = np.divide(_dot(u, B - along[:, None] * c1), uu, out=np.zeros(N), where=free)
+    lam2 = np.divide(row_dot(u, B - along[:, None] * c1), uu, out=np.zeros(N), where=free)
     lam1 = along - lam2 * ratio
     inside = free & (lam1 > 0.0) & (lam2 > 0.0)
     return np.where(inside[:, None], np.stack([lam1, lam2], axis=1), x)
@@ -142,7 +144,10 @@ def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarra
     without this, round-off can cycle it in and out at zero steps.  Every
     other passive solve counts one iteration of its row, and NoConvergence
     is raised once a row exceeds max_iter (default max(10 k max(p, k), 50));
-    max_iter applies to k >= 3 only.
+    max_iter applies to k >= 3 only.  Input is not checked for NaN or
+    infinity: the engine's calls project targets of validated models and
+    positive solutions, finite by construction, and project_cone refuses a
+    non-finite point at the public boundary.
     """
     b = np.asarray(b, dtype=float)
     B = np.atleast_2d(b)

@@ -198,6 +198,11 @@ class CoefficientField:
         shape = (fvals.shape[0], self.m, self.n)
         return out if out.shape == shape else np.broadcast_to(out, shape)
 
+    def factor_step(self, f, dt: float, dw_j):
+        """One Euler step of the factor, f + kappa (mean_level - f) dt + nu dw_j,
+        on arrays of states f and driving increments dw_j."""
+        return f + self.kappa * (self.mean_level - f) * dt + self.nu * dw_j
+
     def factor_mean(self, t: float) -> float:
         """E[F_t] = mean_level + (f0 - mean_level) exp(-kappa t)."""
         return self.mean_level + (self.f0 - self.mean_level) * math.exp(-self.kappa * t)

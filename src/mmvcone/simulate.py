@@ -17,7 +17,7 @@ import numpy as np
 
 from . import forksplit
 from .bsde import BsdeSolution
-from .cones import Cone
+from .cones import Cone, row_dot
 from .errors import (
     AdversaryNotZero,
     ConfigInvalid,
@@ -35,16 +35,6 @@ _SADDLE_TOL = 3.0           # stderrs allowed by each saddle relation
 # a block step's draw, in members: on A at 20k paths x 50 steps a draw took
 # about 330 us per step and a member 140-240 us
 _DRAW_COST = 2
-
-
-def _row_dots(a, b) -> np.ndarray:
-    """Row sums of a * b, (N, k) each, column by column: einsum("ik,ik->i")'s
-    bits for k <= 2, up to the sign of a zero sum (for k >= 3 einsum sums
-    in another order, and a third to two fifths of the rows move)."""
-    out = a[:, 0] * b[:, 0]
-    for j in range(1, a.shape[1]):
-        out += a[:, j] * b[:, j]
-    return out
 
 
 def _noise(pi, sig, dw) -> np.ndarray:
@@ -118,7 +108,10 @@ def constant_adversary(v) -> Adversary:
                      label="const")
 
 
-def saddle_adversary(saddle: SaddleAdversary) -> Adversary:
+def mmv_adversary(y_sol: BsdeSolution, cone: Cone, model: MarketModel) -> Adversary:
+    """The saddle loading eta_hat of y_sol (SaddleAdversary), as a member
+    that simulate and saddle_scan take."""
+    saddle = SaddleAdversary(y_sol, cone, model)
     return Adversary(kind="saddle", saddle=saddle, bound=saddle.bound, label="eta_hat")
 
 
@@ -258,18 +251,17 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
                               if strat is not None else None)
                         np.multiply(x, growth[k], out=x)
                         if pi is not None:
-                            x += _row_dots(pi, step.mu) * dt
+                            x += row_dot(pi, step.mu) * dt
                             x += _noise(pi, step.sigma, dw)
                     for at_i, adv, row in moving:
                         at = (block_index, k, at_i)
                         eta = adv.eta_batch(model, t, f, _step=step)
                         # a loading shared by every row has one |eta|^2
                         one = eta[:1] if eta.strides[0] == 0 else eta
-                        row[start:stop] *= np.exp(_row_dots(eta, dw)
-                                                  - 0.5 * _row_dots(one, one) * dt)
+                        row[start:stop] *= np.exp(row_dot(eta, dw)
+                                                  - 0.5 * row_dot(one, one) * dt)
                     if markov:
-                        f = (f + cf.kappa * (cf.mean_level - f) * dt
-                             + cf.nu * dw[:, cf.driving_index])
+                        f = cf.factor_step(f, dt, dw[:, cf.driving_index])
                     if store_paths:
                         X_paths[start:stop, k + 1] = terminal[0, start:stop]
                         L_paths[start:stop, k + 1] = terminal[n_pi, start:stop]
@@ -398,8 +390,9 @@ def saddle_scan(model: MarketModel, cone: Cone, y_sol: BsdeSolution,
     """Estimate the objective on every family cell and check the saddle relations.
 
     One family call of simulate gives every cell common random numbers.
-    Each relation holds to 3 stderrs of its cell; SaddleViolated is raised
-    on the first that fails.
+    To 3 stderrs of each cell, the saddle cell is R0 (saddle_value), the rest
+    of its column at most R0 (sup_bound) and of its row at least R0
+    (inf_bound); SaddleViolated is raised on the first that fails.
     """
     saddle_pi = next((i for i, s in enumerate(pi_family)
                       if s is not None and s.kind == "MMV" and s.scale == 1.0), None)
@@ -425,13 +418,13 @@ def saddle_scan(model: MarketModel, cone: Cone, y_sol: BsdeSolution,
         raise exc
 
     for i in range(n_pi):
-        if means[i, saddle_eta] > r0 + _SADDLE_TOL * errs[i, saddle_eta]:
+        if i != saddle_pi and means[i, saddle_eta] > r0 + _SADDLE_TOL * errs[i, saddle_eta]:
             fail((pi_labels[i], eta_labels[saddle_eta]), "sup_bound",
                  means[i, saddle_eta], errs[i, saddle_eta],
                  f"objective {means[i, saddle_eta]:.8f} beats R0 {r0:.8f} "
                  f"beyond {_SADDLE_TOL} stderr")
     for j in range(n_eta):
-        if means[saddle_pi, j] < r0 - _SADDLE_TOL * errs[saddle_pi, j]:
+        if j != saddle_eta and means[saddle_pi, j] < r0 - _SADDLE_TOL * errs[saddle_pi, j]:
             fail((pi_labels[saddle_pi], eta_labels[j]), "inf_bound",
                  means[saddle_pi, j], errs[saddle_pi, j],
                  f"objective {means[saddle_pi, j]:.8f} dips below R0 {r0:.8f} "

@@ -16,7 +16,6 @@ cases and are carried as IEEE infinities.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, field, replace as dc_replace
@@ -52,9 +51,9 @@ def _projected_target(step: "StepTargets", cone: Cone, sol: BsdeSolution, side: 
 class StepTargets:
     """The coefficient state at the rows market._state_rows gives one
     (t, fvals): sigma, mu and phi from one coefficients_at call, and each
-    distinct (solution, side, cone) projected target, computed on first use.
-    simulate builds one per path block and step, read by the wealth update
-    and every family member; nothing writes into its arrays."""
+    distinct (solution, side, cone) projected target on all those rows,
+    computed on first use and shared by every reader.  simulate builds one
+    per path block and step; nothing writes into its arrays."""
 
     def __init__(self, model: MarketModel, t, fvals):
         self.model = model
@@ -62,19 +61,6 @@ class StepTargets:
         self.rows = _state_rows(model.coefficients.kind == "markov", fvals, t)
         self.sigma, self.mu, self.phi = coefficients_at(model, t, self.rows)
         self._targets = {}
-
-    def subset(self, keep: np.ndarray) -> "StepTargets":
-        """The state on the rows keep (a boolean mask), gathered from this
-        step's arrays (a zero-stride sigma stays a view), with no target yet."""
-        sub = copy.copy(self)
-        sub.t = np.asarray(self.t)[keep] if np.ndim(self.t) else self.t
-        sub.rows = self.rows[keep]
-        sub.sigma = (np.broadcast_to(self.sigma[0], (len(sub.rows),) + self.sigma.shape[1:])
-                     if self.sigma.strides[0] == 0 else self.sigma[keep])
-        sub.mu, sub.phi = self.mu[keep], self.phi[keep]
-        sub.__dict__.pop("h", None)         # h_t at sub's own times, on first use
-        sub._targets = {}
-        return sub
 
     @functools.cached_property
     def h(self):
@@ -120,14 +106,13 @@ class FeedbackStrategy:
         required for a factor-driven model and not read without a factor
         (one row per time).  xvals (N,) is one wealth per state row, or
         (R, X): X wealth levels for each of R state rows.
-        Returns xvals.shape + (m,).  The Y or P2 direction is read from
-        _step (a StepTargets of this (t, fvals)); the MV short side (P1) is
-        evaluated only on rows with some wealth above gamma_hat / h_t, on
-        the step's subset of them.
+        Returns xvals.shape + (m,).  Every direction is read from _step (a
+        StepTargets of this (t, fvals)) on all of its rows; the MV short
+        side (P1) is projected only at a step with some wealth above
+        gamma_hat / h_t.
         """
         xvals = np.asarray(xvals, dtype=float)
         step = _step if _step is not None else StepTargets(self.model, t, fvals)
-        rows = step.rows
         shape = (-1,) + (1,) * (xvals.ndim - 1)      # state rows against wealth
         vec = shape + (self.model.m,)
         # the step's h_t serves a strategy built on the model it steps
@@ -140,10 +125,8 @@ class FeedbackStrategy:
         gap = xvals - self.gamma_hat / h_t
         out = np.maximum(-gap, 0.0)[..., None] * g2.reshape(vec)
         pos = gap > 0.0
-        need = np.any(pos.reshape(len(rows), -1), axis=1)
-        if np.any(need):
-            g1 = np.zeros((len(rows), self.model.m))
-            g1[need] = step.subset(need).target(self.cone, self.p1_sol, "P1")[3]
+        if np.any(pos):
+            g1 = step.target(self.cone, self.p1_sol, "P1")[3]
             out[pos] += gap[pos, None] * np.broadcast_to(g1.reshape(vec), out.shape)[pos]
         return self.scale * out
 
@@ -207,10 +190,6 @@ class SaddleAdversary:
         internal to simulate (see _loading)."""
         out = clip_to_bound(self._loading(t, fvals, _step), self.bound)
         return np.broadcast_to(out, (len(fvals), self.model.n))
-
-
-def mmv_adversary(y_sol: BsdeSolution, cone: Cone, model: MarketModel) -> SaddleAdversary:
-    return SaddleAdversary(y_sol, cone, model)
 
 
 def mv_feedback(model: MarketModel, cone: Cone, p1_sol: BsdeSolution,

@@ -136,7 +136,7 @@ def test_criterion_5_saddle_suite():
     cone = mc.full_space(1)
     y_sol = mc.solve_deterministic(model, cone, "Y", 1000)
     mmv = mc.mmv_feedback(model, cone, y_sol)
-    saddle = mc.saddle_adversary(mc.mmv_adversary(y_sol, cone, model))
+    saddle = mc.mmv_adversary(y_sol, cone, model)
     pi_family = [mmv, None, mmv.scaled(0.5), mmv.scaled(1.5)]
     eta_family = [saddle, mc.zero_adversary(),
                   mc.scaled_minus_phi(model, 0.5), mc.scaled_minus_phi(model, 2.0)]
@@ -158,7 +158,7 @@ def test_criterion_6_conservation_identity():
     cone = mc.full_space(1)
     y_sol = mc.solve_deterministic(model, cone, "Y", 1000)
     mmv = mc.mmv_feedback(model, cone, y_sol)
-    saddle = mc.saddle_adversary(mc.mmv_adversary(y_sol, cone, model))
+    saddle = mc.mmv_adversary(y_sol, cone, model)
     steps_grid = (100, 200, 400, 800)
     residuals = []
     for steps in steps_grid:

@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import mmvcone as mc
 from mmvcone import cli
 
 from conftest import INSTANCE_A, INSTANCE_C
@@ -72,6 +74,36 @@ def test_simulate_summary(tmp_path):
     assert len(rows) == 1 + 2000 * 51
 
 
+def test_simulate_mv_strategy_matches_a_direct_simulation(tmp_path):
+    # strategy "mv" simulates the mean-variance feedback of the P2 and P1 solves
+    cfg = _base_config(tmp_path, "simulate", paths=1000, steps=20, strategy="mv",
+                       adversary="saddle")
+    assert cli.run(cli.load_config(cfg)) == 0
+    summary = json.loads((tmp_path / "out" / "simulation_summary.json").read_text())
+    model = mc.build_model(cfg["model"])
+    cone = mc.full_space(1)
+    y, p2, p1 = (mc.solve_deterministic(model, cone, eq, 1000) for eq in ("Y", "P2", "P1"))
+    batch = mc.simulate(model, mc.mv_feedback(model, cone, p1, p2),
+                        mc.mmv_adversary(y, cone, model), paths=1000, steps=20,
+                        seed=cfg["seed"])
+    assert summary["objective_mean"] == batch.objective_mean
+    assert summary["objective_stderr"] == batch.objective_stderr
+    assert summary["mean_terminal_x"] == float(np.mean(batch.terminal_X))
+
+
+def test_saddle_violation_exits_two_with_its_artifacts(tmp_path, capsys, monkeypatch):
+    # a failing relation still writes the matrix and the verdict
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_SADDLE_TOL", -1e9)
+    cfg = _base_config(tmp_path, "saddle", paths=500, steps=10)
+    assert cli.main(["saddle", "--config", str(_write_config(tmp_path, cfg))]) == 2
+    out = tmp_path / "out"
+    verdict = json.loads((out / "saddle_verdict.json").read_text())
+    assert verdict["passed"] is False and verdict["violations"]
+    assert (out / "saddle_matrix.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["_meta"]["artifacts"] == ["saddle_matrix.csv", "saddle_verdict.json"]
+
+
 def test_saddle_experiment(tmp_path):
     cfg = _base_config(tmp_path, "saddle", paths=5000, steps=20)
     assert cli.run(cli.load_config(cfg)) == 0
@@ -118,6 +150,10 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     rc = cli.main(["solve", "--config", str(bad)])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
+    # valid JSON that is not an object is refused the same way
+    bad.write_text("[1, 2]")
+    assert cli.main(["solve", "--config", str(bad)]) == 1
+    assert "must be a JSON object" in capsys.readouterr().err
 
 
 def test_missing_field_named(tmp_path, capsys):
@@ -310,6 +346,24 @@ def test_main_with_overrides(tmp_path):
     assert rc == 0
     manifest = json.loads((out2 / "manifest.json").read_text())
     assert manifest["seed"] == 99
+
+
+@pytest.mark.parametrize("command, missing, flags", [
+    ("value", "experiment", []),
+    ("simulate", "seed", ["--seed", "5", "--paths", "200", "--steps", "10"]),
+], ids=["value_without_experiment", "simulate_without_seed"])
+def test_flags_complete_the_file_before_validation(tmp_path, capsys, command, missing, flags):
+    # the subcommand and flags fill what the file leaves out: the config is
+    # validated once, after they are applied
+    cfg = _base_config(tmp_path, command)
+    del cfg[missing]
+    rc = cli.main([command, "--config", str(_write_config(tmp_path, cfg)), *flags])
+    assert rc == 0, capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["experiment"] == command
+    if command == "simulate":
+        assert manifest["seed"] == 5
+        assert manifest["_meta"]["results"]["seed"] == 5
 
 
 def test_never_overwrites(tmp_path):

@@ -50,7 +50,7 @@ def test_binding_constraint(setup):
 
 def test_constrained_adversary_not_minus_phi(setup):
     model, cone, y, _, _ = setup
-    adv = mc.mmv_adversary(y, cone, model)
+    adv = mc.mmv_adversary(y, cone, model).saddle
     eta = eta_at(adv, 0.0)
     phi = pricing_kernel_at(model, 0.0)
     assert np.linalg.norm(eta + phi) > 1e-3  # constraint shifts the worst case
@@ -82,7 +82,7 @@ def test_equivalence(setup):
 def test_saddle_scan(setup):
     model, cone, y, _, _ = setup
     mmv = mc.mmv_feedback(model, cone, y)
-    saddle = mc.saddle_adversary(mc.mmv_adversary(y, cone, model))
+    saddle = mc.mmv_adversary(y, cone, model)
     report = mc.saddle_scan(
         model, cone, y,
         [mmv, None, mmv.scaled(0.5), mmv.scaled(1.5)],

@@ -17,8 +17,8 @@ from mmvcone.errors import (
     NoConvergence,
     SaddleViolated,
 )
-from mmvcone.simulate import _noise, _row_dots, path_values
-from mmvcone.strategies import StepTargets
+from mmvcone.cones import row_dot
+from mmvcone.simulate import _noise, path_values
 
 from conftest import H0_A, INSTANCE_C_SIGMA1, INSTANCE_ORTHANT2, VALUE_A
 from conftest import forks as _forks
@@ -31,7 +31,7 @@ def mmv_a(model_a, cone_a, ysol_a):
 
 @pytest.fixture(scope="module")
 def saddle_a(model_a, cone_a, ysol_a):
-    return mc.saddle_adversary(mc.mmv_adversary(ysol_a, cone_a, model_a))
+    return mc.mmv_adversary(ysol_a, cone_a, model_a)
 
 
 def test_riskless_drift_exact(model_a):
@@ -114,7 +114,7 @@ def test_conservation_initial_time_exact(model_a, mmv_a, saddle_a, ysol_a):
 
 def test_conservation_instance_b_exact(model_b, cone_b, ysol_b):
     mmv = mc.mmv_feedback(model_b, cone_b, ysol_b)
-    adv = mc.saddle_adversary(mc.mmv_adversary(ysol_b, cone_b, model_b))
+    adv = mc.mmv_adversary(ysol_b, cone_b, model_b)
     res = mc.simulate(model_b, mmv, adv, paths=500, steps=40, seed=9, store_paths=True)
     residual = mc.conservation_residual(res, ysol_b, model_b)
     assert residual < 1e-12
@@ -210,6 +210,25 @@ def test_saddle_scan_detects_wrong_value(model_a, cone_a, ysol_a, mmv_a, saddle_
         mc.saddle_scan(model_a, cone_a, wrong, [mmv_a], [saddle_a],
                        paths=20000, steps=50, seed=37)
     assert exc_info.value.report.violations
+    assert exc_info.value.report.violations[0]["kind"] == "saddle_value"
+
+
+@pytest.mark.parametrize("y_scale, kind, cell", [
+    (0.8, "sup_bound", ("0.5*pi_hat", "eta_hat")),
+    (1.2, "inf_bound", ("pi_hat", "0")),
+], ids=["sup_bound", "inf_bound"])
+def test_saddle_scan_names_the_failing_bound(model_a, cone_a, ysol_a, mmv_a, saddle_a,
+                                             y_scale, kind, cell):
+    # a claimed value below the true one is beaten by another portfolio
+    # against eta_hat; one above it is undercut by another loading against pi_hat
+    wrong = mc.BsdeSolution(equation="Y", grid=ysol_a.grid,
+                            y_values=ysol_a.y_values * y_scale,
+                            z_values=ysol_a.z_values, bounds=ysol_a.bounds, n=1)
+    with pytest.raises(SaddleViolated) as exc_info:
+        mc.saddle_scan(model_a, cone_a, wrong, [mmv_a, mmv_a.scaled(0.5)],
+                       [saddle_a, mc.zero_adversary()], paths=5000, steps=20, seed=37)
+    (violation,) = exc_info.value.report.violations
+    assert (violation["kind"], violation["cell"]) == (kind, cell)
 
 
 def test_custom_adversary_requires_and_enforces_bound(model_a, mmv_a):
@@ -238,7 +257,7 @@ def test_markov_simulation_runs(model_c):
                              mc.McSolverConfig(paths=5000, basis_degree=2,
                                                seed=41, steps=25, bootstrap=0))
     mmv = mc.mmv_feedback(model_c, cone, sol)
-    adv = mc.saddle_adversary(mc.mmv_adversary(sol, cone, model_c))
+    adv = mc.mmv_adversary(sol, cone, model_c)
     res = mc.simulate(model_c, mmv, adv, paths=2000, steps=25, seed=43,
                       store_paths=True)
     assert np.all(np.isfinite(res.terminal_X))
@@ -255,7 +274,7 @@ def _markov_saddle(model):
                              mc.McSolverConfig(paths=2000, basis_degree=2,
                                                seed=47, steps=10, bootstrap=0))
     return (mc.mmv_feedback(model, cone, sol),
-            mc.saddle_adversary(mc.mmv_adversary(sol, cone, model)))
+            mc.mmv_adversary(sol, cone, model))
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +299,7 @@ def orthant2_family():
     cone = mc.orthant(2)
     sol = mc.solve_deterministic(model, cone, "Y", 1000)
     return (model, mc.mmv_feedback(model, cone, sol),
-            mc.saddle_adversary(mc.mmv_adversary(sol, cone, model)))
+            mc.mmv_adversary(sol, cone, model))
 
 
 @pytest.mark.parametrize("instance", ["A", "C", "orthant2"])
@@ -399,8 +418,8 @@ def test_mixed_family_cells_match_pair_simulations(instance, request, monkeypatc
     # MMV and MV maps beside -c phi and zero loadings.  An MV map whose level
     # sits below x0 h0 starts with every wealth above gamma/h_t, so its short
     # side (P1) runs; scaled up 20 times its wealth crosses the level both
-    # ways, and on C and C1 its P1 rows are then a strict subset of a block's rows.
-    # Neither those rows nor their coefficients may reach another member.
+    # ways, and on C and C1 only some of a block's rows then read P1.  The
+    # three MV members share one P1 projection per block step, on all its rows.
     model, mmv, saddle = _saddle_pair(request, instance)
     if instance == "A":
         mv = mc.mv_feedback(model, mmv.cone, request.getfixturevalue("p1sol_a"),
@@ -417,12 +436,13 @@ def test_mixed_family_cells_match_pair_simulations(instance, request, monkeypatc
     targets = _spy(monkeypatch, "mmvcone.strategies", "_projected_target")
     evaluations = _count_evaluations(monkeypatch, ("sigma_batch",))
     fam = mc.simulate(model, pi_family, eta_family, **kw)
-    # the P1 rows are gathered from the step's state, not evaluated again
     assert evaluations == {"sigma_batch": 12 * 3}
-    p1_rows = {len(args[0].rows) for args in targets if args[3] == "P1"}
-    assert p1_rows
-    if instance != "A":
-        assert p1_rows - {1000, 500}      # not only whole blocks
+    p1_steps = [args[0] for args in targets if args[3] == "P1"]
+    assert p1_steps
+    assert len({id(step) for step in p1_steps}) == len(p1_steps) <= 12 * 3
+    # on the block step's own StepTargets, the one the Y target is read from
+    assert {id(step) for step in p1_steps} <= {id(args[0]) for args in targets
+                                                if args[3] == "Y"}
     for i, strat in enumerate(pi_family):
         for j, adv in enumerate(eta_family):
             one = mc.simulate(model, strat, adv, **kw)
@@ -430,33 +450,6 @@ def test_mixed_family_cells_match_pair_simulations(instance, request, monkeypatc
             assert fam.objective_stderr[i, j] == one.objective_stderr
             assert np.array_equal(fam.terminal_X[i], one.terminal_X)
             assert np.array_equal(fam.terminal_Lambda[j], one.terminal_Lambda)
-
-
-@pytest.mark.parametrize("instance", ["A", "C", "C1"])
-def test_step_subset_matches_its_own_step(instance, request):
-    # a subset gathers sigma, mu and phi from its step; its targets carry the
-    # bits of a StepTargets built on the subset's rows, at one t or per-row t
-    model, mmv, _ = _saddle_pair(request, instance)
-    mv = (mc.mv_feedback(model, mmv.cone, request.getfixturevalue("p1sol_a"),
-                         request.getfixturevalue("p2sol_a"))
-          if instance == "A" else request.getfixturevalue(f"markov_{instance.lower()}_mv"))
-    fvals = np.linspace(0.0, 0.12, 40)
-    keep = np.arange(40) % 3 != 1
-    per_row = np.linspace(0.0, model.horizon_T, 40)
-    # a factor-free model has one row per time, so one row at a single t
-    for t in (per_row,) if instance == "A" else (0.37, per_row):
-        step = StepTargets(model, t, fvals)
-        assert np.array_equal(step.h, model.discount(t))   # cached before the subset
-        sub = step.subset(keep)
-        alone = StepTargets(model, t[keep] if np.ndim(t) else t, fvals[keep])
-        assert np.array_equal(sub.rows, alone.rows)
-        for name in ("sigma", "mu", "phi", "h"):
-            assert np.array_equal(getattr(sub, name), getattr(alone, name)), name
-        assert (sub.sigma.strides[0] == 0) == (step.sigma.strides[0] == 0)
-        for sol, side in ((mv.p1_sol, "P1"), (mv.p2_sol, "P2"), (mmv.y_sol, "Y")):
-            for got, want in zip(sub.target(mmv.cone, sol, side),
-                                 alone.target(mmv.cone, sol, side)):
-                assert np.array_equal(got, want), side
 
 
 def test_family_exploding_member_raises(model_a, mmv_a, saddle_a, monkeypatch):
@@ -505,8 +498,8 @@ def _saddle_family(model, mmv, saddle):
 
 def _split_family(request, name):
     """(model, pi_family, eta_family): the saddle family on A, C, C1 or
-    orthant2, or the mixed MMV/MV family on C1 whose 20x split MV member runs
-    its short side (P1) on strict subsets of a block's rows."""
+    orthant2, or the mixed MMV/MV family on C1 whose 20x split MV member
+    reads its short side (P1) on only some of a block's rows."""
     if name == "orthant2":
         model, mmv, saddle = request.getfixturevalue("orthant2_family")
     else:
@@ -777,5 +770,5 @@ def test_column_products_match_einsum(m, n, shared):
     sig = (np.broadcast_to(rng.normal(size=(m, n)), (rows, m, n)) if shared
            else rng.normal(size=(rows, m, n)))
     assert np.array_equal(_noise(pi, sig, dw), np.einsum("im,imn,in->i", pi, sig, dw))
-    assert np.array_equal(_row_dots(pi, mu), np.einsum("im,im->i", pi, mu))
-    assert np.array_equal(_row_dots(dw, dw), np.einsum("in,in->i", dw, dw))
+    assert np.array_equal(row_dot(pi, mu), np.einsum("im,im->i", pi, mu))
+    assert np.array_equal(row_dot(dw, dw), np.einsum("in,in->i", dw, dw))

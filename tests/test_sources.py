@@ -1,6 +1,6 @@
 """Checks on the package's sources and on the README: the engine is
-configured by its config and its arguments only, every export has a user,
-and the README's Python sketch runs."""
+configured by its config and its arguments only, every export and every
+private helper has a user, and the README's Python sketch runs."""
 
 import ast
 import re
@@ -41,6 +41,42 @@ def test_every_export_is_used_by_the_engine_an_acceptance_test_or_the_readme():
         if not (word.search(documented)
                 or any(word.search(line) and not own.match(line) for line in lines)):
             unused.append(name)
+    assert unused == []
+
+
+def _private_definitions(tree):
+    """(name, line) of each underscore-named (not dunder) module-level
+    function, class or constant and each such method of a module-level class."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and private(node.name):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and private(item.name):
+                    yield item.name, item.lineno
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and private(target.id):
+                yield target.id, node.lineno
+
+
+def test_every_private_helper_is_referenced_in_the_engine():
+    # an underscore name defined in src/mmvcone is referenced on some line of
+    # the package other than the one that defines it
+    files = {path.name: path.read_text().splitlines() for path in sorted(_PACKAGE.glob("*.py"))}
+    defined = [(name, file, line) for file, lines in files.items()
+               for name, line in _private_definitions(ast.parse("\n".join(lines)))]
+    assert len(defined) > 50
+    unused = []
+    for name, file, line in defined:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(text) for f, lines in files.items()
+                   for i, text in enumerate(lines, 1) if (f, i) != (file, line)):
+            unused.append(f"{file}:{line}: {name}")
     assert unused == []
 
 

@@ -81,7 +81,7 @@ def markov_c_maps(model_c):
         paths=2000, basis_degree=2, seed=31 + k, steps=10, bootstrap=0))
         for k, eq in enumerate(("Y", "P2", "P1"))])
     return (mc.mmv_feedback(model_c, cone, y), mc.mv_feedback(model_c, cone, p1, p2),
-            mc.mmv_adversary(y, cone, model_c))
+            mc.mmv_adversary(y, cone, model_c).saddle)
 
 
 @pytest.mark.parametrize("instance", ["A", "C"])
@@ -93,7 +93,7 @@ def test_feedback_maps_reject_times_outside_horizon(instance, offset, request):
         model, cone, y = (request.getfixturevalue(name)
                           for name in ("model_a", "cone_a", "ysol_a"))
         maps = (request.getfixturevalue("mmv_a"), request.getfixturevalue("mv_a"),
-                mc.mmv_adversary(y, cone, model))
+                mc.mmv_adversary(y, cone, model).saddle)
         fvals = np.zeros(3)
     else:
         model = request.getfixturevalue("model_c")
@@ -130,13 +130,13 @@ def test_markov_batch_calls_require_factor_states(model_c, markov_c_maps):
 
 
 def test_adversary_instance_a(model_a, cone_a, ysol_a):
-    adv = mc.mmv_adversary(ysol_a, cone_a, model_a)
+    adv = mc.mmv_adversary(ysol_a, cone_a, model_a).saddle
     for t in (0.0, 0.31, 0.9):
         assert eta_at(adv, t) == pytest.approx([-0.3], abs=1e-10)
 
 
 def test_adversary_instance_b(model_b, cone_b, ysol_b):
-    adv = mc.mmv_adversary(ysol_b, cone_b, model_b)
+    adv = mc.mmv_adversary(ysol_b, cone_b, model_b).saddle
     assert eta_at(adv, 0.2) == pytest.approx([0.0], abs=1e-12)
 
 
@@ -147,7 +147,7 @@ def test_adversary_independent_of_y_when_unconstrained(model_a, cone_a):
         sol = mc.BsdeSolution(equation="Y", grid=grid,
                               y_values=np.full(5, level),
                               z_values=np.zeros((5, 1)), bounds=(0.1, 10.0), n=1)
-        adv = mc.mmv_adversary(sol, cone_a, model_a)
+        adv = mc.mmv_adversary(sol, cone_a, model_a).saddle
         assert eta_at(adv, 0.5) == pytest.approx([-0.3], abs=1e-12)
 
 
@@ -432,7 +432,7 @@ def test_saddle_family_bounds_match_per_time_loop(case):
     config, cone, _ = _LATTICE_CASES[case]
     model = mc.build_model(config)
     y = _solve_three(model, cone)[0]
-    saddle = mc.mmv_adversary(y, cone, model)
+    saddle = mc.mmv_adversary(y, cone, model).saddle
     top = _bound_lattice_reference(model, saddle._loading)
     assert saddle.bound == 1.5 * top + 1e-12
     phi_top = _bound_lattice_reference(
