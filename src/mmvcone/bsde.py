@@ -653,7 +653,7 @@ def _split_walk(model, cone, jobs):
     items = [(j, k) for j, job in enumerate(jobs) for k in range(job[1].bootstrap + 1)]
     n = max(min(forksplit.cpus(), len(items)), 1)
     groups = [[items[i] for i in p] for p in np.array_split(np.arange(len(items)), n)]
-    results, failure = forksplit.run(lambda group, _feed: _walk_group(model, cone, jobs, group),
+    results, failure = forksplit.run(lambda group: _walk_group(model, cone, jobs, group),
                                      groups, lambda group: group[0])
     walks = {}
     for done in results:

@@ -344,13 +344,16 @@ def run(cfg: dict) -> int:
         if strat_spec not in (None, "none", "zero", "0", "mmv", "mv"):
             raise ConfigInvalid(f"unknown strategy {strat_spec!r}", field="strategy")
         adversary = _adversary_from_spec(cfg.get("adversary", "zero"), model)
-        y_sol, *mv_pair = _solve_many(model, cone, cfg,
-                                      (_Y, *_MV_PAIR) if strat_spec == "mv" else (_Y,))
+        # Y feeds the mmv strategy, the saddle loading and the stored path values
+        y_read = strat_spec == "mmv" or adversary == "saddle" or store
+        sols = _solve_many(model, cone, cfg, ((_Y,) if y_read else ())
+                           + (_MV_PAIR if strat_spec == "mv" else ()))
+        y_sol = sols.pop(0) if y_read else None
         strategy = None
         if strat_spec == "mmv":
             strategy = mmv_feedback(model, cone, y_sol)
         elif strat_spec == "mv":
-            p2_sol, p1_sol = mv_pair
+            p2_sol, p1_sol = sols
             strategy = mv_feedback(model, cone, p1_sol, p2_sol)
         if adversary == "saddle":
             adversary = mmv_adversary(y_sol, cone, model)

@@ -3,9 +3,9 @@
 Paths are advanced under the physical measure; an objective under a tilted
 measure is estimated by reweighting, E^{P^eta}[V] = E[Lambda_T V].  One
 draw per block and step serves a whole family, so every (pi, eta) cell has
-common random numbers: the calling process draws it and streams it to the
-processes that advance the other members.  Wealth compounds by the exact
-per-step growth factor, and the density is advanced in log space.
+common random numbers; the calling process advances every member on it.
+Wealth compounds by the exact per-step growth factor, and the density is
+advanced in log space.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from .strategies import (FeedbackStrategy, SaddleAdversary, StepTargets,
 
 _BLOCK = 32768              # paths per substream block
 _SADDLE_TOL = 3.0           # stderrs allowed by each saddle relation
-# a block step's draw, in members: on A at 20k paths x 50 steps a draw took
-# about 330 us per step and a member 140-240 us
-_DRAW_COST = 2
 
 
 def _noise(pi, sig, dw) -> np.ndarray:
@@ -168,13 +165,13 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     strategy and adversary are each one member or a list of members (None
     is the zero portfolio).  Block b of _BLOCK paths draws from
     substream(seed, b); each step evaluates one StepTargets, read by the
-    wealth update, every portfolio and every loading.  The members are split
-    over the CPUs in groups of equal cost (forksplit.run); the calling
-    process draws each block step once and streams the draw to the forked
-    groups, and each process advances its own members on it, so each row
-    has the bits of a one-process run.  A cell estimates E^{P^eta}[X_T +
-    (Lambda_T - 1)/(2 theta)].  store_paths keeps the trajectories of a
-    one-pair call.
+    wealth update, every portfolio and every loading.  On two or more CPUs,
+    with more than two moving members (a portfolio other than None, a
+    loading other than zero), a forked drawer (forksplit.stream) draws each
+    block step from the substreams opened here while this process advances
+    every member; otherwise this process draws, with the same bits.  A cell
+    estimates E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)].  store_paths keeps
+    the trajectories of a one-pair call.
     """
     family = isinstance(strategy, (list, tuple)) or isinstance(adversary, (list, tuple))
     strategies = list(strategy) if isinstance(strategy, (list, tuple)) else [strategy]
@@ -205,94 +202,72 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     L_paths = np.empty((paths, steps + 1)) if store_paths else None
     F_paths = np.empty((paths, steps + 1)) if (store_paths and markov) else None
 
-    def walk(own, feed):
-        """({member: terminal row}, failure) of the members in own, advanced on
-        every block's draw; failure is ((block, step, member), exception).
-        The calling process draws each step and puts it to feed; a forked
-        group gets it from feed, and returns (None, None) at its end."""
-        wealth = [(i, strategies[i], terminal[i]) for i in sorted(own) if i < n_pi]
-        # a zero loading leaves its density at 1: only the others are advanced
-        moving = [(i, adversaries[i - n_pi], terminal[i]) for i in sorted(own)
-                  if i >= n_pi and adversaries[i - n_pi].kind != "zero"]
-        buffer = np.empty((min(_BLOCK, paths), model.n)) if feed.reads else None
-        at = (0, -1, -1)
-        try:
-            for block_index, start in enumerate(range(0, paths, _BLOCK)):
-                stop = min(start + _BLOCK, paths)
-                bs = stop - start
-                rng = None if feed.reads else substream(seed, block_index)
-                f = np.full(bs, cf.f0)
+    wealth = list(zip(strategies, terminal[:n_pi]))
+    # a zero loading leaves its density at 1: only the others are advanced
+    moving = [(adv, row) for adv, row in zip(adversaries, terminal[n_pi:])
+              if adv.kind != "zero"]
+    blocks = [(start, min(start + _BLOCK, paths)) for start in range(0, paths, _BLOCK)]
+    rngs = [substream(seed, b) for b in range(len(blocks))]
+
+    def draw(rng, bs):
+        """A block step's increments (bs, n); antithetic rows negate the first half."""
+        if antithetic:
+            half = (bs + 1) // 2
+            d = rng.standard_normal((half, model.n))
+            return sqdt * np.concatenate([d, -d[: bs - half]], axis=0)
+        return sqdt * rng.standard_normal((bs, model.n))
+
+    def produce(put):
+        for (start, stop), rng in zip(blocks, rngs):
+            for _ in range(steps):
+                put(draw(rng, stop - start))
+
+    drawer = None
+    try:
+        if forksplit.cpus() >= 2 and sum(s is not None for s in strategies) + len(moving) > 2:
+            drawer = forksplit.stream(produce)
+        buffer = np.empty((blocks[0][1], model.n)) if drawer is not None else None
+        for block_index, ((start, stop), rng) in enumerate(zip(blocks, rngs)):
+            bs = stop - start
+            f = np.full(bs, cf.f0)
+            if store_paths:
+                X_paths[start:stop, 0] = terminal[0, start:stop]
+                L_paths[start:stop, 0] = terminal[n_pi, start:stop]
+                if markov:
+                    F_paths[start:stop, 0] = f
+            for k in range(steps):
+                t = times[k]
+                if drawer is None:
+                    dw = draw(rng, bs)
+                else:
+                    dw = buffer[:bs]
+                    drawer.get(dw)
+                step = StepTargets(model, t, f)     # this step's coefficients and targets
+                for strat, row in wealth:
+                    x = row[start:stop]
+                    pi = (strat.portfolio_batch(t, x, f, _step=step)
+                          if strat is not None else None)
+                    np.multiply(x, growth[k], out=x)
+                    if pi is not None:
+                        x += row_dot(pi, step.mu) * dt
+                        x += _noise(pi, step.sigma, dw)
+                for adv, row in moving:
+                    eta = adv.eta_batch(model, t, f, _step=step)
+                    # a loading shared by every row has one |eta|^2
+                    one = eta[:1] if eta.strides[0] == 0 else eta
+                    row[start:stop] *= np.exp(row_dot(eta, dw) - 0.5 * row_dot(one, one) * dt)
+                if markov:
+                    f = cf.factor_step(f, dt, dw[:, cf.driving_index])
                 if store_paths:
-                    X_paths[start:stop, 0] = terminal[0, start:stop]
-                    L_paths[start:stop, 0] = terminal[n_pi, start:stop]
+                    X_paths[start:stop, k + 1] = terminal[0, start:stop]
+                    L_paths[start:stop, k + 1] = terminal[n_pi, start:stop]
                     if markov:
-                        F_paths[start:stop, 0] = f
-                for k in range(steps):
-                    at = (block_index, k, -1)
-                    t = times[k]
-                    if feed.reads:
-                        dw = buffer[:bs]
-                        if not feed.get(dw):
-                            return None, None
-                    else:
-                        if antithetic:
-                            half = (bs + 1) // 2
-                            d = rng.standard_normal((half, model.n))
-                            dw = sqdt * np.concatenate([d, -d[: bs - half]], axis=0)
-                        else:
-                            dw = sqdt * rng.standard_normal((bs, model.n))
-                        feed.put(dw)
-
-                    step = StepTargets(model, t, f)     # this step's coefficients and targets
-                    for at_i, strat, row in wealth:
-                        at = (block_index, k, at_i)
-                        x = row[start:stop]
-                        pi = (strat.portfolio_batch(t, x, f, _step=step)
-                              if strat is not None else None)
-                        np.multiply(x, growth[k], out=x)
-                        if pi is not None:
-                            x += row_dot(pi, step.mu) * dt
-                            x += _noise(pi, step.sigma, dw)
-                    for at_i, adv, row in moving:
-                        at = (block_index, k, at_i)
-                        eta = adv.eta_batch(model, t, f, _step=step)
-                        # a loading shared by every row has one |eta|^2
-                        one = eta[:1] if eta.strides[0] == 0 else eta
-                        row[start:stop] *= np.exp(row_dot(eta, dw)
-                                                  - 0.5 * row_dot(one, one) * dt)
-                    if markov:
-                        f = cf.factor_step(f, dt, dw[:, cf.driving_index])
-                    if store_paths:
-                        X_paths[start:stop, k + 1] = terminal[0, start:stop]
-                        L_paths[start:stop, k + 1] = terminal[n_pi, start:stop]
-                        if markov:
-                            F_paths[start:stop, k + 1] = f
-                at = (block_index, steps, -1)
-                if not np.all(np.isfinite(terminal[:, start:stop])):
-                    raise ExplodedPath(f"non-finite state in block {block_index}; refine steps")
-        except Exception as exc:
-            return None, (at, exc)
-        return {i: terminal[i] for i in own}, None
-
-    # the calling process draws every step and walks the first strategy and
-    # adversary and every member that costs nothing (a None portfolio, a
-    # zero loading); the rest is cut into contiguous groups of equal cost,
-    # the draw counted as _DRAW_COST members of the first group
-    order = [0, n_pi, *range(1, n_pi), *range(n_pi + 1, len(terminal))]
-    cost = [s is not None for s in strategies] + [a.kind != "zero" for a in adversaries]
-    total = sum(cost)
-    n, before = min(forksplit.cpus(), total) or 1, _DRAW_COST
-    groups = [[] for _ in range(n)]
-    for p, i in enumerate(order):
-        groups[before * n // (_DRAW_COST + total) if p > 1 and cost[i] else 0].append(i)
-        before += cost[i]
-    results, failure = forksplit.run(walk, [g for g in groups if g],
-                                     lambda group: (0, 0, min(group)))
-    if failure is not None:
-        raise failure[1]
-    for rows in results[1:]:        # the children's rows; this process's are in place
-        for i, row in rows.items():
-            terminal[i] = row
+                        F_paths[start:stop, k + 1] = f
+            if not np.all(np.isfinite(terminal[:, start:stop])):
+                raise ExplodedPath(f"non-finite state in block {block_index}; refine steps")
+    finally:
+        if drawer is not None:
+            drawer.close()
     terminal_X, terminal_L = terminal[:n_pi], terminal[n_pi:]
 
     theta = model.theta

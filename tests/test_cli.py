@@ -91,6 +91,33 @@ def test_simulate_mv_strategy_matches_a_direct_simulation(tmp_path):
     assert summary["mean_terminal_x"] == float(np.mean(batch.terminal_X))
 
 
+def test_simulate_mv_without_a_reader_of_y_solves_only_p2_and_p1(tmp_path, monkeypatch):
+    # neither the mv strategy, the zero loading nor a summary reads Y; P2
+    # and P1 keep their own seed lanes, so the summary is a direct run's
+    seen, real = [], cli.solve_markovian_many
+
+    def spy(model, cone, jobs):
+        seen.extend(equation for equation, _ in jobs)
+        return real(model, cone, jobs)
+
+    monkeypatch.setattr(cli, "solve_markovian_many", spy)
+    cfg = _base_config(tmp_path, "simulate", paths=1000, steps=10, strategy="mv",
+                       **_MARKOV_C)
+    assert cli.run(cli.load_config(cfg)) == 0
+    assert seen == ["P2", "P1"]
+    summary = json.loads((tmp_path / "out" / "simulation_summary.json").read_text())
+    model = mc.build_model(cfg["model"])
+    cone = mc.full_space(1)
+    sizes = dict(paths=1000, basis_degree=2, steps=10)
+    p2, p1 = real(model, cone, [
+        ("P2", mc.McSolverConfig(seed=cfg["seed"] + 1, **sizes)),
+        ("P1", mc.McSolverConfig(seed=cfg["seed"] + 2, bootstrap=0, **sizes))])
+    batch = mc.simulate(model, mc.mv_feedback(model, cone, p1, p2), mc.zero_adversary(),
+                        paths=1000, steps=10, seed=cfg["seed"])
+    assert summary["objective_mean"] == batch.objective_mean
+    assert summary["mv_objective"] == mc.mv_objective(batch, model.theta)[0]
+
+
 def test_saddle_violation_exits_two_with_its_artifacts(tmp_path, capsys, monkeypatch):
     # a failing relation still writes the matrix and the verdict
     monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_SADDLE_TOL", -1e9)

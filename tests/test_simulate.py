@@ -3,7 +3,6 @@ import math
 import os
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -476,13 +475,12 @@ def test_family_rejects_store_paths_and_empty(model_a, mmv_a, saddle_a):
 
 
 def _count_forks(monkeypatch, fails=False):
-    """Count the os.fork calls; each raises OSError when fails is True, and
-    the k-th (from 0) when fails is a collection holding k."""
+    """Count the os.fork calls; each raises OSError when fails is True."""
     forks, real_fork = [], os.fork
 
     def fork():
         forks.append(1)
-        if fails is True or (fails and len(forks) - 1 in fails):
+        if fails:
             raise OSError("no fork")
         return real_fork()
 
@@ -526,10 +524,11 @@ def _assert_same_batch(a, b):
 @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
 @pytest.mark.parametrize("name", ["A", "C", "C1", "orthant2", "mixed"])
 def test_split_family_matches_one_process(name, antithetic, request, monkeypatch):
-    # on 2 CPUs the members past the first group advance in a forked child,
-    # over three blocks; every terminal row and cell is the one-process bits
+    # on 2 CPUs a forked drawer draws every step of three blocks, the last
+    # one odd (its antithetic pairs split unevenly), and this process
+    # advances every member; every terminal row and cell is the one-process bits
     model, pi_family, eta_family = _split_family(request, name)
-    kw = dict(paths=2500, steps=12, seed=73, antithetic=antithetic)
+    kw = dict(paths=2501, steps=12, seed=73, antithetic=antithetic)
     monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
     monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
     one = mc.simulate(model, pi_family, eta_family, **kw)
@@ -542,7 +541,7 @@ def test_split_family_matches_one_process(name, antithetic, request, monkeypatch
 
 @pytest.mark.parametrize("instance", ["A", "C"])
 def test_stored_pair_matches_one_process(instance, request, monkeypatch):
-    # a pair is the calling process's group: trajectories are the one-process bits
+    # a pair forks no drawer: trajectories are the one-process bits
     model, mmv, saddle = _saddle_pair(request, instance)
     kw = dict(paths=2500, steps=12, seed=79, store_paths=True)
     monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
@@ -555,41 +554,25 @@ def test_stored_pair_matches_one_process(instance, request, monkeypatch):
     _assert_same_batch(split, one)
 
 
-def test_split_groups_balance_member_cost(model_a, mmv_a, saddle_a, monkeypatch):
-    # pi_hat, eta_hat and the members that cost nothing (a None portfolio, a
-    # zero loading) stay here with the draw, which costs two members; the
-    # other four members make the child's equal share
-    pi_family, eta_family = _saddle_family(model_a, mmv_a, saddle_a)
-    calls, real = [], mc.forksplit.run
-
-    def run(work, groups, floor):
-        calls.append(groups)
-        return real(work, groups, floor)
-
-    monkeypatch.setattr(mc.forksplit, "run", run)
-    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
-    mc.simulate(model_a, pi_family, eta_family, paths=200, steps=10, seed=1)
-    assert calls == [[[0, 4, 1, 5], [2, 3, 6, 7]]]
-
-
-def _loading(label, fails_at=None, steps=10, shape=None, nan=False):
+def _loading(label, fails_at=None, steps=10, shape=None, nan=False, interrupt=False):
     """A custom loading that returns NaN, a wrong shape, or raises
-    NoConvergence on its call at (block, step) of fails_at; the count of its
-    calls stays in the process that advances it."""
+    NoConvergence (KeyboardInterrupt when interrupt) on its call at (block,
+    step) of fails_at."""
     calls = []
 
     def eta(t, f):
         calls.append(t)
         if fails_at is not None and len(calls) == fails_at[0] * steps + fails_at[1] + 1:
-            raise NoConvergence(f"{label} failed at {fails_at}")
+            raise (KeyboardInterrupt if interrupt else NoConvergence)(
+                f"{label} failed at {fails_at}")
         return np.full(shape or (len(f), 1), np.nan if nan else 0.1)
 
     return mc.custom_adversary(eta, bound=1.0, label=label)
 
 
+# the ids name the loading that fails: "parent" the first, "child" the second
 @_forks
 @pytest.mark.parametrize("here, there, error, match", [
-    # an error raised in the child only reaches the caller with its type
     (None, dict(nan=True), ExplodedPath, "^non-finite state in block 0; refine steps$"),
     (None, dict(shape=(3, 1)), ConfigInvalid, "^adversary: custom eta returned shape"),
     # both fail: the error met first in (block, step, member) order is raised
@@ -601,7 +584,6 @@ def _loading(label, fails_at=None, steps=10, shape=None, nan=False):
     (dict(fails_at=(0, 9)), dict(nan=True), NoConvergence, "^here failed"),
     (dict(nan=True), dict(fails_at=(0, 9)), NoConvergence, "^there failed"),
     (dict(nan=True), dict(fails_at=(1, 0)), ExplodedPath, "^non-finite state in block 0"),
-    # the child waits for block 1's draw, which never comes
     (dict(nan=True), {}, ExplodedPath, "^non-finite state in block 0"),
 ], ids=["child_nan", "child_shape", "child_step_first", "same_step_member_order",
         "child_block_first", "child_exploded_before_next_block", "parent_step_before_block_end",
@@ -609,7 +591,8 @@ def _loading(label, fails_at=None, steps=10, shape=None, nan=False):
         "parent_exploded_child_waits"])
 def test_split_raises_the_first_one_process_error(model_a, mmv_a, monkeypatch, here, there,
                                                   error, match):
-    # [pi_hat] x [here, there]: here walks in this process, there in the child
+    # [pi_hat] x [here, there] on 2 CPUs forks a drawer; a member failure
+    # raises the 1-CPU error, and no_child_process_left sees the drawer reaped
     raised = []
     for cpus in (1, 2):
         monkeypatch.setattr(mc.forksplit, "cpus", lambda: cpus)
@@ -624,6 +607,29 @@ def test_split_raises_the_first_one_process_error(model_a, mmv_a, monkeypatch, h
     assert raised[0] == raised[1]
     if error is ConfigInvalid:
         assert info.value.field == "adversary"
+
+
+@_forks
+@pytest.mark.parametrize("ending", ["short_stream", "interrupt"])
+def test_drawer_is_reaped_when_the_walk_stops(model_a, mmv_a, saddle_a, monkeypatch, ending):
+    # a drawer that exits after its first step makes simulate raise
+    # ChildProcessError, never return short rows; a KeyboardInterrupt raised
+    # by a member mid-walk reaches the caller; either way no_child_process_left
+    # sees the drawer reaped
+    real = mc.forksplit.stream
+    if ending == "short_stream":
+        last = mc.scaled_minus_phi(model_a, 0.5)
+        monkeypatch.setattr(mc.forksplit, "stream",
+                            lambda produce: real(lambda put: produce(
+                                lambda a: (put(a), os._exit(0)))))
+    else:
+        last = _loading("stop", fails_at=(0, 4), interrupt=True)
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 100)
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(ChildProcessError if ending == "short_stream" else KeyboardInterrupt):
+        mc.simulate(model_a, [mmv_a], [saddle_a, last], paths=300, steps=10, seed=3)
+    assert len(forks) == 1
 
 
 @_forks
@@ -654,8 +660,8 @@ def test_simulate_falls_back_to_one_process(model_a, mmv_a, saddle_a, monkeypatc
 @_forks
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_only_the_calling_process_draws(model_a, mmv_a, saddle_a, monkeypatch, tmp_path, cpus):
-    # each block's substream is opened once, here; the forked groups read its
-    # draws from the feed and open none
+    # each block's substream is opened once, here, before the one drawer is
+    # forked; the drawer draws from the generators it inherits and opens none
     pi_family, eta_family = _saddle_family(model_a, mmv_a, saddle_a)
     log, real = tmp_path / "draws", sys.modules["mmvcone.simulate"].substream
 
@@ -669,69 +675,14 @@ def test_only_the_calling_process_draws(model_a, mmv_a, saddle_a, monkeypatch, t
     monkeypatch.setattr(mc.forksplit, "cpus", lambda: cpus)
     forks = _count_forks(monkeypatch)
     mc.simulate(model_a, pi_family, eta_family, paths=2500, steps=12, seed=83)
-    assert len(forks) == cpus - 1
+    assert len(forks) == 1
     assert log.read_text().split("\n") == [f"{os.getpid()} {b}" for b in range(3)] + [""]
-
-
-@_forks
-@pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
-@pytest.mark.parametrize("name", ["A", "C1"])
-def test_three_groups_match_one_process(name, antithetic, request, monkeypatch):
-    # two children read the feed (the second closes the first's write end);
-    # an odd last block splits its antithetic pairs unevenly
-    model, pi_family, eta_family = _split_family(request, name)
-    kw = dict(paths=2501, steps=12, seed=89, antithetic=antithetic)
-    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
-    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
-    one = mc.simulate(model, pi_family, eta_family, **kw)
-    forks = _count_forks(monkeypatch)
-    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 3)
-    split = mc.simulate(model, pi_family, eta_family, **kw)
-    assert len(forks) == 2
-    _assert_same_batch(split, one)
-
-
-@_forks
-def test_first_fork_fails_second_group_reads_the_feed(model_a, mmv_a, saddle_a, monkeypatch):
-    # the first child's group runs here; the second group still reads the draw
-    pi_family, eta_family = _saddle_family(model_a, mmv_a, saddle_a)
-    kw = dict(paths=2500, steps=12, seed=97)
-    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 1000)
-    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
-    one = mc.simulate(model_a, pi_family, eta_family, **kw)
-    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 3)
-    forks = _count_forks(monkeypatch, fails={0})
-    batch = mc.simulate(model_a, pi_family, eta_family, **kw)
-    assert len(forks) == 2
-    _assert_same_batch(batch, one)
-
-
-@_forks
-def test_child_fails_early_while_this_process_draws_on(model_a, mmv_a, monkeypatch):
-    # the child stops at (0, 0) and exits; this process waits until it has,
-    # then walks every step to the end, dropping the broken feed
-    calls = []
-
-    def here(t, f):
-        calls.append(t)
-        if len(calls) == 2:
-            time.sleep(0.3)
-        return np.full((len(f), 1), 0.1)
-
-    family = [mc.custom_adversary(here, bound=1.0, label="here"),
-              _loading("there", fails_at=(0, 0))]
-    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "_BLOCK", 100)
-    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
-    forks = _count_forks(monkeypatch)
-    with pytest.raises(NoConvergence, match=r"^there failed at \(0, 0\)$"):
-        mc.simulate(model_a, [mmv_a], family, paths=300, steps=10, seed=3)
-    assert len(forks) == 1 and len(calls) == 30
 
 
 def _run_two_groups(there):
     """forksplit.run over [[0], [1]]: "here" from this process, there() from a
     forked child."""
-    return mc.forksplit.run(lambda items, feed: (there() if items == [1] else "here", None),
+    return mc.forksplit.run(lambda items: (there() if items == [1] else "here", None),
                             [[0], [1]], lambda group: (group[0], "floor"))
 
 
