@@ -65,6 +65,8 @@ def generated(G) -> Cone:
 
 
 def cone_from_config(cfg: dict, m: int) -> Cone:
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid(f"must be an object with a kind, got {cfg!r}", field="cone")
     kind = cfg.get("kind")
     if kind in ("full", "full_space", "free"):
         return full_space(m)

@@ -288,15 +288,16 @@ def build_model(config: dict) -> MarketModel:
     rejects non-finite T, x0, theta or delta, inconsistent dimensions,
     non-positive risk aversion, and any volatility whose Gram matrix drops
     below delta * I on the probe lattice."""
-    try:
-        m = int(config["m"])
-        n = int(config["n"])
-        horizon = float(config["T"])
-        x0 = float(config["x0"])
-        theta = float(config["theta"])
-        delta = float(config.get("delta", 1e-8))
-    except KeyError as exc:
-        raise ConfigInvalid("missing required field", field=str(exc)) from exc
+    numbers = []
+    for name, convert in (("m", int), ("n", int), ("T", float), ("x0", float),
+                          ("theta", float), ("delta", float)):
+        try:
+            numbers.append(convert(config.get(name, 1e-8) if name == "delta" else config[name]))
+        except KeyError as exc:
+            raise ConfigInvalid("missing required field", field=name) from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"must be a number, got {config[name]!r}", field=name) from exc
+    m, n, horizon, x0, theta, delta = numbers
     for name, v in (("T", horizon), ("x0", x0), ("theta", theta), ("delta", delta)):
         if not math.isfinite(v):
             raise ConfigInvalid(f"must be finite, got {v}", field=name)
@@ -320,8 +321,8 @@ def build_model(config: dict) -> MarketModel:
                 tuple(float(seg["until"]) for seg in rate_cfg),
                 tuple(float(seg["value"]) for seg in rate_cfg),
             )
-        except (TypeError, KeyError) as exc:
-            raise ConfigInvalid("rate segments need 'until' and 'value'", field="rate") from exc
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ConfigInvalid("segments need numeric 'until' and 'value'", field="rate") from exc
     if rate.breaks[-1] < horizon - 1e-12:
         raise ConfigInvalid("rate segments must cover [0, T]", field="rate")
 
@@ -329,23 +330,21 @@ def build_model(config: dict) -> MarketModel:
     if coeff_cfg is None:
         raise ConfigInvalid("missing coefficients block", field="coefficients")
     kind = coeff_cfg.get("kind", "deterministic")
-    if kind == "deterministic":
-        coeffs = CoefficientField.deterministic(
-            coeff_cfg["mu"], coeff_cfg["sigma"], coeff_cfg.get("times"),
-        )
-    elif kind in ("markov", "markov_factor"):
-        mu_map, sigma_map = affine_factor_maps(
-            m, n,
-            coeff_cfg.get("mu0", np.zeros(m)), coeff_cfg.get("mu1", np.zeros(m)),
-            coeff_cfg["sigma0"], coeff_cfg.get("sigma1"),
-        )
-        coeffs = CoefficientField.markov_factor(
-            m, n, coeff_cfg["kappa"], coeff_cfg["mean"], coeff_cfg["nu"],
-            coeff_cfg.get("driving_index", n - 1), coeff_cfg["f0"],
-            mu_map, sigma_map,
-        )
-    else:
-        raise ConfigInvalid(f"unknown coefficient kind {kind!r}", field="coefficients.kind")
+    try:
+        if kind == "deterministic":
+            coeffs = CoefficientField.deterministic(coeff_cfg["mu"], coeff_cfg["sigma"],
+                                                    coeff_cfg.get("times"))
+        elif kind in ("markov", "markov_factor"):
+            mu_map, sigma_map = affine_factor_maps(
+                m, n, coeff_cfg.get("mu0", np.zeros(m)), coeff_cfg.get("mu1", np.zeros(m)),
+                coeff_cfg["sigma0"], coeff_cfg.get("sigma1"))
+            coeffs = CoefficientField.markov_factor(
+                m, n, coeff_cfg["kappa"], coeff_cfg["mean"], coeff_cfg["nu"],
+                coeff_cfg.get("driving_index", n - 1), coeff_cfg["f0"], mu_map, sigma_map)
+        else:
+            raise ConfigInvalid(f"unknown coefficient kind {kind!r}", field="coefficients.kind")
+    except KeyError as exc:
+        raise ConfigInvalid("missing required field", field=f"coefficients.{exc.args[0]}") from exc
 
     if coeffs.m != m or coeffs.n != n:
         raise DimensionMismatch(

@@ -4,8 +4,9 @@ Paths are advanced under the physical measure; an objective under a tilted
 measure is estimated by reweighting, E^{P^eta}[V] = E[Lambda_T V].  One
 draw per block and step serves a whole family, so every (pi, eta) cell has
 common random numbers; the calling process advances every member on it.
-Wealth compounds by the exact per-step growth factor, and the density is
-advanced in log space.
+Wealth compounds by the exact per-step growth factor and adds pi . e, with
+e = mu dt + sigma dW computed once per step; a density sums its log
+increments over a block and is exponentiated at the block's end.
 """
 
 from __future__ import annotations
@@ -34,15 +35,13 @@ _BLOCK = 32768              # paths per substream block
 _SADDLE_TOL = 3.0           # stderrs allowed by each saddle relation
 
 
-def _noise(pi, sig, dw) -> np.ndarray:
-    """pi' sigma dw per row, pi (N, m), sigma (N, m, n), dw (N, n): the
-    column products pi_a sigma_ab dw_b summed in (a, b) order, which give
-    einsum("im,imn,in->i")'s bits at every shape, up to the sign of a zero
-    sum."""
-    n = dw.shape[1]
-    out = pi[:, 0] * sig[:, 0, 0] * dw[:, 0]
-    for a, b in (divmod(k, n) for k in range(1, pi.shape[1] * n)):
-        out += pi[:, a] * sig[:, a, b] * dw[:, b]
+def _excess(sig, mu, dw, dt, out) -> np.ndarray:
+    """e = mu dt + sigma dw into out (N, m), sigma (N or 1, m, n), mu (N or 1,
+    m), dw (N, n): sigma_ab dw_b summed in b order, then mu_a dt added."""
+    np.multiply(sig[:, :, 0], dw[:, :1], out=out)
+    for b in range(1, dw.shape[1]):
+        out += sig[:, :, b] * dw[:, b:b + 1]
+    out += mu * dt
     return out
 
 
@@ -164,9 +163,12 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
 
     strategy and adversary are each one member or a list of members (None
     is the zero portfolio).  Block b of _BLOCK paths draws from
-    substream(seed, b); each step evaluates one StepTargets, read by the
-    wealth update, every portfolio and every loading.  On two or more CPUs,
-    with more than two moving members (a portfolio other than None, a
+    substream(seed, b); each step evaluates one StepTargets, read by every
+    portfolio and loading, and one increment e (_excess) when a member
+    trades: its wealth x becomes x growth + pi . e.  A moving loading's row
+    holds log Lambda within a block, adding eta . dW - |eta|^2 dt / 2 each
+    step, and is exponentiated in place at the block's end.  On two or more
+    CPUs, with more than two moving members (a portfolio other than None, a
     loading other than zero), a forked drawer (forksplit.stream) draws each
     block step from the substreams opened here while this process advances
     every member; otherwise this process draws, with the same bits.  A cell
@@ -195,15 +197,15 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     growth = [math.exp(v) for v in model.rate.integral(times[:-1], times[1:]).tolist()]
 
     n_pi = len(strategies)
-    terminal = np.empty((n_pi + len(adversaries), paths))   # strategy rows, then adversary rows
+    terminal = np.empty((n_pi + len(adversaries), paths))   # wealth rows, then density rows
     terminal[:n_pi] = float(model.x0)
-    terminal[n_pi:] = 1.0
+    terminal[n_pi:] = 0.0       # log Lambda within a block, exponentiated at its end
     X_paths = np.empty((paths, steps + 1)) if store_paths else None
     L_paths = np.empty((paths, steps + 1)) if store_paths else None
     F_paths = np.empty((paths, steps + 1)) if (store_paths and markov) else None
 
     wealth = list(zip(strategies, terminal[:n_pi]))
-    # a zero loading leaves its density at 1: only the others are advanced
+    # a zero loading leaves its log density at 0: only the others are advanced
     moving = [(adv, row) for adv, row in zip(adversaries, terminal[n_pi:])
               if adv.kind != "zero"]
     blocks = [(start, min(start + _BLOCK, paths)) for start in range(0, paths, _BLOCK)]
@@ -227,12 +229,14 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
         if forksplit.cpus() >= 2 and sum(s is not None for s in strategies) + len(moving) > 2:
             drawer = forksplit.stream(produce)
         buffer = np.empty((blocks[0][1], model.n)) if drawer is not None else None
+        trading = any(s is not None for s in strategies)
+        excess = np.empty((blocks[0][1], model.m)) if trading else None
         for block_index, ((start, stop), rng) in enumerate(zip(blocks, rngs)):
             bs = stop - start
             f = np.full(bs, cf.f0)
             if store_paths:
                 X_paths[start:stop, 0] = terminal[0, start:stop]
-                L_paths[start:stop, 0] = terminal[n_pi, start:stop]
+                L_paths[start:stop, 0] = 1.0
                 if markov:
                     F_paths[start:stop, 0] = f
             for k in range(steps):
@@ -243,26 +247,29 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
                     dw = buffer[:bs]
                     drawer.get(dw)
                 step = StepTargets(model, t, f)     # this step's coefficients and targets
+                if trading:     # one increment e for every trading member
+                    e = _excess(step.sigma, step.mu, dw, dt, excess[:bs])
                 for strat, row in wealth:
                     x = row[start:stop]
                     pi = (strat.portfolio_batch(t, x, f, _step=step)
                           if strat is not None else None)
                     np.multiply(x, growth[k], out=x)
                     if pi is not None:
-                        x += row_dot(pi, step.mu) * dt
-                        x += _noise(pi, step.sigma, dw)
+                        x += row_dot(pi, e)
                 for adv, row in moving:
                     eta = adv.eta_batch(model, t, f, _step=step)
                     # a loading shared by every row has one |eta|^2
                     one = eta[:1] if eta.strides[0] == 0 else eta
-                    row[start:stop] *= np.exp(row_dot(eta, dw) - 0.5 * row_dot(one, one) * dt)
+                    row[start:stop] += row_dot(eta, dw) - 0.5 * row_dot(one, one) * dt
                 if markov:
                     f = cf.factor_step(f, dt, dw[:, cf.driving_index])
                 if store_paths:
                     X_paths[start:stop, k + 1] = terminal[0, start:stop]
-                    L_paths[start:stop, k + 1] = terminal[n_pi, start:stop]
+                    L_paths[start:stop, k + 1] = np.exp(terminal[n_pi, start:stop])
                     if markov:
                         F_paths[start:stop, k + 1] = f
+            for row in terminal[n_pi:]:
+                np.exp(row[start:stop], out=row[start:stop])
             if not np.all(np.isfinite(terminal[:, start:stop])):
                 raise ExplodedPath(f"non-finite state in block {block_index}; refine steps")
     finally:

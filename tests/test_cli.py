@@ -190,6 +190,21 @@ def test_missing_field_named(tmp_path, capsys):
     rc = cli.main(["solve", "--config", str(path)])
     assert rc == 1
     assert "coefficients" in capsys.readouterr().err
+    # a missing coefficient, a number given as text and a cone that is not an
+    # object each end in a config error naming the field, not a traceback
+    markov = {k: v for k, v in INSTANCE_C["coefficients"].items() if k != "kappa"}
+    for field, change in [
+            ("coefficients.mu", {"coefficients": {"kind": "deterministic", "sigma": [[0.2]]}}),
+            ("coefficients.kappa", {**INSTANCE_C, "coefficients": markov}),
+            ("m", {"m": "one"}),
+            ("rate", {"rate": [{"until": 1.0, "value": "x"}]}),
+            ("cone", {"cone": "full"})]:
+        cfg = _base_config(tmp_path, "value")
+        cfg["model"].update(change)
+        rc = cli.main(["value", "--config", str(_write_config(tmp_path, cfg))])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_generators_exit_one(tmp_path, capsys):

@@ -74,6 +74,26 @@ def test_nnls_iteration_budget():
         nnls(A, stack, max_iter=1)
 
 
+def _random_nnls_problem(seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(6, 4)), rng.normal(size=6)
+
+
+@pytest.mark.parametrize("A, b, needed", [
+    (np.eye(3), np.array([1.0, 2.0, 3.0]), 3),
+    (*_random_nnls_problem(2), 4),
+], ids=["one_column_per_iteration", "a_column_leaves"])
+def test_nnls_budget_allows_exactly_max_iter(A, b, needed):
+    # a problem that takes exactly `needed` Lawson-Hanson iterations solves
+    # with that budget, and raises with one less
+    from mmvcone.cones import nnls
+    from mmvcone.errors import NoConvergence
+    x = nnls(A, b, max_iter=needed)
+    assert np.array_equal(x, nnls(A, b))
+    with pytest.raises(NoConvergence):
+        nnls(A, b, max_iter=needed - 1)
+
+
 def test_generated_projection_of_interior_point_converges():
     # p lies inside the cone (scipy.optimize.nnls reaches residual 0); without
     # the Lawson-Hanson entering safeguard a column re-entered at a zero step

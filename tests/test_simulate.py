@@ -17,7 +17,8 @@ from mmvcone.errors import (
     SaddleViolated,
 )
 from mmvcone.cones import row_dot
-from mmvcone.simulate import _noise, path_values
+from mmvcone.rng import substream
+from mmvcone.simulate import _excess, path_values
 
 from conftest import H0_A, INSTANCE_C_SIGMA1, INSTANCE_ORTHANT2, VALUE_A
 from conftest import forks as _forks
@@ -554,6 +555,41 @@ def test_stored_pair_matches_one_process(instance, request, monkeypatch):
     _assert_same_batch(split, one)
 
 
+def _density_by_step_exps(model, eta_family, paths, steps, seed):
+    """Each loading's Lambda_T on simulate's draws (one block) as a product
+    of per-step exps, exp(eta . dW - |eta|^2 dt / 2)."""
+    cf, dt = model.coefficients, model.horizon_T / steps
+    rng, f = substream(seed, 0), np.full(paths, cf.f0)
+    lam = np.ones((len(eta_family), paths))
+    for t in np.linspace(0.0, model.horizon_T, steps + 1)[:-1]:
+        dw = math.sqrt(dt) * rng.standard_normal((paths, model.n))
+        for row, adv in zip(lam, eta_family):
+            eta = np.broadcast_to(adv.eta_batch(model, t, f), (paths, model.n))
+            row *= np.exp(np.einsum("in,in->i", eta, dw)
+                          - 0.5 * np.einsum("in,in->i", eta, eta) * dt)
+        if cf.kind == "markov":
+            f = cf.factor_step(f, dt, dw[:, cf.driving_index])
+    return lam
+
+
+@pytest.mark.parametrize("instance", ["A", "C"])
+def test_density_is_summed_in_log_space(instance, request):
+    # each density adds its log increments and is exponentiated at its
+    # block's end: a stored pair's Lambda path starts at 1 and ends on
+    # terminal_Lambda's bits, and every family row stays within 1e-13 of
+    # the product of per-step exps
+    model, mmv, saddle = _saddle_pair(request, instance)
+    kw = dict(paths=2000, steps=20, seed=83)
+    pair = mc.simulate(model, mmv, saddle, store_paths=True, **kw)
+    assert np.all(pair.Lambda_paths[:, 0] == 1.0)
+    assert np.array_equal(pair.Lambda_paths[:, -1], pair.terminal_Lambda)
+    pi_family, eta_family = _saddle_family(model, mmv, saddle)
+    fam = mc.simulate(model, pi_family, eta_family, **kw)
+    ref = _density_by_step_exps(model, eta_family, **kw)
+    assert np.all(fam.terminal_Lambda[1] == 1.0)
+    np.testing.assert_allclose(fam.terminal_Lambda, ref, rtol=1e-13, atol=0)
+
+
 def _loading(label, fails_at=None, steps=10, shape=None, nan=False, interrupt=False):
     """A custom loading that returns NaN, a wrong shape, or raises
     NoConvergence (KeyboardInterrupt when interrupt) on its call at (block,
@@ -714,12 +750,13 @@ def test_a_child_without_a_reply_fails_at_its_floor():
 @pytest.mark.parametrize("shared", [True, False], ids=["shared_sigma", "per_row_sigma"])
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 2)])
 def test_column_products_match_einsum(m, n, shared):
-    # the wealth and density updates' column sums give einsum's bits for m, n <= 2
+    # the excess-return increment and the row dots give einsum's bits for m, n <= 2
     rng = np.random.default_rng(10 * m + n)
-    rows = 5000
+    rows, dt = 5000, 0.02
     pi, mu, dw = (rng.normal(size=(rows, k)) for k in (m, m, n))
     sig = (np.broadcast_to(rng.normal(size=(m, n)), (rows, m, n)) if shared
            else rng.normal(size=(rows, m, n)))
-    assert np.array_equal(_noise(pi, sig, dw), np.einsum("im,imn,in->i", pi, sig, dw))
+    e = _excess(sig, mu, dw, dt, np.empty((rows, m)))
+    assert np.array_equal(e, np.einsum("imn,in->im", sig, dw) + mu * dt)
     assert np.array_equal(row_dot(pi, mu), np.einsum("im,im->i", pi, mu))
     assert np.array_equal(row_dot(dw, dw), np.einsum("in,in->i", dw, dw))

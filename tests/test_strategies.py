@@ -6,10 +6,10 @@ import pytest
 
 import mmvcone as mc
 from mmvcone.errors import ConfigInvalid, InvalidBound, TimeOutOfRange
-from mmvcone.strategies import StepTargets
+from mmvcone.strategies import StepTargets, _projected_target
 
-from conftest import (H0_A, INSTANCE_A, INSTANCE_C, VALUE_A, Y0_A, eta_at, in_cone, project_one,
-                      xi2_at)
+from conftest import (H0_A, INSTANCE_A, INSTANCE_C, INSTANCE_ORTHANT2, VALUE_A, Y0_A, eta_at,
+                      in_cone, project_one, xi2_at)
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +127,24 @@ def test_markov_batch_calls_require_factor_states(model_c, markov_c_maps):
     f0 = model_c.coefficients.f0
     assert np.array_equal(mmv.portfolio_batch(0.5, np.array([1.0]), np.array([f0]))[0],
                           mmv.portfolio(0.5, 1.0, f0))
+
+
+def test_projected_targets_carry_z_with_its_sign():
+    # a hand-built solution with z != 0 against the targets' formulas: Y phi - Z
+    # on the Y side (read for pi_hat and eta_hat), -(phi + Z/P1) on the P1
+    # side and phi + Z/P2 on the P2 side.  With m = n the full cone's sigma'
+    # Gamma is all of R^n, so each projection returns its target
+    model = mc.build_model(INSTANCE_ORTHANT2)
+    v, z = 0.8, np.array([0.03, -0.05])
+    sol = mc.BsdeSolution(equation="Y", grid=np.array([0.0, 1.0]), y_values=np.array([v, v]),
+                          z_values=np.array([z, z]), bounds=(0.5, 1.0), n=2)
+    step = StepTargets(model, 0.0, None)
+    phi = step.phi[0]
+    assert phi == pytest.approx([0.33, -0.12], rel=1e-12)
+    for side, want in (("Y", v * phi - z), ("P1", -(phi + z / v)), ("P2", phi + z / v)):
+        value, zs, xi, _ = _projected_target(step, mc.full_space(2), sol, side)
+        assert value[0] == v and np.array_equal(zs[0], z)
+        assert xi[0] == pytest.approx(want, rel=1e-12, abs=1e-15), side
 
 
 def test_adversary_instance_a(model_a, cone_a, ysol_a):
