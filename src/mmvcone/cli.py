@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .bsde import McSolverConfig, solve_deterministic, solve_markovian_many
 from .cones import cone_from_config
-from .errors import ConfigInvalid, InvalidBound, MmvConeError, SaddleViolated
+from .errors import (ConfigInvalid, InvalidBound, MmvConeError, SaddleViolated, read_array,
+                     read_count, read_flag, read_number, read_object)
 from .market import build_model
 from .simulate import (
     conservation_residual,
@@ -84,9 +85,7 @@ def load_config(source) -> dict:
     cfg = _read_config(source)
     cfg.pop("_meta", None)  # manifests round-trip as configs
 
-    if "model" not in cfg or not isinstance(cfg["model"], dict):
-        raise ConfigInvalid("missing object", field="model")
-    if "cone" not in cfg["model"]:
+    if "cone" not in read_object(cfg.get("model"), "model"):
         raise ConfigInvalid("missing cone description", field="model.cone")
     exp = cfg.get("experiment")
     if exp not in EXPERIMENTS:
@@ -95,12 +94,11 @@ def load_config(source) -> dict:
     if not isinstance(solver, dict) or solver.get("kind") not in ("deterministic", "markovian"):
         raise ConfigInvalid("solver.kind must be deterministic or markovian", field="solver")
     if cfg.get("seed") is not None:
-        _count(cfg, "seed", None, "seed", 0)
+        read_count(cfg, "seed", None, "seed", 0)
     elif solver.get("kind") == "markovian" or exp in ("simulate", "saddle"):
         raise ConfigInvalid("seed required whenever Monte Carlo runs", field="seed")
     for key in ("lattice", "k_grid"):
-        if not isinstance(cfg.get(key, {}), dict):
-            raise ConfigInvalid(f"must be an object, got {cfg[key]!r}", field=key)
+        read_object(cfg.get(key, {}), key)
     if "block_size" in solver:
         raise ConfigInvalid("not a setting: the forward draw uses fixed blocks of "
                             "65536 paths", field="solver.block_size")
@@ -109,7 +107,8 @@ def load_config(source) -> dict:
             raise ConfigInvalid(f"read by simulate and saddle only; {exp} reads "
                                 f"solver.{key}", field=key)
     _solver_sizes(cfg)
-    cfg.setdefault("output_dir", "out")
+    if not isinstance(cfg.setdefault("output_dir", "out"), str):
+        raise ConfigInvalid(f"must be a path, got {cfg['output_dir']!r}", field="output_dir")
     return cfg
 
 
@@ -184,15 +183,15 @@ _MV_PAIR = (("P2", 1, None), ("P1", 2, 0))
 
 
 def _solver_sizes(cfg) -> dict:
-    """The solver's integer entries with their defaults (_count: >= 0 for
+    """The solver's integer entries with their defaults (>= 0 for
     basis_degree and bootstrap, else >= 1); the solvers check the ranges."""
     solver = cfg["solver"]
     if solver["kind"] == "deterministic":
-        return {"steps": _count(solver, "steps", 1000, "solver.steps")}
-    return {"paths": _count(solver, "paths", None, "solver.paths"),
-            "basis_degree": _count(solver, "basis_degree", 2, "solver.basis_degree", 0),
-            "steps": _count(solver, "steps", 50, "solver.steps"),
-            "bootstrap": _count(solver, "bootstrap", 16, "solver.bootstrap", 0)}
+        return {"steps": read_count(solver, "steps", 1000, "solver.steps")}
+    return {"paths": read_count(solver, "paths", None, "solver.paths"),
+            "basis_degree": read_count(solver, "basis_degree", 2, "solver.basis_degree", 0),
+            "steps": read_count(solver, "steps", 50, "solver.steps"),
+            "bootstrap": read_count(solver, "bootstrap", 16, "solver.bootstrap", 0)}
 
 
 def _solve_many(model, cone, cfg, solves):
@@ -222,39 +221,6 @@ def _solution_table(sol):
     return header, [cols]
 
 
-def _count(block, key, default, field, least=1):
-    """block[key] (default when absent) as an integer >= least, else ConfigInvalid."""
-    value = block.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigInvalid(f"must be an integer >= {least}, got {value!r}", field=field)
-    return value
-
-
-def _flag(cfg, key):
-    """cfg[key] (false when absent) as a JSON boolean, else ConfigInvalid."""
-    value = cfg.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigInvalid(f"must be true or false, got {value!r}", field=key)
-    return value
-
-
-def _number(block, key, default, field):
-    """block[key] (default when absent) as a finite float, else ConfigInvalid."""
-    return float(_finite_entry(block.get(key, default), (), field, "a finite number"))
-
-
-def _finite_entry(value, shape, field, what):
-    """value as a finite float array of the given shape, else ConfigInvalid
-    (shape None admits nothing)."""
-    try:
-        arr = np.asarray(value, dtype=float)
-        if arr.shape == shape and np.all(np.isfinite(arr)):
-            return arr
-    except (TypeError, ValueError):
-        pass
-    raise ConfigInvalid(f"must be {what}, got {value!r}", field=field)
-
-
 def _adversary_from_spec(spec, model):
     """One adversary from its config entry: {"kind": ...} plus the kind's
     parameters, or one of the shorthands "zero", "0" and "saddle"; the
@@ -267,10 +233,10 @@ def _adversary_from_spec(spec, model):
     if kind == "saddle":
         return "saddle"
     if kind == "scaled_minus_phi":
-        return scaled_minus_phi(model, _number(spec, "c", 1.0, "adversary.c"))
+        return scaled_minus_phi(model, read_number(spec, "c", 1.0, "adversary.c"))
     if kind == "constant":
-        v = _finite_entry(spec.get("v"), (model.n,), "adversary.v",
-                          f"a finite vector of length n = {model.n}")
+        v = read_array(spec.get("v"), (model.n,), "adversary.v",
+                       f"a finite vector of length n = {model.n}")
         return constant_adversary(v)
     raise ConfigInvalid(f"unknown adversary spec {spec!r}", field="adversary")
 
@@ -338,10 +304,11 @@ def run(cfg: dict) -> int:
         ws.write_json("value_comparison.json", results)
 
     elif experiment == "simulate":
-        paths, steps = _count(cfg, "paths", 10000, "paths"), _count(cfg, "steps", 200, "steps")
-        store, antithetic = _flag(cfg, "store_paths"), _flag(cfg, "antithetic")
+        paths = read_count(cfg, "paths", 10000, "paths")
+        steps = read_count(cfg, "steps", 200, "steps")
+        store, antithetic = read_flag(cfg, "store_paths"), read_flag(cfg, "antithetic")
         strat_spec = cfg.get("strategy", "mmv")
-        if strat_spec not in (None, "none", "zero", "0", "mmv", "mv"):
+        if strat_spec not in ("none", "mmv", "mv"):
             raise ConfigInvalid(f"unknown strategy {strat_spec!r}", field="strategy")
         adversary = _adversary_from_spec(cfg.get("adversary", "zero"), model)
         # Y feeds the mmv strategy, the saddle loading and the stored path values
@@ -379,10 +346,10 @@ def run(cfg: dict) -> int:
         ws.write_json("simulation_summary.json", results)
 
     elif experiment == "saddle":
-        paths, steps = _count(cfg, "paths", 100000, "paths"), _count(cfg, "steps", 200, "steps")
-        scales = cfg.get("pi_scales", [1.0, 0.0, 0.5, 1.5])
-        shape = (len(scales),) if isinstance(scales, list) else None
-        scales = _finite_entry(scales, shape, "pi_scales", "a list of finite numbers").tolist()
+        paths = read_count(cfg, "paths", 100000, "paths")
+        steps = read_count(cfg, "steps", 200, "steps")
+        scales = read_array(cfg.get("pi_scales", [1.0, 0.0, 0.5, 1.5]), (None,), "pi_scales",
+                            "a list of finite numbers").tolist()
         eta_specs = cfg.get("eta_family", [
             {"kind": "saddle"}, {"kind": "zero"},
             {"kind": "scaled_minus_phi", "c": 0.5},
@@ -410,16 +377,14 @@ def run(cfg: dict) -> int:
     elif experiment == "equivalence":
         lat = cfg.get("lattice", {})
         t_values = np.linspace(0.0, model.horizon_T,
-                               _count(lat, "t_points", 101, "lattice.t_points"))
-        x_values = np.linspace(_number(lat, "x_min", 0.0, "lattice.x_min"),
-                               _number(lat, "x_max", 2.0, "lattice.x_max"),
-                               _count(lat, "x_points", 101, "lattice.x_points"))
+                               read_count(lat, "t_points", 101, "lattice.t_points"))
+        x_values = np.linspace(read_number(lat, "x_min", 0.0, "lattice.x_min"),
+                               read_number(lat, "x_max", 2.0, "lattice.x_max"),
+                               read_count(lat, "x_points", 101, "lattice.x_points"))
         probe = (t_values, x_values)
-        f_values = lat.get("f_values")
-        if f_values is not None:
-            shape = (len(f_values),) if isinstance(f_values, list) else None
-            probe = (t_values, x_values, _finite_entry(f_values, shape, "lattice.f_values",
-                                                       "a list of finite numbers"))
+        if lat.get("f_values") is not None:
+            probe = (t_values, x_values, read_array(lat["f_values"], (None,), "lattice.f_values",
+                                                    "a list of finite numbers"))
         y_sol, p2_sol, p1_sol = _solve_many(model, cone, cfg, (_Y, *_MV_PAIR))
         mmv = mmv_feedback(model, cone, y_sol)
         mv = mv_feedback(model, cone, p1_sol, p2_sol)
@@ -430,8 +395,8 @@ def run(cfg: dict) -> int:
 
     elif experiment == "dual-curve":
         grid_cfg = cfg.get("k_grid", {})
-        count = _count(grid_cfg, "count", 2001, "k_grid.count")
-        span = (_number(grid_cfg, "span", None, "k_grid.span")
+        count = read_count(grid_cfg, "count", 2001, "k_grid.count")
+        span = (read_number(grid_cfg, "span", None, "k_grid.span")
                 if "span" in grid_cfg else None)
         p2_sol, p1_sol = _solve_many(model, cone, cfg, _MV_PAIR)
         curve = dual_curve(p1_sol.value0, p2_sol.value0, model.h0, model.x0, model.theta)

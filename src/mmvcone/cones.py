@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, NoConvergence, SingularGram
+from .errors import (ConfigInvalid, DimensionMismatch, NoConvergence, SingularGram, read_array,
+                     read_object)
 
 FULL = "full"
 ORTHANT = "orthant"
@@ -41,12 +42,11 @@ class Cone:
         if self.kind not in (FULL, ORTHANT, GENERATED):
             raise ConfigInvalid(f"unknown cone kind {self.kind!r}", field="cone.kind")
         if self.kind == GENERATED:
-            if self.generators is None or self.generators.ndim != 2:
-                raise ConfigInvalid("generated cone needs an (m, k) generator matrix",
-                                    field="cone.G")
             if self.generators.shape[0] != self.dim:
                 raise DimensionMismatch(
                     f"generators have {self.generators.shape[0]} rows, cone dim is {self.dim}")
+            if self.generators.shape[1] == 0:
+                raise ConfigInvalid("generated cone needs at least one generator", field="cone.G")
             if not np.all(np.isfinite(self.generators)):
                 raise ConfigInvalid("generator matrix has non-finite entries", field="cone.G")
 
@@ -59,25 +59,19 @@ def orthant(m: int) -> Cone:
     return Cone(ORTHANT, m)
 
 
-def generated(G) -> Cone:
-    G = np.asarray(G, dtype=float)
-    return Cone(GENERATED, G.shape[0], G)
+def generated(G, dim=None) -> Cone:
+    """The cone of the columns of G, an (m, k) matrix of finite numbers with
+    k >= 1 (else ConfigInvalid naming cone.G) and m = dim when dim is given
+    (else DimensionMismatch)."""
+    G = read_array(G, (None, None), "cone.G", "an (m, k) matrix of numbers", finite=False)
+    return Cone(GENERATED, len(G) if dim is None else dim, G)
 
 
 def cone_from_config(cfg: dict, m: int) -> Cone:
-    if not isinstance(cfg, dict):
-        raise ConfigInvalid(f"must be an object with a kind, got {cfg!r}", field="cone")
-    kind = cfg.get("kind")
-    if kind in ("full", "full_space", "free"):
-        return full_space(m)
-    if kind == "orthant":
-        return orthant(m)
-    if kind == "generated":
-        G = np.asarray(cfg.get("G"), dtype=float)
-        if G.ndim != 2 or G.shape[0] != m:
-            raise ConfigInvalid(f"generator matrix must be ({m}, k)", field="cone.G")
-        return generated(G)
-    raise ConfigInvalid(f"unknown cone kind {kind!r}", field="cone.kind")
+    """The cone a config's cone object describes, in R^m; Cone refuses an
+    unknown kind."""
+    kind = read_object(cfg, "cone").get("kind")
+    return generated(cfg.get("G"), m) if kind == GENERATED else Cone(kind, m)
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:

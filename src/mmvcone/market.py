@@ -24,6 +24,10 @@ from .errors import (
     NonPositiveTheta,
     SingularGram,
     TimeOutOfRange,
+    read_array,
+    read_count,
+    read_number,
+    read_object,
 )
 
 #: probe lattice used for the ellipticity check: time points x factor quantiles
@@ -71,16 +75,6 @@ class PiecewiseRate:
             start = b
         total = total + self.values[-1] * np.maximum(hi - np.maximum(lo, start), 0.0)
         return np.where(np.less(t1, t0), -total, total)[()]
-
-
-def _as_time_grid(values, shape, name):
-    """Normalize a constant or per-time-node array of matrices to (K, *shape)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape == shape:
-        return arr[None, ...]
-    if arr.ndim == len(shape) + 1 and arr.shape[1:] == shape:
-        return arr
-    raise ConfigInvalid(f"expected shape {shape} or (K,)+{shape}, got {arr.shape}", field=name)
 
 
 def _check_times(t, horizon: float) -> None:
@@ -143,22 +137,22 @@ class CoefficientField:
 
     @staticmethod
     def deterministic(mu, sigma, times=None) -> "CoefficientField":
-        """Constant coefficients, or values on the time grid times."""
+        """Constant coefficients, mu (m,) and sigma (m, n), or their values
+        on the increasing time grid times (K,), mu (K, m) and sigma (K, m, n);
+        entries of the wrong type or shape are a ConfigInvalid naming them."""
+        grid = ()
+        if times is not None:
+            times = read_array(times, (None,), "coefficients.times", "a list of finite times")
+            if np.any(np.diff(times) <= 0.0):
+                raise ConfigInvalid("must increase", field="coefficients.times")
+            grid = times.shape
+        mu_g = read_array(mu, grid + (None,), "coefficients.mu",
+                          "an (m,) array of numbers, (K, m) on K times", finite=False)
+        m = mu_g.shape[-1]
+        sig_g = read_array(sigma, grid + (m, None), "coefficients.sigma",
+                           f"an ({m}, n) array of numbers, (K, {m}, n) on K times", finite=False)
         if times is None:
-            mu_g = np.atleast_1d(np.asarray(mu, dtype=float))
-            if mu_g.ndim != 1:
-                raise ConfigInvalid("constant mu must be a vector", field="coefficients.mu")
-            times, mu_g = np.array([0.0]), mu_g[None, :]
-            sig_g = np.atleast_2d(np.asarray(sigma, dtype=float))[None, :, :]
-        else:
-            times = np.asarray(times, dtype=float)
-            mu_g = _as_time_grid(mu, (np.asarray(mu, dtype=float).shape[-1],), "coefficients.mu")
-            sig_g = _as_time_grid(sigma, np.asarray(sigma, dtype=float).shape[-2:],
-                                  "coefficients.sigma")
-        if sig_g.shape[1] != mu_g.shape[1]:
-            raise DimensionMismatch(f"sigma rows {sig_g.shape[1]} != m {mu_g.shape[1]}")
-        if mu_g.shape[0] != times.shape[0] or sig_g.shape[0] != times.shape[0]:
-            raise ConfigInvalid("coefficient grids must match the time grid", field="coefficients")
+            times, mu_g, sig_g = np.zeros(1), mu_g[None], sig_g[None]
         return CoefficientField(
             kind="deterministic", m=mu_g.shape[1], n=sig_g.shape[2],
             mu_map=_interp_map(times, mu_g), sigma_map=_interp_map(times, sig_g),
@@ -211,7 +205,8 @@ class CoefficientField:
         """Marginal quantiles of the factor at time t (Gaussian OU law): mean +
         z sd, z the standard normal quantiles of levels (NormalDist's bits)."""
         if self.kind != "markov":
-            raise ValueError("factor quantiles only defined for markov coefficients")
+            raise ConfigInvalid("factor quantiles need markov coefficients",
+                                field="coefficients.kind")
         if self.kappa > 0:
             var = self.nu ** 2 * (1.0 - math.exp(-2.0 * self.kappa * t)) / (2.0 * self.kappa)
         else:
@@ -221,13 +216,18 @@ class CoefficientField:
 
 
 def affine_factor_maps(m, n, mu0, mu1, sigma0, sigma1=None):
-    """Vectorized (t, F) -> mu / sigma maps affine in the factor; when sigma1
-    is absent or zero, sigma_map returns the read-only (m, n) sigma0 itself."""
-    mu0 = np.asarray(mu0, dtype=float).reshape(m)
-    mu1 = np.asarray(mu1, dtype=float).reshape(m)
-    sigma0 = np.array(sigma0, dtype=float).reshape(m, n)
+    """Vectorized (t, F) -> mu / sigma maps affine in the factor, from mu0
+    and mu1 of shape (m,) and sigma0 and sigma1 of shape (m, n), each read
+    under coefficients.<name>; when sigma1 is absent or zero, sigma_map
+    returns the read-only sigma0 itself."""
+    def read(name, value, shape):
+        return read_array(value, shape, f"coefficients.{name}",
+                          f"an array of numbers of shape {shape}", finite=False)
+
+    mu0, mu1 = read("mu0", mu0, (m,)), read("mu1", mu1, (m,))
+    sigma0 = read("sigma0", sigma0, (m, n))
     sigma0.flags.writeable = False
-    sigma1 = None if sigma1 is None else np.asarray(sigma1, dtype=float).reshape(m, n)
+    sigma1 = None if sigma1 is None else read("sigma1", sigma1, (m, n))
 
     def mu_map(t, f):
         return mu0 + np.asarray(f, dtype=float)[..., None] * mu1
@@ -284,27 +284,16 @@ class MarketModel:
 
 
 def build_model(config: dict) -> MarketModel:
-    """Validate a model description and return an immutable MarketModel;
-    rejects non-finite T, x0, theta or delta, inconsistent dimensions,
-    non-positive risk aversion, and any volatility whose Gram matrix drops
-    below delta * I on the probe lattice."""
-    numbers = []
-    for name, convert in (("m", int), ("n", int), ("T", float), ("x0", float),
-                          ("theta", float), ("delta", float)):
-        try:
-            numbers.append(convert(config.get(name, 1e-8) if name == "delta" else config[name]))
-        except KeyError as exc:
-            raise ConfigInvalid("missing required field", field=name) from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"must be a number, got {config[name]!r}", field=name) from exc
-    m, n, horizon, x0, theta, delta = numbers
-    for name, v in (("T", horizon), ("x0", x0), ("theta", theta), ("delta", delta)):
-        if not math.isfinite(v):
-            raise ConfigInvalid(f"must be finite, got {v}", field=name)
+    """Read a model description, each entry through the errors.read_*
+    readers, into an immutable MarketModel.  Also refuses m > n, theta,
+    T or delta <= 0, rate segments short of T, coefficients that do not
+    match m x n, and any volatility whose Gram matrix drops below delta I
+    on the probe lattice."""
+    m, n = read_count(config, "m", None, "m"), read_count(config, "n", None, "n")
+    horizon, x0, theta = (read_number(config, key, None, key) for key in ("T", "x0", "theta"))
+    delta = read_number(config, "delta", 1e-8, "delta")
     if m > n:
         raise DimensionMismatch(f"m={m} risky assets exceed Brownian dimension n={n}")
-    if m < 1:
-        raise ConfigInvalid("need at least one risky asset", field="m")
     if theta <= 0:
         raise NonPositiveTheta(f"theta={theta} must be > 0")
     if horizon <= 0:
@@ -313,38 +302,32 @@ def build_model(config: dict) -> MarketModel:
         raise ConfigInvalid("ellipticity floor delta must be > 0", field="delta")
 
     rate_cfg = config.get("rate", 0.0)
-    if isinstance(rate_cfg, (int, float)):
-        rate = PiecewiseRate.constant(float(rate_cfg), horizon)
+    if isinstance(rate_cfg, list):
+        segments = [read_object(seg, "rate") for seg in rate_cfg]
+        rate = PiecewiseRate(*(tuple(read_number(seg, key, None, "rate") for seg in segments)
+                               for key in ("until", "value")))
     else:
-        try:
-            rate = PiecewiseRate(
-                tuple(float(seg["until"]) for seg in rate_cfg),
-                tuple(float(seg["value"]) for seg in rate_cfg),
-            )
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ConfigInvalid("segments need numeric 'until' and 'value'", field="rate") from exc
+        rate = PiecewiseRate.constant(read_number(config, "rate", 0.0, "rate"), horizon)
     if rate.breaks[-1] < horizon - 1e-12:
         raise ConfigInvalid("rate segments must cover [0, T]", field="rate")
 
-    coeff_cfg = config.get("coefficients")
-    if coeff_cfg is None:
-        raise ConfigInvalid("missing coefficients block", field="coefficients")
+    coeff_cfg = read_object(config.get("coefficients"), "coefficients")
     kind = coeff_cfg.get("kind", "deterministic")
-    try:
-        if kind == "deterministic":
-            coeffs = CoefficientField.deterministic(coeff_cfg["mu"], coeff_cfg["sigma"],
-                                                    coeff_cfg.get("times"))
-        elif kind in ("markov", "markov_factor"):
-            mu_map, sigma_map = affine_factor_maps(
-                m, n, coeff_cfg.get("mu0", np.zeros(m)), coeff_cfg.get("mu1", np.zeros(m)),
-                coeff_cfg["sigma0"], coeff_cfg.get("sigma1"))
-            coeffs = CoefficientField.markov_factor(
-                m, n, coeff_cfg["kappa"], coeff_cfg["mean"], coeff_cfg["nu"],
-                coeff_cfg.get("driving_index", n - 1), coeff_cfg["f0"], mu_map, sigma_map)
-        else:
-            raise ConfigInvalid(f"unknown coefficient kind {kind!r}", field="coefficients.kind")
-    except KeyError as exc:
-        raise ConfigInvalid("missing required field", field=f"coefficients.{exc.args[0]}") from exc
+    if kind == "deterministic":
+        coeffs = CoefficientField.deterministic(coeff_cfg.get("mu"), coeff_cfg.get("sigma"),
+                                                coeff_cfg.get("times"))
+    elif kind == "markov":
+        mu_map, sigma_map = affine_factor_maps(
+            m, n, coeff_cfg.get("mu0", np.zeros(m)), coeff_cfg.get("mu1", np.zeros(m)),
+            coeff_cfg.get("sigma0"), coeff_cfg.get("sigma1"))
+        kappa, mean, nu, f0 = (read_number(coeff_cfg, key, None, f"coefficients.{key}")
+                               for key in ("kappa", "mean", "nu", "f0"))
+        coeffs = CoefficientField.markov_factor(
+            m, n, kappa, mean, nu,
+            read_count(coeff_cfg, "driving_index", n - 1, "coefficients.driving_index", 0),
+            f0, mu_map, sigma_map)
+    else:
+        raise ConfigInvalid(f"unknown coefficient kind {kind!r}", field="coefficients.kind")
 
     if coeffs.m != m or coeffs.n != n:
         raise DimensionMismatch(
@@ -368,9 +351,9 @@ def _check_ellipticity(model: MarketModel) -> None:
     cf = model.coefficients
     t_rows, f_rows = model.probe_lattice(
         np.linspace(0.0, model.horizon_T, PROBE_TIME_POINTS), PROBE_FACTOR_QUANTILES)
-    sig = cf.sigma_batch(t_rows, f_rows)
-    finite = (np.isfinite(sig).all(axis=(1, 2))
-              & np.isfinite(cf.mu_batch(t_rows, f_rows)).all(axis=1))
+    with np.errstate(invalid="ignore"):     # 0 * inf between the nodes of an infinite entry
+        sig, mu = cf.sigma_batch(t_rows, f_rows), cf.mu_batch(t_rows, f_rows)
+    finite = np.isfinite(sig).all(axis=(1, 2)) & np.isfinite(mu).all(axis=1)
     sig = np.where(finite[:, None, None], sig, 0.0)
     shape = (PROBE_TIME_POINTS, -1)                           # (times, states)
     min_eig = np.linalg.eigvalsh(sig @ np.swapaxes(sig, 1, 2))[:, 0].reshape(shape)

@@ -8,7 +8,7 @@ import pytest
 import mmvcone as mc
 from mmvcone import cli
 
-from conftest import INSTANCE_A, INSTANCE_C
+from conftest import INSTANCE_A, INSTANCE_C, INSTANCE_ORTHANT2
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -207,6 +207,43 @@ def test_missing_field_named(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+_C_COEFFS = INSTANCE_C["coefficients"]
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"m": 1.5}, "m"),
+    ({"n": True}, "n"),
+    ({"theta": True}, "theta"),
+    ({"rate": True}, "rate"),
+    ({"coefficients": {"kind": "deterministic", "mu": "abc", "sigma": [[0.2]]}},
+     "coefficients.mu"),
+    ({"coefficients": {"kind": "deterministic", "mu": [0.06], "sigma": [[0.2], [0.1, 0.3]]}},
+     "coefficients.sigma"),
+    ({"coefficients": [1]}, "coefficients"),
+    ({**INSTANCE_C, "coefficients": {**_C_COEFFS, "sigma0": [[0.2], [0.0]]}},
+     "coefficients.sigma0"),
+    ({**INSTANCE_C, "coefficients": {**_C_COEFFS, "kappa": "a"}}, "coefficients.kappa"),
+    ({**INSTANCE_C, "coefficients": {**_C_COEFFS, "driving_index": 1.7}},
+     "coefficients.driving_index"),
+    ({**INSTANCE_C, "coefficients": {**_C_COEFFS, "f0": None}}, "coefficients.f0"),
+    ({**INSTANCE_ORTHANT2, "cone": {"kind": "generated", "G": "abc"}}, "cone.G"),
+    ({**INSTANCE_ORTHANT2, "cone": {"kind": "generated", "G": [[], []]}}, "cone.G"),
+    ({"coefficients": {"kind": "deterministic", "times": [0.0, 1.0, 0.5],
+                       "mu": [[0.06]] * 3, "sigma": [[[0.2]]] * 3}}, "coefficients.times"),
+], ids=["m_fraction", "n_bool", "theta_bool", "rate_bool", "mu_text", "sigma_ragged",
+        "coefficients_list", "sigma0_shape", "kappa_text", "driving_index_fraction",
+        "f0_null", "G_text", "G_empty", "times_not_increasing"])
+def test_malformed_model_entries_are_config_errors(tmp_path, capsys, change, field):
+    # a fractional or boolean count, a boolean number, an array of the wrong
+    # type or shape and a cone with no generators each end in a config error
+    cfg = _base_config(tmp_path, "value")
+    cfg["model"].update(change)
+    rc = cli.main(["value", "--config", str(_write_config(tmp_path, cfg))])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_generators_exit_one(tmp_path, capsys):
     cfg = _base_config(tmp_path, "value")
     cfg["model"].update(m=2, n=2, cone={"kind": "generated", "G": [[1.0, math.nan], [0.0, 1.0]]},
@@ -313,9 +350,10 @@ _MARKOV_C = {"model": {k: (dict(v) if isinstance(v, dict) else v) for k, v in IN
     ("saddle", {"eta_family": "saddle"}, "eta_family"),
     ("saddle", {"eta_family": ["saddle", {"kind": "constant", "v": [1.0, 2.0]}]},
      "adversary.v"),
+    ("solve", {"output_dir": 5}, "output_dir"),
 ], ids=["seed_text", "seed_fraction", "seed_bool", "seed_negative", "saddle_seed_text",
         "lattice_number", "k_grid_list", "strategy", "adversary", "adversary_c",
-        "pi_scales", "eta_family_string", "eta_family_entry"])
+        "pi_scales", "eta_family_string", "eta_family_entry", "output_dir_number"])
 def test_malformed_entries_are_refused_before_any_solve(tmp_path, capsys, monkeypatch,
                                                         experiment, extra, field):
     # seed, lattice, k_grid, strategy and the adversary entries are read

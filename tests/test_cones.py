@@ -325,3 +325,25 @@ def test_cone_from_config():
     assert mc.cone_from_config({"kind": "orthant"}, 2).kind == "orthant"
     g = mc.cone_from_config({"kind": "generated", "G": [[1.0, 0.0], [0.0, 1.0]]}, 2)
     assert g.generators.shape == (2, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mc.cone_from_config({"kind": "generated", "G": [[], []]}, 2),
+    lambda: mc.generated([[], []]),
+    lambda: mc.generated(None),
+    lambda: mc.generated("abc"),
+    lambda: mc.generated([[1.0, True], [0.0, 1.0]]),
+    lambda: mc.generated([1.0, 0.0]),
+], ids=["config_no_generators", "no_generators", "none", "text", "boolean", "vector"])
+def test_generated_cone_refuses_what_is_not_a_generator_matrix(build):
+    # a cone with no generators, and G that is not a matrix of numbers, are
+    # refused when the cone is built, not later in nnls
+    from mmvcone.errors import ConfigInvalid
+    with pytest.raises(ConfigInvalid) as exc:
+        build()
+    assert exc.value.field == "cone.G"
+
+
+def test_generator_rows_must_match_the_asset_count():
+    with pytest.raises(DimensionMismatch):
+        mc.cone_from_config({"kind": "generated", "G": [[1.0, 0.0]]}, 2)

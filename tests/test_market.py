@@ -9,8 +9,10 @@ from mmvcone.errors import (
     DegenerateVolatility,
     DimensionMismatch,
     NonPositiveTheta,
+    SingularGram,
     TimeOutOfRange,
 )
+from mmvcone.cones import project_transformed_batch
 
 from conftest import INSTANCE_A, INSTANCE_C_SIGMA1, pricing_kernel_at, random_full_rank_sigma
 
@@ -374,3 +376,23 @@ _G3 = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
 def test_non_finite_inputs_are_refused_at_public_boundaries(entry, bad):
     with pytest.raises(ConfigInvalid):
         entry(bad)
+
+
+def test_singular_gram_between_probe_points_is_typed():
+    # sigma(f) = diag(0.2, 0.2 - f) passes the ellipticity probe (its factor
+    # states stay near 0) but is singular at f = 0.2, off the probe lattice
+    model = mc.build_model({**INSTANCE_A, "m": 2, "n": 2, "coefficients": {
+        "kind": "markov", "kappa": 1.0, "mean": 0.0, "nu": 0.01, "f0": 0.0,
+        "mu0": [0.05, 0.05], "sigma0": [[0.2, 0.0], [0.0, 0.2]],
+        "sigma1": [[0.0, 0.0], [0.0, -1.0]], "driving_index": 1}})
+    f = np.array([0.2])
+    with pytest.raises(SingularGram):
+        mc.pricing_kernel_batch(model, 0.5, f)
+    with pytest.raises(SingularGram):
+        project_transformed_batch(mc.full_space(2), model.coefficients.sigma_batch(0.5, f),
+                                  np.array([[0.1, 0.1]]))
+
+
+def test_factor_quantiles_need_a_factor(model_a):
+    with pytest.raises(ConfigInvalid, match="^coefficients.kind: "):
+        model_a.coefficients.factor_quantiles(0.5, [0.5])

@@ -1,12 +1,15 @@
 """Checks on the package's sources and on the README: the engine is
 configured by its config and its arguments only, every export and every
-private helper has a user, and the README's Python sketch runs."""
+private helper has a user, every raise is typed, and the README's Python
+sketch runs."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
 import mmvcone
+import mmvcone.errors
 
 _AMBIENT = re.compile(r"os\.environ|os\.getenv|concurrent\.futures")
 _PACKAGE = Path(mmvcone.__file__).parent
@@ -78,6 +81,30 @@ def test_every_private_helper_is_referenced_in_the_engine():
                    for i, text in enumerate(lines, 1) if (f, i) != (file, line)):
             unused.append(f"{file}:{line}: {name}")
     assert unused == []
+
+
+def test_every_raise_is_typed_or_a_re_raise():
+    # a raise in src names a subclass of MmvConeError, or re-raises an
+    # exception object it holds; forksplit's ChildProcessError, a failure of
+    # the forked child rather than of the engine's input, is the one exception
+    listed = {("forksplit.py", "ChildProcessError")}
+    untyped = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            elif not (isinstance(exc, ast.Name)
+                      and isinstance(getattr(builtins, exc.id, None), type)):
+                continue                        # bare raise, or raise of a held exception
+            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            cls = getattr(mmvcone.errors, name or "", None)
+            typed = isinstance(cls, type) and issubclass(cls, mmvcone.errors.MmvConeError)
+            if not typed and (path.name, name) not in listed:
+                untyped.append(f"{path.name}:{node.lineno}: raise {name}(...)")
+    assert untyped == []
 
 
 def test_readme_python_sketch_runs(capsys):
