@@ -396,11 +396,10 @@ def solve_deterministic(model: MarketModel, cone: Cone, equation: str,
 
 
 def _basis_rows(centred, scale, degree, out):
-    """Rows 1, u, ..., u^degree of u = centred / scale, each row the one
-    before times u (the bits of np.vander(u, increasing=True).T), as the
-    front rows of out (degree + 1, N), whose row 0 the caller holds at 1;
-    row 0 alone for a spread < 1e-12."""
-    w = 1 if scale < 1e-12 else degree + 1
+    """The front rows 1, u, ..., u^degree of out (degree + 1, N), u = centred
+    / scale, each row the one before times u; row 0 alone for scale 0.  The
+    caller holds row 0 at 1."""
+    w = degree + 1 if scale else 1
     if w > 1:
         u = np.divide(centred, scale, out=out[1])
         for k in range(2, w):
@@ -428,44 +427,27 @@ def _rows(a, idx):
     return a[idx]
 
 
-def _gram_groups(grams, widths, t):
-    """(w, samples, Grams (G, w, w)) per basis width w among the samples'
-    Grams (K, width, width).  RegressionIllConditioned when an eigenvalue
-    ratio exceeds 1e12 or a smallest eigenvalue is not positive."""
-    groups = []
-    for wk in sorted(set(widths)):
-        sel = [k for k, w in enumerate(widths) if w == wk]
-        sel = slice(None) if len(sel) == len(widths) else sel
-        gram = grams[sel, :wk, :wk]
-        if wk > 1:
-            ev = np.linalg.eigvalsh(gram)
-            with np.errstate(divide="ignore"):    # a non-positive smallest: inf
-                cond = float(np.max(ev[:, -1] / np.maximum(ev[:, 0], 0.0)))
-            if cond > 1e12:
-                raise RegressionIllConditioned(f"basis Gram condition {cond:.2e} at t={t:.4f}")
-        groups.append((wk, sel, gram))
-    return groups
-
-
-def _solve_groups(groups, rhs):
-    """Coefficients (K, width, r) for right-hand sides rhs (K, width, r), one
-    np.linalg.solve per basis width, zero past a sample's own width."""
-    out = np.zeros(rhs.shape)
-    for wk, sel, gram in groups:
-        out[sel, :wk] = np.linalg.solve(gram, rhs[sel, :wk])
-    return out
+def _check_grams(grams, t):
+    """RegressionIllConditioned when a Gram of the stack (K, w, w) has an
+    eigenvalue ratio above 1e12 or a smallest eigenvalue that is not
+    positive.  A narrow sample's identity-padded Gram has ratio N >= 1000."""
+    ev = np.linalg.eigvalsh(grams)
+    with np.errstate(divide="ignore"):    # a non-positive smallest: inf
+        cond = float(np.max(ev[:, -1] / np.maximum(ev[:, 0], 0.0)))
+    if cond > 1e12:
+        raise RegressionIllConditioned(f"basis Gram condition {cond:.2e} at t={t:.4f}")
 
 
 def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
                    samples=(None,)):
     """Regression backward induction over the paths F (paths, steps + 1) and
     dWj (paths, steps), views of time-major arrays, for samples of their rows
-    in lockstep (index vectors, None for the rows as stored).  Returns one
+    in lockstep (index vectors, None for the rows as stored): one
     (y_tab, z_tab, loc, scale, clamps) per sample, the bits of a one-sample
-    pass over F[idx].  A sample's basis is the rows 1, u, ..., u^degree
-    (_basis_rows), its Gram the Hankel matrix of their power sums; each
-    stage (continuation with value fit, Z, refit) is one stacked solve per
-    basis width, and the step closes on the trapezoid (_close_step)
+    pass over F[idx].  Each stage (continuation with value fit, Z, refit) is
+    one np.linalg.solve over every sample's Gram; a sample whose basis is
+    narrow gets I past its width and zero right-hand sides there.  Each step
+    closes on the trapezoid (_close_step)
 
         V_i = E[V_{i+1} + h f_{i+1} | F_i] + h f_i(V_i, Z_i),  h = dt / 2,
 
@@ -521,15 +503,20 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
             loc[k, i] = np.add.reduce(fv) / paths
             centred = np.subtract(fv, loc[k, i], out=work[0])
             sd = math.sqrt(np.add.reduce(np.multiply(centred, centred, out=work[1])) / paths)
-            scale[k, i] = sd if sd >= 1e-12 else 1.0
+            sd = sd if sd >= 1e-12 else 0.0       # a spread below 1e-12 is none
+            scale[k, i] = sd or 1.0
             b = _basis_rows(centred, sd, degree, bases[k])
             basis.append(b)
             wk = len(b)
+            if wk < width:      # the buffers hold the step before's rows
+                grams[k] = np.eye(width)
+                rhs[k, wk:] = 0.0
+                col[k, wk:] = 0.0
             grams[k, :wk, :wk] = _hankel_gram(b)
             rhs[k, :wk, 1] = b @ V[k]
             rhs[k, :wk, 0] = rhs[k, :wk, 1] + h * (b @ f_next[k])
-        groups = _gram_groups(grams, [len(b) for b in basis], t)
-        c_rhs = _solve_groups(groups, rhs)
+        _check_grams(grams, t)
+        c_rhs = np.linalg.solve(grams, rhs)
         for k, b in enumerate(basis):
             # centered martingale-increment estimator: same conditional
             # expectation as v * dW / dt, variance smaller by a factor ~ dt
@@ -538,7 +525,7 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
             np.subtract(V[k], resid, out=resid)
             resid *= _rows(dWt[i], samples[k])
             np.matmul(b, resid, out=col[k, :wk, 0])
-        c_z = _solve_groups(groups, col / dt)[..., 0]
+        c_z = np.linalg.solve(grams, col / dt)[..., 0]
 
         pair = np.stack((c_rhs[..., 0], c_z), axis=1)
         for k, (b, idx) in enumerate(zip(basis, samples)):
@@ -560,7 +547,7 @@ def _backward_pass(model, cone, equation, cfg, grid, F, dWj, lower, upper,
                     f"{clamps[k]} clamp events exceed {_CLAMP_BUDGET:.1%} of "
                     f"{paths * steps} path-steps")
             np.matmul(b, V[k], out=col[k, :wk, 0])
-        y_tab[:, i] = _solve_groups(groups, col)[..., 0]
+        y_tab[:, i] = np.linalg.solve(grams, col)[..., 0]
         z_tab[:, i] = c_z
     return [(y_tab[k], z_tab[k], loc[k], scale[k], clamps[k]) for k in range(K)]
 

@@ -177,9 +177,17 @@ class _Workspace:
         return p
 
 
-# (equation, seed lane, bootstrap override) of the MMV solve and the MV pair
+# (equation, seed lane, bootstrap override) of the MMV solve and the MV pair,
+# and the lane of a simulation beside a Markov Y solve
 _Y = ("Y", 0, None)
 _MV_PAIR = (("P2", 1, None), ("P1", 2, 0))
+_SIMULATION = 3
+
+
+def _simulation_seed(cfg, y_solved) -> int:
+    """seed + _SIMULATION when a Markov Y solve draws from seed itself, else
+    seed, which no solve then uses."""
+    return cfg["seed"] + _SIMULATION * (y_solved and cfg["solver"]["kind"] == "markovian")
 
 
 def _solver_sizes(cfg) -> dict:
@@ -325,7 +333,8 @@ def run(cfg: dict) -> int:
         if adversary == "saddle":
             adversary = mmv_adversary(y_sol, cone, model)
         batch = simulate(model, strategy, adversary, paths=paths, steps=steps,
-                         seed=cfg["seed"], store_paths=store, antithetic=antithetic)
+                         seed=_simulation_seed(cfg, y_read), store_paths=store,
+                         antithetic=antithetic)
         results = {
             "objective_mean": batch.objective_mean,
             "objective_stderr": batch.objective_stderr,
@@ -366,7 +375,7 @@ def run(cfg: dict) -> int:
                       for a in eta_family]
         try:
             report = saddle_scan(model, cone, y_sol, pi_family, eta_family,
-                                 paths=paths, steps=steps, seed=cfg["seed"])
+                                 paths=paths, steps=steps, seed=_simulation_seed(cfg, True))
         except SaddleViolated as exc:
             report = exc.report
             exit_code = 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, Sequence
@@ -33,6 +34,7 @@ from .errors import (
 #: probe lattice used for the ellipticity check: time points x factor quantiles
 PROBE_TIME_POINTS = 101
 PROBE_FACTOR_QUANTILES = 21
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -310,6 +312,13 @@ def build_model(config: dict) -> MarketModel:
         rate = PiecewiseRate.constant(read_number(config, "rate", 0.0, "rate"), horizon)
     if rate.breaks[-1] < horizon - 1e-12:
         raise ConfigInvalid("rate segments must cover [0, T]", field="rate")
+    # |log h_t| peaks at t = 0 or a segment end; past log(float max) / 2,
+    # h_t^2 is inf or 0
+    ends = np.minimum((0.0, *rate.breaks), horizon)
+    peak = float(np.max(np.abs(rate.integral(ends, horizon))))
+    if not peak <= _LOG_MAX / 2:
+        raise ConfigInvalid(f"|integral of r over [t, T]| reaches {peak:.6g}, above "
+                            f"log(float max) / 2 = {_LOG_MAX / 2:.6g}", field="rate")
 
     coeff_cfg = read_object(config.get("coefficients"), "coefficients")
     kind = coeff_cfg.get("kind", "deterministic")

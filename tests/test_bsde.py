@@ -171,6 +171,13 @@ def test_uniform_positivity_envelope(model_a, cone_a):
         assert np.max(sol.y_values) <= upper
 
 
+def test_deterministic_solve_below_the_envelope_names_the_time(model_a, cone_a, monkeypatch):
+    # an envelope above every value: the first step back from T crosses it
+    monkeypatch.setattr(mc.bsde, "positivity_envelope", lambda model, grid: (2.0, 3.0))
+    with pytest.raises(PositivityLost, match=r"^Y crossed the positivity envelope at t=0\.990000: "):
+        mc.solve_deterministic(model_a, cone_a, "Y", 100)
+
+
 def _loop_rate_at(rate, t):
     """r(t) by a scan of the segments: the reference for PiecewiseRate.at."""
     for b, v in zip(rate.breaks, rate.values):
@@ -311,6 +318,23 @@ def test_transformed_deterministic_view_keeps_node_bits(model_a, cone_a, p2sol_a
 def test_transform_rejects_wrong_equation(ysol_a):
     with pytest.raises(ConfigInvalid):
         mc.transform_p_to_y(ysol_a)
+
+
+def test_transform_rejects_a_transformed_solution(model_a, cone_a):
+    p_sol = mc.solve_deterministic(model_a, cone_a, "P", 200)
+    with pytest.raises(ConfigInvalid, match="^transform: cannot re-transform"):
+        mc.transform_p_to_y(dc_replace(p_sol, transform=("recip",)))
+
+
+def test_markovian_solve_of_an_unknown_equation_is_refused(model_c):
+    cfg = mc.McSolverConfig(paths=1000, basis_degree=1, seed=3, steps=10, bootstrap=0)
+    with pytest.raises(ConfigInvalid, match="^equation: unknown equation 'Q'"):
+        mc.bsde.solve_markovian_many(model_c, mc.full_space(1), [("Y", cfg), ("Q", cfg)])
+
+
+def test_replicate_of_a_solution_without_replicates_is_refused(ysol_a):
+    with pytest.raises(ConfigInvalid, match="^replicates: "):
+        ysol_a.replicate(0)
 
 
 def test_transform_rejects_nonpositive():
@@ -844,7 +868,7 @@ def _raise_in_child(monkeypatch, name, error):
 
 @_forks
 @pytest.mark.parametrize("stage, error", [("_close_step", NoConvergence),
-                                          ("_gram_groups", RegressionIllConditioned)])
+                                          ("_check_grams", RegressionIllConditioned)])
 def test_child_walk_error_reaches_caller(model_c, monkeypatch, stage, error):
     monkeypatch.setattr(mc.forksplit, "cpus", lambda: 2)
     _raise_in_child(monkeypatch, stage, error)

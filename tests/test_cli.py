@@ -7,6 +7,7 @@ import pytest
 
 import mmvcone as mc
 from mmvcone import cli
+from mmvcone.rng import substream
 
 from conftest import INSTANCE_A, INSTANCE_C, INSTANCE_ORTHANT2
 
@@ -116,6 +117,55 @@ def test_simulate_mv_without_a_reader_of_y_solves_only_p2_and_p1(tmp_path, monke
                         paths=1000, steps=10, seed=cfg["seed"])
     assert summary["objective_mean"] == batch.objective_mean
     assert summary["mv_objective"] == mc.mv_objective(batch, model.theta)[0]
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("saddle", {}),
+    ("simulate", {"strategy": "mmv"}),
+])
+def test_markov_simulation_draws_no_lane_of_a_solve(tmp_path, monkeypatch, experiment, extra):
+    # Y solves on seed + 0; the simulation beside it draws from seed + 3, so
+    # no (seed, lane) key is drawn twice
+    keys = []
+
+    def spy(seed, *lane):
+        keys.append((seed, *lane))
+        return substream(seed, *lane)
+
+    monkeypatch.setattr(mc.forksplit, "cpus", lambda: 1)
+    monkeypatch.setattr(mc.bsde, "substream", spy)
+    monkeypatch.setattr(sys.modules["mmvcone.simulate"], "substream", spy)
+    cfg = _base_config(tmp_path, experiment, paths=500, steps=10, seed=7, **_MARKOV_C, **extra)
+    assert cli.run(cli.load_config(cfg)) == 0
+    assert (7, 0) in keys and (10, 0) in keys
+    assert len(keys) == len(set(keys))
+
+
+def test_simulate_with_a_constant_adversary_matches_a_direct_simulation(tmp_path):
+    cfg = _base_config(tmp_path, "simulate", paths=500, steps=10, strategy="none",
+                       adversary={"kind": "constant", "v": [0.1]})
+    assert cli.run(cli.load_config(cfg)) == 0
+    summary = json.loads((tmp_path / "out" / "simulation_summary.json").read_text())
+    batch = mc.simulate(mc.build_model(cfg["model"]), None, mc.constant_adversary([0.1]),
+                        paths=500, steps=10, seed=cfg["seed"])
+    assert summary["adversary"] == "constant"
+    assert summary["objective_mean"] == batch.objective_mean
+
+
+def test_invalid_bound_exits_two(tmp_path, capsys, monkeypatch):
+    # a slack of -10 puts every P1 and P2 initial value above h0^2 + slack
+    monkeypatch.setattr(mc.bsde, "_BOUND_SLACK", -10.0)
+    cfg = _base_config(tmp_path, "value")
+    assert cli.main(["value", "--config", str(_write_config(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err.startswith("assertion failure: P2 initial value ")
+
+
+def test_overflowing_rate_exits_one(tmp_path, capsys):
+    cfg = _base_config(tmp_path, "solve")
+    cfg["model"]["rate"] = 1000.0
+    assert cli.main(["solve", "--config", str(_write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err.startswith("config error: rate: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_saddle_violation_exits_two_with_its_artifacts(tmp_path, capsys, monkeypatch):
@@ -455,6 +505,13 @@ def test_never_overwrites(tmp_path):
     assert (out / "y_solution_1.csv").exists()
     assert (out / "manifest.json").exists()
     assert (out / "manifest_1.json").exists()
+
+
+def test_unique_counts_past_the_first_suffix(tmp_path):
+    ws = cli._Workspace(tmp_path / "out")
+    names = [ws.write_json("a.json", {"k": k}).name for k in range(3)]
+    assert names == ["a.json", "a_1.json", "a_2.json"] == ws.artifacts
+    assert json.loads((tmp_path / "out" / "a_2.json").read_text()) == {"k": 2}
 
 
 def test_manifest_round_trip_bitwise(tmp_path):

@@ -314,6 +314,35 @@ def test_rate_must_cover_horizon():
         mc.build_model(_config(rate=[{"until": 0.5, "value": 0.02}]))
 
 
+@pytest.mark.parametrize("rate", [
+    1000.0,
+    400.0,
+    # integral 0 over [0, T], but -400 over the last segment
+    [{"until": 0.5, "value": 800.0}, {"until": 1.0, "value": -800.0}],
+], ids=["constant_1000", "constant_400", "last_segment"])
+def test_rate_whose_discount_square_overflows_is_refused(rate):
+    with pytest.raises(ConfigInvalid, match="^rate: "):
+        mc.build_model(_config(rate=rate))
+
+
+def test_largest_finite_discount_square_builds():
+    model = mc.build_model(_config(rate=354.0))
+    assert math.isfinite(model.h0 * model.h0) and model.discount(1.0) == 1.0
+
+
+@pytest.mark.parametrize("breaks, values", [((0.5, 1.0), (0.02,)), ((), ()),
+                                            ((1.0,), (math.nan,))],
+                         ids=["misaligned", "empty", "nan_value"])
+def test_malformed_piecewise_rate_is_refused(breaks, values):
+    with pytest.raises(ConfigInvalid, match="^rate: "):
+        mc.PiecewiseRate(breaks, values)
+
+
+def test_zero_delta_is_refused():
+    with pytest.raises(ConfigInvalid, match="^delta: "):
+        mc.build_model(_config(delta=0))
+
+
 def test_discount_factor_grid(model_a):
     grid = np.linspace(0.0, 1.0, 11)
     h = model_a.discount(grid)
