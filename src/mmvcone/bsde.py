@@ -30,6 +30,7 @@ from .errors import (
     NoConvergence,
     PositivityLost,
     RegressionIllConditioned,
+    check_count,
 )
 from .market import (
     PROBE_FACTOR_QUANTILES,
@@ -62,13 +63,12 @@ class McSolverConfig:
     bootstrap: int = 16       # replicate solves used for the stderr estimate
 
     def __post_init__(self):
-        if self.paths < 1000:
-            raise ConfigInvalid("paths must be >= 1000", field="solver.paths")
-        if not 0 <= self.basis_degree <= 6:
+        for name, least in (("paths", 1000), ("basis_degree", 0), ("seed", 0),
+                            ("steps", 10), ("bootstrap", 0)):
+            check_count(getattr(self, name), f"solver.{name}", least)
+        if self.basis_degree > 6:
             raise ConfigInvalid("basis_degree must lie in [0, 6]", field="solver.basis_degree")
-        if self.steps < 10:
-            raise ConfigInvalid("steps must be >= 10", field="solver.steps")
-        if self.bootstrap < 0 or self.bootstrap == 1:
+        if self.bootstrap == 1:
             raise ConfigInvalid("bootstrap must be 0 or >= 2", field="solver.bootstrap")
 
 
@@ -359,8 +359,7 @@ def solve_deterministic(model: MarketModel, cone: Cone, equation: str,
         raise ConfigInvalid(f"unknown equation {equation!r}", field="equation")
     if model.coefficients.kind != "deterministic":
         raise ConfigInvalid("coefficients are not deterministic", field="coefficients")
-    if steps < 10:
-        raise ConfigInvalid("steps must be >= 10", field="steps")
+    check_count(steps, "steps", 10)
 
     T = model.horizon_T
     grid = np.linspace(0.0, T, steps + 1)

@@ -96,12 +96,16 @@ def read_object(value, field):
     return value
 
 
-def read_count(block, key, default, field, least=1):
-    """block[key] (default when absent) as an integer >= least, else ConfigInvalid."""
-    value = block.get(key, default)
+def check_count(value, field, least=1):
+    """value as an integer (never a boolean) >= least, else ConfigInvalid."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigInvalid(f"must be an integer >= {least}, got {value!r}", field=field)
     return value
+
+
+def read_count(block, key, default, field, least=1):
+    """block[key] (default when absent) as check_count."""
+    return check_count(block.get(key, default), field, least)
 
 
 def read_flag(block, key):

@@ -2,7 +2,8 @@
 the first in the calling process, each other in a forked child that pickles
 its result back over a pipe.  stream: a forked child that writes arrays to
 the calling process over a one-way pipe (Stream), so that what the calling
-process reads is made beside it."""
+process reads is made beside it; the pipe is sized to hold several of
+simulate's block steps (the default size when the kernel refuses)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import os
 import pickle
 import signal
 import threading
+
+_PIPE_BYTES = 1 << 20       # stream's pipe: Linux's default pipe-max-size
 
 
 def cpus() -> int:
@@ -62,13 +65,21 @@ def stream(produce) -> Stream | None:
     """A Stream from a forked child that runs produce(put), put(a) writing the
     bytes of a (a C-contiguous array) to the pipe, and exits; None while
     another thread runs or when os.fork fails.  The child also exits once the
-    calling process has closed the read end.  The caller closes the Stream
-    on every path."""
+    calling process has closed the read end.  The calling process raises the
+    pipe's capacity to _PIPE_BYTES, room for several of simulate's block
+    steps, so the child runs ahead and a whole step is read at once; a
+    refused resize keeps the default size.  The caller closes the Stream on
+    every path."""
     child = _fork()
     if child is None:
         return None
     pid, r, w = child
     if pid:
+        import fcntl    # POSIX only, as os.fork is
+        try:
+            fcntl.fcntl(r, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (AttributeError, OSError):   # no F_SETPIPE_SZ (not Linux), or refused
+            pass
         return Stream(pid, r)
     try:
         def put(a):

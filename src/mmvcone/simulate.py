@@ -25,6 +25,7 @@ from .errors import (
     ExplodedPath,
     MissingTrajectories,
     SaddleViolated,
+    check_count,
 )
 from .market import MarketModel, pricing_kernel_batch
 from .rng import substream
@@ -171,7 +172,9 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     CPUs, with more than two moving members (a portfolio other than None, a
     loading other than zero), a forked drawer (forksplit.stream) draws each
     block step from the substreams opened here while this process advances
-    every member; otherwise this process draws, with the same bits.  A cell
+    every member; its pipe holds several block steps (the default size when
+    the kernel refuses), so it runs ahead.  Otherwise this process draws,
+    with the same bits.  A cell
     estimates E^{P^eta}[X_T + (Lambda_T - 1)/(2 theta)].  store_paths keeps
     the trajectories of a one-pair call.
     """
@@ -184,10 +187,9 @@ def simulate(model: MarketModel, strategy: FeedbackStrategy | None | list,
     if family and store_paths:
         raise ConfigInvalid("trajectories are stored for one (strategy, adversary) "
                             "pair only", field="store_paths")
-    if paths < 100:
-        raise ConfigInvalid("paths must be >= 100", field="paths")
-    if steps < 10:
-        raise ConfigInvalid("steps must be >= 10", field="steps")
+    check_count(paths, "paths", 100)
+    check_count(steps, "steps", 10)
+    check_count(seed, "seed", 0)
     cf = model.coefficients
     markov = cf.kind == "markov"
     T = model.horizon_T

@@ -47,6 +47,11 @@ INSTANCE_C = {
     "cone": {"kind": "full"},
 }
 
+# Instance C with a negative mean excess return on part of the factor range,
+# on the orthant: the constraint binds there
+INSTANCE_ORTHANT_CLIP = {**INSTANCE_C, "coefficients": {
+    **INSTANCE_C["coefficients"], "mu0": [-0.06], "nu": 0.05}}
+
 # Instance C with a factor-dependent volatility: sigma(f) = sigma0 + f sigma1
 INSTANCE_C_SIGMA1 = {
     **INSTANCE_C,

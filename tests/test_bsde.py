@@ -15,8 +15,8 @@ from mmvcone.errors import (ConfigInvalid, InvalidBound, NoConvergence, Positivi
 from mmvcone.market import pricing_kernel_from
 from mmvcone.rng import substream
 
-from conftest import (INSTANCE_A, INSTANCE_C, INSTANCE_C_SIGMA1, driver_f, inf_quadratic_one,
-                      random_full_rank_sigma)
+from conftest import (INSTANCE_A, INSTANCE_C, INSTANCE_C_SIGMA1, INSTANCE_ORTHANT_CLIP,
+                      driver_f, inf_quadratic_one, random_full_rank_sigma)
 from conftest import forks as _forks
 
 
@@ -711,8 +711,6 @@ def test_solution_evaluation_interpolates(ysol_a):
 # range, so the driver's clip binds; the two-asset full cone is the
 # test_markov_full_cone_frozen_factor_matches_rk4 model with a moving factor
 # (the m >= 2 branch); the sigma1 model gathers per-row sigma-side columns.
-_ORTHANT_CLIP = {**INSTANCE_C, "coefficients": {
-    **INSTANCE_C["coefficients"], "mu0": [-0.06], "nu": 0.05}}
 _FULL_CONE_2 = {
     "m": 2, "n": 3, "T": 1.0, "x0": 1.0, "theta": 2.0, "delta": 1e-6,
     "rate": [{"until": 0.5, "value": 0.02}, {"until": 1.0, "value": 0.04}],
@@ -723,8 +721,8 @@ _FULL_CONE_2 = {
 _BOOTSTRAP_CASES = [
     ("C", INSTANCE_C, mc.full_space(1), "Y", (3000, 2, 12, 3)),
     ("C", INSTANCE_C, mc.full_space(1), "P1", (3000, 2, 12, 3)),
-    ("orthant_clip", _ORTHANT_CLIP, mc.orthant(1), "Y", (3000, 2, 12, 3)),
-    ("orthant_clip", _ORTHANT_CLIP, mc.orthant(1), "P1", (3000, 2, 12, 3)),
+    ("orthant_clip", INSTANCE_ORTHANT_CLIP, mc.orthant(1), "Y", (3000, 2, 12, 3)),
+    ("orthant_clip", INSTANCE_ORTHANT_CLIP, mc.orthant(1), "P1", (3000, 2, 12, 3)),
     ("sigma1", INSTANCE_C_SIGMA1, mc.full_space(1), "Y", (3000, 2, 12, 3)),
     ("sigma1", INSTANCE_C_SIGMA1, mc.full_space(1), "P2", (3000, 2, 12, 3)),
     ("full_cone_2", _FULL_CONE_2, mc.full_space(2), "Y", (1000, 1, 10, 2)),

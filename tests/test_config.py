@@ -1,13 +1,17 @@
 """Seeded fuzz of the set-up path (load_config, build_model, cone_from_config):
-each single-entry mutation of a valid config builds or raises MmvConeError."""
+each single-entry mutation of a valid config builds or raises MmvConeError.
+The engine entry points refuse a count or seed that is not an integer."""
 
 import copy
 import math
 import random
 
+import pytest
+
+import mmvcone as mc
 from mmvcone import cli
 from mmvcone.cones import cone_from_config
-from mmvcone.errors import MmvConeError
+from mmvcone.errors import ConfigInvalid, MmvConeError
 from mmvcone.market import build_model
 
 from conftest import INSTANCE_A, INSTANCE_B, INSTANCE_C, INSTANCE_C_SIGMA1, INSTANCE_ORTHANT2
@@ -86,3 +90,28 @@ def test_single_entry_mutations_build_or_raise_a_typed_error():
             escapes.append(f"{path} {what}: {type(exc).__name__}: {exc}")
     assert escapes == []
     assert built > 0 and refused > _CASES // 2
+
+
+_SOLVER = {"paths": 1500, "basis_degree": 2, "seed": 1, "steps": 12, "bootstrap": 2}
+
+
+@pytest.mark.parametrize("entry, key, value", [
+    ("solver", "paths", 1500.5), ("solver", "basis_degree", 2.0), ("solver", "steps", 12.5),
+    ("solver", "bootstrap", 2.5), ("solver", "bootstrap", True), ("solver", "seed", -1),
+    ("solver", "seed", 1.5),
+    ("simulate", "paths", 2500.5), ("simulate", "steps", 12.5), ("simulate", "seed", -1),
+    ("simulate", "seed", 1.5),
+    ("solve_deterministic", "steps", 12.5),
+])
+def test_engine_counts_and_seeds_are_integers(entry, key, value, model_a, cone_a):
+    # an integer that is not a boolean, at least its least value (a seed >= 0)
+    field = f"solver.{key}" if entry == "solver" else key
+    with pytest.raises(ConfigInvalid, match=f"^{field}: must be an integer >= ") as info:
+        if entry == "solver":
+            mc.McSolverConfig(**{**_SOLVER, key: value})
+        elif entry == "simulate":
+            kw = {"paths": 2500, "steps": 12, "seed": 1, key: value}
+            mc.simulate(model_a, None, mc.zero_adversary(), **kw)
+        else:
+            mc.solve_deterministic(model_a, cone_a, "Y", value)
+    assert info.value.field == field

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import math
 import os
 import sys
@@ -745,6 +746,42 @@ def test_a_child_without_a_reply_fails_at_its_floor():
     results, failure = _run_two_groups(lambda: os._exit(0))
     assert results == ["here", None]
     assert failure[0] == (1, "floor") and isinstance(failure[1], ChildProcessError)
+
+
+@_forks
+@pytest.mark.parametrize("resize", ["allowed", "refused"])
+def test_stream_delivers_puts_larger_than_the_default_pipe(monkeypatch, resize):
+    # five 200 000-byte puts, each more than a default pipe holds, arrive
+    # bit-exact and in order, then the stream ends; the read end holds
+    # at least 1 MiB, or the default size when the kernel refuses the resize
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs F_SETPIPE_SZ")
+    real = fcntl.fcntl
+    r, w = os.pipe()
+    default = real(r, fcntl.F_GETPIPE_SZ)
+    os.close(r)
+    os.close(w)
+    if resize == "refused":
+        def refuse(fd, cmd, arg=0):
+            if cmd == fcntl.F_SETPIPE_SZ:
+                raise OSError(errno.EPERM, "resize refused")
+            return real(fd, cmd, arg)
+
+        monkeypatch.setattr(fcntl, "fcntl", refuse)
+    sent = [np.arange(25_000) * (k + 1.0) + 0.5 * k for k in range(5)]
+    stream = mc.forksplit.stream(lambda put: [put(a) for a in sent])
+    try:
+        size = real(stream._fd, fcntl.F_GETPIPE_SZ)
+        got = [np.empty_like(a) for a in sent]
+        for out in got:
+            stream.get(out)
+        with pytest.raises(ChildProcessError):
+            stream.get(np.empty(1))
+    finally:
+        stream.close()
+    assert all(a.nbytes == 200_000 and np.array_equal(g, a) for g, a in zip(got, sent))
+    assert size >= 1 << 20 if resize == "allowed" else size == default
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared_sigma", "per_row_sigma"])

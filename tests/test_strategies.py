@@ -8,8 +8,8 @@ import mmvcone as mc
 from mmvcone.errors import ConfigInvalid, InvalidBound, TimeOutOfRange
 from mmvcone.strategies import StepTargets, _projected_target
 
-from conftest import (H0_A, INSTANCE_A, INSTANCE_C, INSTANCE_ORTHANT2, VALUE_A, Y0_A, eta_at,
-                      in_cone, project_one, xi2_at)
+from conftest import (H0_A, INSTANCE_A, INSTANCE_C, INSTANCE_ORTHANT2, INSTANCE_ORTHANT_CLIP,
+                      VALUE_A, Y0_A, eta_at, in_cone, project_one, xi2_at)
 
 
 @pytest.fixture(scope="module")
@@ -457,3 +457,42 @@ def test_saddle_family_bounds_match_per_time_loop(case):
         model, lambda t, f: mc.pricing_kernel_batch(model, t, f))
     for c in (0.5, -2.0):
         assert mc.scaled_minus_phi(model, c).bound == abs(c) * phi_top * 1.5 + 1e-12
+
+
+# cones on which the MMV map's direction is not closed under negation, so a
+# point past the bliss level a / h_t can leave the cone
+_IN_DOMAIN_CASES = {
+    "orthant_clip": (INSTANCE_ORTHANT_CLIP, mc.orthant(1)),
+    "orthant2": (INSTANCE_ORTHANT2, mc.orthant(2)),
+    "two_generators": (INSTANCE_ORTHANT2, mc.generated([[1.0, 1.0], [0.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("case", list(_IN_DOMAIN_CASES))
+def test_mmv_map_lies_in_the_cone_up_to_the_bliss_level(case):
+    # where the paper defines the MMV map, x <= a / h_t, it returns a point
+    # of Gamma: 11 times, 61 wealths up to 1.5 a / h_t and, with a factor,
+    # its 0.05, 0.5 and 0.95 quantiles; past a / h_t it may leave Gamma
+    config, cone = _IN_DOMAIN_CASES[case]
+    model = mc.build_model(config)
+    cf = model.coefficients
+    if cf.kind == "markov":
+        y = mc.solve_markovian(model, cone, "Y", mc.McSolverConfig(
+            paths=2000, basis_degree=2, seed=35, steps=10, bootstrap=0))
+    else:
+        y = mc.solve_deterministic(model, cone, "Y", 100)
+    mmv = mc.mmv_feedback(model, cone, y)
+    probes = inside = 0
+    for t in np.linspace(0.0, model.horizon_T, 11).tolist():
+        bliss = mmv.a_const / model.discount(t)
+        xs = np.linspace(0.0, 1.5 * bliss, 61)
+        f_values = (cf.factor_quantiles(t, [0.05, 0.5, 0.95]) if cf.kind == "markov"
+                    else [None])
+        for f in f_values:
+            probes += 1
+            pis = mmv.portfolio_batch(t, xs[None, :], None if f is None else np.array([f]))[0]
+            for x, pi in zip(xs.tolist(), pis):
+                if x <= bliss:
+                    inside += 1
+                    assert np.array_equal(mc.project_cone(cone, pi), pi), (t, f, x, pi)
+    assert probes == (33 if cf.kind == "markov" else 11) and inside >= 40 * probes
